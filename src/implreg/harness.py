@@ -400,7 +400,6 @@ def run_matfac(cfg: MatfacRunConfig) -> RunRecord:
         max_iters=cfg.max_iters,
         loss_threshold=cfg.loss_threshold,
         log_stride=cfg.log_stride,
-        seed=cfg.seed,
     )
     t0 = time.monotonic()
     diverged = False

@@ -136,11 +136,6 @@ class DeepNet:
     def shape(self) -> tuple[int, int]:
         return (self.factors[-1].shape[0], self.factors[0].shape[1])
 
-    def is_full_dimensional(self) -> bool:
-        """True when no hidden dimension constrains the reachable rank."""
-        dims = [self.factors[0].shape[1]] + [f.shape[0] for f in self.factors]
-        return min(dims) >= min(dims[0], dims[-1])
-
     def copy(self) -> "DeepNet":
         return DeepNet(tuple(f.copy() for f in self.factors))
 
@@ -151,7 +146,6 @@ class TrainConfig:
     max_iters: int
     loss_threshold: float = 1e-4
     log_stride: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -213,34 +207,73 @@ def product_matrix(net: DeepNet) -> np.ndarray:
     return p
 
 
+def _matmul_tn(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a.T @ b
+
+
+def _matmul_nt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b.T
+
+
+def _mul2(a, b):
+    """2x2 product a @ b of row-major 4-tuples."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
+
+
+def _mul2_tn(a, b):
+    """2x2 product a.T @ b of row-major 4-tuples."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 + a2 * b2, a0 * b1 + a2 * b3, a1 * b0 + a3 * b2, a1 * b1 + a3 * b3)
+
+
+def _mul2_nt(a, b):
+    """2x2 product a @ b.T of row-major 4-tuples."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 + a1 * b1, a0 * b2 + a1 * b3, a2 * b0 + a3 * b1, a2 * b2 + a3 * b3)
+
+
+def _prefix_chain(fs, mul):
+    """Prefix products W_{l-1} ... W_1 for each factor l (None for the
+    first) and the full product W_L ... W_1."""
+    prefixes = [None]
+    p = fs[0]
+    for f in fs[1:]:
+        prefixes.append(p)
+        p = mul(f, p)
+    return prefixes, p
+
+
+def _chain_gradients(fs, prefixes, g, mul, mul_tn, mul_nt) -> list:
+    """Per-factor gradients (W_L ... W_{l+1})^T G (W_{l-1} ... W_1)^T of
+    the masked residual ``g``, with the suffix products built from the
+    top down.  ``mul``, ``mul_tn`` and ``mul_nt`` compute a @ b,
+    a.T @ b and a @ b.T in the factors' representation."""
+    grads: list = [None] * len(fs)
+    s = None
+    for l in range(len(fs) - 1, -1, -1):
+        gl = g if s is None else mul_tn(s, g)
+        if prefixes[l] is not None:
+            gl = mul_nt(gl, prefixes[l])
+        grads[l] = gl
+        if l:
+            s = fs[l] if s is None else mul(s, fs[l])
+    return grads
+
+
 def factor_gradients(net: DeepNet, task: CompletionTask) -> list[np.ndarray]:
     """Analytic gradient of the end-to-end loss with respect to each factor.
 
     For factor l the gradient is (W_L ... W_{l+1})^T G (W_{l-1} ... W_1)^T
     with G the masked residual of the product matrix.
     """
-    fs = net.factors
-    depth = len(fs)
     if net.shape != task.shape:
         raise ValueError(f"net shape {net.shape} does not match task shape {task.shape}")
-    prefixes: list[np.ndarray | None] = [None] * depth
-    p = fs[0]
-    for l in range(1, depth):
-        prefixes[l] = p
-        p = fs[l] @ p
-    g = residual_gradient(task, p)
-    suffixes: list[np.ndarray | None] = [None] * depth
-    s = None
-    for l in range(depth - 2, -1, -1):
-        s = fs[l + 1] if s is None else s @ fs[l + 1]
-        suffixes[l] = s
-    grads = []
-    for l in range(depth):
-        gl = g if suffixes[l] is None else suffixes[l].T @ g
-        if prefixes[l] is not None:
-            gl = gl @ prefixes[l].T
-        grads.append(gl)
-    return grads
+    prefixes, p = _prefix_chain(net.factors, np.matmul)
+    return _chain_gradients(net.factors, prefixes, residual_gradient(task, p), np.matmul, _matmul_tn, _matmul_nt)
 
 
 def leading_minor_det(m: np.ndarray) -> float:
@@ -259,11 +292,15 @@ def _sigmas(p: np.ndarray) -> np.ndarray:
     return svd(p).sigmas
 
 
+def _unbalancedness(factors: Sequence[np.ndarray]) -> float:
+    worst = 0.0
+    for lo, hi in zip(factors, factors[1:]):
+        worst = max(worst, schatten_norm(hi.T @ hi - lo @ lo.T, 1.0))
+    return worst
+
+
 def _sample(it: int, loss_val: float, p: np.ndarray, factors, task: CompletionTask) -> TrajectorySample:
     sig = _sigmas(p)
-    unb = 0.0
-    for lo, hi in zip(factors, factors[1:]):
-        unb = max(unb, schatten_norm(hi.T @ hi - lo @ lo.T, 1.0))
     mets = {
         "erank": metrics.effective_rank_of_sigmas(sig),
         "nuclear_norm": float(sig.sum()),
@@ -278,9 +315,81 @@ def _sample(it: int, loss_val: float, p: np.ndarray, factors, task: CompletionTa
         unobserved=unobs,
         sigmas=tuple(float(s) for s in sig),
         det=leading_minor_det(p),
-        unbalancedness=unb,
+        unbalancedness=_unbalancedness(factors),
         metrics=mets,
     )
+
+
+# A step kernel holds the factors of a run and supplies the three pieces
+# gd_train needs: ``forward()`` takes the product and the residual on
+# observed entries and returns (loss, max |entry|); ``update(eta)``
+# moves every factor by -eta times its gradient at the point of the
+# last forward(); ``arrays()`` returns (product, factors) as numpy
+# arrays, for logging and for the result.
+
+
+class _ArrayKernel:
+    """Factors as numpy arrays: any shape."""
+
+    def __init__(self, factors: Sequence[np.ndarray], task: CompletionTask):
+        self.ws = [f.copy() for f in factors]
+        self.rows, self.cols, self.vals = task.index_arrays()
+
+    def forward(self) -> tuple[float, float]:
+        self.prefixes, self.p = _prefix_chain(self.ws, np.matmul)
+        self.r = self.p[self.rows, self.cols] - self.vals
+        return 0.5 * float(self.r @ self.r), float(np.abs(self.p).max())
+
+    def update(self, eta: float) -> None:
+        g = np.zeros_like(self.p)
+        g[self.rows, self.cols] = self.r
+        # every gradient is taken before any factor moves (the prefixes
+        # alias the live arrays)
+        grads = _chain_gradients(self.ws, self.prefixes, g, np.matmul, _matmul_tn, _matmul_nt)
+        for w, gl in zip(self.ws, grads):
+            gl *= eta
+            w -= gl
+
+    def arrays(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        return self.p, self.ws
+
+
+class _Scalar2x2Kernel:
+    """Factors all 2x2, held as row-major 4-tuples of Python floats: at
+    these sizes a numpy call costs far more than its arithmetic."""
+
+    def __init__(self, factors: Sequence[np.ndarray], task: CompletionTask):
+        self.ws = [tuple(f.ravel().tolist()) for f in factors]
+        rows, cols, vals = task.index_arrays()
+        self.observed = [(2 * i + j, v) for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist())]
+
+    def forward(self) -> tuple[float, float]:
+        self.prefixes, p = _prefix_chain(self.ws, _mul2)
+        g = [0.0, 0.0, 0.0, 0.0]
+        sq = 0.0
+        for k, v in self.observed:
+            r = p[k] - v
+            g[k] = r
+            sq += r * r
+        self.p, self.g = p, g
+        return 0.5 * sq, max(map(abs, p))
+
+    def update(self, eta: float) -> None:
+        grads = _chain_gradients(self.ws, self.prefixes, self.g, _mul2, _mul2_tn, _mul2_nt)
+        self.ws = [
+            (w0 - eta * g0, w1 - eta * g1, w2 - eta * g2, w3 - eta * g3)
+            for (w0, w1, w2, w3), (g0, g1, g2, g3) in zip(self.ws, grads)
+        ]
+
+    def arrays(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        return np.reshape(self.p, (2, 2)), [np.reshape(w, (2, 2)) for w in self.ws]
+
+
+def _kernel_for(net: DeepNet, task: CompletionTask):
+    """The scalar kernel when every factor is 2x2, else the array kernel."""
+    if all(f.shape == (2, 2) for f in net.factors):
+        return _Scalar2x2Kernel(net.factors, task)
+    return _ArrayKernel(net.factors, task)
 
 
 def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResult:
@@ -292,48 +401,40 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
     crosses a power-of-ten boundary (so loss-resolved curves stay well
     sampled without storing every step), and at the final state.
     Raises :class:`DivergenceError` on non-finite loss or entries
-    beyond 1e12.
+    beyond 1e12.  Nets whose factors are all 2x2 step on Python floats,
+    every other shape on numpy arrays; the two agree to rounding.
     """
     if net.shape != task.shape:
         raise ValueError(f"net shape {net.shape} does not match task shape {task.shape}")
-    depth = net.depth
-    ws = [f.copy() for f in net.factors]
-    rows, cols, vals = task.index_arrays()
+    kernel = _kernel_for(net, task)
     eta = cfg.learning_rate
 
     trajectory: list[TrajectorySample] = []
-    prefixes: list = [None] * depth
-    suffixes: list = [None] * depth
-
     it = 0
     last_decade: float | None = None
     logged_it = -1
 
-    def log_state(p, lo):
+    def log_state(lo):
         nonlocal logged_it
+        p, ws = kernel.arrays()
         trajectory.append(_sample(it, lo, p, ws, task))
         logged_it = it
 
     converged = False
     while True:
-        p = ws[0]
-        for l in range(1, depth):
-            prefixes[l] = p
-            p = ws[l] @ p
-        r = p[rows, cols] - vals
-        lo = 0.5 * float(r @ r)
+        lo, peak = kernel.forward()
 
-        if not math.isfinite(lo) or float(np.abs(p).max()) > ENTRY_BLOWUP_LIMIT:
+        if not math.isfinite(lo) or peak > ENTRY_BLOWUP_LIMIT:
             last = trajectory[-1] if trajectory else None
             raise DivergenceError(
-                f"training diverged at iteration {it}", last, trajectory, DeepNet(tuple(ws))
+                f"training diverged at iteration {it}", last, trajectory, DeepNet(tuple(kernel.arrays()[1]))
             )
 
         decade = math.floor(math.log10(lo)) if lo > 0 else None
         crossed = last_decade is not None and decade != last_decade
         last_decade = decade
         if it % cfg.log_stride == 0 or crossed:
-            log_state(p, lo)
+            log_state(lo)
 
         if lo < cfg.loss_threshold:
             converged = True
@@ -341,28 +442,14 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
         if it >= cfg.max_iters:
             break
 
-        g = np.zeros_like(p)
-        g[rows, cols] = r
-        s = None
-        for l in range(depth - 2, -1, -1):
-            s = ws[l + 1] if s is None else s @ ws[l + 1]
-            suffixes[l] = s
-        # all gradients are taken at the current point before any factor
-        # moves (prefixes/suffixes alias the live arrays)
-        grads = []
-        for l in range(depth):
-            gl = g if suffixes[l] is None else suffixes[l].T @ g
-            if prefixes[l] is not None:
-                gl = gl @ prefixes[l].T
-            grads.append(gl)
-        for l in range(depth):
-            grads[l] *= eta
-            ws[l] -= grads[l]
+        kernel.update(eta)
         it += 1
 
     if logged_it != it:
-        log_state(p, lo)
-    return TrainResult(net=DeepNet(tuple(ws)), trajectory=trajectory, iterations=it, converged=converged)
+        log_state(lo)
+    return TrainResult(
+        net=DeepNet(tuple(kernel.arrays()[1])), trajectory=trajectory, iterations=it, converged=converged
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +610,7 @@ def singular_value_rates(w, task: CompletionTask, depth: int) -> list[float]:
 def unbalancedness_magnitude(net: DeepNet) -> float:
     """Largest nuclear norm of W_{l+1}^T W_{l+1} - W_l W_l^T over adjacent
     layers; zero for depth 1.  Conserved by the continuous-time dynamics."""
-    worst = 0.0
-    for lo, hi in zip(net.factors, net.factors[1:]):
-        worst = max(worst, schatten_norm(hi.T @ hi - lo @ lo.T, 1.0))
-    return worst
+    return _unbalancedness(net.factors)
 
 
 def balance_project(net: DeepNet) -> DeepNet:

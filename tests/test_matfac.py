@@ -252,6 +252,72 @@ class TestGdTrain:
         assert math.isfinite(err.last_sample.loss)
 
 
+def _assert_close_to_scale(actual, expected, rtol):
+    """Entry-wise agreement relative to the matrix's largest entry, so
+    entries passing through zero do not demand absolute agreement."""
+    expected = np.asarray(expected)
+    scale = float(np.abs(expected).max())
+    assert float(np.abs(np.asarray(actual) - expected).max()) <= rtol * scale
+
+
+class TestStepKernels:
+    """gd_train steps 2x2-only nets on Python floats and every other
+    shape on numpy arrays.  The two kernels sum in different orders (and
+    BLAS may fuse multiply-adds), so across kernels only a tolerance is
+    required; a rerun of one kernel must be bitwise identical."""
+
+    @pytest.mark.parametrize("det_sign", [1, -1])
+    @pytest.mark.parametrize("task", [BASE, make_perturbed_task(1.0, 0.7, 0.1)], ids=["base", "perturbed"])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_scalar_and_array_kernels_agree(self, depth, task, det_sign):
+        rng = stream(3, depth)
+        net, _ = resample_until_det_sign(lambda r: init_unbalanced((2, 2), depth, 0.1, r), det_sign, rng)
+        scalar = matfac._Scalar2x2Kernel(net.factors, task)
+        array = matfac._ArrayKernel(net.factors, task)
+        for step in range(10_001):
+            scalar.forward()
+            array.forward()
+            if step % 500 == 0:
+                (p_s, ws_s), (p_a, ws_a) = scalar.arrays(), array.arrays()
+                _assert_close_to_scale(p_s, p_a, 1e-10)
+                for w_s, w_a in zip(ws_s, ws_a):
+                    _assert_close_to_scale(w_s, w_a, 1e-10)
+            scalar.update(1e-3)
+            array.update(1e-3)
+
+    def test_kernel_chosen_by_factor_shape(self):
+        square = random_net(1, [2, 2, 2, 2])
+        hidden3 = random_net(2, [2, 3, 2])
+        extended = random_net(3, [4, 3, 3, 3])
+        assert isinstance(matfac._kernel_for(square, BASE), matfac._Scalar2x2Kernel)
+        assert isinstance(matfac._kernel_for(hidden3, BASE), matfac._ArrayKernel)
+        assert isinstance(matfac._kernel_for(extended, make_extended_task(3, 4)), matfac._ArrayKernel)
+
+    def test_hidden_width_3_steps_with_factor_gradients(self):
+        # a 2x2 product through a width-3 hidden layer takes the numpy
+        # path, whose steps are exactly W - eta * factor_gradients
+        net = random_net(2, [2, 3, 2])
+        eta, n_steps = 1e-2, 200
+        cfg = TrainConfig(learning_rate=eta, max_iters=n_steps, loss_threshold=0.0, log_stride=n_steps)
+        result = gd_train(net, BASE, cfg)
+        fs = [f.copy() for f in net.factors]
+        for _ in range(n_steps):
+            grads = factor_gradients(DeepNet(tuple(fs)), BASE)
+            fs = [f - eta * g for f, g in zip(fs, grads)]
+        for got, want in zip(result.net.factors, fs):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dims, task", [([2, 2, 2, 2], BASE), ([4, 3, 3, 3], make_extended_task(3, 4))])
+    def test_rerun_is_bitwise_identical(self, dims, task):
+        net = random_net(4, dims)
+        net = DeepNet(tuple(0.5 * f for f in net.factors))
+        cfg = TrainConfig(learning_rate=1e-2, max_iters=3_000, loss_threshold=0.0, log_stride=100)
+        first, second = gd_train(net, task, cfg), gd_train(net, task, cfg)
+        assert first.trajectory == second.trajectory
+        for a, b in zip(first.net.factors, second.net.factors):
+            assert np.array_equal(a, b)
+
+
 class TestInitUnbalanced:
     def test_depth1_std_is_alpha(self):
         rng = stream(0, 2)
