@@ -48,13 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _reseed(cfg, seed):
-    if isinstance(cfg, harness.MatfacRunConfig) or isinstance(cfg, harness.DetSignConfig):
-        return dataclasses.replace(cfg, seed=seed)
-    if isinstance(cfg, harness.MatfacSweepConfig):
+    if hasattr(cfg, "seeds"):
         return dataclasses.replace(cfg, seeds=(seed,))
-    if isinstance(cfg, harness.TenfacSweepConfig):
-        return dataclasses.replace(cfg, seeds=(seed,))
-    return cfg
+    return dataclasses.replace(cfg, seed=seed)
 
 
 def main(argv=None) -> int:
@@ -64,7 +60,7 @@ def main(argv=None) -> int:
         cfg = harness.load_config(args.config)
         default_seed = getattr(cfg, "seed", None)
         if default_seed is None:
-            seeds = getattr(cfg, "seeds", (0,))
+            seeds = getattr(cfg, "seeds", ())
             default_seed = seeds[0] if len(seeds) == 1 else None
         if default_seed is not None:
             seed = harness.resolve_seed(args.seed, default_seed)
@@ -82,9 +78,7 @@ def main(argv=None) -> int:
 
     if args.command == "detsign":
         seed = harness.resolve_seed(args.seed, 0)
-        dists = ["gaussian", f"gaussian-product-{args.depth}", "identity"]
-        if args.dim != 2:
-            dists = [f"{d}@{args.dim}" for d in dists]
+        dists = harness.detsign_distributions(args.depth, args.dim)
         rows = harness.run_detsign(args.samples, dists, seed, out=args.out)
         for r in rows:
             print(

@@ -39,6 +39,7 @@ __all__ = [
     "load_config",
     "run_matfac",
     "run_matfac_sweep",
+    "detsign_distributions",
     "run_detsign",
     "run_tenfac_sweep",
     "run_config",
@@ -458,6 +459,13 @@ def _det_batch(mats: np.ndarray) -> np.ndarray:
     return np.linalg.det(mats)
 
 
+def detsign_distributions(depth: int, dim: int) -> list[str]:
+    """The distributions a det-sign study compares: one Gaussian matrix,
+    a depth-``depth`` Gaussian product, and the identity sanity path."""
+    dists = ["gaussian", f"gaussian-product-{depth}", "identity"]
+    return dists if dim == 2 else [f"{d}@{dim}" for d in dists]
+
+
 def run_detsign(n_samples: int, distributions: Sequence[str], seed: int, out=None):
     """Empirical P(det > 0) per distribution, with a 3-sigma binomial
     interval.  Distributions: "gaussian" (one square Gaussian matrix),
@@ -611,10 +619,7 @@ def run_config(cfg, jobs: int = 1):
     if isinstance(cfg, MatfacSweepConfig):
         return run_matfac_sweep(cfg, jobs=jobs)
     if isinstance(cfg, DetSignConfig):
-        dists = ["gaussian", f"gaussian-product-{cfg.depth}", "identity"]
-        if cfg.dim != 2:
-            dists = [f"{d}@{cfg.dim}" for d in dists]
-        return run_detsign(cfg.samples, dists, cfg.seed, out=cfg.out)
+        return run_detsign(cfg.samples, detsign_distributions(cfg.depth, cfg.dim), cfg.seed, out=cfg.out)
     if isinstance(cfg, TenfacSweepConfig):
         return run_tenfac_sweep(cfg, jobs=jobs)
     if isinstance(cfg, PlotConfig):

@@ -5,10 +5,10 @@ Everything here operates on plain ``numpy`` arrays of float64.  Inputs
 are validated once at the boundary (finite entries, sane shapes); the
 numerical routines themselves assume validated data.
 
-The SVD is a one-sided Jacobi: cyclic sweeps of plane rotations that
-orthogonalize column pairs.  At the small dimensions this package
-targets (<= 64) it is simple, accurate, and has no dependency beyond
-numpy array arithmetic.
+The SVD is LAPACK's thin SVD (``np.linalg.svd``) with a fixed sign
+convention.  ``singular_values`` serves callers that need only the
+values; on a 2x2 it uses the closed form, which the tests also use as
+an oracle independent of LAPACK.
 """
 
 from __future__ import annotations
@@ -28,13 +28,11 @@ __all__ = [
     "as_tensor",
     "svd",
     "svd2x2_analytic",
+    "singular_values",
     "schatten_norm",
     "outer_product",
     "shannon_entropy",
 ]
-
-_JACOBI_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 100
 
 
 class KernelError(RuntimeError):
@@ -68,7 +66,7 @@ def as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a 2-D array, got shape {m.shape}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"matrix axes must be positive, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -87,7 +85,7 @@ def as_tensor(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Full SVD of a matrix: ``sum_r sigmas[r] * u[:, r] @ v[:, r].T``.
+    """Thin SVD of a matrix: ``sum_r sigmas[r] * u[:, r] @ v[:, r].T``.
 
     ``u`` is (d, k), ``v`` is (d', k) with orthonormal columns and
     k = min(d, d'); ``sigmas`` is non-increasing and non-negative.
@@ -101,105 +99,37 @@ class SvdResult:
         return (self.u * self.sigmas) @ self.v.T
 
 
-def _complete_orthonormal(q: np.ndarray, have: int) -> np.ndarray:
-    # Fill columns have.. with an orthonormal completion of the first
-    # `have` columns, drawn from the standard basis by Gram-Schmidt.
-    d, k = q.shape
-    col = have
-    for cand in range(d):
-        if col >= k:
-            break
-        w = np.zeros(d)
-        w[cand] = 1.0
-        w -= q[:, :col] @ (q[:, :col].T @ w)
-        n = math.sqrt(float(w @ w))
-        if n > 1e-8:
-            q[:, col] = w / n
-            col += 1
-    if col < k:  # numerically impossible for k <= d, guarded anyway
-        raise KernelError("failed to complete an orthonormal basis", q)
-    return q
+def _lapack_svd(a: np.ndarray, compute_uv: bool):
+    try:
+        out = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise KernelError(f"LAPACK SVD failed: {exc}", a) from exc
+    sigmas = out[1] if compute_uv else out
+    sigmas[sigmas <= max(a.shape) * np.finfo(float).eps * sigmas[0]] = 0.0
+    return out
 
 
 def svd(m) -> SvdResult:
-    """One-sided Jacobi SVD with cyclic sweeps.
+    """Thin SVD through LAPACK, singular values sorted descending.
 
-    Rotations stop once every column pair is orthogonal to relative
-    precision 1e-14; raises :class:`KernelError` if 100 sweeps do not
-    reach that point.  Singular values come back sorted descending, and
-    each left vector is sign-normalized so its largest-magnitude entry
-    is non-negative.
+    Values at most max(d, d') * eps * sigma_1 are set to exactly 0.0.
+    Each left vector is signed so its largest-magnitude entry is
+    non-negative, its right vector flipped with it.  Raises
+    :class:`KernelError`, carrying the input, if LAPACK fails.
     """
     a = as_matrix(m)
-    transposed = a.shape[0] < a.shape[1]
-    b = (a.T if transposed else a).copy()
-    d, k = b.shape
-    vmat = np.eye(k)
+    u, sigmas, vt = _lapack_svd(a, compute_uv=True)
+    signs = np.copysign(1.0, u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])])
+    return SvdResult(u=u * signs, sigmas=sigmas, v=vt.T * signs)
 
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for i in range(k - 1):
-            for j in range(i + 1, k):
-                bi = b[:, i]
-                bj = b[:, j]
-                aii = float(bi @ bi)
-                ajj = float(bj @ bj)
-                aij = float(bi @ bj)
-                # norms multiplied after the square roots: the product
-                # of the squared norms can underflow even when both are
-                # comfortably representable
-                denom = math.sqrt(aii) * math.sqrt(ajj)
-                if denom == 0.0:
-                    continue
-                rel = abs(aij) / denom
-                off = max(off, rel)
-                if rel <= _JACOBI_TOL:
-                    continue
-                zeta = (ajj - aii) / (2.0 * aij)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                gi = c * bi - s * bj
-                gj = s * bi + c * bj
-                b[:, i] = gi
-                b[:, j] = gj
-                vi = c * vmat[:, i] - s * vmat[:, j]
-                vj = s * vmat[:, i] + c * vmat[:, j]
-                vmat[:, i] = vi
-                vmat[:, j] = vj
-        if off <= _JACOBI_TOL:
-            break
-    else:
-        raise KernelError("Jacobi SVD did not converge within the sweep cap", a)
 
-    sigmas = np.sqrt(np.sum(b * b, axis=0))
-    order = np.argsort(-sigmas, kind="stable")
-    sigmas = sigmas[order]
-    b = b[:, order]
-    vmat = vmat[:, order]
-
-    u = np.zeros((d, k))
-    have = 0
-    scale = sigmas[0] if sigmas[0] > 0 else 1.0
-    for r in range(k):
-        if sigmas[r] > scale * 1e-300 and sigmas[r] > 0.0:
-            u[:, r] = b[:, r] / sigmas[r]
-            have = r + 1
-        else:
-            sigmas[r] = 0.0
-    if have < k:
-        u = _complete_orthonormal(u, have)
-
-    # sign convention: largest-magnitude entry of each left vector >= 0
-    for r in range(k):
-        lead = np.argmax(np.abs(u[:, r]))
-        if u[lead, r] < 0:
-            u[:, r] = -u[:, r]
-            vmat[:, r] = -vmat[:, r]
-
-    if transposed:
-        u, vmat = vmat, u
-    return SvdResult(u=u, sigmas=sigmas, v=vmat)
+def singular_values(m) -> np.ndarray:
+    """Singular values, largest first: the closed form for a 2x2,
+    otherwise LAPACK's values-only SVD with the cutoff of :func:`svd`."""
+    w = as_matrix(m)
+    if w.shape == (2, 2):
+        return np.array(svd2x2_analytic(w))
+    return _lapack_svd(w, compute_uv=False)
 
 
 def svd2x2_analytic(m) -> tuple[float, float]:
@@ -233,23 +163,14 @@ def schatten_norm(m, p: SchattenOrder) -> float:
     """
     w = as_matrix(m)
     if isinstance(p, _Spectral) or (isinstance(p, float) and math.isinf(p) and p > 0):
-        sigmas = _sigmas_of(w)
-        return float(sigmas[0])
+        return float(singular_values(w)[0])
     pf = float(p)
     if not pf > 0:
         raise ValueError(f"Schatten order must be positive, got {p!r}")
     if pf == 2.0:
         # Frobenius: no SVD needed
         return float(np.sqrt(np.sum(w * w)))
-    sigmas = _sigmas_of(w)
-    return float(np.sum(sigmas**pf) ** (1.0 / pf))
-
-
-def _sigmas_of(w: np.ndarray) -> np.ndarray:
-    if w.shape == (2, 2):
-        s1, s2 = svd2x2_analytic(w)
-        return np.array([s1, s2])
-    return svd(w).sigmas
+    return float(np.sum(singular_values(w) ** pf) ** (1.0 / pf))
 
 
 def outer_product(vectors: Sequence) -> np.ndarray:

@@ -22,7 +22,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import metrics
-from .linalg import as_matrix, schatten_norm, svd, svd2x2_analytic
+from .linalg import as_matrix, schatten_norm, singular_values, svd
+
+# Imported unused: perfbench/layers.py traces it under this module name.
+from .linalg import svd2x2_analytic  # noqa: F401
 
 __all__ = [
     "CompletionTask",
@@ -286,12 +289,6 @@ def leading_minor_det(m: np.ndarray) -> float:
     return float(np.linalg.det(sub))
 
 
-def _sigmas(p: np.ndarray) -> np.ndarray:
-    if p.shape == (2, 2):
-        return np.array(svd2x2_analytic(p))
-    return svd(p).sigmas
-
-
 def _unbalancedness(factors: Sequence[np.ndarray]) -> float:
     worst = 0.0
     for lo, hi in zip(factors, factors[1:]):
@@ -300,7 +297,7 @@ def _unbalancedness(factors: Sequence[np.ndarray]) -> float:
 
 
 def _sample(it: int, loss_val: float, p: np.ndarray, factors, task: CompletionTask) -> TrajectorySample:
-    sig = _sigmas(p)
+    sig = singular_values(p)
     mets = {
         "erank": metrics.effective_rank_of_sigmas(sig),
         "nuclear_norm": float(sig.sum()),

@@ -22,7 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import SPECTRAL, SchattenOrder, as_matrix, schatten_norm, svd
+from .linalg import SPECTRAL, SchattenOrder, as_matrix, schatten_norm, singular_values
+
+# Imported unused: perfbench/layers.py traces it under this module name.
+from .linalg import svd  # noqa: F401
 
 __all__ = [
     "QuasiNormSpec",
@@ -32,7 +35,6 @@ __all__ = [
     "frobenius",
     "spectral",
     "schatten",
-    "DEFAULT_SPECS",
     "effective_rank",
     "effective_rank_of_sigmas",
     "dist_from_rank",
@@ -50,13 +52,13 @@ class QuasiNormSpec:
     """A Schatten-family (quasi-)norm with its triangle constant.
 
     ``c`` is the smallest constant with ||A + B|| <= c (||A|| + ||B||):
-    1 for p >= 1 and 2^(1/p - 1) for p < 1.  ``basis_norms`` holds the
-    norms of the four 2x2 single-entry matrices (all 1 in this family).
+    1 for p >= 1 and 2^(1/p - 1) for p < 1.  Every 2x2 single-entry
+    matrix e_i e_j^T has norm 1 in this family, so the bound evaluators
+    below carry no basis-norm factors.
     """
 
     p: SchattenOrder
     c: float = field(init=False)
-    basis_norms: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
 
     def __post_init__(self):
         if self.p is SPECTRAL:
@@ -98,11 +100,6 @@ def schatten(p: float) -> QuasiNormSpec:
     return QuasiNormSpec(p=p)
 
 
-#: The default battery used in tests and logs: quasi-norm, nuclear,
-#: Frobenius, spectral.
-DEFAULT_SPECS: tuple[QuasiNormSpec, ...] = (schatten(0.5), nuclear(), frobenius(), spectral())
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """One evaluated bound: its name, value, direction, and the inputs
@@ -137,7 +134,7 @@ def effective_rank(m) -> float:
     non-zero singular values coincide.  Undefined (raises) for the zero
     matrix.
     """
-    return effective_rank_of_sigmas(svd(as_matrix(m)).sigmas)
+    return effective_rank_of_sigmas(singular_values(m))
 
 
 def dist_from_rank(m, r: int) -> float:
@@ -147,7 +144,7 @@ def dist_from_rank(m, r: int) -> float:
     k = min(w.shape)
     if not (0 <= r <= k):
         raise ValueError(f"rank bound {r} out of range [0, {k}]")
-    sig = svd(w).sigmas
+    sig = singular_values(w)
     tail = sig[r:]
     return float(np.sqrt((tail * tail).sum()))
 
@@ -198,17 +195,15 @@ def base_task_bounds(ell: float, spec: QuasiNormSpec) -> tuple[BoundReport, Boun
     """Bounds holding along positive-determinant trajectories of the base
     task at loss ``ell``:
 
-    - ||W|| >= a / sqrt(ell) - b with a = ||e1 e1^T|| / (sqrt(2) c) and
-      b = max(sqrt(2) a, 8 c^2 max_ij ||e_i e_j^T||);
+    - ||W|| >= a / sqrt(ell) - b with a = 1 / (sqrt(2) c) and
+      b = max(sqrt(2) a, 8 c^2);
     - erank(W) <= 1 + (2 sqrt(12) / ln 2) sqrt(ell);
     - distance from rank one <= 3 sqrt(2) sqrt(ell).
     """
     if ell < 0:
         raise ValueError("loss must be non-negative")
-    e11 = spec.basis_norms[0]
-    max_basis = max(spec.basis_norms)
-    a = e11 / (math.sqrt(2.0) * spec.c)
-    b = max(math.sqrt(2.0) * a, 8.0 * spec.c**2 * max_basis)
+    a = 1.0 / (math.sqrt(2.0) * spec.c)
+    b = max(math.sqrt(2.0) * a, 8.0 * spec.c**2)
     norm_lb = math.inf if ell == 0.0 else a / math.sqrt(ell) - b
     erank_ub = 1.0 + (2.0 * math.sqrt(12.0) / math.log(2.0)) * math.sqrt(ell)
     dist_ub = 3.0 * math.sqrt(2.0) * math.sqrt(ell)
@@ -227,9 +222,9 @@ def perturbed_task_bounds(
     trajectories whose determinant sign matches the task:
 
     - ||W|| >= a |z z'| / (|eps| + sqrt(2 ell)) - b with
-      a = ||e1 e1^T|| / c and
+      a = 1 / c and
       b = max(a |z z'| / (|eps| + min(|z|, |z'|)),
-              8 c^2 max(|z|, |z'|, |eps|) max_ij ||e_i e_j^T||);
+              8 c^2 max(|z|, |z'|, |eps|));
     - erank(W) <= 1 + 16 / min(|z|, |z'|) * (|eps| + sqrt(2 ell));
     - distance from rank one
       <= 4 |eps| + (4 + sqrt(|z z'|) / min(|z|, |z'|)) sqrt(2 ell).
@@ -243,10 +238,8 @@ def perturbed_task_bounds(
         raise ValueError("loss must be non-negative")
     az, azp, ae = abs(z), abs(z_prime), abs(eps)
     zmin = min(az, azp)
-    e11 = spec.basis_norms[0]
-    max_basis = max(spec.basis_norms)
-    a = e11 / spec.c
-    b = max(a * az * azp / (ae + zmin), 8.0 * spec.c**2 * max(az, azp, ae) * max_basis)
+    a = 1.0 / spec.c
+    b = max(a * az * azp / (ae + zmin), 8.0 * spec.c**2 * max(az, azp, ae))
     denom = ae + _sqrt2l(ell)
     norm_lb = math.inf if denom == 0.0 else a * az * azp / denom - b
     erank_ub = 1.0 + (16.0 / zmin) * (ae + _sqrt2l(ell))
@@ -327,9 +320,7 @@ def unbalanced_init_report(
         exit_time = log_inv_eps ** (2.0 / 3.0) / (2.0 ** (2.0 / 3.0) * gap ** (4.0 / 3.0)) - math.log(
             math.e / (gap * sigma_init)
         )
-        norm_main = (
-            spec.basis_norms[0] * gap ** (4.0 / 3.0) / (2.0**11 * spec.c) * log_inv_eps ** (1.0 / 3.0)
-        )
+        norm_main = gap ** (4.0 / 3.0) / (2.0**11 * spec.c) * log_inv_eps ** (1.0 / 3.0)
         erank_extra = 2.0**9 / gap ** (2.0 / 3.0) * log_inv_eps ** (-1.0 / 6.0)
         dist_main = 2.0**12 / gap ** (4.0 / 3.0) * log_inv_eps ** (-1.0 / 3.0)
     else:
@@ -347,8 +338,7 @@ def unbalanced_init_report(
             - 2.0 ** (-(5.0 * depth + 5.0)) * sigma_init ** (-(depth - 2.0) / depth)
         )
         norm_main = (
-            spec.basis_norms[0]
-            * gap ** (6.0 / 5.0)
+            gap ** (6.0 / 5.0)
             / (2.0 ** (4.0 * depth) * depth ** (6.0 / 5.0) * spec.c)
             * _exp_sat(log_inv_eps * depth / (128.0 * depth - 64.0))
         )
@@ -362,8 +352,7 @@ def unbalanced_init_report(
             * _exp_sat(-log_inv_eps * depth / (128.0 * depth - 64.0))
         )
 
-    max_basis = max(spec.basis_norms)
-    norm_lb = norm_main - 12.0 * spec.c**2 * max_basis
+    norm_lb = norm_main - 12.0 * spec.c**2
     erank_ub = 1.0 + erank_extra
     dist_ub = dist_main + math.sqrt(2.0 * terminal_loss)
     inputs = {"log_eps": log_eps, "ell_init": ell_init, "sigma_init": sigma_init, "depth": float(depth)}

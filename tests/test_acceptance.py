@@ -230,8 +230,8 @@ def test_criterion_07_analytic_oracles():
     for _ in range(1000):
         m = rng.uniform(-10.0, 10.0, size=(2, 2))
         s_closed = svd2x2_analytic(m)
-        s_jacobi = svd(m).sigmas
-        worst = max(worst, abs(s_closed[0] - s_jacobi[0]), abs(s_closed[1] - s_jacobi[1]))
+        s_lapack = svd(m).sigmas
+        worst = max(worst, abs(s_closed[0] - s_lapack[0]), abs(s_closed[1] - s_lapack[1]))
     svd_ok = worst <= 1e-10
 
     xs = np.arange(0.0, 10.0 + 1e-9, 0.01)
@@ -253,7 +253,7 @@ def test_criterion_07_analytic_oracles():
     ok = svd_ok and mono_ok and scan_ok
     report(
         7,
-        "closed-form vs Jacobi SVD, solution-family monotonicity, norm-argmin scans",
+        "closed-form vs LAPACK SVD, solution-family monotonicity, norm-argmin scans",
         ok,
         f"max |sigma gap| {worst:.2e}; monotone={mono_ok}; argmins={argmins}",
     )

@@ -11,6 +11,7 @@ from implreg.linalg import (
     outer_product,
     schatten_norm,
     shannon_entropy,
+    singular_values,
     svd,
     svd2x2_analytic,
 )
@@ -89,6 +90,53 @@ class TestSvd:
             res = svd(m)
             assert abs(res.sigmas[0] - s1) <= 1e-10
             assert abs(res.sigmas[1] - s2) <= 1e-10
+
+    def test_lapack_failure_raises_kernel_error_with_input(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        m = [[1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(KernelError) as info:
+            svd(m)
+        assert np.array_equal(info.value.matrix, m)
+
+    def test_cutoff_is_relative(self):
+        res = svd(np.diag([1.0, 1e-12]))
+        assert res.sigmas[1] == pytest.approx(1e-12, rel=1e-12, abs=0.0)
+
+    def test_zero_matrix(self):
+        res = svd(np.zeros((3, 2)))
+        assert np.array_equal(res.sigmas, [0.0, 0.0])
+        assert np.allclose(res.u.T @ res.u, np.eye(2), atol=1e-12)
+        assert np.allclose(res.v.T @ res.v, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 3)])
+    def test_sign_convention_rectangular(self, shape):
+        m = rand_matrix(7, *shape)
+        res = svd(m)
+        for r in range(min(shape)):
+            lead = np.argmax(np.abs(res.u[:, r]))
+            assert res.u[lead, r] >= 0
+        assert np.abs(res.reconstruct() - m).max() <= 1e-12 * np.abs(m).max()
+
+
+class TestSingularValues:
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (4, 4)])
+    def test_matches_full_svd(self, shape):
+        for seed in range(20):
+            m = rand_matrix(seed, *shape)
+            sig = singular_values(m)
+            full = svd(m).sigmas
+            assert sig.shape == full.shape
+            assert np.abs(sig - full).max() <= 1e-13 * full[0]
+
+    def test_2x2_is_the_closed_form(self):
+        m = rand_matrix(3, 2, 2)
+        assert tuple(singular_values(m)) == svd2x2_analytic(m)
+
+    def test_rank_deficient_gets_exact_zero(self):
+        assert singular_values([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])[1] == 0.0
 
 
 class TestSvd2x2Analytic:
