@@ -236,7 +236,6 @@ class TenfacSweepConfig:
     n_obs: tuple[int, ...] = (50, 100, 150, 200, 250, 300, 350, 400, 450, 511)
     init_stds: tuple[float, ...] = (1e-4,)
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    terms: int | None = None
     mse_threshold: float = 1e-6
     max_iters: int = 1_000_000
     baseline: bool = True
@@ -291,6 +290,11 @@ _KINDS = {
 }
 
 
+def _tuples(doc: dict) -> dict:
+    # configs are frozen dataclasses, so JSON lists become tuples
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+
+
 def parse_config(doc: dict):
     """Build a typed config from a JSON document (kind-discriminated)."""
     if "kind" not in doc:
@@ -298,26 +302,14 @@ def parse_config(doc: dict):
     kind = doc["kind"]
     if kind not in _KINDS:
         raise ValueError(f"unknown config kind {kind!r} (expected one of {sorted(_KINDS)})")
-    body = {k: v for k, v in doc.items() if k != "kind"}
+    body = _tuples({k: v for k, v in doc.items() if k != "kind"})
     try:
         if kind in ("matfac-run", "matfac-sweep"):
             if "task" in body:
-                t = dict(body["task"])
-                t_kind = t.pop("kind", "base")
-                if "unobserved" in t:
-                    t["unobserved"] = tuple(t["unobserved"])
-                body["task"] = TaskSpec(kind=t_kind, **t)
+                t = _tuples(dict(body["task"]))
+                body["task"] = TaskSpec(kind=t.pop("kind", "base"), **t)
             if "init" in body:
                 body["init"] = InitSpec(**body["init"])
-            for key in ("depths", "learning_rates", "alphas", "seeds"):
-                if key in body:
-                    body[key] = tuple(body[key])
-        if kind == "tenfac-sweep":
-            for key in ("dims", "n_obs", "init_stds", "seeds"):
-                if key in body:
-                    body[key] = tuple(body[key])
-        if kind == "plot" and "inputs" in body:
-            body["inputs"] = tuple(body["inputs"])
         return _KINDS[kind](**body)
     except TypeError as exc:
         raise ValueError(f"bad fields for config kind {kind!r}: {exc}") from exc
@@ -527,6 +519,8 @@ TENFAC_COLUMNS = [
 @dataclass(frozen=True)
 class _TenfacCell:
     cfg: TenfacSweepConfig
+    truth: np.ndarray
+    task: tenfac.TensorTask
     n_obs: int
     init_std: float
     seed: int
@@ -534,20 +528,17 @@ class _TenfacCell:
 
 def _run_tenfac_cell(cell: _TenfacCell):
     cfg = cell.cfg
-    truth = tenfac.gen_ground_truth(cfg.dims, cfg.gt_rank, cfg.gt_seed)
-    task = tenfac.sample_observations(truth, cell.n_obs, cfg.obs_seed)
-    terms = cfg.terms if cfg.terms is not None else tenfac.default_terms(cfg.dims)
     try:
         result = tenfac.train_cp(
-            task,
-            terms,
+            cell.task,
+            tenfac.default_terms(cfg.dims),
             cell.init_std,
             cell.seed,
             mse_threshold=cfg.mse_threshold,
             max_iters=cfg.max_iters,
         )
         learned = tenfac.cp_compose(result.model)
-        err = float(np.linalg.norm(learned - truth))
+        err = float(np.linalg.norm(learned - cell.truth))
         rank = tenfac.estimate_rank(learned, threshold=cfg.mse_threshold)
         return ["cell", "tf", cell.n_obs, cell.init_std, cell.seed, err, rank, "", "", "", ""]
     except matfac.DivergenceError:
@@ -569,10 +560,14 @@ def run_tenfac_sweep(cfg: TenfacSweepConfig, jobs: int = 1) -> Path:
     sqrt(sum of squared unobserved truth entries).  Its estimated rank
     is only computed when ``baseline_rank`` is set (a full ALS rank
     search on a near-full-rank tensor is slow and rarely wanted).
+
+    The ground truth and each observation count's observed entries are
+    drawn once and shared by every cell and the baseline.
     """
     truth = tenfac.gen_ground_truth(cfg.dims, cfg.gt_rank, cfg.gt_seed)
+    tasks = {n: tenfac.sample_observations(truth, n, cfg.obs_seed) for n in cfg.n_obs}
     cells = [
-        _TenfacCell(cfg, n, std, seed)
+        _TenfacCell(cfg, truth, tasks[n], n, std, seed)
         for n in cfg.n_obs
         for std in cfg.init_stds
         for seed in cfg.seeds
@@ -581,9 +576,8 @@ def run_tenfac_sweep(cfg: TenfacSweepConfig, jobs: int = 1) -> Path:
 
     if cfg.baseline:
         for n in cfg.n_obs:
-            task = tenfac.sample_observations(truth, n, cfg.obs_seed)
             base = np.zeros(cfg.dims)
-            for idx, v in task.observations.items():
+            for idx, v in tasks[n].observations.items():
                 base[idx] = v
             err = float(np.linalg.norm(base - truth))
             rank = tenfac.estimate_rank(base, threshold=cfg.mse_threshold) if cfg.baseline_rank else ""
@@ -599,11 +593,8 @@ def run_tenfac_sweep(cfg: TenfacSweepConfig, jobs: int = 1) -> Path:
         members = groups[(method, n, std)]
         e25, e50, e75 = _quartiles([r[5] for r in members])
         ranks = [r[6] for r in members if r[6] != ""]
-        if ranks:
-            r25, r50, r75 = _quartiles(ranks)
-            rows.append(["median_iqr", method, n, std, "", e50, r50, e25, e75, r25, r75])
-        else:
-            rows.append(["median_iqr", method, n, std, "", e50, "", e25, e75, "", ""])
+        r25, r50, r75 = _quartiles(ranks) if ranks else ("", "", "")
+        rows.append(["median_iqr", method, n, std, "", e50, r50, e25, e75, r25, r75])
 
     out = Path(cfg.out_dir) / f"tenfac-{cfg.run_id}.csv"
     return write_csv(out, TENFAC_COLUMNS, rows)

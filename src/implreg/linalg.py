@@ -117,8 +117,7 @@ def svd(m) -> SvdResult:
     non-negative, its right vector flipped with it.  Raises
     :class:`KernelError`, carrying the input, if LAPACK fails.
     """
-    a = as_matrix(m)
-    u, sigmas, vt = _lapack_svd(a, compute_uv=True)
+    u, sigmas, vt = _lapack_svd(as_matrix(m), compute_uv=True)
     signs = np.copysign(1.0, u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])])
     return SvdResult(u=u * signs, sigmas=sigmas, v=vt.T * signs)
 
@@ -126,10 +125,11 @@ def svd(m) -> SvdResult:
 def singular_values(m) -> np.ndarray:
     """Singular values, largest first: the closed form for a 2x2,
     otherwise LAPACK's values-only SVD with the cutoff of :func:`svd`."""
-    w = as_matrix(m)
-    if w.shape == (2, 2):
-        return np.array(svd2x2_analytic(w))
-    return _lapack_svd(w, compute_uv=False)
+    return _sigmas(as_matrix(m))
+
+
+def _sigmas(w: np.ndarray) -> np.ndarray:
+    return np.array(_svd2x2(w)) if w.shape == (2, 2) else _lapack_svd(w, compute_uv=False)
 
 
 def svd2x2_analytic(m) -> tuple[float, float]:
@@ -137,20 +137,20 @@ def svd2x2_analytic(m) -> tuple[float, float]:
 
     Uses the exact rotation-invariant form: with e = a+d, f = a-d,
     g = b+c, h = b-c, the singular values are (|q|+|r|)/2 and
-    ||q|-|r||/2 for q = hypot(e, h), r = hypot(f, g).  Equivalent to
-    the quadratic formula on the eigenvalues of the Gram matrix, but
-    immune to cancellation.
+    ||q|-|r||/2 for q = hypot(e, h), r = hypot(f, g): the quadratic
+    formula on the Gram matrix's eigenvalues, immune to cancellation.
     """
     w = as_matrix(m)
     if w.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {w.shape}")
-    a, b = float(w[0, 0]), float(w[0, 1])
-    c, d = float(w[1, 0]), float(w[1, 1])
+    return _svd2x2(w)
+
+
+def _svd2x2(w: np.ndarray) -> tuple[float, float]:
+    (a, b), (c, d) = w.tolist()
     q = math.hypot(a + d, b - c)
     r = math.hypot(a - d, b + c)
-    s1 = 0.5 * (q + r)
-    s2 = 0.5 * abs(q - r)
-    return s1, s2
+    return 0.5 * (q + r), 0.5 * abs(q - r)
 
 
 def schatten_norm(m, p: SchattenOrder) -> float:
@@ -163,14 +163,14 @@ def schatten_norm(m, p: SchattenOrder) -> float:
     """
     w = as_matrix(m)
     if isinstance(p, _Spectral) or (isinstance(p, float) and math.isinf(p) and p > 0):
-        return float(singular_values(w)[0])
+        return float(_sigmas(w)[0])
     pf = float(p)
     if not pf > 0:
         raise ValueError(f"Schatten order must be positive, got {p!r}")
     if pf == 2.0:
         # Frobenius: no SVD needed
         return float(np.sqrt(np.sum(w * w)))
-    return float(np.sum(singular_values(w) ** pf) ** (1.0 / pf))
+    return float(np.sum(_sigmas(w) ** pf) ** (1.0 / pf))
 
 
 def outer_product(vectors: Sequence) -> np.ndarray:

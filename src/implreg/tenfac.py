@@ -13,7 +13,7 @@ tensor below an MSE threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -123,6 +123,16 @@ class AdaptiveLrState:
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
 
+    def advance(self, grads: Sequence[np.ndarray]) -> tuple[float, AdaptiveLrState]:
+        """Step size for one update along ``grads`` and the state after it."""
+        g2 = 0.0
+        for g in grads:
+            g2 += float((g * g).sum())
+        t = self.t + 1
+        gamma = self.beta * self.gamma + (1.0 - self.beta) * g2
+        eta_t = self.base_eta / (math.sqrt(gamma / (1.0 - self.beta**t)) + 1e-6)
+        return eta_t, AdaptiveLrState(self.base_eta, self.beta, gamma, t)
+
 
 def default_terms(dims: Sequence[int]) -> int:
     """Number of terms sufficient to express any tensor of the given
@@ -180,7 +190,7 @@ def _loss_and_grads(factors, obs: _ObsIndex):
             weighted = others * resid
         grads.append(weighted @ obs.onehots[n])
         left = gathered[n] if left is None else left * gathered[n]
-    return lo, resid, grads
+    return lo, grads
 
 
 def cp_loss_and_grads(model: CpModel, task: TensorTask):
@@ -192,8 +202,7 @@ def cp_loss_and_grads(model: CpModel, task: TensorTask):
     """
     if model.dims != task.dims:
         raise ValueError(f"model dims {model.dims} do not match task dims {task.dims}")
-    lo, _, grads = _loss_and_grads(model.factors, _ObsIndex(task))
-    return lo, grads
+    return _loss_and_grads(model.factors, _ObsIndex(task))
 
 
 def adaptive_step(model: CpModel, grads: Sequence[np.ndarray], state: AdaptiveLrState):
@@ -201,14 +210,8 @@ def adaptive_step(model: CpModel, grads: Sequence[np.ndarray], state: AdaptiveLr
 
     All factors move by the shared scalar step along the raw gradient.
     """
-    g2 = 0.0
-    for g in grads:
-        g2 += float((g * g).sum())
-    t = state.t + 1
-    gamma = state.beta * state.gamma + (1.0 - state.beta) * g2
-    eta_t = state.base_eta / (math.sqrt(gamma / (1.0 - state.beta**t)) + 1e-6)
-    factors = tuple(f - eta_t * g for f, g in zip(model.factors, grads))
-    return CpModel(factors), replace(state, gamma=gamma, t=t)
+    eta_t, state = state.advance(grads)
+    return CpModel(tuple(f - eta_t * g for f, g in zip(model.factors, grads))), state
 
 
 @dataclass(frozen=True)
@@ -258,7 +261,7 @@ def train_cp(
     lo = math.inf
     mse = math.inf
     while True:
-        lo, resid, grads = _loss_and_grads(factors, obs)
+        lo, grads = _loss_and_grads(factors, obs)
         mse = 2.0 * lo / obs.n_obs
         if not math.isfinite(lo) or any(float(np.abs(f).max()) > ENTRY_BLOWUP_LIMIT for f in factors):
             raise DivergenceError(
@@ -274,15 +277,9 @@ def train_cp(
             break
         if it >= max_iters:
             break
-        g2 = 0.0
-        for g in grads:
-            g2 += float((g * g).sum())
-        state_t = state.t + 1
-        gamma = state.beta * state.gamma + (1.0 - state.beta) * g2
-        eta_t = state.base_eta / (math.sqrt(gamma / (1.0 - state.beta**state_t)) + 1e-6)
+        eta_t, state = state.advance(grads)
         for n in range(len(factors)):
             factors[n] -= eta_t * grads[n]
-        state = replace(state, gamma=gamma, t=state_t)
         it += 1
     if not trajectory or trajectory[-1].iteration != it:
         trajectory.append(CpTrainSample(it, lo, mse))

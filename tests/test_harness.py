@@ -8,6 +8,7 @@ from implreg import harness, svgplot
 from implreg.harness import (
     InitSpec,
     MatfacRunConfig,
+    MatfacSweepConfig,
     TaskSpec,
     TenfacSweepConfig,
     format_float,
@@ -17,8 +18,18 @@ from implreg.harness import (
     resolve_seed,
     run_detsign,
     run_matfac,
+    run_matfac_sweep,
     run_tenfac_sweep,
 )
+
+
+def csvs_at_jobs(tmp_path, monkeypatch, run, cfg, jobs):
+    # the same relative out_dir in a fresh directory keeps run ids equal
+    where = tmp_path / f"jobs{jobs}"
+    where.mkdir()
+    monkeypatch.chdir(where)
+    run(cfg, jobs=jobs)
+    return {p.relative_to(where): p.read_bytes() for p in sorted(where.rglob("*.csv"))}
 
 
 def quick_run_config(out_dir, seed=3, task=None, **overrides):
@@ -69,6 +80,20 @@ class TestConfigs:
         with pytest.raises(ValueError):
             parse_config({"kind": "detsign", "smaples": 10})
 
+    def test_json_lists_become_tuples(self):
+        for doc, expected in (
+            (
+                {"kind": "matfac-sweep", "task": {"kind": "perturbed", "unobserved": [1, 2]}, "depths": [2]},
+                MatfacSweepConfig(task=TaskSpec(kind="perturbed", unobserved=(1, 2)), depths=(2,)),
+            ),
+            (
+                {"kind": "tenfac-sweep", "dims": [4, 4], "n_obs": [5], "init_stds": [1e-3], "seeds": [0]},
+                TenfacSweepConfig(dims=(4, 4), n_obs=(5,), init_stds=(1e-3,), seeds=(0,)),
+            ),
+            ({"kind": "plot", "inputs": ["a.csv"]}, harness.PlotConfig(inputs=("a.csv",))),
+        ):
+            assert parse_config(doc) == expected
+
     def test_load_presets(self):
         for name in (
             "matfac_entry_vs_loss_depth2.json",
@@ -118,6 +143,20 @@ class TestRunMatfac:
         cfg2 = quick_run_config(tmp_path / "b")
         rec2 = run_matfac(cfg2)
         assert open(rec1.csv_path, "rb").read() == open(rec2.csv_path, "rb").read()
+
+    def test_sweep_csvs_independent_of_jobs(self, tmp_path, monkeypatch):
+        cfg = MatfacSweepConfig(
+            depths=(2, 3),
+            learning_rates=(3e-2,),
+            alphas=(0.3,),
+            loss_threshold=1e-3,
+            max_iters=100_000,
+            log_stride=50,
+            seeds=(0, 1),
+        )
+        serial = csvs_at_jobs(tmp_path, monkeypatch, run_matfac_sweep, cfg, 1)
+        assert len(serial) == 4
+        assert csvs_at_jobs(tmp_path, monkeypatch, run_matfac_sweep, cfg, 2) == serial
 
     def test_csv_round_trip_exact(self, tmp_path):
         rec = run_matfac(quick_run_config(tmp_path))
@@ -248,6 +287,34 @@ class TestTenfacSweep:
         for r in aggs:
             if r["method"] == "tf":
                 assert float(r["recon_error_q25"]) <= float(r["recon_error"]) <= float(r["recon_error_q75"])
+
+    def test_csv_independent_of_jobs(self, tmp_path, monkeypatch):
+        cfg = TenfacSweepConfig(dims=(4, 4, 4), gt_rank=1, n_obs=(20, 40), init_stds=(1e-3,), seeds=(0, 1))
+        serial = csvs_at_jobs(tmp_path, monkeypatch, run_tenfac_sweep, cfg, 1)
+        assert len(serial) == 1
+        assert csvs_at_jobs(tmp_path, monkeypatch, run_tenfac_sweep, cfg, 2) == serial
+
+    def test_truth_and_observations_drawn_once(self, tmp_path, monkeypatch):
+        from implreg import tenfac
+
+        calls = {"gen_ground_truth": 0, "sample_observations": 0}
+
+        def counted(name):
+            real = getattr(tenfac, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(tenfac, name, counted(name))
+        cfg = TenfacSweepConfig(
+            dims=(4, 4, 4), gt_rank=1, n_obs=(20, 40), init_stds=(1e-3,), seeds=(0, 1), out_dir=str(tmp_path)
+        )
+        run_tenfac_sweep(cfg)
+        assert calls == {"gen_ground_truth": 1, "sample_observations": 2}
 
     def test_baseline_error_closed_form(self, tmp_path):
         from implreg import tenfac

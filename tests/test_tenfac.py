@@ -202,6 +202,21 @@ class TestTrainCp:
         for fa, fb in zip(a.model.factors, b.model.factors):
             assert np.array_equal(fa, fb)
 
+    def test_loop_is_loss_grads_plus_adaptive_step(self):
+        # train_cp updates its factors in place; k of its iterations equal
+        # k public steps from the same start, bit for bit
+        truth = gen_ground_truth((4, 4), 1, seed=3)
+        task = sample_observations(truth, 10, seed=1)
+        model = train_cp(task, 4, 1e-2, seed=9, mse_threshold=0.0, max_iters=0).model
+        state = AdaptiveLrState()
+        for _ in range(200):
+            _, grads = cp_loss_and_grads(model, task)
+            model, state = adaptive_step(model, grads, state)
+        trained = train_cp(task, 4, 1e-2, seed=9, mse_threshold=0.0, max_iters=200)
+        assert trained.iterations == 200
+        for fa, fb in zip(trained.model.factors, model.factors):
+            assert np.array_equal(fa, fb)
+
 
 class TestAls:
     def test_rank1_target_fits_fast(self):
