@@ -7,7 +7,8 @@ over observed entries by gradient descent with an adaptive step size
 moving average of squared gradient norms; only the step length adapts,
 never the direction).  Rank estimation follows the standard recipe:
 the smallest R for which alternating least squares fits a fully known
-tensor below an MSE threshold.
+tensor below an MSE threshold, with one more ALS run from an algebraic
+start where the random restarts stall.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import as_tensor, outer_product
+from .linalg import as_tensor, outer_product, singular_values
 from .matfac import DivergenceError, ENTRY_BLOWUP_LIMIT
 from .rng import stream
 
@@ -143,53 +144,48 @@ def default_terms(dims: Sequence[int]) -> int:
 
 def cp_compose(model: CpModel) -> np.ndarray:
     """Dense tensor of the model: sum of the per-term outer products."""
-    n = len(model.factors)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if n > len(letters):
-        raise ValueError("too many modes")
-    spec = ",".join(f"r{letters[i]}" for i in range(n)) + "->" + letters[:n]
-    return np.einsum(spec, *model.factors)
+    return (model.factors[0].T @ _khatri_rao(model.factors[1:], model.terms).T).reshape(model.dims)
+
+
+def _khatri_rao(mats: Sequence[np.ndarray], terms: int) -> np.ndarray:
+    # column-wise Kronecker over modes in C order; mats are (terms, d_n),
+    # output (prod d_n, terms), a ones row for no modes
+    out = np.ones((1, terms))
+    for m in mats:
+        out = (out[:, None, :] * m.T[None, :, :]).reshape(-1, terms)
+    return out
+
+
+def _unfold(t: np.ndarray, n: int) -> np.ndarray:
+    # mode-n unfolding (d_n, prod of the other dims), other modes in C order
+    return np.moveaxis(t, n, 0).reshape(t.shape[n], -1)
 
 
 class _ObsIndex:
-    """Precomputed gather/scatter helpers for one task's observation set."""
+    """One task's observation set as a dense 0/1 mask and a zero-filled target."""
 
     def __init__(self, task: TensorTask):
-        self.idx, self.vals = task.index_arrays()
-        self.n_obs = self.vals.size
-        self.onehots = []
-        for n, d in enumerate(task.dims):
-            oh = np.zeros((self.n_obs, d))
-            oh[np.arange(self.n_obs), self.idx[:, n]] = 1.0
-            self.onehots.append(oh)
+        idx, vals = task.index_arrays()
+        self.n_obs = vals.size
+        self.mask = np.zeros(task.dims)
+        self.target = np.zeros(task.dims)
+        self.mask[tuple(idx.T)] = 1.0
+        self.target[tuple(idx.T)] = vals
 
 
 def _loss_and_grads(factors, obs: _ObsIndex):
-    n_modes = len(factors)
-    gathered = [factors[n][:, obs.idx[:, n]] for n in range(n_modes)]
-    prod = gathered[0].copy()
-    for g in gathered[1:]:
-        prod *= g
-    resid = prod.sum(axis=0) - obs.vals
-    lo = 0.5 * float(resid @ resid)
-    # prefix/suffix over modes avoids dividing by possibly-zero entries
-    suffixes = [None] * n_modes
-    acc = None
-    for n in range(n_modes - 1, 0, -1):
-        acc = gathered[n] if acc is None else acc * gathered[n]
-        suffixes[n - 1] = acc
+    # masked MTTKRP: mode n's gradient is unfold_n(E) @ khatri_rao(other
+    # modes) with E = mask * X - target; mode 0 reuses the compose product
+    terms = factors[0].shape[0]
+    dims = obs.mask.shape
+    kr = _khatri_rao(factors[1:], terms)
+    err = (factors[0].T @ kr.T).reshape(dims) * obs.mask - obs.target
+    lo = 0.5 * float((err * err).sum())
     grads = []
-    left = None
-    for n in range(n_modes):
-        others = suffixes[n] if n < n_modes - 1 else None
-        if left is not None:
-            others = left if others is None else left * others
-        if others is None:  # single-mode model
-            weighted = np.broadcast_to(resid, (factors[0].shape[0], obs.n_obs)).copy()
-        else:
-            weighted = others * resid
-        grads.append(weighted @ obs.onehots[n])
-        left = gathered[n] if left is None else left * gathered[n]
+    for n in range(len(dims)):
+        if n:
+            kr = _khatri_rao([*factors[:n], *factors[n + 1 :]], terms)
+        grads.append(kr.T @ _unfold(err, n).T)
     return lo, grads
 
 
@@ -290,15 +286,6 @@ def train_cp(
 # alternating least squares on fully known tensors
 
 
-def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
-    # column-wise Kronecker over modes in C order; mats are (R, d_n),
-    # output (prod d_n, R)
-    out = np.ones((1, mats[0].shape[0]))
-    for m in mats:
-        out = (out[:, None, :] * m.T[None, :, :]).reshape(-1, m.shape[0])
-    return out
-
-
 def als_fit(
     target,
     terms: int,
@@ -306,6 +293,7 @@ def als_fit(
     max_sweeps: int = 500,
     seed: int = 0,
     ridge: float = 1e-12,
+    init: CpModel | None = None,
 ):
     """Alternating least squares on a fully known tensor.
 
@@ -313,28 +301,29 @@ def als_fit(
     every mode in turn; stops once the full-tensor MSE drops below
     ``threshold`` or after ``max_sweeps`` sweeps, returning the best
     model seen and its MSE.  Singular normal equations fall back to a
-    Tikhonov-damped solve.
+    Tikhonov-damped solve.  A sweep's MSE comes from the last mode's
+    normal equations, ||T||^2 - 2<sol, rhs> + <gram, sol sol^T>, without
+    composing the tensor.  Starts from ``init`` when given, else from
+    small Gaussian factors drawn from ``seed``.
     """
     t = as_tensor(target)
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    dims = t.shape
-    n_modes = t.ndim
-    gen = stream(seed, 11)
-    factors = [gen.normal(0.0, 0.1, size=(terms, d)) for d in dims]
-    size = t.size
-    unfolds = [np.moveaxis(t, n, 0).reshape(dims[n], -1) for n in range(n_modes)]
-
-    def mse_of(fs) -> float:
-        diff = cp_compose(CpModel(tuple(fs))) - t
-        return float((diff * diff).sum()) / size
-
+    if init is None:
+        gen = stream(seed, 11)
+        factors = [gen.normal(0.0, 0.1, size=(terms, d)) for d in t.shape]
+    elif init.terms != terms or init.dims != t.shape:
+        raise ValueError(f"init has {init.terms} terms over {init.dims}, expected {terms} over {t.shape}")
+    else:
+        factors = list(init.factors)
+    unfolds = [_unfold(t, n) for n in range(t.ndim)]
+    norm2 = float((t * t).sum())
+    diff = cp_compose(CpModel(tuple(factors))) - t
     best = [f.copy() for f in factors]
-    best_mse = mse_of(factors)
+    best_mse = float((diff * diff).sum()) / t.size
     for _ in range(max_sweeps):
-        for n in range(n_modes):
-            others = [factors[m] for m in range(n_modes) if m != n]
-            k = _khatri_rao(others)
+        for n in range(t.ndim):
+            k = _khatri_rao([*factors[:n], *factors[n + 1 :]], terms)
             gram = k.T @ k
             rhs = k.T @ unfolds[n].T  # (R, d_n)
             try:
@@ -345,13 +334,58 @@ def als_fit(
                 damped = gram + ridge * (np.trace(gram) + 1.0) * np.eye(terms)
                 sol = np.linalg.solve(damped, rhs)
             factors[n] = sol
-        m = mse_of(factors)
+        # ||X - T||^2 from the last mode's solve: X_(n) = sol^T k^T
+        sse = norm2 - 2.0 * float((sol * rhs).sum()) + float((gram * (sol @ sol.T)).sum())
+        m = max(sse, 0.0) / t.size
         if m < best_mse:
             best = [f.copy() for f in factors]
             best_mse = m
         if best_mse < threshold:
             break
     return CpModel(tuple(best)), best_mse
+
+
+def _rank_one(x: np.ndarray) -> list[np.ndarray]:
+    # leading rank-one term of x by successive SVDs, one vector per mode
+    # and the scale on the first; exact when x has rank one
+    dims = x.shape
+    vecs, scale = [], 1.0
+    for d in dims[:-1]:
+        u, s, vt = np.linalg.svd(x.reshape(d, -1), full_matrices=False)
+        vecs.append(u[:, 0])
+        scale *= s[0]
+        x = vt[0]
+    vecs.append(x.reshape(-1))
+    vecs[0] = scale * vecs[0]
+    return vecs
+
+
+def _eig_start(t: np.ndarray, terms: int, gen: np.random.Generator) -> CpModel | None:
+    """Jennrich's simultaneous diagonalization (Leurgans, Ross & Abel
+    1993) as a CP start: exact, up to rounding, on a tensor of rank
+    ``terms`` whose factors in its two largest modes have full column
+    rank.  None where it cannot apply: order below 3, or more terms
+    than the second-largest dimension."""
+    if t.ndim < 3:
+        return None
+    a, b = (int(n) for n in np.argsort(t.shape, kind="stable")[::-1][:2])
+    if terms > t.shape[b]:
+        return None
+    m = np.moveaxis(t, (a, b), (0, 1)).reshape(t.shape[a], t.shape[b], -1)
+    ua = np.linalg.svd(m.reshape(m.shape[0], -1), full_matrices=False)[0][:, :terms]
+    ub = np.linalg.svd(m.transpose(1, 0, 2).reshape(m.shape[1], -1), full_matrices=False)[0][:, :terms]
+    # ua^T M(w) ub = A' diag(C^T w) B'^T for a contraction w of the
+    # other modes, so A' = ua^T A holds the eigenvectors of S1 S2^+
+    s1, s2 = (ua.T @ (m @ w) @ ub for w in gen.normal(size=(2, m.shape[2])))
+    fa = ua @ np.linalg.eig(s1 @ np.linalg.pinv(s2))[1].real
+    # unfold_a(T) = fa K^T, each row of K one rank-one term over the other modes
+    k = np.linalg.lstsq(fa, _unfold(t, a), rcond=None)[0]
+    others = [n for n in range(t.ndim) if n != a]
+    terms_rest = [_rank_one(row.reshape([t.shape[n] for n in others])) for row in k]
+    factors = [fa.T if n == a else None for n in range(t.ndim)]
+    for j, n in enumerate(others):
+        factors[n] = np.array([vecs[j] for vecs in terms_rest])
+    return CpModel(tuple(factors))
 
 
 def estimate_rank(target, threshold: float = 1e-6, r_max: int | None = None, restarts: int = 3) -> int:
@@ -362,7 +396,15 @@ def estimate_rank(target, threshold: float = 1e-6, r_max: int | None = None, res
     ``r_max`` (default prod(dims)/max(dims)) succeeds, returns
     ``r_max + 1`` as an explicit out-of-range sentinel.  Each candidate
     gets ``restarts`` independently seeded ALS runs, since a single ALS
-    run can stall short of an attainable fit.
+    run can stall short of an attainable fit.  If all of them miss, one
+    more ALS run starts from Jennrich's algebraic decomposition (order 3
+    and up, at most the second-largest dimension of terms): exact on
+    a tensor of that rank, so the estimate no longer overshoots where
+    ALS stalls from every random start.  Counts r whose
+    Eckart-Young floor, max_n sum_{i>r} sigma_i(unfold_n T)^2 / size,
+    exceeds the threshold (by more than a 1e-9 relative margin) are
+    skipped: no r-term model can fit below it, so the result is the
+    same as with the fits run at every count.
     """
     t = as_tensor(target)
     if float(np.abs(t).max(initial=0.0)) == 0.0:
@@ -371,11 +413,21 @@ def estimate_rank(target, threshold: float = 1e-6, r_max: int | None = None, res
         r_max = default_terms(t.shape)
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
+    # tails[n][r] = sum_{i >= r} sigma_i(unfold_n T)^2 / size, 0-based
+    tails = []
+    for n in range(t.ndim):
+        s2 = singular_values(_unfold(t, n)) ** 2
+        tails.append(np.cumsum(s2[::-1])[::-1] / t.size)
     for r in range(1, r_max + 1):
+        if max(float(tl[r]) if r < tl.size else 0.0 for tl in tails) > threshold * (1.0 + 1e-9):
+            continue
         for attempt in range(restarts):
             _, mse = als_fit(t, r, threshold=threshold, seed=attempt)
             if mse < threshold:
                 return r
+        start = _eig_start(t, r, stream(r, 19))
+        if start is not None and als_fit(t, r, threshold=threshold, init=start)[1] < threshold:
+            return r
     return r_max + 1
 
 

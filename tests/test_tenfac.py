@@ -49,6 +49,39 @@ def fd_grads(model, task, step=1e-5):
     return grads
 
 
+def gather_loss_and_grads(factors, task):
+    """The gather-and-one-hot formula the dense masked gradient replaced:
+    per-observation products of gathered factor entries, scattered back
+    to each mode through one-hot matrices."""
+    idx, vals = task.index_arrays()
+    n_obs, n_modes = vals.size, len(factors)
+    gathered = [factors[n][:, idx[:, n]] for n in range(n_modes)]
+    prod = gathered[0].copy()
+    for g in gathered[1:]:
+        prod *= g
+    resid = prod.sum(axis=0) - vals
+    lo = 0.5 * float(resid @ resid)
+    grads = []
+    for n in range(n_modes):
+        others = np.ones((factors[0].shape[0], n_obs))
+        for m in range(n_modes):
+            if m != n:
+                others = others * gathered[m]
+        onehot = np.zeros((n_obs, task.dims[n]))
+        onehot[np.arange(n_obs), idx[:, n]] = 1.0
+        grads.append((others * resid) @ onehot)
+    return lo, grads
+
+
+def eckart_young_floor(t, r):
+    """Lower bound on the MSE of any r-term CP model of ``t``."""
+    tails = [
+        float((np.linalg.svd(np.moveaxis(t, n, 0).reshape(t.shape[n], -1), compute_uv=False)[r:] ** 2).sum())
+        for n in range(t.ndim)
+    ]
+    return max(tails) / t.size
+
+
 class TestCpCompose:
     def test_single_term_is_outer_product(self):
         model = CpModel((np.array([[1.0, 2.0]]), np.array([[3.0, 4.0, 5.0]])))
@@ -131,11 +164,47 @@ class TestCpLossAndGrads:
             denom = max(float(np.linalg.norm(a)), 1e-12)
             assert float(np.linalg.norm(a - n)) / denom <= 1e-6
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 4))
+    def test_matches_gather_formula(self, seed, order, terms):
+        rng = np.random.default_rng(seed)
+        dims = tuple(int(rng.integers(2, 5)) for _ in range(order))
+        total = int(np.prod(dims))
+        flat = rng.choice(total, size=int(rng.integers(1, total)), replace=False)
+        obs = {tuple(int(i) for i in np.unravel_index(f, dims)): float(rng.normal()) for f in flat}
+        task = TensorTask(dims=dims, observations=obs)
+        model = random_model(seed + 1, dims, terms)
+        lo, grads = cp_loss_and_grads(model, task)
+        lo_ref, grads_ref = gather_loss_and_grads(model.factors, task)
+        assert lo == pytest.approx(lo_ref, rel=1e-12, abs=0.0)
+        for g, ref in zip(grads, grads_ref):
+            assert g.shape == ref.shape
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_shape_mismatch_rejected(self):
         model = random_model(0, (2, 2), 1)
         task = TensorTask(dims=(3, 3), observations={(0, 0): 1.0})
         with pytest.raises(ValueError):
             cp_loss_and_grads(model, task)
+
+
+class TestOrderOne:
+    """A one-mode CP model is a sum of R vectors."""
+
+    def test_compose_loss_and_grads(self):
+        model = CpModel((np.array([[1.0, 2.0, -1.0], [0.5, 0.0, 3.0]]),))
+        assert np.array_equal(cp_compose(model), np.array([1.5, 2.0, 2.0]))
+        task = TensorTask(dims=(3,), observations={(0,): 1.0, (2,): 4.0})
+        lo, grads = cp_loss_and_grads(model, task)
+        resid = np.array([0.5, 0.0, -2.0])  # entry 1 is unobserved
+        assert lo == pytest.approx(0.5 * float(resid @ resid), rel=1e-15)
+        assert len(grads) == 1
+        assert np.array_equal(grads[0], np.vstack([resid, resid]))
+
+    def test_train_and_rank(self):
+        task = TensorTask(dims=(3,), observations={(0,): 1.0, (2,): -0.5})
+        assert train_cp(task, 2, 1e-2, seed=0).converged
+        assert estimate_rank(np.array([1.0, -2.0, 0.5])) == 1
 
 
 class TestAdaptiveStep:
@@ -244,6 +313,33 @@ class TestAls:
         with pytest.raises(ValueError):
             als_fit(np.ones((2, 2)), 0)
 
+    def test_init_is_the_start(self):
+        # from the exact model the first sweep already fits
+        model = random_model(4, (3, 4, 5), 2)
+        _, mse = als_fit(cp_compose(model), 2, threshold=1e-20, max_sweeps=1, init=model)
+        assert mse < 1e-20
+
+    def test_init_shape_checked(self):
+        with pytest.raises(ValueError):
+            als_fit(np.ones((2, 3, 4)), 2, init=random_model(0, (2, 3, 4), 3))
+        with pytest.raises(ValueError):
+            als_fit(np.ones((2, 3, 4)), 2, init=random_model(0, (2, 4, 3), 2))
+
+    @pytest.mark.parametrize(
+        "dims, terms", [((4, 4, 4), 3), ((4, 4, 4), 4), ((3, 5, 4), 2), ((8, 2, 6), 6), ((2, 3, 4, 5), 3), ((3, 3, 3, 3, 2), 2)]
+    )
+    def test_eig_start_is_exact_on_generic_low_rank(self, dims, terms):
+        t = cp_compose(random_model(7, dims, terms))
+        start = tenfac._eig_start(t, terms, np.random.default_rng(0))
+        assert start.terms == terms and start.dims == dims
+        np.testing.assert_allclose(cp_compose(start), t, rtol=0, atol=1e-10 * np.abs(t).max())
+
+    def test_eig_start_applies_up_to_the_second_largest_dim(self):
+        gen = np.random.default_rng(0)
+        assert tenfac._eig_start(np.ones((4, 5)), 1, gen) is None
+        assert tenfac._eig_start(np.ones((2, 5, 3)), 4, gen) is None
+        assert tenfac._eig_start(np.ones((2, 5, 3)), 3, gen) is not None
+
 
 class TestEstimateRank:
     def test_generated_rank1(self):
@@ -262,10 +358,74 @@ class TestEstimateRank:
         assert estimate_rank(truth, r_max=2) == 3  # r_max + 1 sentinel
 
     @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([(3, 4), (3, 3, 3), (2, 3, 4), (2, 2, 2, 3)]))
+    def test_als_never_beats_eckart_young_floor(self, seed, dims):
+        # a count the rank search skips could not have succeeded
+        t = np.random.default_rng(seed).normal(size=dims)
+        slack = 1e-13 * float((t * t).sum()) / t.size
+        for r in range(1, default_terms(dims) + 1):
+            _, mse = als_fit(t, r, threshold=0.0, max_sweeps=30, seed=seed % 3)
+            assert mse >= eckart_young_floor(t, r) * (1.0 - 1e-9) - slack
+
+    @pytest.mark.parametrize("r_star", [1, 2, 3])
+    def test_preset_truths_fit_only_from_their_rank(self, r_star, monkeypatch):
+        # the seed-0 8x8x8 truths keep their rank, and the floor skips
+        # every smaller count without a fit
+        truth = gen_ground_truth((8, 8, 8), r_star, seed=0)
+        fitted = []
+        als = tenfac.als_fit
+
+        def counting(t, terms, *args, **kwargs):
+            fitted.append(terms)
+            return als(t, terms, *args, **kwargs)
+
+        monkeypatch.setattr(tenfac, "als_fit", counting)
+        assert estimate_rank(truth) == r_star
+        assert fitted and min(fitted) == r_star
+
+    def test_same_estimate_as_search_from_one(self):
+        # the noise leaves fits just under the threshold, where each
+        # unfolding's tail is near it but no single one exceeds it
+        for seed in range(6):
+            noise = np.random.default_rng(seed).normal(0.0, 8e-4, size=(3, 3, 3))
+            t = cp_compose(random_model(seed, (3, 3, 3), 1 + seed % 3)) + noise
+            full = next(
+                (r for r in range(1, 10) if any(als_fit(t, r, seed=a)[1] < 1e-6 for a in range(3))),
+                10,
+            )
+            assert estimate_rank(t) == full
+
+    @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10**5), st.integers(1, 3))
     def test_never_exceeds_construction_terms(self, seed, terms):
         model = random_model(seed, (4, 4, 4), terms)
         assert estimate_rank(cp_compose(model)) <= terms
+
+    @pytest.mark.parametrize(
+        "seed", [49670, 37977, 318, 26608, 54781, 81214, 25026, 10000, 53322, 182, 93811, 88182, 84146, 35942]
+    )
+    def test_als_stalls_rescued_at_construction_terms(self, seed):
+        # all three ALS restarts stall above the threshold at 3 terms on
+        # these draws; ALS from the algebraic start fits
+        t = cp_compose(random_model(seed, (4, 4, 4), 3))
+        assert min(als_fit(t, 3, seed=a)[1] for a in range(3)) >= 1e-6
+        assert estimate_rank(t) == 3
+
+    def test_algebraic_start_only_after_the_restarts_miss(self, monkeypatch):
+        starts = []
+        eig_start = tenfac._eig_start
+
+        def counting(t, terms, gen):
+            starts.append(terms)
+            return eig_start(t, terms, gen)
+
+        truth = gen_ground_truth((8, 8, 8), 2, seed=0)
+        monkeypatch.setattr(tenfac, "_eig_start", counting)
+        # the seed-0 rank-2 truth fits at 2 terms from the first restart
+        assert estimate_rank(truth) == 2
+        assert starts == []
+        assert estimate_rank(cp_compose(random_model(182, (4, 4, 4), 3))) == 3
+        assert starts == [3]
 
 
 class TestGenGroundTruth:
