@@ -7,8 +7,7 @@ over observed entries by gradient descent with an adaptive step size
 moving average of squared gradient norms; only the step length adapts,
 never the direction).  Rank estimation follows the standard recipe:
 the smallest R for which alternating least squares fits a fully known
-tensor below an MSE threshold, with one more ALS run from an algebraic
-start where the random restarts stall.
+tensor below an MSE threshold.
 """
 
 from __future__ import annotations
@@ -293,7 +292,6 @@ def als_fit(
     max_sweeps: int = 500,
     seed: int = 0,
     ridge: float = 1e-12,
-    init: CpModel | None = None,
 ):
     """Alternating least squares on a fully known tensor.
 
@@ -303,19 +301,13 @@ def als_fit(
     model seen and its MSE.  Singular normal equations fall back to a
     Tikhonov-damped solve.  A sweep's MSE comes from the last mode's
     normal equations, ||T||^2 - 2<sol, rhs> + <gram, sol sol^T>, without
-    composing the tensor.  Starts from ``init`` when given, else from
-    small Gaussian factors drawn from ``seed``.
+    composing the tensor.
     """
     t = as_tensor(target)
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    if init is None:
-        gen = stream(seed, 11)
-        factors = [gen.normal(0.0, 0.1, size=(terms, d)) for d in t.shape]
-    elif init.terms != terms or init.dims != t.shape:
-        raise ValueError(f"init has {init.terms} terms over {init.dims}, expected {terms} over {t.shape}")
-    else:
-        factors = list(init.factors)
+    gen = stream(seed, 11)
+    factors = [gen.normal(0.0, 0.1, size=(terms, d)) for d in t.shape]
     unfolds = [_unfold(t, n) for n in range(t.ndim)]
     norm2 = float((t * t).sum())
     diff = cp_compose(CpModel(tuple(factors))) - t
@@ -345,49 +337,6 @@ def als_fit(
     return CpModel(tuple(best)), best_mse
 
 
-def _rank_one(x: np.ndarray) -> list[np.ndarray]:
-    # leading rank-one term of x by successive SVDs, one vector per mode
-    # and the scale on the first; exact when x has rank one
-    dims = x.shape
-    vecs, scale = [], 1.0
-    for d in dims[:-1]:
-        u, s, vt = np.linalg.svd(x.reshape(d, -1), full_matrices=False)
-        vecs.append(u[:, 0])
-        scale *= s[0]
-        x = vt[0]
-    vecs.append(x.reshape(-1))
-    vecs[0] = scale * vecs[0]
-    return vecs
-
-
-def _eig_start(t: np.ndarray, terms: int, gen: np.random.Generator) -> CpModel | None:
-    """Jennrich's simultaneous diagonalization (Leurgans, Ross & Abel
-    1993) as a CP start: exact, up to rounding, on a tensor of rank
-    ``terms`` whose factors in its two largest modes have full column
-    rank.  None where it cannot apply: order below 3, or more terms
-    than the second-largest dimension."""
-    if t.ndim < 3:
-        return None
-    a, b = (int(n) for n in np.argsort(t.shape, kind="stable")[::-1][:2])
-    if terms > t.shape[b]:
-        return None
-    m = np.moveaxis(t, (a, b), (0, 1)).reshape(t.shape[a], t.shape[b], -1)
-    ua = np.linalg.svd(m.reshape(m.shape[0], -1), full_matrices=False)[0][:, :terms]
-    ub = np.linalg.svd(m.transpose(1, 0, 2).reshape(m.shape[1], -1), full_matrices=False)[0][:, :terms]
-    # ua^T M(w) ub = A' diag(C^T w) B'^T for a contraction w of the
-    # other modes, so A' = ua^T A holds the eigenvectors of S1 S2^+
-    s1, s2 = (ua.T @ (m @ w) @ ub for w in gen.normal(size=(2, m.shape[2])))
-    fa = ua @ np.linalg.eig(s1 @ np.linalg.pinv(s2))[1].real
-    # unfold_a(T) = fa K^T, each row of K one rank-one term over the other modes
-    k = np.linalg.lstsq(fa, _unfold(t, a), rcond=None)[0]
-    others = [n for n in range(t.ndim) if n != a]
-    terms_rest = [_rank_one(row.reshape([t.shape[n] for n in others])) for row in k]
-    factors = [fa.T if n == a else None for n in range(t.ndim)]
-    for j, n in enumerate(others):
-        factors[n] = np.array([vecs[j] for vecs in terms_rest])
-    return CpModel(tuple(factors))
-
-
 def estimate_rank(target, threshold: float = 1e-6, r_max: int | None = None, restarts: int = 3) -> int:
     """Smallest number of terms for which ALS fits ``target`` below the
     MSE threshold, searching upward from 1.
@@ -396,11 +345,7 @@ def estimate_rank(target, threshold: float = 1e-6, r_max: int | None = None, res
     ``r_max`` (default prod(dims)/max(dims)) succeeds, returns
     ``r_max + 1`` as an explicit out-of-range sentinel.  Each candidate
     gets ``restarts`` independently seeded ALS runs, since a single ALS
-    run can stall short of an attainable fit.  If all of them miss, one
-    more ALS run starts from Jennrich's algebraic decomposition (order 3
-    and up, at most the second-largest dimension of terms): exact on
-    a tensor of that rank, so the estimate no longer overshoots where
-    ALS stalls from every random start.  Counts r whose
+    run can stall short of an attainable fit.  Counts r whose
     Eckart-Young floor, max_n sum_{i>r} sigma_i(unfold_n T)^2 / size,
     exceeds the threshold (by more than a 1e-9 relative margin) are
     skipped: no r-term model can fit below it, so the result is the
@@ -425,9 +370,6 @@ def estimate_rank(target, threshold: float = 1e-6, r_max: int | None = None, res
             _, mse = als_fit(t, r, threshold=threshold, seed=attempt)
             if mse < threshold:
                 return r
-        start = _eig_start(t, r, stream(r, 19))
-        if start is not None and als_fit(t, r, threshold=threshold, init=start)[1] < threshold:
-            return r
     return r_max + 1
 
 

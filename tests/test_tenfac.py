@@ -313,33 +313,6 @@ class TestAls:
         with pytest.raises(ValueError):
             als_fit(np.ones((2, 2)), 0)
 
-    def test_init_is_the_start(self):
-        # from the exact model the first sweep already fits
-        model = random_model(4, (3, 4, 5), 2)
-        _, mse = als_fit(cp_compose(model), 2, threshold=1e-20, max_sweeps=1, init=model)
-        assert mse < 1e-20
-
-    def test_init_shape_checked(self):
-        with pytest.raises(ValueError):
-            als_fit(np.ones((2, 3, 4)), 2, init=random_model(0, (2, 3, 4), 3))
-        with pytest.raises(ValueError):
-            als_fit(np.ones((2, 3, 4)), 2, init=random_model(0, (2, 4, 3), 2))
-
-    @pytest.mark.parametrize(
-        "dims, terms", [((4, 4, 4), 3), ((4, 4, 4), 4), ((3, 5, 4), 2), ((8, 2, 6), 6), ((2, 3, 4, 5), 3), ((3, 3, 3, 3, 2), 2)]
-    )
-    def test_eig_start_is_exact_on_generic_low_rank(self, dims, terms):
-        t = cp_compose(random_model(7, dims, terms))
-        start = tenfac._eig_start(t, terms, np.random.default_rng(0))
-        assert start.terms == terms and start.dims == dims
-        np.testing.assert_allclose(cp_compose(start), t, rtol=0, atol=1e-10 * np.abs(t).max())
-
-    def test_eig_start_applies_up_to_the_second_largest_dim(self):
-        gen = np.random.default_rng(0)
-        assert tenfac._eig_start(np.ones((4, 5)), 1, gen) is None
-        assert tenfac._eig_start(np.ones((2, 5, 3)), 4, gen) is None
-        assert tenfac._eig_start(np.ones((2, 5, 3)), 3, gen) is not None
-
 
 class TestEstimateRank:
     def test_generated_rank1(self):
@@ -383,49 +356,23 @@ class TestEstimateRank:
         assert estimate_rank(truth) == r_star
         assert fitted and min(fitted) == r_star
 
-    def test_same_estimate_as_search_from_one(self):
+    def test_same_estimate_as_search_from_one(self, monkeypatch):
         # the noise leaves fits just under the threshold, where each
-        # unfolding's tail is near it but no single one exceeds it
+        # unfolding's tail is near it but no single one exceeds it; the
+        # reference run sees all-zero singular values, so it skips no count
+        tensors = []
         for seed in range(6):
             noise = np.random.default_rng(seed).normal(0.0, 8e-4, size=(3, 3, 3))
-            t = cp_compose(random_model(seed, (3, 3, 3), 1 + seed % 3)) + noise
-            full = next(
-                (r for r in range(1, 10) if any(als_fit(t, r, seed=a)[1] < 1e-6 for a in range(3))),
-                10,
-            )
-            assert estimate_rank(t) == full
+            tensors.append(cp_compose(random_model(seed, (3, 3, 3), 1 + seed % 3)) + noise)
+        skipping = [estimate_rank(t) for t in tensors]
+        monkeypatch.setattr(tenfac, "singular_values", lambda a: np.zeros(min(a.shape)))
+        assert skipping == [estimate_rank(t) for t in tensors]
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10**5), st.integers(1, 3))
     def test_never_exceeds_construction_terms(self, seed, terms):
         model = random_model(seed, (4, 4, 4), terms)
         assert estimate_rank(cp_compose(model)) <= terms
-
-    @pytest.mark.parametrize(
-        "seed", [49670, 37977, 318, 26608, 54781, 81214, 25026, 10000, 53322, 182, 93811, 88182, 84146, 35942]
-    )
-    def test_als_stalls_rescued_at_construction_terms(self, seed):
-        # all three ALS restarts stall above the threshold at 3 terms on
-        # these draws; ALS from the algebraic start fits
-        t = cp_compose(random_model(seed, (4, 4, 4), 3))
-        assert min(als_fit(t, 3, seed=a)[1] for a in range(3)) >= 1e-6
-        assert estimate_rank(t) == 3
-
-    def test_algebraic_start_only_after_the_restarts_miss(self, monkeypatch):
-        starts = []
-        eig_start = tenfac._eig_start
-
-        def counting(t, terms, gen):
-            starts.append(terms)
-            return eig_start(t, terms, gen)
-
-        truth = gen_ground_truth((8, 8, 8), 2, seed=0)
-        monkeypatch.setattr(tenfac, "_eig_start", counting)
-        # the seed-0 rank-2 truth fits at 2 terms from the first restart
-        assert estimate_rank(truth) == 2
-        assert starts == []
-        assert estimate_rank(cp_compose(random_model(182, (4, 4, 4), 3))) == 3
-        assert starts == [3]
 
 
 class TestGenGroundTruth:
