@@ -2,9 +2,10 @@
 """Reproduce the |unobserved entry| vs loss curves.
 
 By default runs a quick two-point demonstration (depth 2 and depth 3 at
-moderate rate/scale, a couple of minutes); pass --full to execute the
-complete paired learning-rate/init grids from configs/ (hours).  Each
-depth gets one SVG under the output directory.
+moderate rate/scale, under a second); pass --full to execute the
+complete paired learning-rate/init grids from configs/ (about 2 minutes
+with --jobs 1 on a 2-core host).  Each depth gets one SVG under the
+output directory.
 """
 
 import argparse
@@ -20,7 +21,7 @@ QUICK = {
     3: [(0.03, 1e-3), (0.015, 1e-3)],
 }
 # the quick demonstration stops at loss 1e-3: deep enough to show the
-# entry-vs-loss rise, cheap enough for a couple of minutes end to end
+# entry-vs-loss rise, cheap enough to finish in under a second
 QUICK_THRESHOLD = 1e-3
 
 

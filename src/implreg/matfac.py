@@ -15,6 +15,7 @@ matrix position written "w11" in logs is entry [0, 0].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -218,25 +219,29 @@ def _matmul_nt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b.T
 
 
-def _mul2(a, b):
-    """2x2 product a @ b of row-major 4-tuples."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
+# Entry e of a 2x2 product of row-major 4-tuples is
+# a[i] * b[j] + a[k] * b[m] for (i, j, k, m) = pattern[e]: the patterns of
+# a @ b, a.T @ b and a @ b.T.
+_NN = ((0, 0, 1, 2), (0, 1, 1, 3), (2, 0, 3, 2), (2, 1, 3, 3))
+_TN = ((0, 0, 2, 2), (0, 1, 2, 3), (1, 0, 3, 2), (1, 1, 3, 3))
+_NT = ((0, 0, 1, 1), (0, 2, 1, 3), (2, 0, 3, 1), (2, 2, 3, 3))
 
 
-def _mul2_tn(a, b):
-    """2x2 product a.T @ b of row-major 4-tuples."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (a0 * b0 + a2 * b2, a0 * b1 + a2 * b3, a1 * b0 + a3 * b2, a1 * b1 + a3 * b3)
+class _StepWriter:
+    """2x2 products over 4-tuples of variable names: ``mul``, ``mul_tn``
+    and ``mul_nt`` append the source lines computing a product's entries
+    to ``lines`` and return the names of those entries."""
 
+    def __init__(self):
+        self.lines: list[str] = []
+        self.mul, self.mul_tn, self.mul_nt = (functools.partial(self._product, pattern=p) for p in (_NN, _TN, _NT))
 
-def _mul2_nt(a, b):
-    """2x2 product a @ b.T of row-major 4-tuples."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (a0 * b0 + a1 * b1, a0 * b2 + a1 * b3, a2 * b0 + a3 * b1, a2 * b2 + a3 * b3)
+    def _product(self, a, b, pattern):
+        out = []
+        for i, j, k, m in pattern:
+            out.append(f"t{len(self.lines)}")
+            self.lines.append(f"{out[-1]} = {a[i]} * {b[j]} + {a[k]} * {b[m]}")
+        return tuple(out)
 
 
 def _prefix_chain(fs, mul):
@@ -317,12 +322,14 @@ def _sample(it: int, loss_val: float, p: np.ndarray, factors, task: CompletionTa
     )
 
 
-# A step kernel holds the factors of a run and supplies the three pieces
-# gd_train needs: ``forward()`` takes the product and the residual on
-# observed entries and returns (loss, max |entry|); ``update(eta)``
-# moves every factor by -eta times its gradient at the point of the
-# last forward(); ``arrays()`` returns (product, factors) as numpy
-# arrays, for logging and for the result.
+# A step kernel holds the factors of a run.  ``forward()`` takes the
+# product and the residual on observed entries and returns (loss,
+# max |entry|); ``update(eta)`` moves every factor by -eta times its
+# gradient at the point of the last forward(); ``run_until(eta, it,
+# stop_it, lo_min, lo_max)`` repeats update and forward from iteration
+# ``it`` until ``stop_it``, a loss outside [lo_min, lo_max) or an entry
+# beyond ENTRY_BLOWUP_LIMIT, and returns (iteration, loss, max |entry|);
+# ``arrays()`` returns (product, factors) as numpy arrays.
 
 
 class _ArrayKernel:
@@ -347,36 +354,76 @@ class _ArrayKernel:
             gl *= eta
             w -= gl
 
+    def run_until(self, eta: float, it: int, stop_it: int, lo_min: float, lo_max: float) -> tuple[int, float, float]:
+        while True:
+            self.update(eta)
+            it += 1
+            lo, peak = self.forward()
+            if it >= stop_it or not (lo_min <= lo < lo_max and peak <= ENTRY_BLOWUP_LIMIT):
+                return it, lo, peak
+
     def arrays(self) -> tuple[np.ndarray, list[np.ndarray]]:
         return self.p, self.ws
 
 
+@functools.cache
+def _step_function(depth: int, observed: tuple[int, ...]):
+    """Compile ``run_until`` for ``depth`` 2x2 factors observing the
+    row-major entries ``observed``, as straight-line Python.
+
+    The source comes from running _prefix_chain and _chain_gradients on
+    variable names (_StepWriter), so every float operation is the one
+    the chain rule takes, in the same order; zeros of the masked
+    residual stay literal multiplications by 0.0.  The compiled function
+    maps (factors, observed values, eta, it, stop_it, lo_min, lo_max) to
+    (it, loss, product, factors).
+    """
+    ws = [tuple(f"w{l}_{e}" for e in range(4)) for l in range(depth)]
+    writer = _StepWriter()
+    prefixes, p = _prefix_chain(ws, writer.mul)
+    forward = writer.lines + [f"r{k} = {p[k]} - v{k}" for k in observed]
+    forward.append("lo = 0.5 * (" + (" + ".join(f"r{k} * r{k}" for k in observed) or "0.0") + ")")
+    g = tuple(f"r{k}" if k in observed else "0.0" for k in range(4))
+    n_forward = len(writer.lines)
+    grads = _chain_gradients(ws, prefixes, g, writer.mul, writer.mul_tn, writer.mul_nt)
+    update = writer.lines[n_forward:]
+    update += [f"{w} = {w} - eta * {gw}" for wl, gl in zip(ws, grads) for w, gw in zip(wl, gl)]
+    inside = " and ".join(f"{-ENTRY_BLOWUP_LIMIT!r} <= {x} <= {ENTRY_BLOWUP_LIMIT!r}" for x in p)
+    factors = "(" + "".join(f"({', '.join(w)}), " for w in ws) + ")"
+    src = "\n".join(
+        ["def run_until(ws, vs, eta, it, stop_it, lo_min, lo_max):", f"    {factors} = ws"]
+        + [f"    ({''.join(f'v{k}, ' for k in observed)}) = vs"]
+        + [f"    {line}" for line in forward]
+        + ["    while it < stop_it:"]
+        + [f"        {line}" for line in update + ["it += 1"] + forward]
+        + [f"        if not (lo_min <= lo < lo_max and {inside}):", "            break"]
+        + [f"    return it, lo, ({', '.join(p)}), {factors}"]
+    )
+    namespace: dict = {}
+    exec(compile(src, f"<2x2 step, depth {depth}, observed {observed}>", "exec"), namespace)
+    return namespace["run_until"]
+
+
 class _Scalar2x2Kernel:
-    """Factors all 2x2, held as row-major 4-tuples of Python floats: at
+    """Factors all 2x2, held as row-major 4-tuples of Python floats and
+    stepped by a generated straight-line function (_step_function): at
     these sizes a numpy call costs far more than its arithmetic."""
 
     def __init__(self, factors: Sequence[np.ndarray], task: CompletionTask):
-        self.ws = [tuple(f.ravel().tolist()) for f in factors]
+        self.ws = tuple(tuple(f.ravel().tolist()) for f in factors)
         rows, cols, vals = task.index_arrays()
-        self.observed = [(2 * i + j, v) for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist())]
+        self.vals = tuple(vals.tolist())
+        self._run = _step_function(len(self.ws), tuple(2 * i + j for i, j in zip(rows.tolist(), cols.tolist())))
+
+    def run_until(self, eta: float, it: int, stop_it: int, lo_min: float, lo_max: float) -> tuple[int, float, float]:
+        it, lo, self.p, self.ws = self._run(self.ws, self.vals, eta, it, stop_it, lo_min, lo_max)
+        return it, lo, max(map(abs, self.p))
 
     def forward(self) -> tuple[float, float]:
-        self.prefixes, p = _prefix_chain(self.ws, _mul2)
-        g = [0.0, 0.0, 0.0, 0.0]
-        sq = 0.0
-        for k, v in self.observed:
-            r = p[k] - v
-            g[k] = r
-            sq += r * r
-        self.p, self.g = p, g
-        return 0.5 * sq, max(map(abs, p))
+        return self.run_until(0.0, 0, 0, 0.0, 0.0)[1:]
 
     def update(self, eta: float) -> None:
-        grads = _chain_gradients(self.ws, self.prefixes, self.g, _mul2, _mul2_tn, _mul2_nt)
-        self.ws = [
-            (w0 - eta * g0, w1 - eta * g1, w2 - eta * g2, w3 - eta * g3)
-            for (w0, w1, w2, w3), (g0, g1, g2, g3) in zip(self.ws, grads)
-        ]
+        self.run_until(eta, 0, 1, -math.inf, math.inf)
 
     def arrays(self) -> tuple[np.ndarray, list[np.ndarray]]:
         return np.reshape(self.p, (2, 2)), [np.reshape(w, (2, 2)) for w in self.ws]
@@ -387,6 +434,16 @@ def _kernel_for(net: DeepNet, task: CompletionTask):
     if all(f.shape == (2, 2) for f in net.factors):
         return _Scalar2x2Kernel(net.factors, task)
     return _ArrayKernel(net.factors, task)
+
+
+def _decade_band(decade: int | None) -> tuple[float, float]:
+    """[lo, hi): losses a relative 1e-9 inside ``decade``'s boundaries,
+    where math.floor(math.log10(loss)) == decade surely holds.  Empty for
+    a zero loss (no decade) and below 1e-300 (near-subnormal powers)."""
+    if decade is None or decade < -300:
+        return 0.0, 0.0
+    base = 10.0**decade
+    return base * (1 + 1e-9), 10.0 * base * (1 - 1e-9)
 
 
 def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResult:
@@ -400,11 +457,13 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
     Raises :class:`DivergenceError` on non-finite loss or entries
     beyond 1e12.  Nets whose factors are all 2x2 step on Python floats,
     every other shape on numpy arrays; the two agree to rounding.
+    Between checks the kernel runs on alone until an iteration at which
+    one of them could fire (stride, cap, threshold, ``_decade_band``).
     """
     if net.shape != task.shape:
         raise ValueError(f"net shape {net.shape} does not match task shape {task.shape}")
     kernel = _kernel_for(net, task)
-    eta = cfg.learning_rate
+    eta, stride = cfg.learning_rate, cfg.log_stride
 
     trajectory: list[TrajectorySample] = []
     it = 0
@@ -418,9 +477,8 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
         logged_it = it
 
     converged = False
+    lo, peak = kernel.forward()
     while True:
-        lo, peak = kernel.forward()
-
         if not math.isfinite(lo) or peak > ENTRY_BLOWUP_LIMIT:
             last = trajectory[-1] if trajectory else None
             raise DivergenceError(
@@ -430,7 +488,7 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
         decade = math.floor(math.log10(lo)) if lo > 0 else None
         crossed = last_decade is not None and decade != last_decade
         last_decade = decade
-        if it % cfg.log_stride == 0 or crossed:
+        if it % stride == 0 or crossed:
             log_state(lo)
 
         if lo < cfg.loss_threshold:
@@ -439,8 +497,9 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
         if it >= cfg.max_iters:
             break
 
-        kernel.update(eta)
-        it += 1
+        band_lo, band_hi = _decade_band(decade)
+        stop_it = min((it // stride + 1) * stride, cfg.max_iters)
+        it, lo, peak = kernel.run_until(eta, it, stop_it, max(band_lo, cfg.loss_threshold), band_hi)
 
     if logged_it != it:
         log_state(lo)

@@ -58,6 +58,8 @@ class TensorTask:
         total = int(np.prod(self.dims))
         if len(obs) > total - 1:
             raise ValueError("at least one entry must stay unobserved")
+        if not obs:
+            raise ValueError("at least one entry must be observed")
         for idx, v in obs.items():
             if len(idx) != len(self.dims) or any(not 0 <= i < d for i, d in zip(idx, self.dims)):
                 raise ValueError(f"observed index {idx} out of range for dims {self.dims}")

@@ -107,6 +107,17 @@ def test_criterion_01_identity_convergence(identity_run):
     )
 
 
+def test_criterion_01_endpoint_is_pinned(identity_run):
+    """Criterion 1 fails by design, so its failure alone cannot tell an
+    unchanged run from one whose numbers drifted: pin where it ends."""
+    result, _ = identity_run
+    final = result.trajectory[-1]
+    assert result.iterations == 5_000_000
+    assert result.converged is False
+    assert final.loss == pytest.approx(5.22213471067067e-4, rel=1e-12)
+    assert final.unobserved[(0, 0)] == pytest.approx(30.91059595102826, rel=1e-12)
+
+
 def test_criterion_02_norm_blowup(identity_run):
     result, _ = identity_run
     worst = -math.inf

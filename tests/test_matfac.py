@@ -318,6 +318,182 @@ class TestStepKernels:
             assert np.array_equal(a, b)
 
 
+# ---------------------------------------------------------------------------
+# Oracle for the 2x2 event loop: the scalar step and the loop gd_train
+# ran before it stepped on a generated straight-line function, with one
+# forward, one update and every check at each iteration.
+
+
+def _ref_mul2(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
+
+
+def _ref_mul2_tn(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 + a2 * b2, a0 * b1 + a2 * b3, a1 * b0 + a3 * b2, a1 * b1 + a3 * b3)
+
+
+def _ref_mul2_nt(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 + a1 * b1, a0 * b2 + a1 * b3, a2 * b0 + a3 * b1, a2 * b2 + a3 * b3)
+
+
+def _ref_prefix_chain(fs):
+    prefixes, p = [None], fs[0]
+    for f in fs[1:]:
+        prefixes.append(p)
+        p = _ref_mul2(f, p)
+    return prefixes, p
+
+
+def _ref_chain_gradients(fs, prefixes, g):
+    grads, s = [None] * len(fs), None
+    for l in range(len(fs) - 1, -1, -1):
+        gl = g if s is None else _ref_mul2_tn(s, g)
+        if prefixes[l] is not None:
+            gl = _ref_mul2_nt(gl, prefixes[l])
+        grads[l] = gl
+        if l:
+            s = fs[l] if s is None else _ref_mul2(s, fs[l])
+    return grads
+
+
+def reference_gd_train(net, task, cfg):
+    """gd_train on 2x2 factors, checking stride, decade, threshold, cap
+    and divergence after every single step."""
+    ws = [tuple(f.ravel().tolist()) for f in net.factors]
+    rows, cols, vals = task.index_arrays()
+    observed = [(2 * i + j, v) for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist())]
+    trajectory, it, last_decade, logged_it, converged = [], 0, None, -1, False
+
+    def log_state(lo):
+        nonlocal logged_it
+        trajectory.append(matfac._sample(it, lo, np.reshape(p, (2, 2)), [np.reshape(w, (2, 2)) for w in ws], task))
+        logged_it = it
+
+    while True:
+        prefixes, p = _ref_prefix_chain(ws)
+        g, sq = [0.0, 0.0, 0.0, 0.0], 0.0
+        for k, v in observed:
+            g[k] = p[k] - v
+            sq += g[k] * g[k]
+        lo = 0.5 * sq
+        if not math.isfinite(lo) or max(map(abs, p)) > matfac.ENTRY_BLOWUP_LIMIT:
+            last = trajectory[-1] if trajectory else None
+            net_now = DeepNet(tuple(np.reshape(w, (2, 2)) for w in ws))
+            raise matfac.DivergenceError(f"training diverged at iteration {it}", last, trajectory, net_now)
+        decade = math.floor(math.log10(lo)) if lo > 0 else None
+        crossed = last_decade is not None and decade != last_decade
+        last_decade = decade
+        if it % cfg.log_stride == 0 or crossed:
+            log_state(lo)
+        if lo < cfg.loss_threshold:
+            converged = True
+            break
+        if it >= cfg.max_iters:
+            break
+        grads = _ref_chain_gradients(ws, prefixes, g)
+        ws = [tuple(wi - cfg.learning_rate * gi for wi, gi in zip(w, gl)) for w, gl in zip(ws, grads)]
+        it += 1
+    if logged_it != it:
+        log_state(lo)
+    net_now = DeepNet(tuple(np.reshape(w, (2, 2)) for w in ws))
+    return matfac.TrainResult(net=net_now, trajectory=trajectory, iterations=it, converged=converged)
+
+
+def _assert_bitwise_same_trajectory(got, want):
+    assert [s.iteration for s in got] == [s.iteration for s in want]
+    # repr tells every float bit apart, including the sign of zero
+    assert [repr(s) for s in got] == [repr(s) for s in want]
+
+
+def _assert_bitwise_same_run(got, want):
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    _assert_bitwise_same_trajectory(got.trajectory, want.trajectory)
+    assert [f.tobytes() for f in got.net.factors] == [f.tobytes() for f in want.net.factors]
+
+
+class TestEventLoop:
+    """The 2x2 kernel steps a generated straight-line function between
+    checks; the run must equal the step-by-step oracle bit for bit."""
+
+    @pytest.mark.parametrize("det_sign", [1, -1])
+    @pytest.mark.parametrize("task", [BASE, make_perturbed_task(1.0, 0.7, 0.1)], ids=["base", "perturbed"])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    def test_matches_step_by_step_loop(self, depth, task, det_sign):
+        rng = stream(5, depth)
+        net, _ = resample_until_det_sign(lambda r: init_unbalanced((2, 2), depth, 0.3, r), det_sign, rng)
+        # a threshold stop, then a cap stop; both with stride stops and
+        # decade crossings between strides
+        for cfg, converged, iterations in (
+            (TrainConfig(learning_rate=0.02, max_iters=20_000, loss_threshold=3e-4, log_stride=97), True, None),
+            (TrainConfig(learning_rate=0.02, max_iters=1_500, loss_threshold=0.0, log_stride=700), False, 1_500),
+        ):
+            result = gd_train(net, task, cfg)
+            _assert_bitwise_same_run(result, reference_gd_train(net, task, cfg))
+            assert result.converged is converged and iterations in (None, result.iterations)
+            logged = [s.iteration for s in result.trajectory[:-1]]
+            assert any(i and i % cfg.log_stride == 0 for i in logged)
+            assert any(i % cfg.log_stride for i in logged)
+
+    def test_single_observed_entry(self):
+        task = CompletionTask(shape=(2, 2), observations={(1, 0): 0.5})
+        net = random_net(6, [2, 2, 2, 2])
+        cfg = TrainConfig(learning_rate=0.01, max_iters=3_000, loss_threshold=1e-9, log_stride=250)
+        _assert_bitwise_same_run(gd_train(net, task, cfg), reference_gd_train(net, task, cfg))
+
+    def test_start_at_zero_loss_with_zero_threshold(self):
+        # loss 0 has no decade: every step goes back to the checks.  The
+        # gradient is zero, so only the signs of zero entries can move
+        net = DeepNet((np.array([[-1.0, -0.0], [0.0, -1.0]]), np.array([[0.0, -1.0], [-1.0, -0.0]])))
+        cfg = TrainConfig(learning_rate=0.1, max_iters=50, loss_threshold=0.0, log_stride=7)
+        result = gd_train(net, BASE, cfg)
+        assert result.trajectory[0].loss == 0.0 and result.iterations == 50
+        _assert_bitwise_same_run(result, reference_gd_train(net, BASE, cfg))
+
+    @pytest.mark.parametrize(
+        "factors, lr, log_stride",
+        [
+            # test_divergence_raises_with_partial_trajectory's run
+            ((np.full((2, 2), 5.0), np.full((2, 2), 5.0)), 0.9, 1),
+            # residuals scale by -2 a step, between log strides
+            ((np.eye(2),), 3.0, 1_000),
+        ],
+        ids=["depth2-burst", "depth1-geometric"],
+    )
+    def test_divergence_matches_step_by_step_loop(self, factors, lr, log_stride):
+        net = DeepNet(factors)
+        cfg = TrainConfig(learning_rate=lr, max_iters=10_000, loss_threshold=0.0, log_stride=log_stride)
+        with pytest.raises(matfac.DivergenceError) as got:
+            gd_train(net, BASE, cfg)
+        with pytest.raises(matfac.DivergenceError) as want:
+            reference_gd_train(net, BASE, cfg)
+        assert str(got.value) == str(want.value)
+        assert repr(got.value.last_sample) == repr(want.value.last_sample)
+        _assert_bitwise_same_trajectory(got.value.trajectory, want.value.trajectory)
+        assert [f.tobytes() for f in got.value.net.factors] == [f.tobytes() for f in want.value.net.factors]
+
+    def test_decade_band_agrees_with_log10(self):
+        for k in range(-30, 4):
+            edge = 10.0**k
+            points = (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf), 3.0 * edge)
+            for x in map(float, points):
+                for decade in (k - 1, k):
+                    lo, hi = matfac._decade_band(decade)
+                    if lo <= x < hi:
+                        assert math.floor(math.log10(x)) == decade, (x, decade)
+            lo, hi = matfac._decade_band(k)
+            assert lo <= 3.0 * edge < hi
+        # a zero loss has no decade and lies in no band
+        for decade in (None, -30, 0):
+            lo, hi = matfac._decade_band(decade)
+            assert not lo <= 0.0 < hi
+
+
 class TestInitUnbalanced:
     def test_depth1_std_is_alpha(self):
         rng = stream(0, 2)

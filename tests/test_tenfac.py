@@ -399,6 +399,10 @@ class TestTaskValidation:
         with pytest.raises(ValueError):
             TensorTask(dims=(2, 2), observations={idx: 1.0 for idx in np.ndindex(2, 2)})
 
+    def test_rejects_empty_observation_set(self):
+        with pytest.raises(ValueError):
+            TensorTask(dims=(2, 2), observations={})
+
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ValueError):
             TensorTask(dims=(2, 2), observations={(2, 0): 1.0})
