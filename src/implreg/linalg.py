@@ -7,8 +7,8 @@ numerical routines themselves assume validated data.
 
 The SVD is LAPACK's thin SVD (``np.linalg.svd``) with a fixed sign
 convention.  ``singular_values`` serves callers that need only the
-values; on a 2x2 it uses the closed form, which the tests also use as
-an oracle independent of LAPACK.
+values, for one matrix or a stack of them; on 2x2s it uses the closed
+form, which the tests also use as an oracle independent of LAPACK.
 """
 
 from __future__ import annotations
@@ -64,7 +64,12 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {m.shape}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
+    return _finite_matrices(m)
+
+
+def _finite_matrices(m: np.ndarray) -> np.ndarray:
+    # the checks as_matrix makes, on the last two axes of a matrix or a stack
+    if min(m.shape[-2:]) < 1:
         raise ValueError(f"matrix axes must be positive, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
@@ -105,7 +110,7 @@ def _lapack_svd(a: np.ndarray, compute_uv: bool):
     except np.linalg.LinAlgError as exc:
         raise KernelError(f"LAPACK SVD failed: {exc}", a) from exc
     sigmas = out[1] if compute_uv else out
-    sigmas[sigmas <= max(a.shape) * np.finfo(float).eps * sigmas[0]] = 0.0
+    sigmas[sigmas <= max(a.shape[-2:]) * np.finfo(float).eps * sigmas[..., :1]] = 0.0
     return out
 
 
@@ -124,12 +129,22 @@ def svd(m) -> SvdResult:
 
 def singular_values(m) -> np.ndarray:
     """Singular values, largest first: the closed form for a 2x2,
-    otherwise LAPACK's values-only SVD with the cutoff of :func:`svd`."""
-    return _sigmas(as_matrix(m))
+    otherwise LAPACK's values-only SVD with the cutoff of :func:`svd`.
+
+    An (n, d, d') stack of matrices gives an (n, min(d, d')) array whose
+    row i equals matrix i's own values bit for bit.
+    """
+    a = np.asarray(m, dtype=float)
+    if a.ndim == 3:
+        return _sigmas(_finite_matrices(a))
+    return _sigmas(as_matrix(a)[None])[0]
 
 
-def _sigmas(w: np.ndarray) -> np.ndarray:
-    return np.array(_svd2x2(w)) if w.shape == (2, 2) else _lapack_svd(w, compute_uv=False)
+def _sigmas(ws: np.ndarray) -> np.ndarray:
+    """Values of each matrix in a validated (n, d, d') stack, one row each."""
+    if ws.shape[1:] == (2, 2):
+        return np.array([_svd2x2(w) for w in ws.tolist()]).reshape(-1, 2)
+    return _lapack_svd(ws, compute_uv=False)
 
 
 def svd2x2_analytic(m) -> tuple[float, float]:
@@ -143,11 +158,11 @@ def svd2x2_analytic(m) -> tuple[float, float]:
     w = as_matrix(m)
     if w.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {w.shape}")
-    return _svd2x2(w)
+    return _svd2x2(w.tolist())
 
 
-def _svd2x2(w: np.ndarray) -> tuple[float, float]:
-    (a, b), (c, d) = w.tolist()
+def _svd2x2(rows) -> tuple[float, float]:
+    (a, b), (c, d) = rows
     q = math.hypot(a + d, b - c)
     r = math.hypot(a - d, b + c)
     return 0.5 * (q + r), 0.5 * abs(q - r)
@@ -163,14 +178,14 @@ def schatten_norm(m, p: SchattenOrder) -> float:
     """
     w = as_matrix(m)
     if isinstance(p, _Spectral) or (isinstance(p, float) and math.isinf(p) and p > 0):
-        return float(_sigmas(w)[0])
+        return float(_sigmas(w[None])[0, 0])
     pf = float(p)
     if not pf > 0:
         raise ValueError(f"Schatten order must be positive, got {p!r}")
     if pf == 2.0:
         # Frobenius: no SVD needed
         return float(np.sqrt(np.sum(w * w)))
-    return float(np.sum(_sigmas(w) ** pf) ** (1.0 / pf))
+    return float(np.sum(_sigmas(w[None])[0] ** pf) ** (1.0 / pf))
 
 
 def outer_product(vectors: Sequence) -> np.ndarray:

@@ -23,10 +23,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import metrics
-from .linalg import as_matrix, schatten_norm, singular_values, svd
+from .linalg import as_matrix, singular_values, svd
 
-# Imported unused: perfbench/layers.py traces it under this module name.
-from .linalg import svd2x2_analytic  # noqa: F401
+# Imported unused: perfbench/layers.py traces them under this module name.
+from .linalg import schatten_norm, svd2x2_analytic  # noqa: F401
 
 __all__ = [
     "CompletionTask",
@@ -287,39 +287,76 @@ def factor_gradients(net: DeepNet, task: CompletionTask) -> list[np.ndarray]:
 def leading_minor_det(m: np.ndarray) -> float:
     """Determinant of the leading min-square submatrix (the determinant
     itself when the matrix is square)."""
-    k = min(m.shape)
-    sub = m[:k, :k]
+    return float(_leading_minor_dets(np.asarray(m)[None])[0])
+
+
+def _leading_minor_dets(ps: np.ndarray) -> np.ndarray:
+    k = min(ps.shape[1:])
+    sub = ps[:, :k, :k]
     if k == 2:
-        return float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
-    return float(np.linalg.det(sub))
+        return sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
+    return np.linalg.det(sub)
 
 
-def _unbalancedness(factors: Sequence[np.ndarray]) -> float:
-    worst = 0.0
-    for lo, hi in zip(factors, factors[1:]):
-        worst = max(worst, schatten_norm(hi.T @ hi - lo @ lo.T, 1.0))
+def _unbalancedness(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Per entry of the (n, rows, cols) factor stacks: the largest nuclear
+    norm of W_{l+1}^T W_{l+1} - W_l W_l^T over adjacent layers, 0.0 for
+    one layer."""
+    worst = np.zeros(len(stacks[0]))
+    for lo, hi in zip(stacks, stacks[1:]):
+        gaps = singular_values(hi.transpose(0, 2, 1) @ hi - lo @ lo.transpose(0, 2, 1))
+        worst = np.maximum(worst, gaps.sum(axis=-1))
     return worst
 
 
-def _sample(it: int, loss_val: float, p: np.ndarray, factors, task: CompletionTask) -> TrajectorySample:
-    sig = singular_values(p)
-    mets = {
-        "erank": metrics.effective_rank_of_sigmas(sig),
-        "nuclear_norm": float(sig.sum()),
-        "frob_norm": float(np.sqrt((sig * sig).sum())),
-        "spectral_norm": float(sig[0]),
-        "schatten_half": float(np.sqrt(sig).sum() ** 2),
-    }
-    unobs = {ij: float(p[ij]) for ij in task.unobserved_indices()}
-    return TrajectorySample(
-        iteration=it,
-        loss=loss_val,
-        unobserved=unobs,
-        sigmas=tuple(float(s) for s in sig),
-        det=leading_minor_det(p),
-        unbalancedness=_unbalancedness(factors),
-        metrics=mets,
+def _stack(mats) -> np.ndarray:
+    """(n, rows, cols) from n matrices of one shape: numpy arrays, or the
+    scalar kernel's row-major 4-tuples of a 2x2."""
+    s = np.array(mats, dtype=float)
+    return s.reshape(-1, 2, 2) if s.ndim == 2 else s
+
+
+def _samples(snapshots, task: CompletionTask) -> list[TrajectorySample]:
+    """The trajectory samples of ``gd_train``'s snapshots (iteration,
+    loss, product, factors), computed over stacks in one pass.
+
+    The singular values of all products, and of all Gram differences of
+    one layer pair, come from one values-only call each; the metrics are
+    then taken along the stacks.  Each value equals what the public
+    per-matrix functions give for that sample, bit for bit.
+    """
+    if not snapshots:
+        return []
+    its, losses, products, factors = zip(*snapshots)
+    ps = _stack(products)
+    sig = singular_values(ps)
+    unobserved = task.unobserved_indices()
+    columns = zip(
+        its,
+        losses,
+        zip(*(ps[:, i, j].tolist() for i, j in unobserved)),
+        sig.tolist(),
+        _leading_minor_dets(ps).tolist(),
+        _unbalancedness([_stack(layer) for layer in zip(*factors)]).tolist(),
+        metrics.effective_rank_of_sigmas(sig).tolist(),
+        sig.sum(axis=-1).tolist(),
+        np.sqrt((sig * sig).sum(axis=-1)).tolist(),
+        # Python's float ** is C pow, as on a numpy scalar; an array's
+        # ** 2 squares, which can round the last bit differently
+        [s**2 for s in np.sqrt(sig).sum(axis=-1).tolist()],
     )
+    return [
+        TrajectorySample(
+            iteration=it,
+            loss=lo,
+            unobserved=dict(zip(unobserved, free)),
+            sigmas=tuple(s),
+            det=det,
+            unbalancedness=gap,
+            metrics={"erank": er, "nuclear_norm": nuc, "frob_norm": fro, "spectral_norm": s[0], "schatten_half": half},
+        )
+        for it, lo, free, s, det, gap, er, nuc, fro, half in columns
+    ]
 
 
 # A step kernel holds the factors of a run.  ``forward()`` takes the
@@ -329,7 +366,9 @@ def _sample(it: int, loss_val: float, p: np.ndarray, factors, task: CompletionTa
 # stop_it, lo_min, lo_max)`` repeats update and forward from iteration
 # ``it`` until ``stop_it``, a loss outside [lo_min, lo_max) or an entry
 # beyond ENTRY_BLOWUP_LIMIT, and returns (iteration, loss, max |entry|);
-# ``arrays()`` returns (product, factors) as numpy arrays.
+# ``arrays()`` returns (product, factors) as numpy arrays and
+# ``snapshot()`` the same state in a form no later step changes, for
+# _samples.
 
 
 class _ArrayKernel:
@@ -364,6 +403,11 @@ class _ArrayKernel:
 
     def arrays(self) -> tuple[np.ndarray, list[np.ndarray]]:
         return self.p, self.ws
+
+    def snapshot(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        # update() moves the factors in place, and a depth-1 product is
+        # the factor itself
+        return self.p.copy(), [w.copy() for w in self.ws]
 
 
 @functools.cache
@@ -428,6 +472,9 @@ class _Scalar2x2Kernel:
     def arrays(self) -> tuple[np.ndarray, list[np.ndarray]]:
         return np.reshape(self.p, (2, 2)), [np.reshape(w, (2, 2)) for w in self.ws]
 
+    def snapshot(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+        return self.p, self.ws
+
 
 def _kernel_for(net: DeepNet, task: CompletionTask):
     """The scalar kernel when every factor is 2x2, else the array kernel."""
@@ -459,27 +506,30 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
     every other shape on numpy arrays; the two agree to rounding.
     Between checks the kernel runs on alone until an iteration at which
     one of them could fire (stride, cap, threshold, ``_decade_band``).
+    Logging keeps the state; the samples are computed from all kept
+    states in one stacked pass (``_samples``) when the run ends or
+    before DivergenceError is raised.
     """
     if net.shape != task.shape:
         raise ValueError(f"net shape {net.shape} does not match task shape {task.shape}")
     kernel = _kernel_for(net, task)
     eta, stride = cfg.learning_rate, cfg.log_stride
 
-    trajectory: list[TrajectorySample] = []
+    snapshots: list[tuple] = []
     it = 0
     last_decade: float | None = None
     logged_it = -1
 
     def log_state(lo):
         nonlocal logged_it
-        p, ws = kernel.arrays()
-        trajectory.append(_sample(it, lo, p, ws, task))
+        snapshots.append((it, lo, *kernel.snapshot()))
         logged_it = it
 
     converged = False
     lo, peak = kernel.forward()
     while True:
         if not math.isfinite(lo) or peak > ENTRY_BLOWUP_LIMIT:
+            trajectory = _samples(snapshots, task)
             last = trajectory[-1] if trajectory else None
             raise DivergenceError(
                 f"training diverged at iteration {it}", last, trajectory, DeepNet(tuple(kernel.arrays()[1]))
@@ -504,7 +554,10 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
     if logged_it != it:
         log_state(lo)
     return TrainResult(
-        net=DeepNet(tuple(kernel.arrays()[1])), trajectory=trajectory, iterations=it, converged=converged
+        net=DeepNet(tuple(kernel.arrays()[1])),
+        trajectory=_samples(snapshots, task),
+        iterations=it,
+        converged=converged,
     )
 
 
@@ -666,7 +719,7 @@ def singular_value_rates(w, task: CompletionTask, depth: int) -> list[float]:
 def unbalancedness_magnitude(net: DeepNet) -> float:
     """Largest nuclear norm of W_{l+1}^T W_{l+1} - W_l W_l^T over adjacent
     layers; zero for depth 1.  Conserved by the continuous-time dynamics."""
-    return _unbalancedness(net.factors)
+    return float(_unbalancedness([f[None] for f in net.factors])[0])
 
 
 def balance_project(net: DeepNet) -> DeepNet:

@@ -116,15 +116,23 @@ class BoundReport:
 # rank surrogates
 
 
-def effective_rank_of_sigmas(sigmas: Sequence[float]) -> float:
-    """Effective rank from precomputed singular values."""
+def effective_rank_of_sigmas(sigmas: np.ndarray | Sequence[float]) -> float | np.ndarray:
+    """Effective rank from precomputed singular values.
+
+    The values run along the last axis: a 1-D input gives a float, an
+    (n, k) stack an array of n effective ranks.  Values that are not
+    positive add an exact 0.0 to the entropy sum, so for k < 8 (summed
+    in order; numpy regroups longer sums) each rank equals the sum over
+    the positive values alone, bit for bit.
+    """
     sig = np.asarray(sigmas, dtype=float)
-    total = float(sig.sum())
-    if total <= 0.0:
+    total = sig.sum(axis=-1, keepdims=True)
+    if (total <= 0.0).any():
         raise ValueError("effective rank is undefined for the zero matrix")
     rho = sig / total
-    pos = rho[rho > 0]
-    return float(np.exp(-(pos * np.log(pos)).sum()))
+    pos = rho > 0
+    erank = np.exp(-np.where(pos, rho * np.log(np.where(pos, rho, 1.0)), 0.0).sum(axis=-1))
+    return float(erank) if sig.ndim == 1 else erank
 
 
 def effective_rank(m) -> float:

@@ -227,6 +227,20 @@ class TestRunMatfac:
         assert rec.summary["diverged"] is True
         assert read_csv(rec.csv_path)  # partial rows survived
 
+    @pytest.mark.parametrize(
+        "task", [TaskSpec(kind="base"), TaskSpec(kind="extended", rows=3, cols=4)], ids=["base", "extended3x4"]
+    )
+    def test_divergence_at_iteration_0_writes_header_only(self, tmp_path, task):
+        # a product drawn at scale 1e13 is past the blow-up limit before
+        # the first sample
+        cfg = quick_run_config(tmp_path, task=task, init=InitSpec(kind="balanced", alpha=1e13))
+        rec = run_matfac(cfg)
+        assert rec.summary["diverged"] is True
+        assert rec.summary["iterations"] == 0
+        assert math.isnan(rec.summary["final_loss"])
+        header, _ = harness.trajectory_rows([], task)
+        assert open(rec.csv_path).read().splitlines() == [",".join(header)]
+
 
 class TestDetsign:
     def test_identity_sanity_path(self):

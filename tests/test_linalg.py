@@ -138,6 +138,26 @@ class TestSingularValues:
     def test_rank_deficient_gets_exact_zero(self):
         assert singular_values([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])[1] == 0.0
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (3, 4), (4, 3), (1, 3)])
+    def test_stack_equals_each_matrix_bitwise(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        full = rng.normal(size=(50, *shape))
+        # rank one: on LAPACK's path the trailing values hit the cutoff
+        low = rng.normal(size=(50, shape[0], 1)) @ rng.normal(size=(50, 1, shape[1]))
+        for stack in (full, low, np.zeros((3, *shape))):
+            got = singular_values(stack)
+            want = np.array([singular_values(m) for m in stack])
+            assert got.shape == want.shape == (len(stack), min(shape))
+            assert got.tobytes() == want.tobytes()
+        if min(shape) > 1 and shape != (2, 2):
+            assert (singular_values(low)[:, 1:] == 0.0).all()
+
+    def test_stack_rejects_non_finite(self):
+        stack = np.ones((4, 3, 3))
+        stack[2, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            singular_values(stack)
+
 
 class TestSvd2x2Analytic:
     def test_solution_matrix_x0(self):

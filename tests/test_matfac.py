@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from implreg import matfac
-from implreg.linalg import svd as linalg_svd, svd2x2_analytic
+from implreg.linalg import schatten_norm, singular_values, svd as linalg_svd, svd2x2_analytic
 from implreg.matfac import (
     CompletionTask,
     DeepNet,
@@ -28,6 +28,7 @@ from implreg.matfac import (
     singular_value_rates,
     unbalancedness_magnitude,
 )
+from implreg.metrics import effective_rank_of_sigmas
 from implreg.rng import stream
 
 BASE = make_base_task()
@@ -364,15 +365,16 @@ def _ref_chain_gradients(fs, prefixes, g):
 
 def reference_gd_train(net, task, cfg):
     """gd_train on 2x2 factors, checking stride, decade, threshold, cap
-    and divergence after every single step."""
+    and divergence after every single step.  Samples are built from its
+    snapshots by matfac._samples, which TestSamples checks on its own."""
     ws = [tuple(f.ravel().tolist()) for f in net.factors]
     rows, cols, vals = task.index_arrays()
     observed = [(2 * i + j, v) for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist())]
-    trajectory, it, last_decade, logged_it, converged = [], 0, None, -1, False
+    snapshots, it, last_decade, logged_it, converged = [], 0, None, -1, False
 
     def log_state(lo):
         nonlocal logged_it
-        trajectory.append(matfac._sample(it, lo, np.reshape(p, (2, 2)), [np.reshape(w, (2, 2)) for w in ws], task))
+        snapshots.append((it, lo, p, tuple(ws)))
         logged_it = it
 
     while True:
@@ -383,6 +385,7 @@ def reference_gd_train(net, task, cfg):
             sq += g[k] * g[k]
         lo = 0.5 * sq
         if not math.isfinite(lo) or max(map(abs, p)) > matfac.ENTRY_BLOWUP_LIMIT:
+            trajectory = matfac._samples(snapshots, task)
             last = trajectory[-1] if trajectory else None
             net_now = DeepNet(tuple(np.reshape(w, (2, 2)) for w in ws))
             raise matfac.DivergenceError(f"training diverged at iteration {it}", last, trajectory, net_now)
@@ -402,7 +405,9 @@ def reference_gd_train(net, task, cfg):
     if logged_it != it:
         log_state(lo)
     net_now = DeepNet(tuple(np.reshape(w, (2, 2)) for w in ws))
-    return matfac.TrainResult(net=net_now, trajectory=trajectory, iterations=it, converged=converged)
+    return matfac.TrainResult(
+        net=net_now, trajectory=matfac._samples(snapshots, task), iterations=it, converged=converged
+    )
 
 
 def _assert_bitwise_same_trajectory(got, want):
@@ -492,6 +497,121 @@ class TestEventLoop:
         for decade in (None, -30, 0):
             lo, hi = matfac._decade_band(decade)
             assert not lo <= 0.0 < hi
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the stacked sampler: each sample built on its own from the
+# public per-matrix functions, the way gd_train built them before it
+# sampled a run in one stacked pass.
+
+
+def oracle_det(p):
+    # leading_minor_det's rule, spelled out: the stacked path shares
+    # leading_minor_det itself
+    k = min(p.shape)
+    sub = p[:k, :k]
+    return float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]) if k == 2 else float(np.linalg.det(sub))
+
+
+def oracle_sample(it, lo, p, factors, task):
+    sig = singular_values(p)
+    gaps = [schatten_norm(hi.T @ hi - lo_ @ lo_.T, 1.0) for lo_, hi in zip(factors, factors[1:])]
+    return matfac.TrajectorySample(
+        iteration=it,
+        loss=lo,
+        unobserved={ij: float(p[ij]) for ij in task.unobserved_indices()},
+        sigmas=tuple(float(s) for s in sig),
+        det=oracle_det(p),
+        unbalancedness=max([0.0] + gaps),
+        metrics={
+            "erank": effective_rank_of_sigmas(sig),
+            "nuclear_norm": float(sig.sum()),
+            "frob_norm": float(np.sqrt((sig * sig).sum())),
+            "spectral_norm": float(sig[0]),
+            "schatten_half": float(np.sqrt(sig).sum() ** 2),
+        },
+    )
+
+
+def train_with_snapshots(monkeypatch, net, task, cfg):
+    """gd_train's result and the snapshots it handed to _samples, with
+    each product and factor as a numpy matrix."""
+    seen, samples = [], matfac._samples
+
+    def spy(snapshots, task_):
+        seen.extend(snapshots)
+        return samples(snapshots, task_)
+
+    monkeypatch.setattr(matfac, "_samples", spy)
+    result = gd_train(net, task, cfg)
+    shapes = [f.shape for f in net.factors]
+    states = [
+        (it, lo, np.reshape(p, task.shape), [np.reshape(w, shape) for w, shape in zip(ws, shapes)])
+        for it, lo, p, ws in seen
+    ]
+    return result, states
+
+
+class TestSamples:
+    """gd_train samples a run in one stacked pass; every sample must equal
+    the per-sample oracle bit for bit."""
+
+    def assert_matches_oracle(self, monkeypatch, net, task, cfg):
+        result, states = train_with_snapshots(monkeypatch, net, task, cfg)
+        assert [s.iteration for s in result.trajectory] == [it for it, *_ in states]
+        # every step moves the factors: a snapshot aliasing the live
+        # arrays would repeat the last state
+        assert len({b"".join(w.tobytes() for w in ws) for *_, ws in states}) == len(states)
+        _assert_bitwise_same_trajectory(result.trajectory, [oracle_sample(*st, task) for st in states])
+        return result
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_scalar_kernel(self, monkeypatch, depth):
+        task = make_perturbed_task(1.0, 0.7, 0.1)
+        net, _ = resample_until_det_sign(lambda r: init_unbalanced((2, 2), depth, 0.3, r), 1, stream(5, depth))
+        cfg = TrainConfig(learning_rate=0.02, max_iters=600, loss_threshold=0.0, log_stride=1)
+        self.assert_matches_oracle(monkeypatch, net, task, cfg)
+
+    @pytest.mark.parametrize("shape, depth", [((3, 4), 3), ((4, 3), 2)])
+    def test_array_kernel(self, monkeypatch, shape, depth):
+        net = init_unbalanced(shape, depth, 0.5, stream(7, depth))
+        cfg = TrainConfig(learning_rate=0.03, max_iters=300, loss_threshold=0.0, log_stride=1)
+        self.assert_matches_oracle(monkeypatch, net, make_extended_task(*shape), cfg)
+
+    def test_hidden_width_3(self, monkeypatch):
+        cfg = TrainConfig(learning_rate=1e-2, max_iters=300, loss_threshold=0.0, log_stride=1)
+        self.assert_matches_oracle(monkeypatch, random_net(2, [2, 3, 2]), BASE, cfg)
+
+    def test_rank_deficient_product_hits_the_cutoff(self, monkeypatch):
+        # a 4x3 product through a width-1 layer has rank 1: LAPACK's two
+        # small values fall under the cutoff and become exact zeros
+        cfg = TrainConfig(learning_rate=1e-2, max_iters=200, loss_threshold=0.0, log_stride=1)
+        result = self.assert_matches_oracle(monkeypatch, random_net(8, [3, 1, 4]), make_extended_task(4, 3), cfg)
+        assert all(s.sigmas[1:] == (0.0, 0.0) for s in result.trajectory)
+
+
+class TestSamplerEdgeCases:
+    @pytest.mark.parametrize(
+        "task, shape", [(BASE, (2, 2)), (make_extended_task(3, 4), (3, 4))], ids=["scalar", "array"]
+    )
+    def test_divergence_before_the_first_sample(self, task, shape):
+        # every product entry starts beyond 1e12: the run stops at
+        # iteration 0 before anything is logged
+        net = DeepNet((np.full(shape, 1e13),))
+        cfg = TrainConfig(learning_rate=1e-2, max_iters=100, loss_threshold=0.0, log_stride=1)
+        with pytest.raises(matfac.DivergenceError) as err:
+            gd_train(net, task, cfg)
+        assert err.value.trajectory == []
+        assert err.value.last_sample is None
+        assert str(err.value) == "training diverged at iteration 0"
+
+    @pytest.mark.parametrize("dims, task", [([2, 2, 2], BASE), ([4, 3, 3], make_extended_task(3, 4))])
+    def test_zero_product_has_no_effective_rank(self, dims, task):
+        # zero factors get zero gradients, so the product stays zero
+        net = DeepNet(tuple(np.zeros((dims[l + 1], dims[l])) for l in range(len(dims) - 1)))
+        cfg = TrainConfig(learning_rate=1e-2, max_iters=3, loss_threshold=0.0, log_stride=1)
+        with pytest.raises(ValueError, match="zero matrix"):
+            gd_train(net, task, cfg)
 
 
 class TestInitUnbalanced:
@@ -671,6 +791,11 @@ class TestUnbalancedness:
 
     def test_depth1_is_zero(self):
         assert unbalancedness_magnitude(DeepNet((np.ones((2, 2)),))) == 0.0
+
+    def test_rectangular_factors_match_per_pair_nuclear_norms(self):
+        fs = random_net(9, [4, 3, 3, 3]).factors
+        want = max(schatten_norm(hi.T @ hi - lo @ lo.T, 1.0) for lo, hi in zip(fs, fs[1:]))
+        assert unbalancedness_magnitude(DeepNet(fs)) == want
 
     def test_conserved_along_short_run(self):
         rng = stream(4, 3)

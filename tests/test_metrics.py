@@ -11,6 +11,7 @@ from implreg.metrics import (
     base_task_bounds,
     dist_from_rank,
     effective_rank,
+    effective_rank_of_sigmas,
     frobenius,
     nuclear,
     perturbed_solution_singular_values,
@@ -65,6 +66,25 @@ class TestEffectiveRank:
     def test_equals_integer_rank_for_equal_singular_values(self):
         assert effective_rank(np.diag([2.0, 2.0, 0.0])) == pytest.approx(2.0, abs=1e-12)
         assert effective_rank(5.0 * np.eye(4)) == pytest.approx(4.0, abs=1e-12)
+
+    def test_stack_equals_each_row_and_the_positive_only_sum(self):
+        rng = np.random.default_rng(11)
+        for k in range(1, 8):
+            sig = rng.uniform(0.0, 3.0, size=(200, k))
+            sig[rng.uniform(size=sig.shape) < 0.3] = 0.0  # exact zeros, as from the cutoff
+            sig[:, 0] += 0.5  # no zero row
+            got = effective_rank_of_sigmas(sig)
+            rows = [effective_rank_of_sigmas(row) for row in sig]
+            assert all(type(r) is float for r in rows)
+            assert got.tobytes() == np.array(rows).tobytes()
+            # the entropy over the positive values alone
+            for row, r in zip(sig, rows):
+                pos = row[row > 0] / row.sum()
+                assert r == float(np.exp(-(pos * np.log(pos)).sum()))
+
+    def test_stack_with_a_zero_row_raises(self):
+        with pytest.raises(ValueError, match="zero matrix"):
+            effective_rank_of_sigmas(np.array([[2.0, 1.0], [0.0, 0.0], [1.0, 1.0]]))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 6), st.integers(1, 6))
