@@ -11,6 +11,7 @@ significant digits so parsing a CSV back recovers the exact doubles.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import hashlib
 import math
@@ -54,22 +55,32 @@ SEED_ENV_VAR = "IMPLREG_SEED"
 
 
 def format_float(x: float) -> str:
-    """17-significant-digit rendering; round-trips every finite double."""
-    if isinstance(x, float) and not math.isfinite(x):
-        return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
-    if x != x:
-        return "nan"
+    """17-significant-digit rendering; round-trips every finite double
+    and prints "inf", "-inf" and "nan" (either sign) for the rest."""
     return f"{x:.17g}"
 
 
+@functools.cache
+def _row_format(types: tuple[type, ...]) -> str:
+    # a float subclass (numpy's float64 too) renders as format_float does
+    return ",".join("%.17g" if issubclass(t, float) else "%s" for t in types) + "\n"
+
+
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> Path:
+    """Write a header and rows, one ``%`` format per row chosen from the
+    row's cell types.  Nothing is quoted: a cell that would need quotes
+    raises ValueError, and no file is written."""
+    rows = [header, *rows]
+    lines = [_row_format(tuple(map(type, row))) % tuple(row) for row in rows]
+    text = "".join(lines)
+    # each cell ends in one separator (a comma, or the row's newline): a
+    # cell adding a separator, a quote or a CR, or a lone empty cell, needs quotes
+    if '"' in text or "\r" in text or "\n" in lines or text.count(",") + text.count("\n") != sum(map(len, rows)):
+        raise ValueError(f"a cell of {path} needs CSV quoting")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([format_float(v) if isinstance(v, float) else v for v in row])
+        fh.write(text)
     return path
 
 
@@ -166,7 +177,7 @@ class MatfacRunConfig:
 
     @property
     def run_id(self) -> str:
-        return _run_id(self, self.seed)
+        return _run_id(asdict(self), self.seed)
 
 
 @dataclass(frozen=True)
@@ -244,7 +255,7 @@ class TenfacSweepConfig:
 
     @property
     def run_id(self) -> str:
-        return _run_id(self, self.gt_seed)
+        return _run_id(asdict(self), self.gt_seed)
 
 
 @dataclass(frozen=True)
@@ -268,17 +279,14 @@ class RunRecord:
     def write(self, path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        # the fields are plain JSON values already: no asdict deep copy
+        path.write_text(json.dumps(vars(self), indent=2, sort_keys=True) + "\n")
         return path
 
 
-def _canonical(cfg) -> str:
-    return json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
-
-
-def _run_id(cfg, seed: int) -> str:
-    digest = hashlib.sha256(_canonical(cfg).encode()).hexdigest()[:12]
-    return f"{digest}-s{seed}"
+def _run_id(config: dict, seed: int) -> str:
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return f"{hashlib.sha256(canonical.encode()).hexdigest()[:12]}-s{seed}"
 
 
 _KINDS = {
@@ -346,39 +354,37 @@ def _bound_columns(task_spec: TaskSpec) -> list[str]:
     return [f"{prefix}_norm_lb", f"{prefix}_erank_ub", f"{prefix}_dist_ub"]
 
 
-def _bounds_for(task_spec: TaskSpec, ell: float) -> tuple[float, float, float]:
+def _bounds_for(task_spec: TaskSpec, losses: list[float]) -> list[list[float]]:
+    """The three bound columns over a loss column, as Python floats."""
+    ell = np.array(losses, dtype=float)
     if task_spec.kind == "perturbed":
         b = metrics.perturbed_task_bounds(ell, task_spec.z, task_spec.z_prime, task_spec.eps, _NUCLEAR)
     else:
         b = metrics.base_task_bounds(ell, _NUCLEAR)
-    return b[0].value, b[1].value, b[2].value
+    return [report.value.tolist() for report in b]
 
 
 def trajectory_rows(samples, task_spec: TaskSpec):
     """Flatten trajectory samples into CSV rows (norm bounds use the
     nuclear spec's constants).  Unobserved entries beyond the (1,1)
-    corner, if a task has them, get their own columns after w11."""
+    corner, if a task has them, get their own columns after w11.  The
+    table is built a column at a time; rows are tuples."""
     extra_unobs = sorted({ij for s in samples for ij in s.unobserved} - {(0, 0)})
     extra_cols = [f"unobs_{i + 1}_{j + 1}" for (i, j) in extra_unobs]
     header = MATFAC_BASE_COLUMNS[:3] + extra_cols + MATFAC_BASE_COLUMNS[3:] + _bound_columns(task_spec)
-    rows = []
-    for s in samples:
-        row = [s.iteration, s.loss, s.unobserved.get((0, 0), math.nan)]
-        row += [s.unobserved.get(ij, math.nan) for ij in extra_unobs]
-        row += [
-            s.det,
-            s.sigmas[0],
-            s.sigmas[1] if len(s.sigmas) > 1 else 0.0,
-            s.metrics["erank"],
-            s.metrics["nuclear_norm"],
-            s.metrics["frob_norm"],
-            s.metrics["spectral_norm"],
-            s.metrics["schatten_half"],
-            s.unbalancedness,
-        ]
-        row += list(_bounds_for(task_spec, s.loss))
-        rows.append(row)
-    return header, rows
+    losses = [s.loss for s in samples]
+    columns = [
+        [s.iteration for s in samples],
+        losses,
+        *([s.unobserved.get(ij, math.nan) for s in samples] for ij in [(0, 0), *extra_unobs]),
+        [s.det for s in samples],
+        [s.sigmas[0] for s in samples],
+        [s.sigmas[1] if len(s.sigmas) > 1 else 0.0 for s in samples],
+        *([s.metrics[k] for s in samples] for k in MATFAC_BASE_COLUMNS[6:11]),  # erank .. schatten_half
+        [s.unbalancedness for s in samples],
+        *_bounds_for(task_spec, losses),
+    ]
+    return header, list(zip(*columns))
 
 
 def run_matfac(cfg: MatfacRunConfig) -> RunRecord:
@@ -418,15 +424,17 @@ def run_matfac(cfg: MatfacRunConfig) -> RunRecord:
     elapsed = time.monotonic() - t0
 
     header, rows = trajectory_rows(trajectory, cfg.task)
+    config = asdict(cfg)
+    run_id = _run_id(config, cfg.seed)
     out_dir = Path(cfg.out_dir)
-    csv_path = write_csv(out_dir / f"{cfg.run_id}.csv", header, rows)
+    csv_path = write_csv(out_dir / f"{run_id}.csv", header, rows)
     record = RunRecord(
-        run_id=cfg.run_id,
-        config=asdict(cfg),
+        run_id=run_id,
+        config=config,
         csv_path=str(csv_path),
         summary={"diverged": diverged, "init_attempts": attempts, "runtime_s": elapsed, **summary_tail},
     )
-    record.write(out_dir / f"{cfg.run_id}.json")
+    record.write(out_dir / f"{run_id}.json")
     return record
 
 
@@ -443,12 +451,6 @@ def _map_jobs(fn, items, jobs):
 
 # ---------------------------------------------------------------------------
 # determinant-sign Monte Carlo
-
-
-def _det_batch(mats: np.ndarray) -> np.ndarray:
-    if mats.shape[-1] == 2:
-        return mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    return np.linalg.det(mats)
 
 
 def detsign_distributions(depth: int, dim: int) -> list[str]:
@@ -484,7 +486,7 @@ def run_detsign(n_samples: int, distributions: Sequence[str], seed: int, out=Non
             for _ in range(factors):
                 draw = gen.standard_normal((n_samples, dim, dim))
                 prod = draw if prod is None else draw @ prod
-            p = float(np.mean(_det_batch(prod) > 0))
+            p = float(np.mean(matfac.leading_minor_dets(prod) > 0))
         half = 3.0 * math.sqrt(max(p * (1.0 - p), 1e-12) / n_samples)
         rows.append(
             {"distribution": name, "n": n_samples, "p_det_pos": p, "ci_low": p - half, "ci_high": p + half}

@@ -54,6 +54,7 @@ __all__ = [
     "make_extended_task",
     "required_det_sign",
     "leading_minor_det",
+    "leading_minor_dets",
 ]
 
 ENTRY_BLOWUP_LIMIT = 1e12
@@ -287,10 +288,12 @@ def factor_gradients(net: DeepNet, task: CompletionTask) -> list[np.ndarray]:
 def leading_minor_det(m: np.ndarray) -> float:
     """Determinant of the leading min-square submatrix (the determinant
     itself when the matrix is square)."""
-    return float(_leading_minor_dets(np.asarray(m)[None])[0])
+    return float(leading_minor_dets(np.asarray(m)[None])[0])
 
 
-def _leading_minor_dets(ps: np.ndarray) -> np.ndarray:
+def leading_minor_dets(ps: np.ndarray) -> np.ndarray:
+    """:func:`leading_minor_det` along an (n, rows, cols) stack: the 2x2
+    closed form, otherwise ``np.linalg.det``."""
     k = min(ps.shape[1:])
     sub = ps[:, :k, :k]
     if k == 2:
@@ -336,7 +339,7 @@ def _samples(snapshots, task: CompletionTask) -> list[TrajectorySample]:
         losses,
         zip(*(ps[:, i, j].tolist() for i, j in unobserved)),
         sig.tolist(),
-        _leading_minor_dets(ps).tolist(),
+        leading_minor_dets(ps).tolist(),
         _unbalancedness([_stack(layer) for layer in zip(*factors)]).tolist(),
         metrics.effective_rank_of_sigmas(sig).tolist(),
         sig.sum(axis=-1).tolist(),

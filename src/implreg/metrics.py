@@ -104,12 +104,13 @@ def schatten(p: float) -> QuasiNormSpec:
 class BoundReport:
     """One evaluated bound: its name, value, direction, and the inputs
     it was computed from.  ``value`` may be +inf (as the loss tends to
-    zero) or negative (a vacuous lower bound, recorded as-is)."""
+    zero) or negative (a vacuous lower bound, recorded as-is); it is an
+    array when the bound was evaluated over an array of losses."""
 
     name: str
-    value: float
+    value: float | np.ndarray
     kind: str  # "lower" | "upper"
-    inputs: dict[str, float]
+    inputs: dict[str, float | np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +190,16 @@ def perturbed_solution_singular_values(
 # bound evaluators
 
 
-def _sqrt2l(ell: float) -> float:
-    return math.sqrt(2.0 * ell)
+def _loss_column(ell) -> np.ndarray:
+    loss = np.asarray(ell, dtype=float)
+    if np.any(loss < 0):
+        raise ValueError("loss must be non-negative")
+    return loss
+
+
+def _as_given(loss: np.ndarray, *values) -> tuple:
+    # a scalar loss gets Python floats back, a loss array arrays
+    return tuple(map(float, values)) if loss.ndim == 0 else values
 
 
 def _exp_sat(x: float) -> float:
@@ -199,7 +208,7 @@ def _exp_sat(x: float) -> float:
     return math.inf if x > 709.0 else math.exp(x)
 
 
-def base_task_bounds(ell: float, spec: QuasiNormSpec) -> tuple[BoundReport, BoundReport, BoundReport]:
+def base_task_bounds(ell: float | np.ndarray, spec: QuasiNormSpec) -> tuple[BoundReport, BoundReport, BoundReport]:
     """Bounds holding along positive-determinant trajectories of the base
     task at loss ``ell``:
 
@@ -207,14 +216,19 @@ def base_task_bounds(ell: float, spec: QuasiNormSpec) -> tuple[BoundReport, Boun
       b = max(sqrt(2) a, 8 c^2);
     - erank(W) <= 1 + (2 sqrt(12) / ln 2) sqrt(ell);
     - distance from rank one <= 3 sqrt(2) sqrt(ell).
+
+    ``ell`` may be an array of losses; the values are then arrays, bitwise
+    equal to scalar calls (IEEE sqrt and division are correctly rounded).
     """
-    if ell < 0:
-        raise ValueError("loss must be non-negative")
+    loss = _loss_column(ell)
     a = 1.0 / (math.sqrt(2.0) * spec.c)
     b = max(math.sqrt(2.0) * a, 8.0 * spec.c**2)
-    norm_lb = math.inf if ell == 0.0 else a / math.sqrt(ell) - b
-    erank_ub = 1.0 + (2.0 * math.sqrt(12.0) / math.log(2.0)) * math.sqrt(ell)
-    dist_ub = 3.0 * math.sqrt(2.0) * math.sqrt(ell)
+    root = np.sqrt(loss)
+    with np.errstate(divide="ignore"):
+        norm_lb = a / root - b
+    erank_ub = 1.0 + (2.0 * math.sqrt(12.0) / math.log(2.0)) * root
+    dist_ub = 3.0 * math.sqrt(2.0) * root
+    norm_lb, erank_ub, dist_ub = _as_given(loss, norm_lb, erank_ub, dist_ub)
     inputs = {"loss": ell, "a": a, "b": b, "c": spec.c}
     return (
         BoundReport("norm_lower", norm_lb, "lower", inputs),
@@ -224,7 +238,7 @@ def base_task_bounds(ell: float, spec: QuasiNormSpec) -> tuple[BoundReport, Boun
 
 
 def perturbed_task_bounds(
-    ell: float, z: float, z_prime: float, eps: float, spec: QuasiNormSpec
+    ell: float | np.ndarray, z: float, z_prime: float, eps: float, spec: QuasiNormSpec
 ) -> tuple[BoundReport, BoundReport, BoundReport]:
     """Bounds for the perturbed task at loss ``ell``, valid along
     trajectories whose determinant sign matches the task:
@@ -238,20 +252,22 @@ def perturbed_task_bounds(
       <= 4 |eps| + (4 + sqrt(|z z'|) / min(|z|, |z'|)) sqrt(2 ell).
 
     With eps != 0 the norm bound's zero-loss limit is the finite value
-    a |z z'| / |eps| - b.
+    a |z z'| / |eps| - b; with eps == 0 it is infinite.  ``ell`` may be
+    an array of losses, as in :func:`base_task_bounds`.
     """
     if z == 0 or z_prime == 0:
         raise ValueError("z and z_prime must be non-zero")
-    if ell < 0:
-        raise ValueError("loss must be non-negative")
+    loss = _loss_column(ell)
     az, azp, ae = abs(z), abs(z_prime), abs(eps)
     zmin = min(az, azp)
     a = 1.0 / spec.c
     b = max(a * az * azp / (ae + zmin), 8.0 * spec.c**2 * max(az, azp, ae))
-    denom = ae + _sqrt2l(ell)
-    norm_lb = math.inf if denom == 0.0 else a * az * azp / denom - b
-    erank_ub = 1.0 + (16.0 / zmin) * (ae + _sqrt2l(ell))
-    dist_ub = 4.0 * ae + (4.0 + math.sqrt(az * azp) / zmin) * _sqrt2l(ell)
+    root = np.sqrt(2.0 * loss)
+    with np.errstate(divide="ignore"):
+        norm_lb = a * az * azp / (ae + root) - b
+    erank_ub = 1.0 + (16.0 / zmin) * (ae + root)
+    dist_ub = 4.0 * ae + (4.0 + math.sqrt(az * azp) / zmin) * root
+    norm_lb, erank_ub, dist_ub = _as_given(loss, norm_lb, erank_ub, dist_ub)
     inputs = {"loss": ell, "z": z, "z_prime": z_prime, "eps": eps, "a": a, "b": b, "c": spec.c}
     return (
         BoundReport("norm_lower", norm_lb, "lower", inputs),

@@ -44,17 +44,15 @@ def _ramp_color(f: float) -> str:
     return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
 
 
-def _read_rows(path: str | Path) -> list[dict[str, str]]:
+def _read_rows(path: str | Path, cols: Sequence[str]) -> tuple[list[str], list[list[str]]]:
+    """Header and non-blank rows of a CSV; a column in ``cols`` that the
+    header lacks is a SchemaError unless there are no rows."""
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def _require(rows: list[dict[str, str]], cols: Sequence[str], path) -> None:
-    have = set(rows[0].keys()) if rows else set()
-    if rows:
-        for c in cols:
-            if c not in have:
-                raise SchemaError(f"missing column '{c}' in {path}")
+        header, *rows = [row for row in csv.reader(fh) if row] or [[]]
+    missing = [c for c in cols if c not in header]
+    if rows and missing:
+        raise SchemaError(f"missing column '{missing[0]}' in {path}")
+    return header, rows
 
 
 def _esc(s: str) -> str:
@@ -179,9 +177,9 @@ def _plot_loss_vs_entry(csv_paths, out_path, title):
     canvas = _Canvas()
     runs = []
     for p in csv_paths:
-        rows = _read_rows(p)
-        _require(rows, ["iter", "loss", "w11"], p)
-        pts = [(float(r["loss"]), abs(float(r["w11"])), float(r["iter"])) for r in rows]
+        header, rows = _read_rows(p, ["iter", "loss", "w11"])
+        it, lo, w = (header.index(c) if rows else 0 for c in ("iter", "loss", "w11"))
+        pts = [(float(r[lo]), abs(float(r[w])), float(r[it])) for r in rows]
         pts = [pt for pt in pts if pt[0] > 0]
         runs.append((Path(p).stem, pts))
 
@@ -218,9 +216,8 @@ def _series_key(row):
 def _plot_sweep(csv_paths, out_path, title):
     rows = []
     for p in csv_paths:
-        rs = _read_rows(p)
-        _require(rs, ["row", "method", "n_obs", "init_std", "recon_error", "est_rank"], p)
-        rows.extend(rs)
+        header, rs = _read_rows(p, ["row", "method", "n_obs", "init_std", "recon_error", "est_rank"])
+        rows.extend(dict(zip(header, r)) for r in rs)
     agg = [r for r in rows if r["row"] == "median_iqr"]
 
     canvas = _Canvas(width=_WIDTH + 320, height=_HEIGHT)

@@ -1,10 +1,11 @@
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
-from implreg import harness, svgplot
+from implreg import harness, matfac, metrics, svgplot
 from implreg.harness import (
     InitSpec,
     MatfacRunConfig,
@@ -20,7 +21,10 @@ from implreg.harness import (
     run_matfac,
     run_matfac_sweep,
     run_tenfac_sweep,
+    trajectory_rows,
+    write_csv,
 )
+from implreg.rng import stream
 
 
 def csvs_at_jobs(tmp_path, monkeypatch, run, cfg, jobs):
@@ -60,6 +64,70 @@ class TestFloatFormat:
         assert format_float(math.inf) == "inf"
         assert format_float(-math.inf) == "-inf"
         assert format_float(math.nan) == "nan"
+
+
+def old_format_float(x):
+    if isinstance(x, float) and not math.isfinite(x):
+        return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
+    if x != x:
+        return "nan"
+    return f"{x:.17g}"
+
+
+def old_write_csv(path, header, rows):
+    # the csv-module writer the row-format writer replaced
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([old_format_float(v) if isinstance(v, float) else v for v in row])
+    return path
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 1e308, 2.2250738585072014e-308]
+
+
+class TestWriteCsvMatchesCsvModule:
+    def mixed_rows(self):
+        rng = np.random.default_rng(7)
+        randoms = (rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, size=40)).tolist()
+        rows = [[k, *SPECIAL_FLOATS[k % 10 : k % 10 + 3], randoms[k], "tf", ""] for k in range(12)]
+        rows += [
+            [np.float64(v) for v in SPECIAL_FLOATS[:8]],
+            [np.int64(-3), np.float64(0.1), True, False, "linear", "", 7, -0.0],
+            [1, 2.5, "x", 3, 4.0, "", "", ""],  # types differ from the row before
+            ["cell", "tf", 400, 0.01, 2, randoms[-1], 2, "", "", "", ""],
+            [float(x) for x in randoms[20:]],
+        ]
+        return rows
+
+    def test_bytes_equal_old_writer(self, tmp_path):
+        header = ["a", "b", "c", "d", "e", "f", "g", "h"]
+        rows = self.mixed_rows()
+        new = write_csv(tmp_path / "new.csv", header, rows).read_bytes()
+        assert new == old_write_csv(tmp_path / "old.csv", header, rows).read_bytes()
+
+    def test_trajectory_tuples_equal_old_writer(self, tmp_path):
+        rows = [tuple(r) for r in self.mixed_rows()]
+        new = write_csv(tmp_path / "new.csv", ["x"], rows).read_bytes()
+        assert new == old_write_csv(tmp_path / "old.csv", ["x"], rows).read_bytes()
+
+    def test_header_only(self, tmp_path):
+        header = harness.MATFAC_BASE_COLUMNS
+        new = write_csv(tmp_path / "new.csv", header, []).read_bytes()
+        assert new == old_write_csv(tmp_path / "old.csv", header, []).read_bytes()
+
+    def test_format_float_matches_old(self):
+        for v in SPECIAL_FLOATS + [math.pi, -1.5e-310, np.float64(-math.nan), 12345678901234567890.0]:
+            assert format_float(v) == old_format_float(v)
+
+    @pytest.mark.parametrize("cell", ["a,b", 'say "hi"', "two\nlines", "cr\rhere"])
+    def test_cell_needing_quotes_rejected(self, tmp_path, cell):
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(tmp_path / "q.csv", ["name", "n"], [["ok", 1], [cell, 2]])
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(tmp_path / "q.csv", ["name", cell], [])
+        assert not (tmp_path / "q.csv").exists()
 
 
 class TestConfigs:
@@ -242,6 +310,54 @@ class TestRunMatfac:
         assert open(rec.csv_path).read().splitlines() == [",".join(header)]
 
 
+def old_trajectory_rows(samples, task_spec):
+    # one row per sample with scalar bound evaluations, as rows were once built
+    extra = sorted({ij for s in samples for ij in s.unobserved} - {(0, 0)})
+    nuclear = metrics.nuclear()
+    rows = []
+    for s in samples:
+        if task_spec.kind == "perturbed":
+            b = metrics.perturbed_task_bounds(s.loss, task_spec.z, task_spec.z_prime, task_spec.eps, nuclear)
+        else:
+            b = metrics.base_task_bounds(s.loss, nuclear)
+        rows.append(
+            [s.iteration, s.loss, s.unobserved.get((0, 0), math.nan)]
+            + [s.unobserved.get(ij, math.nan) for ij in extra]
+            + [s.det, s.sigmas[0], s.sigmas[1] if len(s.sigmas) > 1 else 0.0]
+            + [s.metrics[k] for k in ("erank", "nuclear_norm", "frob_norm", "spectral_norm", "schatten_half")]
+            + [s.unbalancedness, b[0].value, b[1].value, b[2].value]
+        )
+    return rows
+
+
+def typed_bits(rows):
+    return [[(type(v), np.float64(v).view(np.uint64) if isinstance(v, float) else v) for v in r] for r in rows]
+
+
+class TestTrajectoryRows:
+    @pytest.mark.parametrize(
+        "task, depth",
+        [
+            (TaskSpec(kind="base"), 2),
+            (TaskSpec(kind="perturbed", z=0.7, z_prime=-1.3, eps=0.05), 2),
+            (TaskSpec(kind="perturbed", z=1.0, z_prime=1.0, eps=0.1, unobserved=(1, 2)), 3),
+            (TaskSpec(kind="extended", rows=3, cols=4), 3),
+            (TaskSpec(kind="extended", rows=3, cols=3), 4),
+        ],
+        ids=["base-d2", "perturbed-d2", "off-diagonal-d3", "extended3x4-d3", "extended3x3-d4"],
+    )
+    def test_columns_equal_per_row_oracle(self, task, depth):
+        net, _ = InitSpec(kind="balanced", alpha=1e-2, det_sign=None).build(task, depth, stream(4, 1))
+        cfg = matfac.TrainConfig(learning_rate=0.03, max_iters=600, loss_threshold=0.0, log_stride=3)
+        samples = matfac.gd_train(net, task.build(), cfg).trajectory
+        header, rows = trajectory_rows(samples, task)
+        assert len(rows) == len(samples) > 200
+        assert all(len(r) == len(header) for r in rows)
+        assert typed_bits(rows) == typed_bits(old_trajectory_rows(samples, task))
+        if task.unobserved == (1, 2):  # w11 is observed: a NaN column, then the free entry's own column
+            assert header[2:4] == ["w11", "unobs_1_2"] and math.isnan(rows[0][2])
+
+
 class TestDetsign:
     def test_identity_sanity_path(self):
         rows = run_detsign(1000, ["identity"], seed=0)
@@ -377,6 +493,21 @@ class TestPlots:
         out = svgplot.emit_plot([path], "sweep", tmp_path / "s.svg")
         text = out.read_text()
         assert "<polyline" in text and "<polygon" in text
+
+    def test_loss_vs_entry_independent_of_column_order(self, tmp_path):
+        rec = run_matfac(quick_run_config(tmp_path / "canonical"))
+        with open(rec.csv_path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        order = list(reversed(range(len(header))))
+        moved = tmp_path / "moved" / f"{rec.run_id}.csv"
+        moved.parent.mkdir()
+        with open(moved, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["note"] + [header[i] for i in order])
+            w.writerows([f"n{k}"] + [r[i] for i in order] for k, r in enumerate(rows))
+        a = svgplot.emit_plot([rec.csv_path], "loss-vs-entry", tmp_path / "a.svg")
+        b = svgplot.emit_plot([moved], "loss-vs-entry", tmp_path / "b.svg")
+        assert len(rows) > 10 and a.read_bytes() == b.read_bytes()
 
     def test_unknown_style_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -220,6 +220,64 @@ class TestPerturbedTaskBounds:
         assert dist_ub.value == pytest.approx(4.0 * 0.05, abs=1e-12)
 
 
+LOSSES = [0.0, 5e-324, 1e-300, 1e-4, 0.5, 1e300] + (10.0 ** np.random.default_rng(3).uniform(-12, 1, 200)).tolist()
+
+
+def scalar_base_oracle(ell, c):
+    # the per-sample formulas on math.sqrt, as the CSV columns were once built
+    a = 1.0 / (math.sqrt(2.0) * c)
+    b = max(math.sqrt(2.0) * a, 8.0 * c**2)
+    norm_lb = math.inf if ell == 0.0 else a / math.sqrt(ell) - b
+    erank_ub = 1.0 + (2.0 * math.sqrt(12.0) / math.log(2.0)) * math.sqrt(ell)
+    return norm_lb, erank_ub, 3.0 * math.sqrt(2.0) * math.sqrt(ell)
+
+
+def scalar_perturbed_oracle(ell, z, z_prime, eps, c):
+    az, azp, ae = abs(z), abs(z_prime), abs(eps)
+    zmin = min(az, azp)
+    a = 1.0 / c
+    b = max(a * az * azp / (ae + zmin), 8.0 * c**2 * max(az, azp, ae))
+    denom = ae + math.sqrt(2.0 * ell)
+    norm_lb = math.inf if denom == 0.0 else a * az * azp / denom - b
+    erank_ub = 1.0 + (16.0 / zmin) * (ae + math.sqrt(2.0 * ell))
+    dist_ub = 4.0 * ae + (4.0 + math.sqrt(az * azp) / zmin) * math.sqrt(2.0 * ell)
+    return norm_lb, erank_ub, dist_ub
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestBoundsOverLossArrays:
+    @pytest.mark.parametrize("spec", [nuclear(), schatten(0.5)], ids=["nuclear", "schatten_half"])
+    def test_base_array_equals_scalar_calls(self, spec):
+        column = base_task_bounds(np.array(LOSSES), spec)
+        for k, report in enumerate(column):
+            assert isinstance(report.value, np.ndarray)
+            scalars = [base_task_bounds(ell, spec)[k].value for ell in LOSSES]
+            assert all(type(v) is float for v in scalars)
+            assert bits(report.value) == bits(scalars)
+            assert bits(scalars) == bits([scalar_base_oracle(ell, spec.c)[k] for ell in LOSSES])
+
+    @pytest.mark.parametrize("z, z_prime, eps", [(1.0, 1.0, 0.0), (1.0, 1.0, 0.01), (0.7, -1.3, -0.05)])
+    def test_perturbed_array_equals_scalar_calls(self, z, z_prime, eps):
+        column = perturbed_task_bounds(np.array(LOSSES), z, z_prime, eps, nuclear())
+        for k, report in enumerate(column):
+            scalars = [perturbed_task_bounds(ell, z, z_prime, eps, nuclear())[k].value for ell in LOSSES]
+            assert all(type(v) is float for v in scalars)
+            assert bits(report.value) == bits(scalars)
+            assert bits(scalars) == bits([scalar_perturbed_oracle(ell, z, z_prime, eps, 1.0)[k] for ell in LOSSES])
+        assert (column[0].value[0] == math.inf) == (eps == 0.0)
+
+    def test_negative_loss_rejected(self):
+        for ell in (-1e-300, np.array([0.1, -0.0, -1e-12])):
+            with pytest.raises(ValueError):
+                base_task_bounds(ell, nuclear())
+            with pytest.raises(ValueError):
+                perturbed_task_bounds(ell, 1.0, 1.0, 0.1, nuclear())
+        base_task_bounds(np.array([0.1, -0.0]), nuclear())  # -0.0 is not negative
+
+
 class TestUnbalancedInitReport:
     def test_large_defect_is_inadmissible(self):
         rep = unbalanced_init_report(3, 0.25, 0.1, nuclear(), eps=0.5)
