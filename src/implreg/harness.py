@@ -140,8 +140,7 @@ class InitSpec:
     alpha: float = 1e-3
     det_sign: int | None = 0
 
-    def build(self, task_spec: TaskSpec, depth: int, rng) -> tuple[matfac.DeepNet, int]:
-        task = task_spec.build()
+    def build(self, task: matfac.CompletionTask, depth: int, rng) -> tuple[matfac.DeepNet, int]:
         shape = task.shape
 
         def make(r):
@@ -349,19 +348,18 @@ MATFAC_BASE_COLUMNS = [
 _NUCLEAR = metrics.nuclear()
 
 
-def _bound_columns(task_spec: TaskSpec) -> list[str]:
-    prefix = "thm2" if task_spec.kind == "perturbed" else "thm1"
-    return [f"{prefix}_norm_lb", f"{prefix}_erank_ub", f"{prefix}_dist_ub"]
-
-
-def _bounds_for(task_spec: TaskSpec, losses: list[float]) -> list[list[float]]:
-    """The three bound columns over a loss column, as Python floats."""
+def _bounds_for(task_spec: TaskSpec, losses: list[float]) -> tuple[list[str], list[list[float]]]:
+    """The names of the three bound columns and their values over a loss
+    column, as Python floats."""
     ell = np.array(losses, dtype=float)
     if task_spec.kind == "perturbed":
+        prefix = "thm2"
         b = metrics.perturbed_task_bounds(ell, task_spec.z, task_spec.z_prime, task_spec.eps, _NUCLEAR)
     else:
+        prefix = "thm1"
         b = metrics.base_task_bounds(ell, _NUCLEAR)
-    return [report.value.tolist() for report in b]
+    names = [f"{prefix}_norm_lb", f"{prefix}_erank_ub", f"{prefix}_dist_ub"]
+    return names, [report.value.tolist() for report in b]
 
 
 def trajectory_rows(samples, task_spec: TaskSpec):
@@ -371,8 +369,9 @@ def trajectory_rows(samples, task_spec: TaskSpec):
     table is built a column at a time; rows are tuples."""
     extra_unobs = sorted({ij for s in samples for ij in s.unobserved} - {(0, 0)})
     extra_cols = [f"unobs_{i + 1}_{j + 1}" for (i, j) in extra_unobs]
-    header = MATFAC_BASE_COLUMNS[:3] + extra_cols + MATFAC_BASE_COLUMNS[3:] + _bound_columns(task_spec)
     losses = [s.loss for s in samples]
+    bound_names, bounds = _bounds_for(task_spec, losses)
+    header = MATFAC_BASE_COLUMNS[:3] + extra_cols + MATFAC_BASE_COLUMNS[3:] + bound_names
     columns = [
         [s.iteration for s in samples],
         losses,
@@ -382,7 +381,7 @@ def trajectory_rows(samples, task_spec: TaskSpec):
         [s.sigmas[1] if len(s.sigmas) > 1 else 0.0 for s in samples],
         *([s.metrics[k] for s in samples] for k in MATFAC_BASE_COLUMNS[6:11]),  # erank .. schatten_half
         [s.unbalancedness for s in samples],
-        *_bounds_for(task_spec, losses),
+        *bounds,
     ]
     return header, list(zip(*columns))
 
@@ -393,7 +392,7 @@ def run_matfac(cfg: MatfacRunConfig) -> RunRecord:
     trajectory kept."""
     task = cfg.task.build()
     rng = stream(cfg.seed, 1)
-    net, attempts = cfg.init.build(cfg.task, cfg.depth, rng)
+    net, attempts = cfg.init.build(task, cfg.depth, rng)
     train_cfg = matfac.TrainConfig(
         learning_rate=cfg.learning_rate,
         max_iters=cfg.max_iters,
@@ -401,27 +400,16 @@ def run_matfac(cfg: MatfacRunConfig) -> RunRecord:
         log_stride=cfg.log_stride,
     )
     t0 = time.monotonic()
-    diverged = False
+    diverged = converged = False
     try:
         result = matfac.gd_train(net, task, train_cfg)
-        trajectory = result.trajectory
-        summary_tail = {
-            "iterations": result.iterations,
-            "final_loss": result.trajectory[-1].loss,
-            "final_w11": result.trajectory[-1].unobserved.get((0, 0)),
-            "converged": result.converged,
-        }
+        trajectory, converged = result.trajectory, result.converged
     except matfac.DivergenceError as exc:
-        diverged = True
-        trajectory = exc.trajectory
-        last = exc.last_sample
-        summary_tail = {
-            "iterations": last.iteration if last else 0,
-            "final_loss": last.loss if last else math.nan,
-            "final_w11": last.unobserved.get((0, 0)) if last else math.nan,
-            "converged": False,
-        }
+        diverged, trajectory = True, exc.trajectory
     elapsed = time.monotonic() - t0
+    # a finished run always logs its final state: its last sample is at
+    # result.iterations
+    last = trajectory[-1] if trajectory else None
 
     header, rows = trajectory_rows(trajectory, cfg.task)
     config = asdict(cfg)
@@ -432,7 +420,15 @@ def run_matfac(cfg: MatfacRunConfig) -> RunRecord:
         run_id=run_id,
         config=config,
         csv_path=str(csv_path),
-        summary={"diverged": diverged, "init_attempts": attempts, "runtime_s": elapsed, **summary_tail},
+        summary={
+            "diverged": diverged,
+            "init_attempts": attempts,
+            "runtime_s": elapsed,
+            "iterations": last.iteration if last else 0,
+            "final_loss": last.loss if last else math.nan,
+            "final_w11": last.unobserved.get((0, 0)) if last else math.nan,
+            "converged": converged,
+        },
     )
     record.write(out_dir / f"{run_id}.json")
     return record

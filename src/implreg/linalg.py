@@ -13,10 +13,9 @@ form, which the tests also use as an oracle independent of LAPACK.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -43,17 +42,8 @@ class KernelError(RuntimeError):
         self.matrix = matrix
 
 
-class _Spectral(enum.Enum):
-    SPECTRAL = "spectral"
-
-
-#: Distinguished order selecting the spectral norm (largest singular
-#: value) from the Schatten family.  Kept as an enum member rather than
-#: a float infinity so the infinite order cannot be produced by
-#: arithmetic accident.
-SPECTRAL = _Spectral.SPECTRAL
-
-SchattenOrder = Union[float, _Spectral]
+#: The Schatten order of the spectral norm (largest singular value).
+SPECTRAL = math.inf
 
 
 def as_matrix(a) -> np.ndarray:
@@ -168,20 +158,19 @@ def _svd2x2(rows) -> tuple[float, float]:
     return 0.5 * (q + r), 0.5 * abs(q - r)
 
 
-def schatten_norm(m, p: SchattenOrder) -> float:
+def schatten_norm(m, p: float) -> float:
     """Schatten norm of order ``p``: ``(sum_r sigma_r**p) ** (1/p)``.
 
-    ``p`` must be a positive real or :data:`SPECTRAL` (the max singular
-    value).  p = 1 is nuclear, p = 2 is Frobenius; p < 1 gives the
-    quasi-norm variant.  A float infinity is accepted and treated as
-    :data:`SPECTRAL`.
+    ``p`` must be positive; :data:`SPECTRAL` (``math.inf``) gives the
+    max singular value.  p = 1 is nuclear, p = 2 is Frobenius; p < 1
+    gives the quasi-norm variant.
     """
     w = as_matrix(m)
-    if isinstance(p, _Spectral) or (isinstance(p, float) and math.isinf(p) and p > 0):
-        return float(_sigmas(w[None])[0, 0])
     pf = float(p)
     if not pf > 0:
         raise ValueError(f"Schatten order must be positive, got {p!r}")
+    if pf == SPECTRAL:
+        return float(_sigmas(w[None])[0, 0])
     if pf == 2.0:
         # Frobenius: no SVD needed
         return float(np.sqrt(np.sum(w * w)))

@@ -64,7 +64,8 @@ class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or an entry beyond 1e12.
 
     Carries the last finite logged sample plus the partial trajectory so
-    callers can persist what was computed before the blow-up.
+    callers can persist what was computed before the blow-up, and the
+    net at the blow-up, or None when a factor entry is not finite.
     """
 
     def __init__(self, message, last_sample, trajectory, net):
@@ -212,34 +213,26 @@ def product_matrix(net: DeepNet) -> np.ndarray:
     return p
 
 
-def _matmul_tn(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a.T @ b
-
-
-def _matmul_nt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b.T
-
-
-# Entry e of a 2x2 product of row-major 4-tuples is
-# a[i] * b[j] + a[k] * b[m] for (i, j, k, m) = pattern[e]: the patterns of
-# a @ b, a.T @ b and a @ b.T.
+# Entry e of a 2x2 product a @ b of row-major 4-tuples is
+# a[i] * b[j] + a[k] * b[m] for (i, j, k, m) = _NN[e].
 _NN = ((0, 0, 1, 2), (0, 1, 1, 3), (2, 0, 3, 2), (2, 1, 3, 3))
-_TN = ((0, 0, 2, 2), (0, 1, 2, 3), (1, 0, 3, 2), (1, 1, 3, 3))
-_NT = ((0, 0, 1, 1), (0, 2, 1, 3), (2, 0, 3, 1), (2, 2, 3, 3))
+
+
+def _transpose4(a):
+    return (a[0], a[2], a[1], a[3])
 
 
 class _StepWriter:
-    """2x2 products over 4-tuples of variable names: ``mul``, ``mul_tn``
-    and ``mul_nt`` append the source lines computing a product's entries
-    to ``lines`` and return the names of those entries."""
+    """2x2 products over 4-tuples of variable names: ``mul`` appends the
+    source lines computing a product's entries to ``lines`` and returns
+    the names of those entries."""
 
     def __init__(self):
         self.lines: list[str] = []
-        self.mul, self.mul_tn, self.mul_nt = (functools.partial(self._product, pattern=p) for p in (_NN, _TN, _NT))
 
-    def _product(self, a, b, pattern):
+    def mul(self, a, b):
         out = []
-        for i, j, k, m in pattern:
+        for i, j, k, m in _NN:
             out.append(f"t{len(self.lines)}")
             self.lines.append(f"{out[-1]} = {a[i]} * {b[j]} + {a[k]} * {b[m]}")
         return tuple(out)
@@ -256,17 +249,17 @@ def _prefix_chain(fs, mul):
     return prefixes, p
 
 
-def _chain_gradients(fs, prefixes, g, mul, mul_tn, mul_nt) -> list:
+def _chain_gradients(fs, prefixes, g, mul, t) -> list:
     """Per-factor gradients (W_L ... W_{l+1})^T G (W_{l-1} ... W_1)^T of
     the masked residual ``g``, with the suffix products built from the
-    top down.  ``mul``, ``mul_tn`` and ``mul_nt`` compute a @ b,
-    a.T @ b and a @ b.T in the factors' representation."""
+    top down.  ``mul`` and ``t`` compute a @ b and a.T in the factors'
+    representation."""
     grads: list = [None] * len(fs)
     s = None
     for l in range(len(fs) - 1, -1, -1):
-        gl = g if s is None else mul_tn(s, g)
+        gl = g if s is None else mul(t(s), g)
         if prefixes[l] is not None:
-            gl = mul_nt(gl, prefixes[l])
+            gl = mul(gl, t(prefixes[l]))
         grads[l] = gl
         if l:
             s = fs[l] if s is None else mul(s, fs[l])
@@ -282,7 +275,7 @@ def factor_gradients(net: DeepNet, task: CompletionTask) -> list[np.ndarray]:
     if net.shape != task.shape:
         raise ValueError(f"net shape {net.shape} does not match task shape {task.shape}")
     prefixes, p = _prefix_chain(net.factors, np.matmul)
-    return _chain_gradients(net.factors, prefixes, residual_gradient(task, p), np.matmul, _matmul_tn, _matmul_nt)
+    return _chain_gradients(net.factors, prefixes, residual_gradient(task, p), np.matmul, np.transpose)
 
 
 def leading_minor_det(m: np.ndarray) -> float:
@@ -362,55 +355,44 @@ def _samples(snapshots, task: CompletionTask) -> list[TrajectorySample]:
     ]
 
 
-# A step kernel holds the factors of a run.  ``forward()`` takes the
-# product and the residual on observed entries and returns (loss,
-# max |entry|); ``update(eta)`` moves every factor by -eta times its
-# gradient at the point of the last forward(); ``run_until(eta, it,
-# stop_it, lo_min, lo_max)`` repeats update and forward from iteration
-# ``it`` until ``stop_it``, a loss outside [lo_min, lo_max) or an entry
-# beyond ENTRY_BLOWUP_LIMIT, and returns (iteration, loss, max |entry|);
-# ``arrays()`` returns (product, factors) as numpy arrays and
-# ``snapshot()`` the same state in a form no later step changes, for
-# _samples.
+# A step kernel holds the factors of a run; ``__init__`` evaluates the
+# start point.  ``run_until(eta, it, stop_it, lo_min, lo_max)`` steps
+# every factor by -eta times its gradient from iteration ``it`` until
+# ``stop_it``, a loss outside [lo_min, lo_max) or an entry beyond
+# ENTRY_BLOWUP_LIMIT, and returns (iteration, loss, max |entry|); with
+# ``stop_it == it`` it only reports the current point.  ``snapshot()``
+# returns (product, factors) in a form no later step changes, for
+# _samples and _net.
 
 
 class _ArrayKernel:
-    """Factors as numpy arrays: any shape."""
+    """Factors as numpy arrays: any shape.  A step builds new arrays
+    (w - eta * g) and writes into none, so a snapshot is the live state."""
 
     def __init__(self, factors: Sequence[np.ndarray], task: CompletionTask):
-        self.ws = [f.copy() for f in factors]
+        self.ws = list(factors)
         self.rows, self.cols, self.vals = task.index_arrays()
+        self._forward()
 
-    def forward(self) -> tuple[float, float]:
+    def _forward(self) -> None:
         self.prefixes, self.p = _prefix_chain(self.ws, np.matmul)
         self.r = self.p[self.rows, self.cols] - self.vals
-        return 0.5 * float(self.r @ self.r), float(np.abs(self.p).max())
-
-    def update(self, eta: float) -> None:
-        g = np.zeros_like(self.p)
-        g[self.rows, self.cols] = self.r
-        # every gradient is taken before any factor moves (the prefixes
-        # alias the live arrays)
-        grads = _chain_gradients(self.ws, self.prefixes, g, np.matmul, _matmul_tn, _matmul_nt)
-        for w, gl in zip(self.ws, grads):
-            gl *= eta
-            w -= gl
+        self.lo, self.peak = 0.5 * float(self.r @ self.r), float(np.abs(self.p).max())
 
     def run_until(self, eta: float, it: int, stop_it: int, lo_min: float, lo_max: float) -> tuple[int, float, float]:
-        while True:
-            self.update(eta)
+        while it < stop_it:
+            g = np.zeros_like(self.p)
+            g[self.rows, self.cols] = self.r
+            grads = _chain_gradients(self.ws, self.prefixes, g, np.matmul, np.transpose)
+            self.ws = [w - eta * gl for w, gl in zip(self.ws, grads)]
             it += 1
-            lo, peak = self.forward()
-            if it >= stop_it or not (lo_min <= lo < lo_max and peak <= ENTRY_BLOWUP_LIMIT):
-                return it, lo, peak
-
-    def arrays(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        return self.p, self.ws
+            self._forward()
+            if not (lo_min <= self.lo < lo_max and self.peak <= ENTRY_BLOWUP_LIMIT):
+                break
+        return it, self.lo, self.peak
 
     def snapshot(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        # update() moves the factors in place, and a depth-1 product is
-        # the factor itself
-        return self.p.copy(), [w.copy() for w in self.ws]
+        return self.p, self.ws
 
 
 @functools.cache
@@ -432,7 +414,7 @@ def _step_function(depth: int, observed: tuple[int, ...]):
     forward.append("lo = 0.5 * (" + (" + ".join(f"r{k} * r{k}" for k in observed) or "0.0") + ")")
     g = tuple(f"r{k}" if k in observed else "0.0" for k in range(4))
     n_forward = len(writer.lines)
-    grads = _chain_gradients(ws, prefixes, g, writer.mul, writer.mul_tn, writer.mul_nt)
+    grads = _chain_gradients(ws, prefixes, g, writer.mul, _transpose4)
     update = writer.lines[n_forward:]
     update += [f"{w} = {w} - eta * {gw}" for wl, gl in zip(ws, grads) for w, gw in zip(wl, gl)]
     inside = " and ".join(f"{-ENTRY_BLOWUP_LIMIT!r} <= {x} <= {ENTRY_BLOWUP_LIMIT!r}" for x in p)
@@ -461,19 +443,11 @@ class _Scalar2x2Kernel:
         rows, cols, vals = task.index_arrays()
         self.vals = tuple(vals.tolist())
         self._run = _step_function(len(self.ws), tuple(2 * i + j for i, j in zip(rows.tolist(), cols.tolist())))
+        self.run_until(0.0, 0, 0, 0.0, 0.0)
 
     def run_until(self, eta: float, it: int, stop_it: int, lo_min: float, lo_max: float) -> tuple[int, float, float]:
         it, lo, self.p, self.ws = self._run(self.ws, self.vals, eta, it, stop_it, lo_min, lo_max)
         return it, lo, max(map(abs, self.p))
-
-    def forward(self) -> tuple[float, float]:
-        return self.run_until(0.0, 0, 0, 0.0, 0.0)[1:]
-
-    def update(self, eta: float) -> None:
-        self.run_until(eta, 0, 1, -math.inf, math.inf)
-
-    def arrays(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        return np.reshape(self.p, (2, 2)), [np.reshape(w, (2, 2)) for w in self.ws]
 
     def snapshot(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
         return self.p, self.ws
@@ -496,6 +470,13 @@ def _decade_band(decade: int | None) -> tuple[float, float]:
     return base * (1 + 1e-9), 10.0 * base * (1 - 1e-9)
 
 
+def _net(factors) -> DeepNet | None:
+    """A snapshot's factors as a DeepNet of fresh arrays; None when an
+    entry is not finite (a step overflowed)."""
+    fs = tuple(_stack([f])[0] for f in factors)
+    return DeepNet(fs) if all(np.isfinite(f).all() for f in fs) else None
+
+
 def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResult:
     """Full-batch gradient descent on the factors.
 
@@ -505,13 +486,14 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
     crosses a power-of-ten boundary (so loss-resolved curves stay well
     sampled without storing every step), and at the final state.
     Raises :class:`DivergenceError` on non-finite loss or entries
-    beyond 1e12.  Nets whose factors are all 2x2 step on Python floats,
-    every other shape on numpy arrays; the two agree to rounding.
-    Between checks the kernel runs on alone until an iteration at which
-    one of them could fire (stride, cap, threshold, ``_decade_band``).
-    Logging keeps the state; the samples are computed from all kept
-    states in one stacked pass (``_samples``) when the run ends or
-    before DivergenceError is raised.
+    beyond 1e12; its ``net`` is None when a step overflowed a factor
+    entry to inf or nan.  Nets whose factors are all 2x2 step on Python
+    floats, every other shape on numpy arrays; the two agree to
+    rounding.  Between checks the kernel runs on alone until an
+    iteration at which one of them could fire (stride, cap, threshold,
+    ``_decade_band``).  Logging keeps the state; the samples are
+    computed from all kept states in one stacked pass (``_samples``)
+    when the run ends or before DivergenceError is raised.
     """
     if net.shape != task.shape:
         raise ValueError(f"net shape {net.shape} does not match task shape {task.shape}")
@@ -519,30 +501,20 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
     eta, stride = cfg.learning_rate, cfg.log_stride
 
     snapshots: list[tuple] = []
-    it = 0
     last_decade: float | None = None
-    logged_it = -1
-
-    def log_state(lo):
-        nonlocal logged_it
-        snapshots.append((it, lo, *kernel.snapshot()))
-        logged_it = it
-
     converged = False
-    lo, peak = kernel.forward()
+    it, lo, peak = kernel.run_until(eta, 0, 0, 0.0, 0.0)
     while True:
         if not math.isfinite(lo) or peak > ENTRY_BLOWUP_LIMIT:
             trajectory = _samples(snapshots, task)
             last = trajectory[-1] if trajectory else None
-            raise DivergenceError(
-                f"training diverged at iteration {it}", last, trajectory, DeepNet(tuple(kernel.arrays()[1]))
-            )
+            raise DivergenceError(f"training diverged at iteration {it}", last, trajectory, _net(kernel.snapshot()[1]))
 
         decade = math.floor(math.log10(lo)) if lo > 0 else None
         crossed = last_decade is not None and decade != last_decade
         last_decade = decade
         if it % stride == 0 or crossed:
-            log_state(lo)
+            snapshots.append((it, lo, *kernel.snapshot()))
 
         if lo < cfg.loss_threshold:
             converged = True
@@ -554,13 +526,10 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
         stop_it = min((it // stride + 1) * stride, cfg.max_iters)
         it, lo, peak = kernel.run_until(eta, it, stop_it, max(band_lo, cfg.loss_threshold), band_hi)
 
-    if logged_it != it:
-        log_state(lo)
+    if snapshots[-1][0] != it:
+        snapshots.append((it, lo, *kernel.snapshot()))
     return TrainResult(
-        net=DeepNet(tuple(kernel.arrays()[1])),
-        trajectory=_samples(snapshots, task),
-        iterations=it,
-        converged=converged,
+        net=_net(snapshots[-1][3]), trajectory=_samples(snapshots, task), iterations=it, converged=converged
     )
 
 

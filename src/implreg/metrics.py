@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import SPECTRAL, SchattenOrder, as_matrix, schatten_norm, singular_values
+from .linalg import SPECTRAL, as_matrix, schatten_norm, singular_values
 
 # Imported unused: perfbench/layers.py traces it under this module name.
 from .linalg import svd  # noqa: F401
@@ -57,22 +57,18 @@ class QuasiNormSpec:
     below carry no basis-norm factors.
     """
 
-    p: SchattenOrder
+    p: float
     c: float = field(init=False)
 
     def __post_init__(self):
-        if self.p is SPECTRAL:
-            c = 1.0
-        else:
-            pf = float(self.p)
-            if not pf > 0:
-                raise ValueError("Schatten order must be positive")
-            c = 1.0 if pf >= 1.0 else 2.0 ** (1.0 / pf - 1.0)
-        object.__setattr__(self, "c", c)
+        pf = float(self.p)
+        if not pf > 0:
+            raise ValueError("Schatten order must be positive")
+        object.__setattr__(self, "c", 1.0 if pf >= 1.0 else 2.0 ** (1.0 / pf - 1.0))
 
     @property
     def name(self) -> str:
-        if self.p is SPECTRAL:
+        if self.p == SPECTRAL:
             return "spectral"
         if self.p == 1.0:
             return "nuclear"

@@ -199,8 +199,7 @@ def _plot_loss_vs_entry(csv_paths, out_path, title):
     for k, (label, pts) in enumerate(runs):
         color = _SERIES_COLORS[k % len(_SERIES_COLORS)]
         if pts:
-            path_pts = _decimate([(ax.x(lo), ax.y(w)) for lo, w, _ in pts], 1500)
-            canvas.polyline(path_pts, color)
+            canvas.polyline([(ax.x(lo), ax.y(w)) for lo, w, _ in _decimate(pts, 1500)], color)
             max_it = max(pt[2] for pt in pts) or 1.0
             for lo, w, it in _decimate(pts, 120):
                 canvas.circle(ax.x(lo), ax.y(w), 2.0, _ramp_color(it / max_it))

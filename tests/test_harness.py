@@ -295,6 +295,14 @@ class TestRunMatfac:
         assert rec.summary["diverged"] is True
         assert read_csv(rec.csv_path)  # partial rows survived
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_factor_overflow_is_recorded_as_divergence(self, tmp_path):
+        cfg = quick_run_config(tmp_path, init=InitSpec(kind="balanced", alpha=10.0), learning_rate=1e308)
+        rec = run_matfac(cfg)
+        assert rec.summary["diverged"] is True
+        assert rec.summary["iterations"] == 0
+        assert len(read_csv(rec.csv_path)) == 1
+
     @pytest.mark.parametrize(
         "task", [TaskSpec(kind="base"), TaskSpec(kind="extended", rows=3, cols=4)], ids=["base", "extended3x4"]
     )
@@ -347,7 +355,7 @@ class TestTrajectoryRows:
         ids=["base-d2", "perturbed-d2", "off-diagonal-d3", "extended3x4-d3", "extended3x3-d4"],
     )
     def test_columns_equal_per_row_oracle(self, task, depth):
-        net, _ = InitSpec(kind="balanced", alpha=1e-2, det_sign=None).build(task, depth, stream(4, 1))
+        net, _ = InitSpec(kind="balanced", alpha=1e-2, det_sign=None).build(task.build(), depth, stream(4, 1))
         cfg = matfac.TrainConfig(learning_rate=0.03, max_iters=600, loss_threshold=0.0, log_stride=3)
         samples = matfac.gd_train(net, task.build(), cfg).trajectory
         header, rows = trajectory_rows(samples, task)

@@ -191,6 +191,13 @@ class TestSchattenNorm:
         m = [[3.0, 1.0], [1.0, 0.0]]
         assert schatten_norm(m, float("inf")) == schatten_norm(m, SPECTRAL)
 
+    def test_spectral_is_the_float_infinity(self):
+        m = rand_matrix(5, 3, 4)
+        assert SPECTRAL == math.inf
+        assert schatten_norm(m, SPECTRAL) == float(singular_values(m)[0])
+        with pytest.raises(ValueError):
+            schatten_norm(m, -math.inf)
+
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
             schatten_norm(np.eye(2), 0.0)

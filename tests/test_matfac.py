@@ -252,6 +252,19 @@ class TestGdTrain:
         assert err.trajectory
         assert math.isfinite(err.last_sample.loss)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize(
+        "shape, depth, task", [((2, 2), 2, BASE), ((2, 2), 1, BASE), ((3, 4), 3, make_extended_task(3, 4))]
+    )
+    def test_factor_overflow_raises_divergence_without_net(self, shape, depth, task):
+        # the first step overflows a factor entry: there is no finite net to carry
+        net = init_balanced(shape, depth, 10.0, stream(0, 1))
+        with pytest.raises(matfac.DivergenceError) as exc_info:
+            gd_train(net, task, TrainConfig(learning_rate=1e308, max_iters=10))
+        err = exc_info.value
+        assert err.net is None
+        assert [s.iteration for s in err.trajectory] == [0]
+
 
 def _assert_close_to_scale(actual, expected, rtol):
     """Entry-wise agreement relative to the matrix's largest entry, so
@@ -276,15 +289,37 @@ class TestStepKernels:
         scalar = matfac._Scalar2x2Kernel(net.factors, task)
         array = matfac._ArrayKernel(net.factors, task)
         for step in range(10_001):
-            scalar.forward()
-            array.forward()
             if step % 500 == 0:
-                (p_s, ws_s), (p_a, ws_a) = scalar.arrays(), array.arrays()
-                _assert_close_to_scale(p_s, p_a, 1e-10)
+                (p_s, ws_s), (p_a, ws_a) = scalar.snapshot(), array.snapshot()
+                _assert_close_to_scale(np.reshape(p_s, (2, 2)), p_a, 1e-10)
                 for w_s, w_a in zip(ws_s, ws_a):
-                    _assert_close_to_scale(w_s, w_a, 1e-10)
-            scalar.update(1e-3)
-            array.update(1e-3)
+                    _assert_close_to_scale(np.reshape(w_s, (2, 2)), w_a, 1e-10)
+            scalar.run_until(1e-3, step, step + 1, -math.inf, math.inf)
+            array.run_until(1e-3, step, step + 1, -math.inf, math.inf)
+
+    @pytest.mark.parametrize("kernel", [matfac._Scalar2x2Kernel, matfac._ArrayKernel])
+    def test_run_until_stop_at_it_only_reports(self, kernel):
+        net = random_net(6, [2, 2, 2])
+        k = kernel(net.factors, BASE)
+        reached = k.run_until(1e-2, 0, 5, -math.inf, math.inf)
+        p, ws = (np.array(x, dtype=float) for x in k.snapshot())
+        assert k.run_until(1e-2, 5, 5, -math.inf, math.inf) == reached
+        assert reached[0] == 5
+        assert np.array_equal(np.array(k.snapshot()[0], dtype=float), p)
+        assert np.array_equal(np.array(k.snapshot()[1], dtype=float), ws)
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_array_snapshot_outlives_later_steps(self, depth):
+        # at depth 1 the product is the factor itself
+        task = make_extended_task(3, 4)
+        k = matfac._ArrayKernel(init_unbalanced((3, 4), depth, 0.5, stream(9, depth)).factors, task)
+        k.run_until(0.03, 0, 3, -math.inf, math.inf)
+        p, ws = k.snapshot()
+        kept = p.copy(), [w.copy() for w in ws]
+        k.run_until(0.03, 3, 10, -math.inf, math.inf)
+        assert not np.array_equal(k.snapshot()[0], kept[0])
+        assert np.array_equal(p, kept[0])
+        assert all(np.array_equal(w, v) for w, v in zip(ws, kept[1]))
 
     def test_kernel_chosen_by_factor_shape(self):
         square = random_net(1, [2, 2, 2, 2])

@@ -46,6 +46,12 @@ class TestQuasiNormSpec:
         with pytest.raises(ValueError):
             QuasiNormSpec(p=-2.0)
 
+    @pytest.mark.parametrize("p", [SPECTRAL, math.inf, float("inf")])
+    def test_infinite_order_is_spectral(self, p):
+        spec = QuasiNormSpec(p=p)
+        assert (spec.c, spec.name) == (1.0, "spectral")
+        assert spec == spectral()
+
 
 class TestEffectiveRank:
     def test_maximal_on_balanced_solution(self):
