@@ -9,6 +9,7 @@ output directory.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -35,8 +36,7 @@ def main() -> int:
     for depth in (2, 3, 4) if args.full else sorted(QUICK):
         if args.full:
             cfg_path = Path(__file__).resolve().parent.parent / "configs" / f"matfac_entry_vs_loss_depth{depth}.json"
-            sweep = harness.load_config(cfg_path)
-            sweep = type(sweep)(**{**sweep.__dict__, "out_dir": args.out_dir})
+            sweep = dataclasses.replace(harness.load_config(cfg_path), out_dir=args.out_dir)
             records = harness.run_matfac_sweep(sweep, jobs=args.jobs)
         else:
             records = []

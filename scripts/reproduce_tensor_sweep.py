@@ -4,10 +4,11 @@ estimated rank against the number of observations.
 
 The default is a reduced grid (three observation counts, two init
 scales, five seeds; a few minutes).  --config runs a preset from
-configs/ instead.
+configs/ instead.  The sweep CSV and its SVG both go under --out-dir.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ def main() -> int:
     args = ap.parse_args()
 
     if args.config:
-        cfg = harness.load_config(args.config)
+        cfg = dataclasses.replace(harness.load_config(args.config), out_dir=args.out_dir)
     else:
         cfg = harness.TenfacSweepConfig(
             dims=(8, 8, 8),

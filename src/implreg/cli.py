@@ -7,7 +7,9 @@ Subcommands:
 - ``implreg tenfac --config FILE [--jobs N] [--seed S]``
 - ``implreg plot --input CSV [CSV ...] --style {loss-vs-entry,sweep} --out SVG``
 
-Seed precedence is flag > IMPLREG_SEED environment variable > config.
+Seed precedence is flag > IMPLREG_SEED environment variable > config,
+for a config with one seed; ``--seed`` on a config listing several
+seeds is an error, and IMPLREG_SEED leaves such a config as it is.
 """
 
 from __future__ import annotations
@@ -53,18 +55,26 @@ def _reseed(cfg, seed):
     return dataclasses.replace(cfg, seed=seed)
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+_OWNED = {
+    "matfac": (harness.MatfacRunConfig, harness.MatfacSweepConfig),
+    "tenfac": (harness.TenfacSweepConfig,),
+}
 
-    if args.command in ("matfac", "tenfac"):
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+
+    if args.command in _OWNED:
         cfg = harness.load_config(args.config)
-        default_seed = getattr(cfg, "seed", None)
-        if default_seed is None:
-            seeds = getattr(cfg, "seeds", ())
-            default_seed = seeds[0] if len(seeds) == 1 else None
-        if default_seed is not None:
-            seed = harness.resolve_seed(args.seed, default_seed)
-            if seed != default_seed:
+        if not isinstance(cfg, _OWNED[args.command]):
+            parser.error(f"{args.config} holds a {type(cfg).__name__}, which `{args.command}` does not run")
+        seeds = cfg.seeds if hasattr(cfg, "seeds") else (cfg.seed,)
+        if len(seeds) > 1 and args.seed is not None:
+            parser.error(f"--seed needs a config with one seed; {args.config} lists {len(seeds)}")
+        if len(seeds) == 1:
+            seed = harness.resolve_seed(args.seed, seeds[0])
+            if seed != seeds[0]:
                 cfg = _reseed(cfg, seed)
         out = harness.run_config(cfg, jobs=args.jobs)
         if isinstance(out, harness.RunRecord):

@@ -3,9 +3,10 @@ Monte Carlo studies, and sweep aggregation.
 
 Configs are single JSON documents with a top-level ``kind`` field
 ("matfac-run", "matfac-sweep", "detsign", "tenfac-sweep", "plot").
-Every run gets a stable id (config hash plus seed); identical config
-and seed reproduce byte-identical CSVs.  Floats are printed with 17
-significant digits so parsing a CSV back recovers the exact doubles.
+Every run gets a stable id (hash of the config without ``out_dir``,
+plus seed); identical config and seed reproduce byte-identical CSVs.
+Floats are printed with 17 significant digits so parsing a CSV back
+recovers the exact doubles.
 """
 
 from __future__ import annotations
@@ -284,6 +285,8 @@ class RunRecord:
 
 
 def _run_id(config: dict, seed: int) -> str:
+    # where a run writes is no part of what it computes
+    config = {k: v for k, v in config.items() if k != "out_dir"}
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return f"{hashlib.sha256(canonical.encode()).hexdigest()[:12]}-s{seed}"
 
@@ -364,18 +367,19 @@ def _bounds_for(task_spec: TaskSpec, losses: list[float]) -> tuple[list[str], li
 
 def trajectory_rows(samples, task_spec: TaskSpec):
     """Flatten trajectory samples into CSV rows (norm bounds use the
-    nuclear spec's constants).  Unobserved entries beyond the (1,1)
-    corner, if a task has them, get their own columns after w11.  The
-    table is built a column at a time; rows are tuples."""
-    extra_unobs = sorted({ij for s in samples for ij in s.unobserved} - {(0, 0)})
-    extra_cols = [f"unobs_{i + 1}_{j + 1}" for (i, j) in extra_unobs]
+    nuclear spec's constants).  Each unobserved entry of the task gets a
+    column after loss: ``w11`` for the (1,1) corner, ``unobs_i_j``
+    (1-based) for any other.  The table is built a column at a time;
+    rows are tuples."""
+    free = task_spec.build().unobserved_indices()
+    free_cols = ["w11" if ij == (0, 0) else f"unobs_{ij[0] + 1}_{ij[1] + 1}" for ij in free]
     losses = [s.loss for s in samples]
     bound_names, bounds = _bounds_for(task_spec, losses)
-    header = MATFAC_BASE_COLUMNS[:3] + extra_cols + MATFAC_BASE_COLUMNS[3:] + bound_names
+    header = MATFAC_BASE_COLUMNS[:2] + free_cols + MATFAC_BASE_COLUMNS[3:] + bound_names
     columns = [
         [s.iteration for s in samples],
         losses,
-        *([s.unobserved.get(ij, math.nan) for s in samples] for ij in [(0, 0), *extra_unobs]),
+        *([s.unobserved[ij] for s in samples] for ij in free),
         [s.det for s in samples],
         [s.sigmas[0] for s in samples],
         [s.sigmas[1] if len(s.sigmas) > 1 else 0.0 for s in samples],
@@ -514,33 +518,17 @@ TENFAC_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class _TenfacCell:
-    cfg: TenfacSweepConfig
-    truth: np.ndarray
-    task: tenfac.TensorTask
-    n_obs: int
-    init_std: float
-    seed: int
-
-
-def _run_tenfac_cell(cell: _TenfacCell):
-    cfg = cell.cfg
+def _run_tenfac_cell(cfg: TenfacSweepConfig, truth: np.ndarray, cell) -> tuple:
+    """(recon_error, est_rank) of one (task, init_std, seed) cell, blanks
+    if training diverges."""
+    task, init_std, seed = cell
+    terms = tenfac.default_terms(cfg.dims)
     try:
-        result = tenfac.train_cp(
-            cell.task,
-            tenfac.default_terms(cfg.dims),
-            cell.init_std,
-            cell.seed,
-            mse_threshold=cfg.mse_threshold,
-            max_iters=cfg.max_iters,
-        )
-        learned = tenfac.cp_compose(result.model)
-        err = float(np.linalg.norm(learned - cell.truth))
-        rank = tenfac.estimate_rank(learned, threshold=cfg.mse_threshold)
-        return ["cell", "tf", cell.n_obs, cell.init_std, cell.seed, err, rank, "", "", "", ""]
+        result = tenfac.train_cp(task, terms, init_std, seed, mse_threshold=cfg.mse_threshold, max_iters=cfg.max_iters)
     except matfac.DivergenceError:
-        return ["cell", "tf", cell.n_obs, cell.init_std, cell.seed, "", "", "", "", "", ""]
+        return "", ""
+    learned = tenfac.cp_compose(result.model)
+    return float(np.linalg.norm(learned - truth)), tenfac.estimate_rank(learned, threshold=cfg.mse_threshold)
 
 
 def _quartiles(values):
@@ -564,33 +552,26 @@ def run_tenfac_sweep(cfg: TenfacSweepConfig, jobs: int = 1) -> Path:
     """
     truth = tenfac.gen_ground_truth(cfg.dims, cfg.gt_rank, cfg.gt_seed)
     tasks = {n: tenfac.sample_observations(truth, n, cfg.obs_seed) for n in cfg.n_obs}
-    cells = [
-        _TenfacCell(cfg, truth, tasks[n], n, std, seed)
-        for n in cfg.n_obs
-        for std in cfg.init_stds
-        for seed in cfg.seeds
-    ]
-    rows = _map_jobs(_run_tenfac_cell, cells, jobs)
-
+    keys = [("tf", n, std, seed) for n in cfg.n_obs for std in cfg.init_stds for seed in cfg.seeds]
+    run_cell = functools.partial(_run_tenfac_cell, cfg, truth)
+    results = _map_jobs(run_cell, [(tasks[n], std, seed) for _, n, std, seed in keys], jobs)
     if cfg.baseline:
         for n in cfg.n_obs:
-            base = np.zeros(cfg.dims)
-            for idx, v in tasks[n].observations.items():
-                base[idx] = v
-            err = float(np.linalg.norm(base - truth))
+            base = tasks[n].target
             rank = tenfac.estimate_rank(base, threshold=cfg.mse_threshold) if cfg.baseline_rank else ""
-            rows.append(["cell", "linear", n, "", "", err, rank, "", "", "", ""])
+            keys.append(("linear", n, "", ""))
+            results.append((float(np.linalg.norm(base - truth)), rank))
+    rows = [["cell", *key, err, rank, "", "", "", ""] for key, (err, rank) in zip(keys, results)]
 
     # aggregate per (method, n_obs, init_std), order-independent
     groups: dict[tuple, list] = {}
-    for row in rows:
-        if row[0] != "cell" or row[5] == "":
-            continue
-        groups.setdefault((row[1], row[2], row[3]), []).append(row)
+    for key, (err, rank) in zip(keys, results):
+        if err != "":
+            groups.setdefault(key[:3], []).append((err, rank))
     for (method, n, std) in sorted(groups, key=str):
         members = groups[(method, n, std)]
-        e25, e50, e75 = _quartiles([r[5] for r in members])
-        ranks = [r[6] for r in members if r[6] != ""]
+        e25, e50, e75 = _quartiles([err for err, _ in members])
+        ranks = [rank for _, rank in members if rank != ""]
         r25, r50, r75 = _quartiles(ranks) if ranks else ("", "", "")
         rows.append(["median_iqr", method, n, std, "", e50, r50, e25, e75, r25, r75])
 

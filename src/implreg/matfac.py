@@ -367,8 +367,11 @@ def _samples(snapshots, task: CompletionTask) -> list[TrajectorySample]:
 
 class _ArrayKernel:
     """Factors as numpy arrays: any shape.  A step builds new arrays
-    (w - eta * g) and writes into none, so a snapshot is the live state."""
+    (w - eta * g) and writes into none, so a snapshot is the live state.
+    An overflowing start or step ends the run through gd_train's checks
+    (DivergenceError), so numpy's overflow warnings are off there."""
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, factors: Sequence[np.ndarray], task: CompletionTask):
         self.ws = list(factors)
         self.rows, self.cols, self.vals = task.index_arrays()
@@ -379,6 +382,7 @@ class _ArrayKernel:
         self.r = self.p[self.rows, self.cols] - self.vals
         self.lo, self.peak = 0.5 * float(self.r @ self.r), float(np.abs(self.p).max())
 
+    @np.errstate(over="ignore", invalid="ignore")
     def run_until(self, eta: float, it: int, stop_it: int, lo_min: float, lo_max: float) -> tuple[int, float, float]:
         while it < stop_it:
             g = np.zeros_like(self.p)

@@ -2,9 +2,10 @@
 
 Two styles:
 
-- ``loss-vs-entry``: |free entry| against loss on a descending log
-  axis, one polyline per input CSV, with markers colored by iteration
-  so the time course stays visible.
+- ``loss-vs-entry``: |free entry| (the ``w11`` or ``unobs_i_j``
+  column) against loss on a descending log axis, one polyline per
+  input CSV, with markers colored by iteration so the time course
+  stays visible.
 - ``sweep``: reconstruction error and estimated rank against the
   observation count, median lines with interquartile bands, built from
   the aggregate rows of a sweep CSV.
@@ -177,8 +178,12 @@ def _plot_loss_vs_entry(csv_paths, out_path, title):
     canvas = _Canvas()
     runs = []
     for p in csv_paths:
-        header, rows = _read_rows(p, ["iter", "loss", "w11"])
-        it, lo, w = (header.index(c) if rows else 0 for c in ("iter", "loss", "w11"))
+        header, rows = _read_rows(p, ["iter", "loss"])
+        # the free entry: w11, or unobs_i_j where a task leaves another entry free
+        entry = next((c for c in header if c.startswith("unobs_")), "w11")
+        if rows and entry not in header:
+            raise SchemaError(f"missing column '{entry}' in {p}")
+        it, lo, w = (header.index(c) if rows else 0 for c in ("iter", "loss", entry))
         pts = [(float(r[lo]), abs(float(r[w])), float(r[it])) for r in rows]
         pts = [pt for pt in pts if pt[0] > 0]
         runs.append((Path(p).stem, pts))

@@ -13,7 +13,7 @@ tensor below an MSE threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +39,16 @@ __all__ = [
 ]
 
 
+# iterations between logged training samples
+CP_LOG_STRIDE = 100
+# Tikhonov weight (relative to the Gram trace) of ALS's fallback solve
+ALS_RIDGE = 1e-12
+# independently seeded ALS runs per candidate term count
+RANK_RESTARTS = 3
+# draws a ground truth may take to reach its estimated rank
+REGEN_CAP = 20
+
+
 class GenerationError(RuntimeError):
     """Ground-truth generation exhausted its regeneration budget."""
 
@@ -46,10 +56,14 @@ class GenerationError(RuntimeError):
 @dataclass(frozen=True)
 class TensorTask:
     """A tensor completion problem: dims plus observed entries keyed by
-    0-based index tuples."""
+    0-based index tuples.  ``mask`` (1.0 at observed entries) and
+    ``target`` (observed values, zeros elsewhere) are the same set as
+    dense arrays."""
 
     dims: tuple[int, ...]
     observations: dict[tuple[int, ...], float]
+    mask: np.ndarray = field(init=False, repr=False, compare=False)
+    target: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.dims) < 1 or any(d < 1 for d in self.dims):
@@ -60,18 +74,18 @@ class TensorTask:
             raise ValueError("at least one entry must stay unobserved")
         if not obs:
             raise ValueError("at least one entry must be observed")
+        mask = np.zeros(self.dims)
+        target = np.zeros(self.dims)
         for idx, v in obs.items():
             if len(idx) != len(self.dims) or any(not 0 <= i < d for i, d in zip(idx, self.dims)):
                 raise ValueError(f"observed index {idx} out of range for dims {self.dims}")
             if not math.isfinite(v):
                 raise ValueError("observed values must be finite")
+            mask[idx] = 1.0
+            target[idx] = v
         object.__setattr__(self, "observations", obs)
-
-    def index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        keys = sorted(self.observations)
-        idx = np.array(keys, dtype=np.intp).reshape(len(keys), len(self.dims))
-        vals = np.array([self.observations[k] for k in keys], dtype=float)
-        return idx, vals
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "target", target)
 
 
 @dataclass(frozen=True)
@@ -162,28 +176,15 @@ def _unfold(t: np.ndarray, n: int) -> np.ndarray:
     return np.moveaxis(t, n, 0).reshape(t.shape[n], -1)
 
 
-class _ObsIndex:
-    """One task's observation set as a dense 0/1 mask and a zero-filled target."""
-
-    def __init__(self, task: TensorTask):
-        idx, vals = task.index_arrays()
-        self.n_obs = vals.size
-        self.mask = np.zeros(task.dims)
-        self.target = np.zeros(task.dims)
-        self.mask[tuple(idx.T)] = 1.0
-        self.target[tuple(idx.T)] = vals
-
-
-def _loss_and_grads(factors, obs: _ObsIndex):
+def _loss_and_grads(factors, task: TensorTask):
     # masked MTTKRP: mode n's gradient is unfold_n(E) @ khatri_rao(other
     # modes) with E = mask * X - target; mode 0 reuses the compose product
     terms = factors[0].shape[0]
-    dims = obs.mask.shape
     kr = _khatri_rao(factors[1:], terms)
-    err = (factors[0].T @ kr.T).reshape(dims) * obs.mask - obs.target
+    err = (factors[0].T @ kr.T).reshape(task.dims) * task.mask - task.target
     lo = 0.5 * float((err * err).sum())
     grads = []
-    for n in range(len(dims)):
+    for n in range(len(task.dims)):
         if n:
             kr = _khatri_rao([*factors[:n], *factors[n + 1 :]], terms)
         grads.append(kr.T @ _unfold(err, n).T)
@@ -199,7 +200,7 @@ def cp_loss_and_grads(model: CpModel, task: TensorTask):
     """
     if model.dims != task.dims:
         raise ValueError(f"model dims {model.dims} do not match task dims {task.dims}")
-    return _loss_and_grads(model.factors, _ObsIndex(task))
+    return _loss_and_grads(model.factors, task)
 
 
 def adaptive_step(model: CpModel, grads: Sequence[np.ndarray], state: AdaptiveLrState):
@@ -233,7 +234,6 @@ def train_cp(
     seed: int,
     mse_threshold: float = 1e-6,
     max_iters: int = 10**6,
-    log_stride: int = 100,
 ) -> CpTrainResult:
     """Train a CP model on the observed entries.
 
@@ -247,7 +247,7 @@ def train_cp(
         raise ValueError("terms must be >= 1")
     if not init_std > 0:
         raise ValueError("init_std must be positive")
-    obs = _ObsIndex(task)
+    n_obs = len(task.observations)
     gen = stream(seed, 7)
     subs = gen.spawn(len(task.dims))
     factors = [subs[n].normal(0.0, init_std, size=(terms, d)) for n, d in enumerate(task.dims)]
@@ -258,8 +258,8 @@ def train_cp(
     lo = math.inf
     mse = math.inf
     while True:
-        lo, grads = _loss_and_grads(factors, obs)
-        mse = 2.0 * lo / obs.n_obs
+        lo, grads = _loss_and_grads(factors, task)
+        mse = 2.0 * lo / n_obs
         if not math.isfinite(lo) or any(float(np.abs(f).max()) > ENTRY_BLOWUP_LIMIT for f in factors):
             raise DivergenceError(
                 f"CP training diverged at iteration {it}",
@@ -267,7 +267,7 @@ def train_cp(
                 trajectory,
                 None,
             )
-        if it % log_stride == 0:
+        if it % CP_LOG_STRIDE == 0:
             trajectory.append(CpTrainSample(it, lo, mse))
         if mse < mse_threshold:
             converged = True
@@ -293,7 +293,6 @@ def als_fit(
     threshold: float = 1e-6,
     max_sweeps: int = 500,
     seed: int = 0,
-    ridge: float = 1e-12,
 ):
     """Alternating least squares on a fully known tensor.
 
@@ -325,7 +324,7 @@ def als_fit(
                 if not np.all(np.isfinite(sol)):
                     raise np.linalg.LinAlgError
             except np.linalg.LinAlgError:
-                damped = gram + ridge * (np.trace(gram) + 1.0) * np.eye(terms)
+                damped = gram + ALS_RIDGE * (np.trace(gram) + 1.0) * np.eye(terms)
                 sol = np.linalg.solve(damped, rhs)
             factors[n] = sol
         # ||X - T||^2 from the last mode's solve: X_(n) = sol^T k^T
@@ -339,14 +338,14 @@ def als_fit(
     return CpModel(tuple(best)), best_mse
 
 
-def estimate_rank(target, threshold: float = 1e-6, r_max: int | None = None, restarts: int = 3) -> int:
+def estimate_rank(target, threshold: float = 1e-6, r_max: int | None = None) -> int:
     """Smallest number of terms for which ALS fits ``target`` below the
     MSE threshold, searching upward from 1.
 
     The zero tensor has rank 0 by convention.  If no count up to
     ``r_max`` (default prod(dims)/max(dims)) succeeds, returns
     ``r_max + 1`` as an explicit out-of-range sentinel.  Each candidate
-    gets ``restarts`` independently seeded ALS runs, since a single ALS
+    gets ``RANK_RESTARTS`` independently seeded ALS runs, since a single ALS
     run can stall short of an attainable fit.  Counts r whose
     Eckart-Young floor, max_n sum_{i>r} sigma_i(unfold_n T)^2 / size,
     exceeds the threshold (by more than a 1e-9 relative margin) are
@@ -368,14 +367,14 @@ def estimate_rank(target, threshold: float = 1e-6, r_max: int | None = None, res
     for r in range(1, r_max + 1):
         if max(float(tl[r]) if r < tl.size else 0.0 for tl in tails) > threshold * (1.0 + 1e-9):
             continue
-        for attempt in range(restarts):
+        for attempt in range(RANK_RESTARTS):
             _, mse = als_fit(t, r, threshold=threshold, seed=attempt)
             if mse < threshold:
                 return r
     return r_max + 1
 
 
-def gen_ground_truth(dims: Sequence[int], r_star: int, seed: int, regen_cap: int = 20) -> np.ndarray:
+def gen_ground_truth(dims: Sequence[int], r_star: int, seed: int) -> np.ndarray:
     """Unit-Frobenius tensor of estimated rank exactly ``r_star``.
 
     Sums ``r_star`` outer products of standard-normal vectors,
@@ -385,7 +384,7 @@ def gen_ground_truth(dims: Sequence[int], r_star: int, seed: int, regen_cap: int
     if r_star < 1:
         raise ValueError("r_star must be >= 1")
     dims = tuple(int(d) for d in dims)
-    for attempt in range(regen_cap):
+    for attempt in range(REGEN_CAP):
         gen = stream(seed, 13, attempt)
         t = np.zeros(dims)
         for _ in range(r_star):
@@ -396,7 +395,7 @@ def gen_ground_truth(dims: Sequence[int], r_star: int, seed: int, regen_cap: int
         t /= norm
         if estimate_rank(t) == r_star:
             return t
-    raise GenerationError(f"could not generate a rank-{r_star} tensor in {regen_cap} attempts")
+    raise GenerationError(f"could not generate a rank-{r_star} tensor in {REGEN_CAP} attempts")
 
 
 def sample_observations(truth, n_obs: int, seed: int) -> TensorTask:

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +192,14 @@ class TestConfigs:
         again = parse_config(doc)
         assert again.run_id == cfg.run_id
 
+    def test_run_id_independent_of_out_dir(self, tmp_path):
+        a = run_matfac(quick_run_config(tmp_path / "a"))
+        b = run_matfac(quick_run_config(tmp_path / "b"))
+        assert a.run_id == b.run_id and Path(a.csv_path).name == Path(b.csv_path).name
+        sweep = TenfacSweepConfig(dims=(3, 3), gt_rank=1, n_obs=(4,), init_stds=(1e-2,), seeds=(0,), baseline=False)
+        paths = [run_tenfac_sweep(replace(sweep, out_dir=str(tmp_path / d))) for d in "ab"]
+        assert paths[0].name == paths[1].name and paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_seed_precedence(self, monkeypatch):
         monkeypatch.delenv(harness.SEED_ENV_VAR, raising=False)
         assert resolve_seed(None, 7) == 7
@@ -303,13 +313,17 @@ class TestRunMatfac:
         assert rec.summary["iterations"] == 0
         assert len(read_csv(rec.csv_path)) == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "task", [TaskSpec(kind="base"), TaskSpec(kind="extended", rows=3, cols=4)], ids=["base", "extended3x4"]
+        "task, alpha",
+        [(TaskSpec(kind="base"), 1e13), (TaskSpec(kind="extended", rows=3, cols=4), 1e13),
+         (TaskSpec(kind="extended", rows=3, cols=4), 1e200)],
+        ids=["base", "extended3x4", "extended3x4-overflow"],
     )
-    def test_divergence_at_iteration_0_writes_header_only(self, tmp_path, task):
+    def test_divergence_at_iteration_0_writes_header_only(self, tmp_path, task, alpha):
         # a product drawn at scale 1e13 is past the blow-up limit before
-        # the first sample
-        cfg = quick_run_config(tmp_path, task=task, init=InitSpec(kind="balanced", alpha=1e13))
+        # the first sample; at 1e200 its loss overflows, without a warning
+        cfg = quick_run_config(tmp_path, task=task, init=InitSpec(kind="balanced", alpha=alpha))
         rec = run_matfac(cfg)
         assert rec.summary["diverged"] is True
         assert rec.summary["iterations"] == 0
@@ -320,7 +334,7 @@ class TestRunMatfac:
 
 def old_trajectory_rows(samples, task_spec):
     # one row per sample with scalar bound evaluations, as rows were once built
-    extra = sorted({ij for s in samples for ij in s.unobserved} - {(0, 0)})
+    free = task_spec.build().unobserved_indices()
     nuclear = metrics.nuclear()
     rows = []
     for s in samples:
@@ -329,8 +343,8 @@ def old_trajectory_rows(samples, task_spec):
         else:
             b = metrics.base_task_bounds(s.loss, nuclear)
         rows.append(
-            [s.iteration, s.loss, s.unobserved.get((0, 0), math.nan)]
-            + [s.unobserved.get(ij, math.nan) for ij in extra]
+            [s.iteration, s.loss]
+            + [s.unobserved[ij] for ij in free]
             + [s.det, s.sigmas[0], s.sigmas[1] if len(s.sigmas) > 1 else 0.0]
             + [s.metrics[k] for k in ("erank", "nuclear_norm", "frob_norm", "spectral_norm", "schatten_half")]
             + [s.unbalancedness, b[0].value, b[1].value, b[2].value]
@@ -362,8 +376,8 @@ class TestTrajectoryRows:
         assert len(rows) == len(samples) > 200
         assert all(len(r) == len(header) for r in rows)
         assert typed_bits(rows) == typed_bits(old_trajectory_rows(samples, task))
-        if task.unobserved == (1, 2):  # w11 is observed: a NaN column, then the free entry's own column
-            assert header[2:4] == ["w11", "unobs_1_2"] and math.isnan(rows[0][2])
+        if task.unobserved == (1, 2):  # w11 is observed: the free entry's own column, and no w11
+            assert header[2:4] == ["unobs_1_2", "det"] and "w11" not in header
 
 
 class TestDetsign:
@@ -517,6 +531,22 @@ class TestPlots:
         b = svgplot.emit_plot([moved], "loss-vs-entry", tmp_path / "b.svg")
         assert len(rows) > 10 and a.read_bytes() == b.read_bytes()
 
+    def test_loss_vs_entry_reads_an_off_corner_free_entry(self, tmp_path):
+        cfg = MatfacRunConfig(
+            task=TaskSpec(kind="perturbed", z=1.0, z_prime=1.0, eps=0.0, unobserved=(1, 2)),
+            depth=2,
+            learning_rate=0.05,
+            init=InitSpec(alpha=1e-2, det_sign=None),
+            loss_threshold=1e-3,
+            log_stride=1000,
+            out_dir=str(tmp_path),
+        )
+        rec = run_matfac(cfg)
+        text = svgplot.emit_plot([rec.csv_path], "loss-vs-entry", tmp_path / "p.svg").read_text()
+        points = text.split('points="', 1)[1].split('"', 1)[0].split()
+        assert "nan" not in text and len(points) > 1
+        assert all(math.isfinite(float(v)) for pt in points for v in pt.split(","))
+
     def test_unknown_style_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             svgplot.emit_plot([], "mystery", tmp_path / "x.svg")
@@ -553,6 +583,34 @@ class TestCli:
         cfg_path.write_text(json.dumps(doc))
         assert main(["tenfac", "--config", str(cfg_path)]) == 0
         assert list(tmp_path.glob("tenfac-*.csv"))
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [("matfac", {"kind": "detsign", "samples": 1000}), ("tenfac", {"kind": "matfac-run", "max_iters": 10})],
+    )
+    def test_config_of_another_kind_refused(self, tmp_path, monkeypatch, capsys, command, config):
+        from implreg.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--config", str(cfg_path)])
+        assert exc_info.value.code == 2
+        assert "does not run" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_seed_flag_refused_on_multi_seed_config(self, tmp_path, capsys):
+        from implreg.cli import main
+
+        doc = {"kind": "tenfac-sweep", "dims": [3, 3], "n_obs": [4], "seeds": [0, 1], "out_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc_info:
+            main(["tenfac", "--config", str(cfg_path), "--seed", "7"])
+        assert exc_info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_matfac_subcommand_with_env_seed(self, tmp_path, monkeypatch):
         from implreg.cli import main

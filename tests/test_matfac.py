@@ -252,12 +252,13 @@ class TestGdTrain:
         assert err.trajectory
         assert math.isfinite(err.last_sample.loss)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "shape, depth, task", [((2, 2), 2, BASE), ((2, 2), 1, BASE), ((3, 4), 3, make_extended_task(3, 4))]
     )
     def test_factor_overflow_raises_divergence_without_net(self, shape, depth, task):
-        # the first step overflows a factor entry: there is no finite net to carry
+        # the first step overflows a factor entry: there is no finite net to
+        # carry, and the run reaches DivergenceError without a warning
         net = init_balanced(shape, depth, 10.0, stream(0, 1))
         with pytest.raises(matfac.DivergenceError) as exc_info:
             gd_train(net, task, TrainConfig(learning_rate=1e308, max_iters=10))

@@ -53,7 +53,9 @@ def gather_loss_and_grads(factors, task):
     """The gather-and-one-hot formula the dense masked gradient replaced:
     per-observation products of gathered factor entries, scattered back
     to each mode through one-hot matrices."""
-    idx, vals = task.index_arrays()
+    keys = sorted(task.observations)
+    idx = np.array(keys, dtype=np.intp).reshape(len(keys), len(task.dims))
+    vals = np.array([task.observations[k] for k in keys])
     n_obs, n_modes = vals.size, len(factors)
     gathered = [factors[n][:, idx[:, n]] for n in range(n_modes)]
     prod = gathered[0].copy()
