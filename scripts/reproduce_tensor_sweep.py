@@ -3,8 +3,9 @@
 estimated rank against the number of observations.
 
 The default is a reduced grid (three observation counts, two init
-scales, five seeds; a few minutes).  --config runs a preset from
-configs/ instead.  The sweep CSV and its SVG both go under --out-dir.
+scales, five seeds; 20-30 s on one core).  --config runs a preset
+from configs/ instead.  The sweep CSV and its SVG both go under
+--out-dir.
 """
 
 import argparse

@@ -365,6 +365,11 @@ def _bounds_for(task_spec: TaskSpec, losses: list[float]) -> tuple[list[str], li
     return names, [report.value.tolist() for report in b]
 
 
+def _free_entry_column(ij: tuple[int, int]) -> str:
+    # trajectory column (and summary key suffix) of a free entry
+    return "w11" if ij == (0, 0) else f"unobs_{ij[0] + 1}_{ij[1] + 1}"
+
+
 def trajectory_rows(samples, task_spec: TaskSpec):
     """Flatten trajectory samples into CSV rows (norm bounds use the
     nuclear spec's constants).  Each unobserved entry of the task gets a
@@ -372,7 +377,7 @@ def trajectory_rows(samples, task_spec: TaskSpec):
     (1-based) for any other.  The table is built a column at a time;
     rows are tuples."""
     free = task_spec.build().unobserved_indices()
-    free_cols = ["w11" if ij == (0, 0) else f"unobs_{ij[0] + 1}_{ij[1] + 1}" for ij in free]
+    free_cols = [_free_entry_column(ij) for ij in free]
     losses = [s.loss for s in samples]
     bound_names, bounds = _bounds_for(task_spec, losses)
     header = MATFAC_BASE_COLUMNS[:2] + free_cols + MATFAC_BASE_COLUMNS[3:] + bound_names
@@ -430,7 +435,10 @@ def run_matfac(cfg: MatfacRunConfig) -> RunRecord:
             "runtime_s": elapsed,
             "iterations": last.iteration if last else 0,
             "final_loss": last.loss if last else math.nan,
-            "final_w11": last.unobserved.get((0, 0)) if last else math.nan,
+            **{
+                f"final_{_free_entry_column(ij)}": last.unobserved[ij] if last else math.nan
+                for ij in task.unobserved_indices()
+            },
             "converged": converged,
         },
     )

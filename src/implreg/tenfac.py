@@ -159,35 +159,40 @@ def default_terms(dims: Sequence[int]) -> int:
 
 def cp_compose(model: CpModel) -> np.ndarray:
     """Dense tensor of the model: sum of the per-term outer products."""
-    return (model.factors[0].T @ _khatri_rao(model.factors[1:], model.terms).T).reshape(model.dims)
+    return (model.factors[0].T @ _khatri_rao(model.factors[1:], model.terms)).reshape(model.dims)
 
 
 def _khatri_rao(mats: Sequence[np.ndarray], terms: int) -> np.ndarray:
-    # column-wise Kronecker over modes in C order; mats are (terms, d_n),
-    # output (prod d_n, terms), a ones row for no modes
-    out = np.ones((1, terms))
-    for m in mats:
-        out = (out[:, None, :] * m.T[None, :, :]).reshape(-1, terms)
+    # row-wise Kronecker over modes in C order; mats are (terms, d_n),
+    # output C-contiguous (terms, prod d_n), a ones column for no modes.
+    # Matmuls must see this layout: the same values copied to another
+    # layout can take a different BLAS path and change the last bits.
+    if not mats:
+        return np.ones((terms, 1))
+    out = mats[0]
+    for m in mats[1:]:
+        out = (out[:, :, None] * m[:, None, :]).reshape(terms, -1)
     return out
 
 
 def _unfold(t: np.ndarray, n: int) -> np.ndarray:
     # mode-n unfolding (d_n, prod of the other dims), other modes in C order
-    return np.moveaxis(t, n, 0).reshape(t.shape[n], -1)
+    return t.transpose(n, *range(n), *range(n + 1, t.ndim)).reshape(t.shape[n], -1)
 
 
 def _loss_and_grads(factors, task: TensorTask):
-    # masked MTTKRP: mode n's gradient is unfold_n(E) @ khatri_rao(other
-    # modes) with E = mask * X - target; mode 0 reuses the compose product
+    # masked MTTKRP: mode n's gradient is khatri_rao(other modes) @
+    # unfold_n(E)^T with E = mask * X - target; mode 0 reuses the compose
+    # product
     terms = factors[0].shape[0]
     kr = _khatri_rao(factors[1:], terms)
-    err = (factors[0].T @ kr.T).reshape(task.dims) * task.mask - task.target
+    err = (factors[0].T @ kr).reshape(task.dims) * task.mask - task.target
     lo = 0.5 * float((err * err).sum())
     grads = []
     for n in range(len(task.dims)):
         if n:
             kr = _khatri_rao([*factors[:n], *factors[n + 1 :]], terms)
-        grads.append(kr.T @ _unfold(err, n).T)
+        grads.append(kr @ _unfold(err, n).T)
     return lo, grads
 
 
@@ -250,7 +255,10 @@ def train_cp(
     n_obs = len(task.observations)
     gen = stream(seed, 7)
     subs = gen.spawn(len(task.dims))
-    factors = [subs[n].normal(0.0, init_std, size=(terms, d)) for n, d in enumerate(task.dims)]
+    # the factors are views into one buffer, so one max checks them all
+    flat = np.concatenate([subs[n].normal(0.0, init_std, size=(terms, d)).ravel() for n, d in enumerate(task.dims)])
+    ends = np.cumsum([terms * d for d in task.dims])
+    factors = [part.reshape(terms, d) for part, d in zip(np.split(flat, ends[:-1]), task.dims)]
     state = AdaptiveLrState()
     trajectory: list[CpTrainSample] = []
     converged = False
@@ -260,7 +268,7 @@ def train_cp(
     while True:
         lo, grads = _loss_and_grads(factors, task)
         mse = 2.0 * lo / n_obs
-        if not math.isfinite(lo) or any(float(np.abs(f).max()) > ENTRY_BLOWUP_LIMIT for f in factors):
+        if not math.isfinite(lo) or float(np.abs(flat).max()) > ENTRY_BLOWUP_LIMIT:
             raise DivergenceError(
                 f"CP training diverged at iteration {it}",
                 trajectory[-1] if trajectory else None,
@@ -280,7 +288,7 @@ def train_cp(
         it += 1
     if not trajectory or trajectory[-1].iteration != it:
         trajectory.append(CpTrainSample(it, lo, mse))
-    return CpTrainResult(CpModel(tuple(factors)), trajectory, it, converged)
+    return CpTrainResult(CpModel(tuple(f.copy() for f in factors)), trajectory, it, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +325,8 @@ def als_fit(
     for _ in range(max_sweeps):
         for n in range(t.ndim):
             k = _khatri_rao([*factors[:n], *factors[n + 1 :]], terms)
-            gram = k.T @ k
-            rhs = k.T @ unfolds[n].T  # (R, d_n)
+            gram = k @ k.T
+            rhs = k @ unfolds[n].T  # (R, d_n)
             try:
                 sol = np.linalg.solve(gram, rhs)
                 if not np.all(np.isfinite(sol)):
@@ -327,7 +335,7 @@ def als_fit(
                 damped = gram + ALS_RIDGE * (np.trace(gram) + 1.0) * np.eye(terms)
                 sol = np.linalg.solve(damped, rhs)
             factors[n] = sol
-        # ||X - T||^2 from the last mode's solve: X_(n) = sol^T k^T
+        # ||X - T||^2 from the last mode's solve: X_(n) = sol^T k
         sse = norm2 - 2.0 * float((sol * rhs).sum()) + float((gram * (sol @ sol.T)).sum())
         m = max(sse, 0.0) / t.size
         if m < best_mse:

@@ -294,6 +294,29 @@ class TestRunMatfac:
         plateau = abs(rec.summary["final_w11"])
         assert 2.5 <= plateau <= 10.0
 
+    def test_summary_names_the_free_entry_by_its_column(self, tmp_path):
+        # (1,1) is observed here: the summary carries the unobs_1_2
+        # column's last value, and no w11
+        cfg = MatfacRunConfig(
+            task=TaskSpec(kind="perturbed", z=1.0, z_prime=1.0, eps=0.0, unobserved=(1, 2)),
+            depth=2,
+            learning_rate=0.05,
+            init=InitSpec(alpha=1e-2, det_sign=None),
+            loss_threshold=1e-3,
+            log_stride=1000,
+            out_dir=str(tmp_path),
+        )
+        rec = run_matfac(cfg)
+        last_row = read_csv(rec.csv_path)[-1]
+        assert "final_w11" not in rec.summary
+        assert rec.summary["final_unobs_1_2"] == float(last_row["unobs_1_2"]) != 0.0
+        assert json.loads((tmp_path / f"{rec.run_id}.json").read_text())["summary"] == rec.summary
+        base = run_matfac(quick_run_config(tmp_path / "base"))
+        assert list(base.summary) == [
+            "diverged", "init_attempts", "runtime_s", "iterations", "final_loss", "final_w11", "converged"
+        ]
+        assert base.summary["final_w11"] == float(read_csv(base.csv_path)[-1]["w11"])
+
     def test_divergent_run_keeps_partial_csv(self, tmp_path):
         cfg = quick_run_config(
             tmp_path,
@@ -439,6 +462,25 @@ class TestTenfacSweep:
         for r in aggs:
             if r["method"] == "tf":
                 assert float(r["recon_error_q25"]) <= float(r["recon_error"]) <= float(r["recon_error_q75"])
+
+    def test_diverged_cell_is_blank_and_siblings_are_not(self, tmp_path):
+        # init 1e13 puts the factors past the blow-up limit at iteration 0
+        cfg = TenfacSweepConfig(
+            dims=(3, 3, 3),
+            gt_rank=1,
+            n_obs=(15,),
+            init_stds=(1e-3, 1e13),
+            seeds=(0, 1),
+            baseline=False,
+            out_dir=str(tmp_path),
+        )
+        cells = [r for r in read_csv(run_tenfac_sweep(cfg)) if r["row"] == "cell"]
+        assert len(cells) == 4
+        for r in cells:
+            if float(r["init_std"]) == 1e13:
+                assert r["recon_error"] == r["est_rank"] == ""
+            else:
+                assert float(r["recon_error"]) >= 0.0 and int(r["est_rank"]) >= 1
 
     def test_csv_independent_of_jobs(self, tmp_path, monkeypatch):
         cfg = TenfacSweepConfig(dims=(4, 4, 4), gt_rank=1, n_obs=(20, 40), init_stds=(1e-3,), seeds=(0, 1))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from implreg.tenfac import (
     sample_observations,
     train_cp,
 )
+from implreg.rng import stream
 
 
 def random_model(seed, dims, terms):
@@ -73,6 +75,97 @@ def gather_loss_and_grads(factors, task):
         onehot[np.arange(n_obs), idx[:, n]] = 1.0
         grads.append((others * resid) @ onehot)
     return lo, grads
+
+
+def old_khatri_rao(mats, terms):
+    """The column-layout product the row layout replaced: (prod d_n,
+    terms), built from a ones row (so the first mode is multiplied by an
+    exact 1.0); callers used its transpose."""
+    out = np.ones((1, terms))
+    for m in mats:
+        out = (out[:, None, :] * m.T[None, :, :]).reshape(-1, terms)
+    return out
+
+
+def old_unfold(t, n):
+    return np.moveaxis(t, n, 0).reshape(t.shape[n], -1)
+
+
+def old_compose(factors):
+    dims = tuple(f.shape[1] for f in factors)
+    return (factors[0].T @ old_khatri_rao(factors[1:], factors[0].shape[0]).T).reshape(dims)
+
+
+def old_loss_and_grads(factors, task):
+    terms = factors[0].shape[0]
+    kr = old_khatri_rao(factors[1:], terms)
+    err = (factors[0].T @ kr.T).reshape(task.dims) * task.mask - task.target
+    lo = 0.5 * float((err * err).sum())
+    grads = []
+    for n in range(len(task.dims)):
+        if n:
+            kr = old_khatri_rao([*factors[:n], *factors[n + 1 :]], terms)
+        grads.append(kr.T @ old_unfold(err, n).T)
+    return lo, grads
+
+
+def old_train_cp(task, terms, init_std, seed, mse_threshold=1e-6):
+    """train_cp on per-mode factor arrays and the oracle gradient; returns
+    (iterations, trajectory tuples, factors).  Fails on divergence."""
+    subs = stream(seed, 7).spawn(len(task.dims))
+    factors = [subs[n].normal(0.0, init_std, size=(terms, d)) for n, d in enumerate(task.dims)]
+    state = AdaptiveLrState()
+    trajectory = []
+    it = 0
+    while True:
+        lo, grads = old_loss_and_grads(factors, task)
+        mse = 2.0 * lo / len(task.observations)
+        assert math.isfinite(lo)
+        if it % tenfac.CP_LOG_STRIDE == 0:
+            trajectory.append((it, lo, mse))
+        if mse < mse_threshold:
+            break
+        eta_t, state = state.advance(grads)
+        for n in range(len(factors)):
+            factors[n] -= eta_t * grads[n]
+        it += 1
+    if trajectory[-1][0] != it:
+        trajectory.append((it, lo, mse))
+    return it, trajectory, factors
+
+
+def old_als_fit(t, terms, threshold, max_sweeps, seed):
+    gen = stream(seed, 11)
+    factors = [gen.normal(0.0, 0.1, size=(terms, d)) for d in t.shape]
+    unfolds = [old_unfold(t, n) for n in range(t.ndim)]
+    norm2 = float((t * t).sum())
+    diff = old_compose(factors) - t
+    best, best_mse = [f.copy() for f in factors], float((diff * diff).sum()) / t.size
+    for _ in range(max_sweeps):
+        for n in range(t.ndim):
+            k = old_khatri_rao([*factors[:n], *factors[n + 1 :]], terms)
+            gram = k.T @ k
+            rhs = k.T @ unfolds[n].T
+            try:
+                sol = np.linalg.solve(gram, rhs)
+                if not np.all(np.isfinite(sol)):
+                    raise np.linalg.LinAlgError
+            except np.linalg.LinAlgError:
+                sol = np.linalg.solve(gram + tenfac.ALS_RIDGE * (np.trace(gram) + 1.0) * np.eye(terms), rhs)
+            factors[n] = sol
+        sse = norm2 - 2.0 * float((sol * rhs).sum()) + float((gram * (sol @ sol.T)).sum())
+        m = max(sse, 0.0) / t.size
+        if m < best_mse:
+            best, best_mse = [f.copy() for f in factors], m
+        if best_mse < threshold:
+            break
+    return best, best_mse
+
+
+def same_bits(a, b):
+    # tobytes() equality: -0.0 and +0.0 differ, as do NaN payloads
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def eckart_young_floor(t, r):
@@ -190,6 +283,63 @@ class TestCpLossAndGrads:
             cp_loss_and_grads(model, task)
 
 
+ORACLE_DIMS = [(3,), (3, 4), (3, 4, 5), (3, 4, 5, 2)]
+
+
+class TestBitwiseOracle:
+    """The row-layout Khatri-Rao product, transpose unfoldings and
+    train_cp's single factor buffer give the bits of the column-layout,
+    moveaxis, per-mode-array code they replaced."""
+
+    @pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
+    def test_khatri_rao_is_the_old_transpose(self, dims):
+        # same bits (signed zeros included) and the same memory layout:
+        # the old product's transpose was C-contiguous
+        mats = list(random_model(len(dims), dims, 3).factors)
+        mats[0][1, :] = -0.0
+        for k in range(len(mats) + 1):
+            kr, ref = tenfac._khatri_rao(mats[:k], 3), old_khatri_rao(mats[:k], 3).T
+            assert same_bits(kr, ref)
+            assert kr.flags.c_contiguous and ref.flags.c_contiguous
+
+    @pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
+    @pytest.mark.parametrize("terms", [1, 3, 5])
+    def test_compose_and_loss_and_grads(self, dims, terms):
+        rng = np.random.default_rng(len(dims) * 10 + terms)
+        model = random_model(terms, dims, terms)
+        model.factors[0][0, :] = -0.0  # signed zeros must survive
+        model.factors[-1][-1, 0] = 0.0
+        assert same_bits(cp_compose(model), old_compose(model.factors))
+        total = int(np.prod(dims))
+        flat = rng.choice(total, size=total // 2, replace=False)
+        obs = {tuple(int(i) for i in np.unravel_index(f, dims)): float(rng.normal()) for f in flat}
+        task = TensorTask(dims=dims, observations=obs)
+        lo, grads = cp_loss_and_grads(model, task)
+        lo_ref, grads_ref = old_loss_and_grads(model.factors, task)
+        assert same_bits(lo, lo_ref)
+        assert len(grads) == len(grads_ref)
+        assert all(same_bits(g, ref) for g, ref in zip(grads, grads_ref))
+
+    @pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
+    def test_als_fit(self, dims):
+        t = np.random.default_rng(len(dims)).normal(size=dims)
+        for terms in (1, 2, 4):
+            model, mse = als_fit(t, terms, threshold=0.0, max_sweeps=15, seed=terms)
+            best, best_mse = old_als_fit(t, terms, threshold=0.0, max_sweeps=15, seed=terms)
+            assert same_bits(mse, best_mse)
+            assert all(same_bits(f, ref) for f, ref in zip(model.factors, best))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_train_cp_on_perfbench_config(self, seed):
+        # the benchmark's tenfac-sweep cell: 8x8x8, rank 2, 400 observations, init 1e-2
+        task = sample_observations(gen_ground_truth((8, 8, 8), 2, seed=0), 400, seed=1)
+        result = train_cp(task, default_terms((8, 8, 8)), 1e-2, seed)
+        it, trajectory, factors = old_train_cp(task, default_terms((8, 8, 8)), 1e-2, seed)
+        assert result.converged and result.iterations == it > 100
+        assert same_bits([(s.iteration, s.loss, s.mse) for s in result.trajectory], trajectory)
+        assert all(same_bits(f, ref) for f, ref in zip(result.model.factors, factors))
+
+
 class TestOrderOne:
     """A one-mode CP model is a sum of R vectors."""
 
@@ -272,6 +422,23 @@ class TestTrainCp:
         b = train_cp(task, 4, 1e-2, seed=9, max_iters=500)
         for fa, fb in zip(a.model.factors, b.model.factors):
             assert np.array_equal(fa, fb)
+
+    def test_divergence_at_iteration_0(self):
+        # factors drawn at scale 1e13 are past the 1e12 blow-up limit
+        # before the first update, with a finite loss
+        task = sample_observations(gen_ground_truth((3, 3, 3), 1, seed=0), 10, seed=0)
+        with pytest.raises(matfac.DivergenceError, match="iteration 0") as info:
+            train_cp(task, 3, 1e13, seed=0)
+        assert info.value.trajectory == []
+        assert info.value.last_sample is None
+
+    def test_returned_factors_share_no_memory(self):
+        task = sample_observations(gen_ground_truth((3, 4, 5), 1, seed=0), 20, seed=0)
+        factors = train_cp(task, 3, 1e-2, seed=0, max_iters=50).model.factors
+        for a, b in itertools.combinations(factors, 2):
+            assert not np.shares_memory(a, b)
+        # copies, not views that keep the training buffer alive
+        assert all(f.flags.owndata for f in factors)
 
     def test_loop_is_loss_grads_plus_adaptive_step(self):
         # train_cp updates its factors in place; k of its iterations equal
