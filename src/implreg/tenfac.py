@@ -43,6 +43,8 @@ __all__ = [
 CP_LOG_STRIDE = 100
 # Tikhonov weight (relative to the Gram trace) of ALS's fallback solve
 ALS_RIDGE = 1e-12
+# sweeps per ALS run unless the caller sets them
+ALS_MAX_SWEEPS = 500
 # independently seeded ALS runs per candidate term count
 RANK_RESTARTS = 3
 # draws a ground truth may take to reach its estimated rank
@@ -299,7 +301,7 @@ def als_fit(
     target,
     terms: int,
     threshold: float = 1e-6,
-    max_sweeps: int = 500,
+    max_sweeps: int = ALS_MAX_SWEEPS,
     seed: int = 0,
 ):
     """Alternating least squares on a fully known tensor.
@@ -316,7 +318,12 @@ def als_fit(
     if terms < 1:
         raise ValueError("terms must be >= 1")
     gen = stream(seed, 11)
-    factors = [gen.normal(0.0, 0.1, size=(terms, d)) for d in t.shape]
+    return _als(t, [gen.normal(0.0, 0.1, size=(terms, d)) for d in t.shape], threshold, max_sweeps)
+
+
+def _als(t: np.ndarray, factors: list, threshold: float, max_sweeps: int):
+    # the ALS sweeps of als_fit from the given (terms, d_n) factors
+    terms = factors[0].shape[0]
     unfolds = [_unfold(t, n) for n in range(t.ndim)]
     norm2 = float((t * t).sum())
     diff = cp_compose(CpModel(tuple(factors))) - t
@@ -346,6 +353,44 @@ def als_fit(
     return CpModel(tuple(best)), best_mse
 
 
+def _jennrich_start(t: np.ndarray, terms: int):
+    """Algebraic ``terms``-term start by simultaneous diagonalization
+    (Leurgans, Ross & Abel 1993), or None where it does not apply.
+
+    The two largest modes i, j are compressed to their leading ``terms``
+    singular vectors, the others contracted with two random vectors:
+    S_a = A_i diag(w_a) A_j^T.  The eigenvectors of S_1 S_2^+ give mode
+    i's factor, one least-squares solve the per-term rest, and a rank-one
+    split of each term the other factors.  Exact to rounding on a generic
+    tensor of order >= 3 and CP rank ``terms`` <= min(d_i, d_j).
+    """
+    if t.ndim < 3:
+        return None
+    i, j = sorted(sorted(range(t.ndim), key=lambda n: -t.shape[n])[:2])
+    if terms > min(t.shape[i], t.shape[j]):
+        return None
+    ui, uj = (np.linalg.svd(_unfold(t, n), full_matrices=False)[0][:, :terms] for n in (i, j))
+    rest = [n for n in range(t.ndim) if n not in (i, j)]
+    slab = t.transpose(i, j, *rest).reshape(t.shape[i], t.shape[j], -1)
+    gen = stream(terms, 19)
+    s1, s2 = (ui.T @ (slab @ gen.standard_normal(slab.shape[2])) @ uj for _ in range(2))
+    vecs = np.linalg.eig(s1 @ np.linalg.pinv(s2))[1].real
+    a = ui @ vecs  # (d_i, terms)
+    # unfold_i(T) = a @ K^T, K the Khatri-Rao product of the other modes
+    kt = np.linalg.lstsq(a, _unfold(t, i), rcond=None)[0]
+    others = [d for n, d in enumerate(t.shape) if n != i]
+    rows = [[] for _ in others]
+    for k in range(terms):
+        x = kt[k].reshape(others)
+        us = [np.linalg.svd(_unfold(x, m), full_matrices=False)[0][:, 0] for m in range(x.ndim)]
+        a[:, k] *= float(_khatri_rao([u[None, :] for u in us], 1)[0] @ x.ravel())
+        for row, u in zip(rows, us):
+            row.append(u)
+    factors = [np.array(row) for row in rows]
+    factors.insert(i, a.T.copy())
+    return factors
+
+
 def estimate_rank(target, threshold: float = 1e-6, r_max: int | None = None) -> int:
     """Smallest number of terms for which ALS fits ``target`` below the
     MSE threshold, searching upward from 1.
@@ -354,7 +399,9 @@ def estimate_rank(target, threshold: float = 1e-6, r_max: int | None = None) -> 
     ``r_max`` (default prod(dims)/max(dims)) succeeds, returns
     ``r_max + 1`` as an explicit out-of-range sentinel.  Each candidate
     gets ``RANK_RESTARTS`` independently seeded ALS runs, since a single ALS
-    run can stall short of an attainable fit.  Counts r whose
+    run can stall short of an attainable fit; if all of them miss, one
+    more ALS run starts from :func:`_jennrich_start` where it applies,
+    and counts only if the composed model fits.  Counts r whose
     Eckart-Young floor, max_n sum_{i>r} sigma_i(unfold_n T)^2 / size,
     exceeds the threshold (by more than a 1e-9 relative margin) are
     skipped: no r-term model can fit below it, so the result is the
@@ -379,6 +426,15 @@ def estimate_rank(target, threshold: float = 1e-6, r_max: int | None = None) -> 
             _, mse = als_fit(t, r, threshold=threshold, seed=attempt)
             if mse < threshold:
                 return r
+        start = _jennrich_start(t, r)
+        if start is None:
+            continue
+        # checked on the composed tensor: from a start that is not a
+        # decomposition ALS can diverge to huge factors, where the
+        # normal-equation MSE cancels to 0
+        diff = cp_compose(_als(t, start, threshold, ALS_MAX_SWEEPS)[0]) - t
+        if float((diff * diff).sum()) / t.size < threshold:
+            return r
     return r_max + 1
 
 

@@ -537,6 +537,43 @@ class TestEstimateRank:
         monkeypatch.setattr(tenfac, "singular_values", lambda a: np.zeros(min(a.shape)))
         assert skipping == [estimate_rank(t) for t in tensors]
 
+    # draws on which all three seeded ALS restarts stall at 3 terms
+    @pytest.mark.parametrize(
+        "seed",
+        [10000, 49670, 37977, 318, 26608, 54781, 81214, 25026, 93811,
+         88182, 84146, 1497, 59777, 528, 68, 53322, 182, 35942],
+    )
+    def test_stalled_restarts_rescued_by_algebraic_start(self, seed, monkeypatch):
+        t = cp_compose(random_model(seed, (4, 4, 4), 3))
+        assert all(als_fit(t, 3, seed=a)[1] >= 1e-6 for a in range(tenfac.RANK_RESTARTS))
+        assert estimate_rank(t) == 3
+        monkeypatch.setattr(tenfac, "_jennrich_start", lambda t, terms: None)
+        assert estimate_rank(t) > 3
+
+    @pytest.mark.parametrize("dims", [(4, 4, 4), (3, 4, 5), (5, 3, 4), (3, 3, 2, 4)])
+    @pytest.mark.parametrize("terms", [1, 2, 3])
+    def test_algebraic_start_exact_on_generic_tensors(self, dims, terms):
+        t = cp_compose(random_model(terms, dims, terms))
+        start = tenfac._jennrich_start(t, terms)
+        assert [f.shape for f in start] == [(terms, d) for d in dims]
+        assert np.abs(cp_compose(CpModel(tuple(start))) - t).max() < 1e-9 * np.abs(t).max()
+
+    def test_algebraic_fallback_checks_the_composed_fit(self):
+        # a sparse 4x4x4 tensor (20 nonzeros) that no seeded restart fits
+        # with 4 terms; ALS from its algebraic start diverges to factors
+        # near 1e13, where the normal-equation MSE cancels to 0
+        t = sample_observations(gen_ground_truth((4, 4, 4), 2, seed=0), 20, seed=1).target
+        model, mse = tenfac._als(t, tenfac._jennrich_start(t, 4), 1e-6, tenfac.ALS_MAX_SWEEPS)
+        assert mse < 1e-6
+        assert np.abs(cp_compose(model) - t).max() > 1e-2
+        assert estimate_rank(t) > 4
+
+    def test_algebraic_start_needs_order_3_and_terms_within_two_largest_dims(self):
+        assert tenfac._jennrich_start(np.ones((4, 4)), 1) is None
+        t = cp_compose(random_model(0, (3, 4, 5), 5))
+        assert tenfac._jennrich_start(t, 5) is None
+        assert tenfac._jennrich_start(t, 4) is not None
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10**5), st.integers(1, 3))
     def test_never_exceeds_construction_terms(self, seed, terms):
