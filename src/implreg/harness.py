@@ -135,7 +135,8 @@ class InitSpec:
     initialization until the product's leading-minor determinant has
     that sign; 0 accepts the first draw.  "auto" (the default via
     ``det_sign=None`` in JSON) picks the sign under which the task's
-    free entry is driven to grow."""
+    free entry is driven to grow.  Identity init is deterministic with a
+    positive determinant, so a sign of -1 is refused."""
 
     kind: str = "balanced"
     alpha: float = 1e-3
@@ -158,6 +159,8 @@ class InitSpec:
         sign = self.det_sign
         if sign is None:
             sign = matfac.required_det_sign(task)
+        if self.kind == "identity" and sign == -1:
+            raise ValueError("identity init has a positive determinant; it cannot meet det_sign -1")
         if sign == 0 or self.kind == "identity":
             return make(rng), 1
         return matfac.resample_until_det_sign(make, sign, rng)

@@ -2,12 +2,14 @@
 
 A CP model writes an order-N tensor as a sum of R rank-one terms, one
 vector per mode per term.  Training minimizes half the squared residual
-over observed entries by gradient descent with an adaptive step size
-(a base rate divided by the bias-corrected root of an exponential
-moving average of squared gradient norms; only the step length adapts,
-never the direction).  Rank estimation follows the standard recipe:
-the smallest R for which alternating least squares fits a fully known
-tensor below an MSE threshold.
+over observed entries by gradient descent with an adaptive step size:
+eta_t = CP_BASE_LR / (sqrt(gamma_t / (1 - CP_EMA_BETA^t)) + 1e-6),
+gamma the exponential moving average (weight CP_EMA_BETA = 0.99) of
+the total squared gradient norm and CP_BASE_LR = 1e-2; only the step
+length adapts, never the direction.  Rank estimation follows the
+standard recipe: the smallest R for which alternating least squares
+fits a fully known tensor below an MSE threshold, every fit checked on
+the tensor its model composes.
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ from .rng import stream
 __all__ = [
     "TensorTask",
     "CpModel",
-    "AdaptiveLrState",
     "GenerationError",
     "cp_compose",
     "cp_loss_and_grads",
-    "adaptive_step",
     "train_cp",
     "als_fit",
     "estimate_rank",
@@ -41,6 +41,9 @@ __all__ = [
 
 # iterations between logged training samples
 CP_LOG_STRIDE = 100
+# base rate and EMA weight of train_cp's adaptive step size
+CP_BASE_LR = 1e-2
+CP_EMA_BETA = 0.99
 # Tikhonov weight (relative to the Gram trace) of ALS's fallback solve
 ALS_RIDGE = 1e-12
 # sweeps per ALS run unless the caller sets them
@@ -126,32 +129,6 @@ class CpModel:
         return tuple(f.shape[1] for f in self.factors)
 
 
-@dataclass(frozen=True)
-class AdaptiveLrState:
-    """Running state of the adaptive step size: eta_t = base_eta /
-    (sqrt(gamma_t / (1 - beta^t)) + 1e-6), gamma the EMA of total
-    squared gradient norms."""
-
-    base_eta: float = 1e-2
-    beta: float = 0.99
-    gamma: float = 0.0
-    t: int = 0
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
-
-    def advance(self, grads: Sequence[np.ndarray]) -> tuple[float, AdaptiveLrState]:
-        """Step size for one update along ``grads`` and the state after it."""
-        g2 = 0.0
-        for g in grads:
-            g2 += float((g * g).sum())
-        t = self.t + 1
-        gamma = self.beta * self.gamma + (1.0 - self.beta) * g2
-        eta_t = self.base_eta / (math.sqrt(gamma / (1.0 - self.beta**t)) + 1e-6)
-        return eta_t, AdaptiveLrState(self.base_eta, self.beta, gamma, t)
-
-
 def default_terms(dims: Sequence[int]) -> int:
     """Number of terms sufficient to express any tensor of the given
     dims: prod(dims) / max(dims)."""
@@ -210,15 +187,6 @@ def cp_loss_and_grads(model: CpModel, task: TensorTask):
     return _loss_and_grads(model.factors, task)
 
 
-def adaptive_step(model: CpModel, grads: Sequence[np.ndarray], state: AdaptiveLrState):
-    """Apply one adaptive-rate update; returns the new model and state.
-
-    All factors move by the shared scalar step along the raw gradient.
-    """
-    eta_t, state = state.advance(grads)
-    return CpModel(tuple(f - eta_t * g for f, g in zip(model.factors, grads))), state
-
-
 @dataclass(frozen=True)
 class CpTrainSample:
     iteration: int
@@ -245,10 +213,12 @@ def train_cp(
     """Train a CP model on the observed entries.
 
     Factors start i.i.d. N(0, init_std^2) from per-mode substreams of
-    ``seed``.  Stops when the mean squared error over observations
-    (2 * loss / n_obs) falls below ``mse_threshold`` or after
-    ``max_iters`` updates.  Divergence (non-finite loss or factor
-    entries beyond 1e12) raises :class:`DivergenceError`.
+    ``seed``; every update moves all factors along their gradients by
+    the one adaptive step size of the module docstring.  Stops when the
+    mean squared error over observations (2 * loss / n_obs) falls below
+    ``mse_threshold`` or after ``max_iters`` updates.  Divergence
+    (non-finite loss or factor entries beyond 1e12) raises
+    :class:`DivergenceError`.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
@@ -261,7 +231,7 @@ def train_cp(
     flat = np.concatenate([subs[n].normal(0.0, init_std, size=(terms, d)).ravel() for n, d in enumerate(task.dims)])
     ends = np.cumsum([terms * d for d in task.dims])
     factors = [part.reshape(terms, d) for part, d in zip(np.split(flat, ends[:-1]), task.dims)]
-    state = AdaptiveLrState()
+    gamma = 0.0  # EMA of the total squared gradient norm
     trajectory: list[CpTrainSample] = []
     converged = False
     it = 0
@@ -284,9 +254,13 @@ def train_cp(
             break
         if it >= max_iters:
             break
-        eta_t, state = state.advance(grads)
-        for n in range(len(factors)):
-            factors[n] -= eta_t * grads[n]
+        g2 = 0.0
+        for g in grads:
+            g2 += float((g * g).sum())
+        gamma = CP_EMA_BETA * gamma + (1.0 - CP_EMA_BETA) * g2
+        eta_t = CP_BASE_LR / (math.sqrt(gamma / (1.0 - CP_EMA_BETA ** (it + 1))) + 1e-6)
+        for f, g in zip(factors, grads):
+            f -= eta_t * g
         it += 1
     if not trajectory or trajectory[-1].iteration != it:
         trajectory.append(CpTrainSample(it, lo, mse))
@@ -312,7 +286,8 @@ def als_fit(
     model seen and its MSE.  Singular normal equations fall back to a
     Tikhonov-damped solve.  A sweep's MSE comes from the last mode's
     normal equations, ||T||^2 - 2<sol, rhs> + <gram, sol sol^T>, without
-    composing the tensor.
+    composing the tensor; on factors that diverge it can cancel to 0
+    while the composed model is far from ``target``.
     """
     t = as_tensor(target)
     if terms < 1:
@@ -400,8 +375,9 @@ def estimate_rank(target, threshold: float = 1e-6, r_max: int | None = None) -> 
     ``r_max + 1`` as an explicit out-of-range sentinel.  Each candidate
     gets ``RANK_RESTARTS`` independently seeded ALS runs, since a single ALS
     run can stall short of an attainable fit; if all of them miss, one
-    more ALS run starts from :func:`_jennrich_start` where it applies,
-    and counts only if the composed model fits.  Counts r whose
+    more ALS run starts from :func:`_jennrich_start` where it applies.
+    A fit counts only if the tensor its model composes has an MSE below
+    the threshold (the MSE ALS reports can cancel to 0).  Counts r whose
     Eckart-Young floor, max_n sum_{i>r} sigma_i(unfold_n T)^2 / size,
     exceeds the threshold (by more than a 1e-9 relative margin) are
     skipped: no r-term model can fit below it, so the result is the
@@ -422,20 +398,21 @@ def estimate_rank(target, threshold: float = 1e-6, r_max: int | None = None) -> 
     for r in range(1, r_max + 1):
         if max(float(tl[r]) if r < tl.size else 0.0 for tl in tails) > threshold * (1.0 + 1e-9):
             continue
-        for attempt in range(RANK_RESTARTS):
-            _, mse = als_fit(t, r, threshold=threshold, seed=attempt)
-            if mse < threshold:
+        for model in _rank_fits(t, r, threshold):
+            diff = cp_compose(model) - t
+            if float((diff * diff).sum()) / t.size < threshold:
                 return r
-        start = _jennrich_start(t, r)
-        if start is None:
-            continue
-        # checked on the composed tensor: from a start that is not a
-        # decomposition ALS can diverge to huge factors, where the
-        # normal-equation MSE cancels to 0
-        diff = cp_compose(_als(t, start, threshold, ALS_MAX_SWEEPS)[0]) - t
-        if float((diff * diff).sum()) / t.size < threshold:
-            return r
     return r_max + 1
+
+
+def _rank_fits(t: np.ndarray, r: int, threshold: float):
+    # estimate_rank's r-term ALS models, lazily: the seeded restarts, then
+    # the run from the algebraic start where it applies
+    for attempt in range(RANK_RESTARTS):
+        yield als_fit(t, r, threshold=threshold, seed=attempt)[0]
+    start = _jennrich_start(t, r)
+    if start is not None:
+        yield _als(t, start, threshold, ALS_MAX_SWEEPS)[0]
 
 
 def gen_ground_truth(dims: Sequence[int], r_star: int, seed: int) -> np.ndarray:

@@ -14,6 +14,7 @@ from implreg.harness import (
     MatfacSweepConfig,
     TaskSpec,
     TenfacSweepConfig,
+    detsign_distributions,
     format_float,
     load_config,
     parse_config,
@@ -214,6 +215,26 @@ def _cfg_doc(cfg):
     return dataclasses.asdict(cfg)
 
 
+class TestInitSpec:
+    @pytest.mark.parametrize("det_sign", [0, 1, None])
+    def test_identity_with_a_positive_or_free_sign(self, det_sign):
+        net, attempts = InitSpec(kind="identity", alpha=0.1, det_sign=det_sign).build(
+            TaskSpec(kind="base").build(), 2, stream(0)
+        )
+        assert attempts == 1
+        assert matfac.leading_minor_det(matfac.product_matrix(net)) == pytest.approx(0.01, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "task, det_sign",
+        [(TaskSpec(kind="base"), -1), (TaskSpec(kind="perturbed", unobserved=(1, 2)), None)],
+        ids=["explicit", "auto-off-diagonal"],
+    )
+    def test_identity_refuses_a_negative_sign(self, task, det_sign):
+        # the identity product has determinant alpha^dim > 0 and is never redrawn
+        with pytest.raises(ValueError, match="det_sign -1"):
+            InitSpec(kind="identity", alpha=0.1, det_sign=det_sign).build(task.build(), 2, stream(0))
+
+
 class TestRunMatfac:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = quick_run_config(tmp_path / "a")
@@ -412,6 +433,14 @@ class TestDetsign:
         rows = run_detsign(10_000, ["gaussian", "gaussian-product-3"], seed=0)
         for r in rows:
             assert abs(r["p_det_pos"] - 0.5) < 0.02
+
+    def test_dimension_3_names_and_determinants(self):
+        # the "@d" names and the np.linalg.det branch of leading_minor_dets
+        rows = run_detsign(10_000, detsign_distributions(3, 3), seed=0)
+        assert [r["distribution"] for r in rows] == ["gaussian@3", "gaussian-product-3@3", "identity@3"]
+        assert rows[2]["p_det_pos"] == 1.0
+        for r in rows[:2]:
+            assert r["ci_low"] < 0.5 < r["ci_high"]
 
     def test_csv_written(self, tmp_path):
         out = tmp_path / "ds.csv"

@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from implreg import matfac, tenfac
 from implreg.tenfac import (
-    AdaptiveLrState,
     CpModel,
     TensorTask,
-    adaptive_step,
     als_fit,
     cp_compose,
     cp_loss_and_grads,
@@ -110,11 +108,13 @@ def old_loss_and_grads(factors, task):
 
 
 def old_train_cp(task, terms, init_std, seed, mse_threshold=1e-6):
-    """train_cp on per-mode factor arrays and the oracle gradient; returns
-    (iterations, trajectory tuples, factors).  Fails on divergence."""
+    """train_cp on per-mode factor arrays, the oracle gradient and the
+    rate formula written out (base 1e-2, EMA weight 0.99, bias-corrected);
+    returns (iterations, trajectory tuples, factors).  Fails on
+    divergence."""
     subs = stream(seed, 7).spawn(len(task.dims))
     factors = [subs[n].normal(0.0, init_std, size=(terms, d)) for n, d in enumerate(task.dims)]
-    state = AdaptiveLrState()
+    gamma, t = 0.0, 0
     trajectory = []
     it = 0
     while True:
@@ -125,7 +125,12 @@ def old_train_cp(task, terms, init_std, seed, mse_threshold=1e-6):
             trajectory.append((it, lo, mse))
         if mse < mse_threshold:
             break
-        eta_t, state = state.advance(grads)
+        g2 = 0.0
+        for g in grads:
+            g2 += float((g * g).sum())
+        t += 1
+        gamma = 0.99 * gamma + (1.0 - 0.99) * g2
+        eta_t = 1e-2 / (math.sqrt(gamma / (1.0 - 0.99**t)) + 1e-6)
         for n in range(len(factors)):
             factors[n] -= eta_t * grads[n]
         it += 1
@@ -359,41 +364,6 @@ class TestOrderOne:
         assert estimate_rank(np.array([1.0, -2.0, 0.5])) == 1
 
 
-class TestAdaptiveStep:
-    def test_first_step_formula(self):
-        model = CpModel((np.zeros((1, 2)), np.zeros((1, 2))))
-        grads = [np.array([[3.0, 0.0]]), np.array([[0.0, 4.0]])]
-        g2 = 25.0
-        _, state = adaptive_step(model, grads, AdaptiveLrState())
-        assert state.t == 1
-        assert state.gamma == pytest.approx(0.01 * g2, abs=1e-15)
-        # bias correction makes gamma_1 / (1 - beta) = g2 exactly
-        expected_eta = 0.01 / (math.sqrt(g2) + 1e-6)
-        stepped, _ = adaptive_step(model, grads, AdaptiveLrState())
-        assert np.allclose(stepped.factors[0], -expected_eta * grads[0], atol=1e-15)
-
-    def test_zero_gradient_keeps_model_and_decays_gamma(self):
-        model = random_model(0, (2, 2), 1)
-        state = AdaptiveLrState(gamma=1.0, t=5)
-        zero = [np.zeros_like(f) for f in model.factors]
-        out, state2 = adaptive_step(model, zero, state)
-        for a, b in zip(out.factors, model.factors):
-            assert np.array_equal(a, b)
-        assert state2.gamma == pytest.approx(0.99, abs=1e-15)
-
-    def test_constant_gradient_norm_limit(self):
-        # with a constant total squared norm g, the step approaches
-        # base / (sqrt(g) + 1e-6) as the bias correction washes out
-        g = 4.0
-        state = AdaptiveLrState()
-        model = CpModel((np.zeros((1, 1)), np.zeros((1, 1))))
-        grads = [np.array([[2.0]]), np.array([[0.0]])]
-        for _ in range(10_000):
-            _, state = adaptive_step(model, grads, state)
-        eta = state.base_eta / (math.sqrt(state.gamma / (1 - state.beta**state.t)) + 1e-6)
-        assert eta == pytest.approx(0.01 / (math.sqrt(g) + 1e-6), rel=1e-9)
-
-
 class TestTrainCp:
     def test_fully_observed_rank1_reaches_threshold(self):
         truth = gen_ground_truth((8, 8, 8), 1, seed=0)
@@ -440,20 +410,19 @@ class TestTrainCp:
         # copies, not views that keep the training buffer alive
         assert all(f.flags.owndata for f in factors)
 
-    def test_loop_is_loss_grads_plus_adaptive_step(self):
-        # train_cp updates its factors in place; k of its iterations equal
-        # k public steps from the same start, bit for bit
-        truth = gen_ground_truth((4, 4), 1, seed=3)
-        task = sample_observations(truth, 10, seed=1)
-        model = train_cp(task, 4, 1e-2, seed=9, mse_threshold=0.0, max_iters=0).model
-        state = AdaptiveLrState()
-        for _ in range(200):
-            _, grads = cp_loss_and_grads(model, task)
-            model, state = adaptive_step(model, grads, state)
-        trained = train_cp(task, 4, 1e-2, seed=9, mse_threshold=0.0, max_iters=200)
-        assert trained.iterations == 200
-        for fa, fb in zip(trained.model.factors, model.factors):
-            assert np.array_equal(fa, fb)
+    def test_first_step_is_the_base_rate_along_the_gradient(self):
+        # bias correction makes gamma_1 / (1 - beta) the first squared
+        # gradient norm g2, so eta_1 = base / (sqrt(g2) + 1e-6)
+        task = sample_observations(gen_ground_truth((4, 4), 1, seed=3), 10, seed=1)
+        start = train_cp(task, 4, 1e-2, seed=9, mse_threshold=0.0, max_iters=0).model
+        _, grads = cp_loss_and_grads(start, task)
+        g2 = sum(float((g * g).sum()) for g in grads)
+        beta = tenfac.CP_EMA_BETA
+        eta_1 = tenfac.CP_BASE_LR / (math.sqrt((1.0 - beta) * g2 / (1.0 - beta)) + 1e-6)
+        assert eta_1 == pytest.approx(1e-2 / (math.sqrt(g2) + 1e-6), rel=1e-15)
+        stepped = train_cp(task, 4, 1e-2, seed=9, mse_threshold=0.0, max_iters=1)
+        assert stepped.iterations == 1
+        assert all(same_bits(f, s - eta_1 * g) for f, s, g in zip(stepped.model.factors, start.factors, grads))
 
 
 class TestAls:
@@ -566,6 +535,19 @@ class TestEstimateRank:
         model, mse = tenfac._als(t, tenfac._jennrich_start(t, 4), 1e-6, tenfac.ALS_MAX_SWEEPS)
         assert mse < 1e-6
         assert np.abs(cp_compose(model) - t).max() > 1e-2
+        assert estimate_rank(t) > 4
+
+    def test_seeded_restart_checks_the_composed_fit(self, monkeypatch):
+        # a seeded restart that diverged the same way, reporting MSE 0.0,
+        # certifies no rank either
+        t = sample_observations(gen_ground_truth((4, 4, 4), 2, seed=0), 20, seed=1).target
+        diverged, _ = tenfac._als(t, tenfac._jennrich_start(t, 4), 1e-6, tenfac.ALS_MAX_SWEEPS)
+        als = tenfac.als_fit
+
+        def diverging(t, terms, *args, **kwargs):
+            return (diverged, 0.0) if terms == 4 else als(t, terms, *args, **kwargs)
+
+        monkeypatch.setattr(tenfac, "als_fit", diverging)
         assert estimate_rank(t) > 4
 
     def test_algebraic_start_needs_order_3_and_terms_within_two_largest_dims(self):
