@@ -66,7 +66,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command in _OWNED:
-        cfg = harness.load_config(args.config)
+        try:
+            cfg = harness.load_config(args.config)
+        except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
+            parser.error(f"cannot load {args.config}: {exc}")
         if not isinstance(cfg, _OWNED[args.command]):
             parser.error(f"{args.config} holds a {type(cfg).__name__}, which `{args.command}` does not run")
         seeds = cfg.seeds if hasattr(cfg, "seeds") else (cfg.seed,)

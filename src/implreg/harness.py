@@ -2,7 +2,7 @@
 Monte Carlo studies, and sweep aggregation.
 
 Configs are single JSON documents with a top-level ``kind`` field
-("matfac-run", "matfac-sweep", "detsign", "tenfac-sweep", "plot").
+("matfac-run", "matfac-sweep", "tenfac-sweep").
 Every run gets a stable id (hash of the config without ``out_dir``,
 plus seed); identical config and seed reproduce byte-identical CSVs.
 Floats are printed with 17 significant digits so parsing a CSV back
@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import matfac, metrics, svgplot, tenfac
+from . import matfac, metrics, tenfac
 from .rng import stream
 
 __all__ = [
@@ -33,9 +33,7 @@ __all__ = [
     "InitSpec",
     "MatfacRunConfig",
     "MatfacSweepConfig",
-    "DetSignConfig",
     "TenfacSweepConfig",
-    "PlotConfig",
     "RunRecord",
     "parse_config",
     "load_config",
@@ -233,15 +231,6 @@ class MatfacSweepConfig:
 
 
 @dataclass(frozen=True)
-class DetSignConfig:
-    samples: int = 10_000
-    depth: int = 3
-    dim: int = 2
-    seed: int = 0
-    out: str = "runs/detsign.csv"
-
-
-@dataclass(frozen=True)
 class TenfacSweepConfig:
     dims: tuple[int, ...] = (8, 8, 8)
     gt_rank: int = 1
@@ -259,14 +248,6 @@ class TenfacSweepConfig:
     @property
     def run_id(self) -> str:
         return _run_id(asdict(self), self.gt_seed)
-
-
-@dataclass(frozen=True)
-class PlotConfig:
-    inputs: tuple[str, ...]
-    style: str = "loss-vs-entry"
-    out: str = "plot.svg"
-    title: str | None = None
 
 
 @dataclass(frozen=True)
@@ -297,9 +278,7 @@ def _run_id(config: dict, seed: int) -> str:
 _KINDS = {
     "matfac-run": MatfacRunConfig,
     "matfac-sweep": MatfacSweepConfig,
-    "detsign": DetSignConfig,
     "tenfac-sweep": TenfacSweepConfig,
-    "plot": PlotConfig,
 }
 
 
@@ -599,10 +578,6 @@ def run_config(cfg, jobs: int = 1):
         return run_matfac(cfg)
     if isinstance(cfg, MatfacSweepConfig):
         return run_matfac_sweep(cfg, jobs=jobs)
-    if isinstance(cfg, DetSignConfig):
-        return run_detsign(cfg.samples, detsign_distributions(cfg.depth, cfg.dim), cfg.seed, out=cfg.out)
     if isinstance(cfg, TenfacSweepConfig):
         return run_tenfac_sweep(cfg, jobs=jobs)
-    if isinstance(cfg, PlotConfig):
-        return svgplot.emit_plot(cfg.inputs, cfg.style, cfg.out, title=cfg.title)
     raise TypeError(f"cannot run config of type {type(cfg).__name__}")

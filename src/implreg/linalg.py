@@ -1,5 +1,5 @@
 """Dense matrix/tensor kernels: validation, SVD, Schatten norms, outer
-products and entropy.
+products.
 
 Everything here operates on plain ``numpy`` arrays of float64.  Inputs
 are validated once at the boundary (finite entries, sane shapes); the
@@ -30,7 +30,6 @@ __all__ = [
     "singular_values",
     "schatten_norm",
     "outer_product",
-    "shannon_entropy",
 ]
 
 
@@ -197,20 +196,3 @@ def outer_product(vectors: Sequence) -> np.ndarray:
     for v in vs[1:]:
         out = np.multiply.outer(out, v)
     return out
-
-
-def shannon_entropy(dist) -> float:
-    """Entropy ``-sum rho ln rho`` of a distribution, with 0 ln 0 = 0.
-
-    The input must be non-negative and sum to 1 within 1e-12.
-    """
-    rho = np.asarray(dist, dtype=float)
-    if rho.ndim != 1 or rho.size == 0:
-        raise ValueError("expected a non-empty 1-D distribution")
-    if np.any(rho < 0) or not np.all(np.isfinite(rho)):
-        raise ValueError("distribution entries must be finite and non-negative")
-    total = float(rho.sum())
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"distribution must sum to 1 (got {total!r})")
-    pos = rho[rho > 0]
-    return float(-(pos * np.log(pos)).sum())

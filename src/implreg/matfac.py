@@ -3,14 +3,17 @@
 A depth-L factorization represents a d x d' matrix as the product
 W_L @ ... @ W_1 ("product matrix") and fits observed entries of a
 completion task by full-batch gradient descent on the factors.  The
-module also provides: the standard initializers (layer-wise Gaussian,
+task type, :class:`CompletionTask`, has any order: the CP models of
+``tenfac`` train on tensor tasks of the same type.  The module also
+provides: the standard initializers (layer-wise Gaussian,
 balanced-by-construction, scaled identity), an explicit-Euler
 integrator for the end-to-end product-matrix flow, predicted
 instantaneous singular-value rates, the layer balancedness defect, and
 an exact re-balancing construction.
 
-Index convention: observations are keyed by 0-based (row, col); the
-matrix position written "w11" in logs is entry [0, 0].
+Index convention: observations are keyed by 0-based index tuples,
+(row, col) for a matrix; the matrix position written "w11" in logs is
+entry [0, 0].
 """
 
 from __future__ import annotations
@@ -81,42 +84,43 @@ class ResampleError(RuntimeError):
 
 @dataclass(frozen=True)
 class CompletionTask:
-    """A matrix completion problem: shape plus observed entries."""
+    """A completion problem of any order: shape plus observed entries
+    keyed by 0-based index tuples.  ``mask`` (1.0 at observed entries)
+    and ``target`` (observed values, zeros elsewhere) are the same set
+    as dense arrays; the matrix accessors read them in row-major order,
+    the order of ``sorted(observations)``."""
 
-    shape: tuple[int, int]
-    observations: Mapping[tuple[int, int], float]
-    _rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _cols: np.ndarray = field(init=False, repr=False, compare=False)
-    _vals: np.ndarray = field(init=False, repr=False, compare=False)
+    shape: tuple[int, ...]
+    observations: Mapping[tuple[int, ...], float]
+    mask: np.ndarray = field(init=False, repr=False, compare=False)
+    target: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d, dp = self.shape
-        if d < 1 or dp < 1:
+        if any(d < 1 for d in self.shape):
             raise ValueError("task shape must be positive")
         obs = dict(self.observations)
-        if len(obs) >= d * dp:
-            raise ValueError("at least one entry must be unobserved")
-        for (i, j), v in obs.items():
-            if not (0 <= i < d and 0 <= j < dp):
-                raise ValueError(f"observed index {(i, j)} out of range for {self.shape}")
+        if not 0 < len(obs) < math.prod(self.shape):
+            raise ValueError("at least one entry must be observed and one unobserved")
+        mask = np.zeros(self.shape)
+        target = np.zeros(self.shape)
+        for idx, v in obs.items():
+            if len(idx) != len(self.shape) or not all(0 <= i < d for i, d in zip(idx, self.shape)):
+                raise ValueError(f"observed index {idx} out of range for shape {self.shape}")
             if not math.isfinite(v):
                 raise ValueError("observed values must be finite")
-        keys = sorted(obs)
+            mask[idx] = 1.0
+            target[idx] = v
         object.__setattr__(self, "observations", obs)
-        object.__setattr__(self, "_rows", np.array([k[0] for k in keys], dtype=np.intp))
-        object.__setattr__(self, "_cols", np.array([k[1] for k in keys], dtype=np.intp))
-        object.__setattr__(self, "_vals", np.array([obs[k] for k in keys], dtype=float))
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "target", target)
 
     def index_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._rows, self._cols, self._vals
+        """Rows, columns and values of a matrix task's observations."""
+        rows, cols = np.nonzero(self.mask)
+        return rows, cols, self.target[rows, cols]
 
-    def unobserved_indices(self) -> list[tuple[int, int]]:
-        d, dp = self.shape
-        return [(i, j) for i in range(d) for j in range(dp) if (i, j) not in self.observations]
-
-    def observed_value_norm(self) -> float:
-        """Euclidean norm of the observed-value vector."""
-        return float(np.sqrt(self._vals @ self._vals))
+    def unobserved_indices(self) -> list[tuple[int, ...]]:
+        return [ij for ij in np.ndindex(self.shape) if ij not in self.observations]
 
 
 @dataclass(frozen=True)

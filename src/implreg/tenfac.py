@@ -15,17 +15,16 @@ the tensor its model composes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .linalg import as_tensor, outer_product, singular_values
-from .matfac import DivergenceError, ENTRY_BLOWUP_LIMIT
+from .matfac import CompletionTask, DivergenceError, ENTRY_BLOWUP_LIMIT
 from .rng import stream
 
 __all__ = [
-    "TensorTask",
     "CpModel",
     "GenerationError",
     "cp_compose",
@@ -56,41 +55,6 @@ REGEN_CAP = 20
 
 class GenerationError(RuntimeError):
     """Ground-truth generation exhausted its regeneration budget."""
-
-
-@dataclass(frozen=True)
-class TensorTask:
-    """A tensor completion problem: dims plus observed entries keyed by
-    0-based index tuples.  ``mask`` (1.0 at observed entries) and
-    ``target`` (observed values, zeros elsewhere) are the same set as
-    dense arrays."""
-
-    dims: tuple[int, ...]
-    observations: dict[tuple[int, ...], float]
-    mask: np.ndarray = field(init=False, repr=False, compare=False)
-    target: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.dims) < 1 or any(d < 1 for d in self.dims):
-            raise ValueError("dims must be positive")
-        obs = dict(self.observations)
-        total = int(np.prod(self.dims))
-        if len(obs) > total - 1:
-            raise ValueError("at least one entry must stay unobserved")
-        if not obs:
-            raise ValueError("at least one entry must be observed")
-        mask = np.zeros(self.dims)
-        target = np.zeros(self.dims)
-        for idx, v in obs.items():
-            if len(idx) != len(self.dims) or any(not 0 <= i < d for i, d in zip(idx, self.dims)):
-                raise ValueError(f"observed index {idx} out of range for dims {self.dims}")
-            if not math.isfinite(v):
-                raise ValueError("observed values must be finite")
-            mask[idx] = 1.0
-            target[idx] = v
-        object.__setattr__(self, "observations", obs)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "target", target)
 
 
 @dataclass(frozen=True)
@@ -159,31 +123,31 @@ def _unfold(t: np.ndarray, n: int) -> np.ndarray:
     return t.transpose(n, *range(n), *range(n + 1, t.ndim)).reshape(t.shape[n], -1)
 
 
-def _loss_and_grads(factors, task: TensorTask):
+def _loss_and_grads(factors, task: CompletionTask):
     # masked MTTKRP: mode n's gradient is khatri_rao(other modes) @
     # unfold_n(E)^T with E = mask * X - target; mode 0 reuses the compose
     # product
     terms = factors[0].shape[0]
     kr = _khatri_rao(factors[1:], terms)
-    err = (factors[0].T @ kr).reshape(task.dims) * task.mask - task.target
+    err = (factors[0].T @ kr).reshape(task.shape) * task.mask - task.target
     lo = 0.5 * float((err * err).sum())
     grads = []
-    for n in range(len(task.dims)):
+    for n in range(len(task.shape)):
         if n:
             kr = _khatri_rao([*factors[:n], *factors[n + 1 :]], terms)
         grads.append(kr @ _unfold(err, n).T)
     return lo, grads
 
 
-def cp_loss_and_grads(model: CpModel, task: TensorTask):
+def cp_loss_and_grads(model: CpModel, task: CompletionTask):
     """Loss (half squared residual over observations) and its exact
     gradient with respect to every factor vector.
 
     The gradient for term r, mode n accumulates residual times the
     product of the other modes' entries over the observed tuples.
     """
-    if model.dims != task.dims:
-        raise ValueError(f"model dims {model.dims} do not match task dims {task.dims}")
+    if model.dims != task.shape:
+        raise ValueError(f"model dims {model.dims} do not match task shape {task.shape}")
     return _loss_and_grads(model.factors, task)
 
 
@@ -203,7 +167,7 @@ class CpTrainResult:
 
 
 def train_cp(
-    task: TensorTask,
+    task: CompletionTask,
     terms: int,
     init_std: float,
     seed: int,
@@ -226,11 +190,11 @@ def train_cp(
         raise ValueError("init_std must be positive")
     n_obs = len(task.observations)
     gen = stream(seed, 7)
-    subs = gen.spawn(len(task.dims))
+    subs = gen.spawn(len(task.shape))
     # the factors are views into one buffer, so one max checks them all
-    flat = np.concatenate([subs[n].normal(0.0, init_std, size=(terms, d)).ravel() for n, d in enumerate(task.dims)])
-    ends = np.cumsum([terms * d for d in task.dims])
-    factors = [part.reshape(terms, d) for part, d in zip(np.split(flat, ends[:-1]), task.dims)]
+    flat = np.concatenate([subs[n].normal(0.0, init_std, size=(terms, d)).ravel() for n, d in enumerate(task.shape)])
+    ends = np.cumsum([terms * d for d in task.shape])
+    factors = [part.reshape(terms, d) for part, d in zip(np.split(flat, ends[:-1]), task.shape)]
     gamma = 0.0  # EMA of the total squared gradient norm
     trajectory: list[CpTrainSample] = []
     converged = False
@@ -439,7 +403,7 @@ def gen_ground_truth(dims: Sequence[int], r_star: int, seed: int) -> np.ndarray:
     raise GenerationError(f"could not generate a rank-{r_star} tensor in {REGEN_CAP} attempts")
 
 
-def sample_observations(truth, n_obs: int, seed: int) -> TensorTask:
+def sample_observations(truth, n_obs: int, seed: int) -> CompletionTask:
     """Uniformly sample ``n_obs`` observed entries (without replacement,
     dedicated stream) from a ground-truth tensor."""
     t = as_tensor(truth)
@@ -452,4 +416,4 @@ def sample_observations(truth, n_obs: int, seed: int) -> TensorTask:
     for f in sorted(int(x) for x in flat):
         idx = np.unravel_index(f, t.shape)
         obs[tuple(int(i) for i in idx)] = float(t[idx])
-    return TensorTask(dims=t.shape, observations=obs)
+    return CompletionTask(shape=t.shape, observations=obs)

@@ -149,7 +149,7 @@ class TestConfigs:
 
     def test_bad_field_rejected(self):
         with pytest.raises(ValueError):
-            parse_config({"kind": "detsign", "smaples": 10})
+            parse_config({"kind": "tenfac-sweep", "gt_rnak": 2})
 
     def test_json_lists_become_tuples(self):
         for doc, expected in (
@@ -161,7 +161,6 @@ class TestConfigs:
                 {"kind": "tenfac-sweep", "dims": [4, 4], "n_obs": [5], "init_stds": [1e-3], "seeds": [0]},
                 TenfacSweepConfig(dims=(4, 4), n_obs=(5,), init_stds=(1e-3,), seeds=(0,)),
             ),
-            ({"kind": "plot", "inputs": ["a.csv"]}, harness.PlotConfig(inputs=("a.csv",))),
         ):
             assert parse_config(doc) == expected
 
@@ -172,7 +171,6 @@ class TestConfigs:
             "matfac_entry_vs_loss_depth4.json",
             "tenfac_rank1_order3.json",
             "tenfac_rank3_order3.json",
-            "detsign.json",
         ):
             cfg = load_config(f"configs/{name}")
             assert cfg is not None
@@ -657,7 +655,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "command, config",
-        [("matfac", {"kind": "detsign", "samples": 1000}), ("tenfac", {"kind": "matfac-run", "max_iters": 10})],
+        [("matfac", {"kind": "tenfac-sweep", "n_obs": [5]}), ("tenfac", {"kind": "matfac-run", "max_iters": 10})],
     )
     def test_config_of_another_kind_refused(self, tmp_path, monkeypatch, capsys, command, config):
         from implreg.cli import main
@@ -669,6 +667,24 @@ class TestCli:
             main([command, "--config", str(cfg_path)])
         assert exc_info.value.code == 2
         assert "does not run" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"kind": "matfac-run", "depht": 3}', '{"kind": "mystery"}', None, '{"kind": "matfac-run",'],
+        ids=["misspelled-field", "unknown-kind", "missing-file", "not-json"],
+    )
+    def test_config_that_fails_to_load_exits_2(self, tmp_path, monkeypatch, capsys, text):
+        from implreg.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        if text is not None:
+            cfg_path.write_text(text)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["matfac", "--config", str(cfg_path)])
+        assert exc_info.value.code == 2
+        assert f"cannot load {cfg_path}" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     def test_seed_flag_refused_on_multi_seed_config(self, tmp_path, capsys):

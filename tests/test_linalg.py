@@ -10,7 +10,6 @@ from implreg.linalg import (
     as_matrix,
     outer_product,
     schatten_norm,
-    shannon_entropy,
     singular_values,
     svd,
     svd2x2_analytic,
@@ -248,26 +247,6 @@ class TestOuterProduct:
         t = outer_product(vs)
         expected = math.prod(float(np.linalg.norm(v)) for v in vs)
         assert float(np.linalg.norm(t)) == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-
-class TestShannonEntropy:
-    def test_uniform_pair(self):
-        assert shannon_entropy([0.5, 0.5]) == pytest.approx(math.log(2.0), abs=1e-15)
-
-    def test_point_mass_convention(self):
-        assert shannon_entropy([1.0, 0.0]) == 0.0
-
-    def test_skewed_pair(self):
-        # frozen from an independent high-precision evaluation
-        assert shannon_entropy([0.9, 0.1]) == pytest.approx(0.3250829733914482, abs=1e-15)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            shannon_entropy([1.1, -0.1])
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            shannon_entropy([0.5, 0.4])
 
 
 def test_kernel_error_carries_input():

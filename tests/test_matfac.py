@@ -91,6 +91,29 @@ class TestTasks:
         with pytest.raises(ValueError):
             CompletionTask(shape=(1, 1), observations={(0, 0): 1.0})
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matrix_accessors_follow_sorted_observations(self, data):
+        """The kernels' index arrays are the sorted observations, bit for
+        bit; the unobserved entries are the row-major complement."""
+        d, dp = data.draw(st.integers(1, 5)), data.draw(st.integers(2, 5))
+        cells = [(i, j) for i in range(d) for j in range(dp)]
+        keys = data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells) - 1, unique=True))
+        obs = {k: data.draw(st.floats(allow_nan=False, allow_infinity=False)) for k in keys}
+        task = CompletionTask(shape=(d, dp), observations=obs)
+        ordered = sorted(obs)
+        expected = (
+            np.array([k[0] for k in ordered], dtype=np.intp),
+            np.array([k[1] for k in ordered], dtype=np.intp),
+            np.array([obs[k] for k in ordered], dtype=float),
+        )
+        for got, want in zip(task.index_arrays(), expected):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        free = task.unobserved_indices()
+        assert free == [ij for ij in cells if ij not in obs]
+        assert all(type(i) is int for ij in free for i in ij)
+
 
 class TestLoss:
     def test_zero_matrix_on_base_task(self):
@@ -894,8 +917,7 @@ class TestFlowContinuity:
         fa = factors_from(target)
         fb = factors_from(target + bump)
         delta0 = math.sqrt(sum(float(np.linalg.norm(a - b) ** 2) for a, b in zip(fa, fb)))
-        rows, cols, vals = BASE.index_arrays()
-        b_norm = BASE.observed_value_norm()
+        b_norm = float(np.linalg.norm(BASE.index_arrays()[2]))
         radius = 0.0
         dist = delta0
         for _ in range(steps):

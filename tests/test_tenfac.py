@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from implreg import matfac, tenfac
+from implreg.matfac import CompletionTask
 from implreg.tenfac import (
     CpModel,
-    TensorTask,
     als_fit,
     cp_compose,
     cp_loss_and_grads,
@@ -31,7 +31,7 @@ def full_task(tensor):
     obs = {idx: float(t[idx]) for idx in np.ndindex(t.shape)}
     unobserved = next(iter(obs))
     del obs[unobserved]
-    return TensorTask(dims=t.shape, observations=obs)
+    return CompletionTask(shape=t.shape, observations=obs)
 
 
 def fd_grads(model, task, step=1e-5):
@@ -54,7 +54,7 @@ def gather_loss_and_grads(factors, task):
     per-observation products of gathered factor entries, scattered back
     to each mode through one-hot matrices."""
     keys = sorted(task.observations)
-    idx = np.array(keys, dtype=np.intp).reshape(len(keys), len(task.dims))
+    idx = np.array(keys, dtype=np.intp).reshape(len(keys), len(task.shape))
     vals = np.array([task.observations[k] for k in keys])
     n_obs, n_modes = vals.size, len(factors)
     gathered = [factors[n][:, idx[:, n]] for n in range(n_modes)]
@@ -69,7 +69,7 @@ def gather_loss_and_grads(factors, task):
         for m in range(n_modes):
             if m != n:
                 others = others * gathered[m]
-        onehot = np.zeros((n_obs, task.dims[n]))
+        onehot = np.zeros((n_obs, task.shape[n]))
         onehot[np.arange(n_obs), idx[:, n]] = 1.0
         grads.append((others * resid) @ onehot)
     return lo, grads
@@ -97,10 +97,10 @@ def old_compose(factors):
 def old_loss_and_grads(factors, task):
     terms = factors[0].shape[0]
     kr = old_khatri_rao(factors[1:], terms)
-    err = (factors[0].T @ kr.T).reshape(task.dims) * task.mask - task.target
+    err = (factors[0].T @ kr.T).reshape(task.shape) * task.mask - task.target
     lo = 0.5 * float((err * err).sum())
     grads = []
-    for n in range(len(task.dims)):
+    for n in range(len(task.shape)):
         if n:
             kr = old_khatri_rao([*factors[:n], *factors[n + 1 :]], terms)
         grads.append(kr.T @ old_unfold(err, n).T)
@@ -112,8 +112,8 @@ def old_train_cp(task, terms, init_std, seed, mse_threshold=1e-6):
     rate formula written out (base 1e-2, EMA weight 0.99, bias-corrected);
     returns (iterations, trajectory tuples, factors).  Fails on
     divergence."""
-    subs = stream(seed, 7).spawn(len(task.dims))
-    factors = [subs[n].normal(0.0, init_std, size=(terms, d)) for n, d in enumerate(task.dims)]
+    subs = stream(seed, 7).spawn(len(task.shape))
+    factors = [subs[n].normal(0.0, init_std, size=(terms, d)) for n, d in enumerate(task.shape)]
     gamma, t = 0.0, 0
     trajectory = []
     it = 0
@@ -230,9 +230,7 @@ class TestCpLossAndGrads:
         model = random_model(2, (2, 2), 2)
         f1, f2 = model.factors
         task2d = matfac.make_base_task()
-        obs = {k: v for k, v in task2d.observations.items()}
-        task = TensorTask(dims=(2, 2), observations=obs)
-        lo, grads = cp_loss_and_grads(model, task)
+        lo, grads = cp_loss_and_grads(model, task2d)
         net = matfac.DeepNet((f2, f1.T))  # W = F1^T @ F2
         g_w1, g_w2 = matfac.factor_gradients(net, task2d)
         assert lo == pytest.approx(matfac.loss(task2d, matfac.product_matrix(net)), abs=1e-14)
@@ -272,7 +270,7 @@ class TestCpLossAndGrads:
         total = int(np.prod(dims))
         flat = rng.choice(total, size=int(rng.integers(1, total)), replace=False)
         obs = {tuple(int(i) for i in np.unravel_index(f, dims)): float(rng.normal()) for f in flat}
-        task = TensorTask(dims=dims, observations=obs)
+        task = CompletionTask(shape=dims, observations=obs)
         model = random_model(seed + 1, dims, terms)
         lo, grads = cp_loss_and_grads(model, task)
         lo_ref, grads_ref = gather_loss_and_grads(model.factors, task)
@@ -283,7 +281,7 @@ class TestCpLossAndGrads:
 
     def test_shape_mismatch_rejected(self):
         model = random_model(0, (2, 2), 1)
-        task = TensorTask(dims=(3, 3), observations={(0, 0): 1.0})
+        task = CompletionTask(shape=(3, 3), observations={(0, 0): 1.0})
         with pytest.raises(ValueError):
             cp_loss_and_grads(model, task)
 
@@ -318,7 +316,7 @@ class TestBitwiseOracle:
         total = int(np.prod(dims))
         flat = rng.choice(total, size=total // 2, replace=False)
         obs = {tuple(int(i) for i in np.unravel_index(f, dims)): float(rng.normal()) for f in flat}
-        task = TensorTask(dims=dims, observations=obs)
+        task = CompletionTask(shape=dims, observations=obs)
         lo, grads = cp_loss_and_grads(model, task)
         lo_ref, grads_ref = old_loss_and_grads(model.factors, task)
         assert same_bits(lo, lo_ref)
@@ -351,7 +349,7 @@ class TestOrderOne:
     def test_compose_loss_and_grads(self):
         model = CpModel((np.array([[1.0, 2.0, -1.0], [0.5, 0.0, 3.0]]),))
         assert np.array_equal(cp_compose(model), np.array([1.5, 2.0, 2.0]))
-        task = TensorTask(dims=(3,), observations={(0,): 1.0, (2,): 4.0})
+        task = CompletionTask(shape=(3,), observations={(0,): 1.0, (2,): 4.0})
         lo, grads = cp_loss_and_grads(model, task)
         resid = np.array([0.5, 0.0, -2.0])  # entry 1 is unobserved
         assert lo == pytest.approx(0.5 * float(resid @ resid), rel=1e-15)
@@ -359,7 +357,7 @@ class TestOrderOne:
         assert np.array_equal(grads[0], np.vstack([resid, resid]))
 
     def test_train_and_rank(self):
-        task = TensorTask(dims=(3,), observations={(0,): 1.0, (2,): -0.5})
+        task = CompletionTask(shape=(3,), observations={(0,): 1.0, (2,): -0.5})
         assert train_cp(task, 2, 1e-2, seed=0).converged
         assert estimate_rank(np.array([1.0, -2.0, 0.5])) == 1
 
@@ -582,18 +580,49 @@ class TestGenGroundTruth:
         assert default_terms((8, 8, 8, 8)) == 512
 
 
+# a vector, two matrices and tensors of orders 3 and 4
+TASK_SHAPES = [(3,), (2, 2), (3, 4), (2, 3, 2), (2, 2, 1, 3)]
+
+
+def refused(shape, observations):
+    with pytest.raises(ValueError):
+        CompletionTask(shape=shape, observations=observations)
+
+
 class TestTaskValidation:
+    """One completion task of any order: each test runs its case over
+    TASK_SHAPES."""
+
+    def test_one_observed_entry_is_a_task(self):
+        for shape in TASK_SHAPES:
+            task = CompletionTask(shape=shape, observations={(0,) * len(shape): 2.5})
+            assert task.mask.shape == task.target.shape == shape
+            assert task.mask.sum() == 1.0 and task.target.sum() == 2.5
+
     def test_rejects_full_observation(self):
-        with pytest.raises(ValueError):
-            TensorTask(dims=(2, 2), observations={idx: 1.0 for idx in np.ndindex(2, 2)})
+        for shape in TASK_SHAPES:
+            refused(shape, {idx: 1.0 for idx in np.ndindex(shape)})
 
     def test_rejects_empty_observation_set(self):
-        with pytest.raises(ValueError):
-            TensorTask(dims=(2, 2), observations={})
+        for shape in TASK_SHAPES:
+            refused(shape, {})
 
     def test_rejects_out_of_range_index(self):
-        with pytest.raises(ValueError):
-            TensorTask(dims=(2, 2), observations={(2, 0): 1.0})
+        for shape in TASK_SHAPES:
+            for n in range(len(shape)):
+                for bad in (-1, shape[n]):
+                    idx = [0] * len(shape)
+                    idx[n] = bad
+                    refused(shape, {tuple(idx): 1.0})
+
+    def test_rejects_index_of_wrong_length(self):
+        for shape in TASK_SHAPES:
+            refused(shape, {(0,) * (len(shape) + 1): 1.0})
+            refused(shape, {(0,) * (len(shape) - 1): 1.0})
+
+    def test_rejects_non_finite_value(self):
+        for shape, v in itertools.product(TASK_SHAPES, (math.nan, math.inf, -math.inf)):
+            refused(shape, {(0,) * len(shape): v})
 
     def test_sample_observations_count_and_determinism(self):
         truth = gen_ground_truth((4, 4, 4), 1, seed=14)
