@@ -92,7 +92,10 @@ def main(argv=None) -> int:
     if args.command == "detsign":
         seed = harness.resolve_seed(args.seed, 0)
         dists = harness.detsign_distributions(args.depth, args.dim)
-        rows = harness.run_detsign(args.samples, dists, seed, out=args.out)
+        try:
+            rows = harness.run_detsign(args.samples, dists, seed, out=args.out)
+        except ValueError as exc:
+            parser.error(str(exc))
         for r in rows:
             print(
                 f"{r['distribution']}: P(det>0) = {r['p_det_pos']:.4f} "
@@ -102,7 +105,10 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "plot":
-        path = svgplot.emit_plot(args.input, args.style, args.out, title=args.title)
+        try:
+            path = svgplot.emit_plot(args.input, args.style, args.out, title=args.title)
+        except FileNotFoundError as exc:
+            parser.error(str(exc))
         print(f"wrote {path}")
         return 0
 

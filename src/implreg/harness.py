@@ -18,7 +18,6 @@ import hashlib
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -435,6 +434,10 @@ def run_matfac_sweep(cfg: MatfacSweepConfig, jobs: int = 1) -> list[RunRecord]:
 def _map_jobs(fn, items, jobs):
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: the pool pulls in multiprocessing, which a serial run
+    # never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 

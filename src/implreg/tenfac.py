@@ -123,10 +123,11 @@ def _unfold(t: np.ndarray, n: int) -> np.ndarray:
     return t.transpose(n, *range(n), *range(n + 1, t.ndim)).reshape(t.shape[n], -1)
 
 
-def _loss_and_grads(factors, task: CompletionTask):
+def _loss_and_grads(factors, task: CompletionTask, out=None):
     # masked MTTKRP: mode n's gradient is khatri_rao(other modes) @
     # unfold_n(E)^T with E = mask * X - target; mode 0 reuses the compose
-    # product
+    # product.  Mode n's gradient is written into out[n] when out is given
+    # (C-contiguous (terms, d_n) arrays), else into a fresh array.
     terms = factors[0].shape[0]
     kr = _khatri_rao(factors[1:], terms)
     err = (factors[0].T @ kr).reshape(task.shape) * task.mask - task.target
@@ -135,7 +136,7 @@ def _loss_and_grads(factors, task: CompletionTask):
     for n in range(len(task.shape)):
         if n:
             kr = _khatri_rao([*factors[:n], *factors[n + 1 :]], terms)
-        grads.append(kr @ _unfold(err, n).T)
+        grads.append(np.matmul(kr, _unfold(err, n).T, out=None if out is None else out[n]))
     return lo, grads
 
 
@@ -191,10 +192,15 @@ def train_cp(
     n_obs = len(task.observations)
     gen = stream(seed, 7)
     subs = gen.spawn(len(task.shape))
-    # the factors are views into one buffer, so one max checks them all
+    # the factors are views into one buffer and the gradients views into
+    # another, laid out alike, so one max checks every factor, one square
+    # feeds the per-mode gradient norms and one subtraction updates all
     flat = np.concatenate([subs[n].normal(0.0, init_std, size=(terms, d)).ravel() for n, d in enumerate(task.shape)])
-    ends = np.cumsum([terms * d for d in task.shape])
-    factors = [part.reshape(terms, d) for part, d in zip(np.split(flat, ends[:-1]), task.shape)]
+    gflat = np.empty_like(flat)
+    ends = np.cumsum([terms * d for d in task.shape]).tolist()
+    spans = list(zip([0, *ends[:-1]], ends))
+    factors = [flat[a:b].reshape(terms, d) for (a, b), d in zip(spans, task.shape)]
+    grads = [gflat[a:b].reshape(terms, d) for (a, b), d in zip(spans, task.shape)]
     gamma = 0.0  # EMA of the total squared gradient norm
     trajectory: list[CpTrainSample] = []
     converged = False
@@ -202,9 +208,10 @@ def train_cp(
     lo = math.inf
     mse = math.inf
     while True:
-        lo, grads = _loss_and_grads(factors, task)
+        lo, _ = _loss_and_grads(factors, task, grads)
         mse = 2.0 * lo / n_obs
-        if not math.isfinite(lo) or float(np.abs(flat).max()) > ENTRY_BLOWUP_LIMIT:
+        # max(max, -min) is max |x| without the temporary, NaN included
+        if not math.isfinite(lo) or max(float(flat.max()), -float(flat.min())) > ENTRY_BLOWUP_LIMIT:
             raise DivergenceError(
                 f"CP training diverged at iteration {it}",
                 trajectory[-1] if trajectory else None,
@@ -218,13 +225,13 @@ def train_cp(
             break
         if it >= max_iters:
             break
+        sq = gflat * gflat
         g2 = 0.0
-        for g in grads:
-            g2 += float((g * g).sum())
+        for a, b in spans:  # summed per mode, in mode order
+            g2 += float(sq[a:b].sum())
         gamma = CP_EMA_BETA * gamma + (1.0 - CP_EMA_BETA) * g2
         eta_t = CP_BASE_LR / (math.sqrt(gamma / (1.0 - CP_EMA_BETA ** (it + 1))) + 1e-6)
-        for f, g in zip(factors, grads):
-            f -= eta_t * g
+        flat -= eta_t * gflat
         it += 1
     if not trajectory or trajectory[-1].iteration != it:
         trajectory.append(CpTrainSample(it, lo, mse))
@@ -337,15 +344,18 @@ def estimate_rank(target, threshold: float = 1e-6, r_max: int | None = None) -> 
     The zero tensor has rank 0 by convention.  If no count up to
     ``r_max`` (default prod(dims)/max(dims)) succeeds, returns
     ``r_max + 1`` as an explicit out-of-range sentinel.  Each candidate
-    gets ``RANK_RESTARTS`` independently seeded ALS runs, since a single ALS
-    run can stall short of an attainable fit; if all of them miss, one
-    more ALS run starts from :func:`_jennrich_start` where it applies.
-    A fit counts only if the tensor its model composes has an MSE below
-    the threshold (the MSE ALS reports can cancel to 0).  Counts r whose
-    Eckart-Young floor, max_n sum_{i>r} sigma_i(unfold_n T)^2 / size,
-    exceeds the threshold (by more than a 1e-9 relative margin) are
-    skipped: no r-term model can fit below it, so the result is the
-    same as with the fits run at every count.
+    gets one ALS run from :func:`_jennrich_start` where it applies, then
+    ``RANK_RESTARTS`` independently seeded ALS runs, since a single ALS
+    run can stall short of an attainable fit; r is accepted once any of
+    them passes.  The attempts are deterministic and independent of one
+    another, so their order fixes only the cost: on a generic tensor of
+    rank r the algebraic start passes at once.  A fit counts only if the
+    tensor its model composes has an MSE below the threshold (the MSE
+    ALS reports can cancel to 0).  Counts r whose Eckart-Young floor,
+    max_n sum_{i>r} sigma_i(unfold_n T)^2 / size, exceeds the threshold
+    (by more than a 1e-9 relative margin) are skipped: no r-term model
+    can fit below it, so the result is the same as with the fits run at
+    every count.
     """
     t = as_tensor(target)
     if float(np.abs(t).max(initial=0.0)) == 0.0:
@@ -370,13 +380,15 @@ def estimate_rank(target, threshold: float = 1e-6, r_max: int | None = None) -> 
 
 
 def _rank_fits(t: np.ndarray, r: int, threshold: float):
-    # estimate_rank's r-term ALS models, lazily: the seeded restarts, then
-    # the run from the algebraic start where it applies
-    for attempt in range(RANK_RESTARTS):
-        yield als_fit(t, r, threshold=threshold, seed=attempt)[0]
+    # estimate_rank's r-term ALS models, lazily: the run from the algebraic
+    # start where it applies, then the seeded restarts.  Each attempt
+    # depends only on (t, r) and its own stream, so the order changes how
+    # much ALS runs before a fit passes, never whether one does.
     start = _jennrich_start(t, r)
     if start is not None:
         yield _als(t, start, threshold, ALS_MAX_SWEEPS)[0]
+    for attempt in range(RANK_RESTARTS):
+        yield als_fit(t, r, threshold=threshold, seed=attempt)[0]
 
 
 def gen_ground_truth(dims: Sequence[int], r_star: int, seed: int) -> np.ndarray:

@@ -687,6 +687,25 @@ class TestCli:
         assert f"cannot load {cfg_path}" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["detsign", "--samples", "10"], "need at least 1000 samples"),
+            (["plot", "--input", "missing.csv", "--style", "sweep"], "missing.csv"),
+        ],
+        ids=["detsign-too-few-samples", "plot-missing-input"],
+    )
+    def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, message):
+        from implreg.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out.file"
+        with pytest.raises(SystemExit) as exc_info:
+            main([*argv, "--out", str(out)])
+        assert exc_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no output file, no runs/
+
     def test_seed_flag_refused_on_multi_seed_config(self, tmp_path, capsys):
         from implreg.cli import main
 

@@ -5,9 +5,13 @@ check (pyflakes' F401) on the standard library's ``ast``.  A name counts
 as used when the module reads it anywhere, annotations included (string
 annotations are parsed), when ``__all__`` lists it, or when its import
 line carries ``# noqa: F401`` (imports kept for another module to find).
+The last test keeps the process pool's imports off the CLI's start.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +79,12 @@ def test_checker_flags_and_spares():
         "    return sys.argv\n"
     )
     assert unused_imports(src) == ["line 2: os", "line 3: osp"]
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # a serial run never starts a pool, so starting the CLI must not pay
+    # for importing multiprocessing
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, implreg.cli; print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

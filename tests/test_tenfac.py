@@ -107,11 +107,11 @@ def old_loss_and_grads(factors, task):
     return lo, grads
 
 
-def old_train_cp(task, terms, init_std, seed, mse_threshold=1e-6):
-    """train_cp on per-mode factor arrays, the oracle gradient and the
-    rate formula written out (base 1e-2, EMA weight 0.99, bias-corrected);
-    returns (iterations, trajectory tuples, factors).  Fails on
-    divergence."""
+def old_train_cp(task, terms, init_std, seed, mse_threshold=1e-6, max_iters=10**6):
+    """train_cp on per-mode factor arrays and per-mode gradient arrays,
+    the oracle gradient and the rate formula written out (base 1e-2, EMA
+    weight 0.99, bias-corrected); returns (iterations, trajectory tuples,
+    factors).  Fails on divergence."""
     subs = stream(seed, 7).spawn(len(task.shape))
     factors = [subs[n].normal(0.0, init_std, size=(terms, d)) for n, d in enumerate(task.shape)]
     gamma, t = 0.0, 0
@@ -123,7 +123,7 @@ def old_train_cp(task, terms, init_std, seed, mse_threshold=1e-6):
         assert math.isfinite(lo)
         if it % tenfac.CP_LOG_STRIDE == 0:
             trajectory.append((it, lo, mse))
-        if mse < mse_threshold:
+        if mse < mse_threshold or it >= max_iters:
             break
         g2 = 0.0
         for g in grads:
@@ -167,6 +167,16 @@ def old_als_fit(t, terms, threshold, max_sweeps, seed):
     return best, best_mse
 
 
+def seeded_first_rank_fits(t, r, threshold):
+    """The rank search's attempt order before the algebraic start went
+    first: the seeded restarts, then the algebraic start."""
+    for attempt in range(tenfac.RANK_RESTARTS):
+        yield als_fit(t, r, threshold=threshold, seed=attempt)[0]
+    start = tenfac._jennrich_start(t, r)
+    if start is not None:
+        yield tenfac._als(t, start, threshold, tenfac.ALS_MAX_SWEEPS)[0]
+
+
 def same_bits(a, b):
     # tobytes() equality: -0.0 and +0.0 differ, as do NaN payloads
     a, b = np.asarray(a), np.asarray(b)
@@ -180,6 +190,22 @@ def eckart_young_floor(t, r):
         for n in range(t.ndim)
     ]
     return max(tails) / t.size
+
+
+# seeds of random_model(seed, (4, 4, 4), 3) on which all three seeded ALS
+# restarts stall at 3 terms
+STALL_SEEDS = [10000, 49670, 37977, 318, 26608, 54781, 81214, 25026, 93811,
+               88182, 84146, 1497, 59777, 528, 68, 53322, 182, 35942]
+
+
+def noisy_3x3x3():
+    """Tensors of 1-3 terms plus noise that leaves their fits just under
+    the rank search's threshold."""
+    return [
+        cp_compose(random_model(seed, (3, 3, 3), 1 + seed % 3))
+        + np.random.default_rng(seed).normal(0.0, 8e-4, size=(3, 3, 3))
+        for seed in range(6)
+    ]
 
 
 class TestCpCompose:
@@ -279,6 +305,14 @@ class TestCpLossAndGrads:
             assert g.shape == ref.shape
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_gradients_own_their_memory(self):
+        model = random_model(0, (3, 4, 5), 2)
+        task = sample_observations(cp_compose(random_model(1, (3, 4, 5), 1)), 30, seed=0)
+        _, grads = cp_loss_and_grads(model, task)
+        assert all(g.flags.owndata and g.flags.c_contiguous for g in grads)
+        for a, b in itertools.combinations([*grads, *model.factors], 2):
+            assert not np.shares_memory(a, b)
+
     def test_shape_mismatch_rejected(self):
         model = random_model(0, (2, 2), 1)
         task = CompletionTask(shape=(3, 3), observations={(0, 0): 1.0})
@@ -331,6 +365,17 @@ class TestBitwiseOracle:
             best, best_mse = old_als_fit(t, terms, threshold=0.0, max_sweeps=15, seed=terms)
             assert same_bits(mse, best_mse)
             assert all(same_bits(f, ref) for f, ref in zip(model.factors, best))
+
+    @pytest.mark.parametrize("dims, terms", [((3, 4, 5), 4), ((2, 3, 4, 2), 5)], ids=str)
+    def test_train_cp_on_unequal_dims(self, dims, terms):
+        # unequal per-mode slices of the flat buffers: an offset mistake
+        # would move entries between modes; 250 steps, capped unconverged
+        task = sample_observations(gen_ground_truth(dims, 2, seed=1), int(np.prod(dims)) // 2, seed=2)
+        result = train_cp(task, terms, 1e-1, 3, mse_threshold=0.0, max_iters=250)
+        it, trajectory, factors = old_train_cp(task, terms, 1e-1, 3, mse_threshold=0.0, max_iters=250)
+        assert not result.converged and result.iterations == it == 250
+        assert same_bits([(s.iteration, s.loss, s.mse) for s in result.trajectory], trajectory)
+        assert all(same_bits(f, ref) for f, ref in zip(result.model.factors, factors))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_train_cp_on_perfbench_config(self, seed):
@@ -478,38 +523,41 @@ class TestEstimateRank:
 
     @pytest.mark.parametrize("r_star", [1, 2, 3])
     def test_preset_truths_fit_only_from_their_rank(self, r_star, monkeypatch):
-        # the seed-0 8x8x8 truths keep their rank, and the floor skips
-        # every smaller count without a fit
+        # the seed-0 8x8x8 truths keep their rank, the floor skips every
+        # smaller count without a fit, and one ALS run (seeded or from the
+        # algebraic start, both run _als) certifies r_star
         truth = gen_ground_truth((8, 8, 8), r_star, seed=0)
         fitted = []
-        als = tenfac.als_fit
+        als = tenfac._als
 
-        def counting(t, terms, *args, **kwargs):
-            fitted.append(terms)
-            return als(t, terms, *args, **kwargs)
+        def counting(t, factors, *args):
+            fitted.append(factors[0].shape[0])
+            return als(t, factors, *args)
 
-        monkeypatch.setattr(tenfac, "als_fit", counting)
+        monkeypatch.setattr(tenfac, "_als", counting)
         assert estimate_rank(truth) == r_star
-        assert fitted and min(fitted) == r_star
+        assert fitted == [r_star]
+
+    @pytest.mark.parametrize("terms", [1, 2, 3, 5])
+    def test_generic_tensor_needs_no_seeded_restart(self, terms, monkeypatch):
+        t = cp_compose(random_model(terms + 20, (8, 8, 8), terms))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a seeded ALS restart ran")
+
+        monkeypatch.setattr(tenfac, "als_fit", refuse)
+        assert estimate_rank(t) == terms
 
     def test_same_estimate_as_search_from_one(self, monkeypatch):
         # the noise leaves fits just under the threshold, where each
         # unfolding's tail is near it but no single one exceeds it; the
         # reference run sees all-zero singular values, so it skips no count
-        tensors = []
-        for seed in range(6):
-            noise = np.random.default_rng(seed).normal(0.0, 8e-4, size=(3, 3, 3))
-            tensors.append(cp_compose(random_model(seed, (3, 3, 3), 1 + seed % 3)) + noise)
+        tensors = noisy_3x3x3()
         skipping = [estimate_rank(t) for t in tensors]
         monkeypatch.setattr(tenfac, "singular_values", lambda a: np.zeros(min(a.shape)))
         assert skipping == [estimate_rank(t) for t in tensors]
 
-    # draws on which all three seeded ALS restarts stall at 3 terms
-    @pytest.mark.parametrize(
-        "seed",
-        [10000, 49670, 37977, 318, 26608, 54781, 81214, 25026, 93811,
-         88182, 84146, 1497, 59777, 528, 68, 53322, 182, 35942],
-    )
+    @pytest.mark.parametrize("seed", STALL_SEEDS)
     def test_stalled_restarts_rescued_by_algebraic_start(self, seed, monkeypatch):
         t = cp_compose(random_model(seed, (4, 4, 4), 3))
         assert all(als_fit(t, 3, seed=a)[1] >= 1e-6 for a in range(tenfac.RANK_RESTARTS))
@@ -559,6 +607,35 @@ class TestEstimateRank:
     def test_never_exceeds_construction_terms(self, seed, terms):
         model = random_model(seed, (4, 4, 4), terms)
         assert estimate_rank(cp_compose(model)) <= terms
+
+
+class TestRankSearchOrder:
+    """The rank search tries the algebraic start first; the seeded-first
+    order it replaced gives the same estimate on every family the order
+    could touch."""
+
+    @staticmethod
+    def assert_same_estimates(tensors):
+        first = [estimate_rank(t) for t in tensors]
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(tenfac, "_rank_fits", seeded_first_rank_fits)
+            assert first == [estimate_rank(t) for t in tensors]
+
+    def test_stall_seeds(self):
+        self.assert_same_estimates([cp_compose(random_model(s, (4, 4, 4), 3)) for s in STALL_SEEDS])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 3))
+    def test_random_4x4x4_models(self, seed, terms):
+        self.assert_same_estimates([cp_compose(random_model(seed, (4, 4, 4), terms))])
+
+    def test_noisy_3x3x3(self):
+        self.assert_same_estimates(noisy_3x3x3())
+
+    def test_sparse_4x4x4_baseline(self):
+        # the tensor on which ALS from the algebraic start diverges and
+        # only the composed-fit check refuses it
+        self.assert_same_estimates([sample_observations(gen_ground_truth((4, 4, 4), 2, seed=0), 20, seed=1).target])
 
 
 class TestGenGroundTruth:
