@@ -465,6 +465,8 @@ def run_detsign(n_samples: int, distributions: Sequence[str], seed: int, out=Non
     for k, name in enumerate(distributions):
         base, _, dim_part = name.partition("@")
         dim = int(dim_part) if dim_part else 2
+        if dim < 1:
+            raise ValueError(f"{name!r}: dim must be >= 1")
         gen = stream(seed, 23, k)
         if base == "identity":
             p = 1.0
@@ -472,7 +474,9 @@ def run_detsign(n_samples: int, distributions: Sequence[str], seed: int, out=Non
             if base == "gaussian":
                 factors = 1
             elif base.startswith("gaussian-product-"):
-                factors = int(base.rsplit("-", 1)[1])
+                factors = int(base.removeprefix("gaussian-product-"))
+                if factors < 1:
+                    raise ValueError(f"{name!r}: depth must be >= 1")
             else:
                 raise ValueError(f"unknown distribution {name!r}")
             prod = None
@@ -511,17 +515,20 @@ TENFAC_COLUMNS = [
 ]
 
 
-def _run_tenfac_cell(cfg: TenfacSweepConfig, truth: np.ndarray, cell) -> tuple:
-    """(recon_error, est_rank) of one (task, init_std, seed) cell, blanks
-    if training diverges."""
-    task, init_std, seed = cell
-    terms = tenfac.default_terms(cfg.dims)
-    try:
-        result = tenfac.train_cp(task, terms, init_std, seed, mse_threshold=cfg.mse_threshold, max_iters=cfg.max_iters)
-    except matfac.DivergenceError:
-        return "", ""
-    learned = tenfac.cp_compose(result.model)
-    return float(np.linalg.norm(learned - truth)), tenfac.estimate_rank(learned, threshold=cfg.mse_threshold)
+def _run_tenfac_group(cfg: TenfacSweepConfig, truth: np.ndarray, group) -> list[tuple]:
+    """(recon_error, est_rank) of each seed of one (task, init_std) group,
+    its runs trained as one stacked run; blanks for a run that diverges."""
+    task, init_std = group
+    runs = [(init_std, seed) for seed in cfg.seeds]
+    cells = []
+    for result in tenfac.train_cp_runs(task, tenfac.default_terms(cfg.dims), runs, cfg.mse_threshold, cfg.max_iters):
+        if isinstance(result, matfac.DivergenceError):
+            cells.append(("", ""))
+            continue
+        learned = tenfac.cp_compose(result.model)
+        rank = tenfac.estimate_rank(learned, threshold=cfg.mse_threshold)
+        cells.append((float(np.linalg.norm(learned - truth)), rank))
+    return cells
 
 
 def _quartiles(values):
@@ -541,13 +548,18 @@ def run_tenfac_sweep(cfg: TenfacSweepConfig, jobs: int = 1) -> Path:
     search on a near-full-rank tensor is slow and rarely wanted).
 
     The ground truth and each observation count's observed entries are
-    drawn once and shared by every cell and the baseline.
+    drawn once and shared by every cell and the baseline.  The seeds of
+    one (n_obs, init_std) group train as one stacked run
+    (:func:`tenfac.train_cp_runs`), bitwise equal to separate runs;
+    ``jobs`` worker processes share out the groups.
     """
     truth = tenfac.gen_ground_truth(cfg.dims, cfg.gt_rank, cfg.gt_seed)
     tasks = {n: tenfac.sample_observations(truth, n, cfg.obs_seed) for n in cfg.n_obs}
-    keys = [("tf", n, std, seed) for n in cfg.n_obs for std in cfg.init_stds for seed in cfg.seeds]
-    run_cell = functools.partial(_run_tenfac_cell, cfg, truth)
-    results = _map_jobs(run_cell, [(tasks[n], std, seed) for _, n, std, seed in keys], jobs)
+    groups = [(n, std) for n in cfg.n_obs for std in cfg.init_stds]
+    run_group = functools.partial(_run_tenfac_group, cfg, truth)
+    cells = _map_jobs(run_group, [(tasks[n], std) for n, std in groups], jobs)
+    keys = [("tf", n, std, seed) for n, std in groups for seed in cfg.seeds]
+    results = [cell for group in cells for cell in group]
     if cfg.baseline:
         for n in cfg.n_obs:
             base = tasks[n].target

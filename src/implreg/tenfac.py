@@ -6,8 +6,11 @@ over observed entries by gradient descent with an adaptive step size:
 eta_t = CP_BASE_LR / (sqrt(gamma_t / (1 - CP_EMA_BETA^t)) + 1e-6),
 gamma the exponential moving average (weight CP_EMA_BETA = 0.99) of
 the total squared gradient norm and CP_BASE_LR = 1e-2; only the step
-length adapts, never the direction.  Rank estimation follows the
-standard recipe: the smallest R for which alternating least squares
+length adapts, never the direction.  Runs on one task train as one
+stack (:func:`train_cp_runs`): each run is a row of one factor buffer,
+and every stacked operation gives each row the bits of its own run, so
+a run's result does not depend on its batch.  Rank estimation follows
+the standard recipe: the smallest R for which alternating least squares
 fits a fully known tensor below an MSE threshold, every fit checked on
 the tensor its model composes.
 """
@@ -30,6 +33,7 @@ __all__ = [
     "cp_compose",
     "cp_loss_and_grads",
     "train_cp",
+    "train_cp_runs",
     "als_fit",
     "estimate_rank",
     "gen_ground_truth",
@@ -106,37 +110,50 @@ def cp_compose(model: CpModel) -> np.ndarray:
 
 
 def _khatri_rao(mats: Sequence[np.ndarray], terms: int) -> np.ndarray:
-    # row-wise Kronecker over modes in C order; mats are (terms, d_n),
-    # output C-contiguous (terms, prod d_n), a ones column for no modes.
-    # Matmuls must see this layout: the same values copied to another
-    # layout can take a different BLAS path and change the last bits.
+    # row-wise Kronecker over modes in C order; mats are (..., terms, d_n)
+    # with the same leading batch axes, each output slice a C-contiguous
+    # (terms, prod d_n); a ones column for no modes.  Matmuls must see this
+    # layout: the same values copied to another layout can take a
+    # different BLAS path and change the last bits.
     if not mats:
         return np.ones((terms, 1))
     out = mats[0]
     for m in mats[1:]:
-        out = (out[:, :, None] * m[:, None, :]).reshape(terms, -1)
+        out = (out[..., None] * m[..., None, :]).reshape(m.shape[:-1] + (-1,))
     return out
 
 
-def _unfold(t: np.ndarray, n: int) -> np.ndarray:
-    # mode-n unfolding (d_n, prod of the other dims), other modes in C order
-    return t.transpose(n, *range(n), *range(n + 1, t.ndim)).reshape(t.shape[n], -1)
+def _unfold(t: np.ndarray, n: int, lead: int = 0) -> np.ndarray:
+    # mode-n unfolding (d_n, prod of the other dims), other modes in C
+    # order, behind ``lead`` leading batch axes
+    axes = list(range(t.ndim))
+    axes.insert(lead, axes.pop(lead + n))
+    return t.transpose(axes).reshape(t.shape[:lead] + (t.shape[lead + n], -1))
 
 
 def _loss_and_grads(factors, task: CompletionTask, out=None):
     # masked MTTKRP: mode n's gradient is khatri_rao(other modes) @
     # unfold_n(E)^T with E = mask * X - target; mode 0 reuses the compose
-    # product.  Mode n's gradient is written into out[n] when out is given
-    # (C-contiguous (terms, d_n) arrays), else into a fresh array.
-    terms = factors[0].shape[0]
+    # product.  Factors are (terms, d_n), or (runs, terms, d_n) for a stack
+    # of runs; every run gets the bits of its own unstacked call.  Returns
+    # the list of losses, one per run, each a sum over that run's residual
+    # alone.  Mode n's gradient is written into out[n] when out is given
+    # (arrays shaped like the factors, each run's slice C-contiguous),
+    # else into a fresh array.  A lone (terms, d_n) matrix takes .T, the
+    # cheapest transpose.
+    terms = factors[0].shape[-2]
+    lead = factors[0].ndim - 2
     kr = _khatri_rao(factors[1:], terms)
-    err = (factors[0].T @ kr).reshape(task.shape) * task.mask - task.target
-    lo = 0.5 * float((err * err).sum())
+    f0t = factors[0].swapaxes(1, 2) if lead else factors[0].T
+    err = (f0t @ kr).reshape(factors[0].shape[:lead] + task.shape) * task.mask - task.target
+    lo = [0.5 * s for s in np.add.reduce((err * err).reshape(-1, task.mask.size), axis=1).tolist()]
     grads = []
-    for n in range(len(task.shape)):
+    for n in range(len(factors)):
         if n:
             kr = _khatri_rao([*factors[:n], *factors[n + 1 :]], terms)
-        grads.append(np.matmul(kr, _unfold(err, n).T, out=None if out is None else out[n]))
+        unfolded = _unfold(err, n, lead)
+        unfolded = unfolded.swapaxes(1, 2) if lead else unfolded.T
+        grads.append(np.matmul(kr, unfolded, out=None if out is None else out[n]))
     return lo, grads
 
 
@@ -149,7 +166,8 @@ def cp_loss_and_grads(model: CpModel, task: CompletionTask):
     """
     if model.dims != task.shape:
         raise ValueError(f"model dims {model.dims} do not match task shape {task.shape}")
-    return _loss_and_grads(model.factors, task)
+    (lo,), grads = _loss_and_grads(model.factors, task)
+    return lo, grads
 
 
 @dataclass(frozen=True)
@@ -183,59 +201,133 @@ def train_cp(
     mean squared error over observations (2 * loss / n_obs) falls below
     ``mse_threshold`` or after ``max_iters`` updates.  Divergence
     (non-finite loss or factor entries beyond 1e12) raises
-    :class:`DivergenceError`.
+    :class:`DivergenceError`.  This is :func:`train_cp_runs` with one
+    run.
+    """
+    (result,) = train_cp_runs(task, terms, [(init_std, seed)], mse_threshold, max_iters)
+    if isinstance(result, DivergenceError):
+        raise result
+    return result
+
+
+def train_cp_runs(
+    task: CompletionTask,
+    terms: int,
+    runs: Sequence[tuple[float, int]],
+    mse_threshold: float = 1e-6,
+    max_iters: int = 10**6,
+) -> list[CpTrainResult | DivergenceError]:
+    """Train one CP model per ``(init_std, seed)`` run on the same task,
+    the runs stacked into one loop that steps them all at once.
+
+    Each run is :func:`train_cp` with its own init, step size and stop,
+    and gets exactly the bits it gets alone: iterations, trajectory,
+    factors and divergence message.  Returns, in run order, each run's
+    :class:`CpTrainResult`, or the :class:`DivergenceError` that
+    ``train_cp`` raises for it.  A run that stops (converged, capped or
+    diverged) leaves the stack and never stops the others.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    if not init_std > 0:
+    runs = list(runs)
+    if not all(init_std > 0 for init_std, _ in runs):
         raise ValueError("init_std must be positive")
+    if not runs:
+        return []
     n_obs = len(task.observations)
-    gen = stream(seed, 7)
-    subs = gen.spawn(len(task.shape))
-    # the factors are views into one buffer and the gradients views into
-    # another, laid out alike, so one max checks every factor, one square
-    # feeds the per-mode gradient norms and one subtraction updates all
-    flat = np.concatenate([subs[n].normal(0.0, init_std, size=(terms, d)).ravel() for n, d in enumerate(task.shape)])
-    gflat = np.empty_like(flat)
     ends = np.cumsum([terms * d for d in task.shape]).tolist()
     spans = list(zip([0, *ends[:-1]], ends))
-    factors = [flat[a:b].reshape(terms, d) for (a, b), d in zip(spans, task.shape)]
-    grads = [gflat[a:b].reshape(terms, d) for (a, b), d in zip(spans, task.shape)]
-    gamma = 0.0  # EMA of the total squared gradient norm
-    trajectory: list[CpTrainSample] = []
-    converged = False
+    # row i of buf holds the factors of live[i], of gbuf their gradients,
+    # laid out alike, so one max checks every factor, one square feeds the
+    # per-mode gradient norms and one subtraction updates all; each mode's
+    # (terms, d) slice of a row is C-contiguous
+    buf = np.empty((len(runs), ends[-1]))
+    for row, (init_std, seed) in zip(buf, runs):
+        subs = stream(seed, 7).spawn(len(task.shape))
+        for sub, (a, b), d in zip(subs, spans, task.shape):
+            row[a:b] = sub.normal(0.0, init_std, size=(terms, d)).ravel()
+    gbuf = np.empty_like(buf)
+    live = list(range(len(runs)))
+    gamma = [0.0] * len(runs)  # per live run: EMA of the squared gradient norm
+    trajectories: list[list[CpTrainSample]] = [[] for _ in runs]
+    results: list = [None] * len(runs)
+
+    def views(stack):
+        # per-mode (runs, terms, d) views, (terms, d) for a lone run: numpy's
+        # same-shape loops are faster than broadcasting over a batch of one
+        batch = (len(stack),) if len(stack) > 1 else ()
+        return [stack[:, a:b].reshape(*batch, terms, d) for (a, b), d in zip(spans, task.shape)]
+
+    factors, grads = views(buf), views(gbuf)
+    # per live run, a bound on the Euclidean norm of its factors, carried
+    # through each update by the triangle inequality with a relative slack
+    # far above the rounding; no entry can pass the blow-up limit while
+    # every bound is within it, and the stack's max and min are skipped
+    slack = 1.0 + 1e-9
+    bound = (np.sqrt(np.add.reduce(buf * buf, axis=1)) * slack).tolist()
+    within = all(b <= ENTRY_BLOWUP_LIMIT for b in bound)
     it = 0
-    lo = math.inf
-    mse = math.inf
     while True:
-        lo, _ = _loss_and_grads(factors, task, grads)
-        mse = 2.0 * lo / n_obs
-        # max(max, -min) is max |x| without the temporary, NaN included
-        if not math.isfinite(lo) or max(float(flat.max()), -float(flat.min())) > ENTRY_BLOWUP_LIMIT:
-            raise DivergenceError(
-                f"CP training diverged at iteration {it}",
-                trajectory[-1] if trajectory else None,
-                trajectory,
-                None,
-            )
-        if it % CP_LOG_STRIDE == 0:
-            trajectory.append(CpTrainSample(it, lo, mse))
-        if mse < mse_threshold:
-            converged = True
-            break
-        if it >= max_iters:
-            break
-        sq = gflat * gflat
-        g2 = 0.0
-        for a, b in spans:  # summed per mode, in mode order
-            g2 += float(sq[a:b].sum())
-        gamma = CP_EMA_BETA * gamma + (1.0 - CP_EMA_BETA) * g2
-        eta_t = CP_BASE_LR / (math.sqrt(gamma / (1.0 - CP_EMA_BETA ** (it + 1))) + 1e-6)
-        flat -= eta_t * gflat
+        los = _loss_and_grads(factors, task, grads)[0]
+        # one max and min over the stack once a bound passes the limit, and
+        # per run only if that fails
+        diverging = not all(map(math.isfinite, los)) or (
+            not within and max(float(buf.max()), -float(buf.min())) > ENTRY_BLOWUP_LIMIT
+        )
+        stopped = {}
+        # the mse is monotone in the loss, so no run converges unless the
+        # smallest loss does; a non-finite loss has set ``diverging``
+        if diverging or it % CP_LOG_STRIDE == 0 or it >= max_iters or 2.0 * min(los) / n_obs < mse_threshold:
+            peaks = np.maximum(buf.max(axis=1), -buf.min(axis=1)).tolist() if diverging else None
+            for i, (run, lo) in enumerate(zip(live, los)):
+                # train_cp's order: divergence, log, then stop
+                trajectory = trajectories[run]
+                if diverging and (not math.isfinite(lo) or peaks[i] > ENTRY_BLOWUP_LIMIT):
+                    stopped[i] = DivergenceError(
+                        f"CP training diverged at iteration {it}",
+                        trajectory[-1] if trajectory else None,
+                        trajectory,
+                        None,
+                    )
+                    continue
+                mse = 2.0 * lo / n_obs
+                if it % CP_LOG_STRIDE == 0:
+                    trajectory.append(CpTrainSample(it, lo, mse))
+                if mse < mse_threshold or it >= max_iters:
+                    if trajectory[-1].iteration != it:
+                        trajectory.append(CpTrainSample(it, lo, mse))
+                    model = CpModel(tuple(buf[i, a:b].reshape(terms, d).copy() for (a, b), d in zip(spans, task.shape)))
+                    stopped[i] = CpTrainResult(model, trajectory, it, mse < mse_threshold)
+        if stopped:
+            for i, result in stopped.items():
+                results[live[i]] = result
+            keep = [i for i in range(len(live)) if i not in stopped]
+            if not keep:
+                return results
+            live = [live[i] for i in keep]
+            gamma = [gamma[i] for i in keep]
+            bound = [bound[i] for i in keep]
+            # fresh stacks of the runs that go on
+            buf, gbuf = buf[keep], gbuf[keep]
+            factors, grads = views(buf), views(gbuf)
+        # per-run scalars are Python floats: numpy's per-call cost on arrays
+        # of a few entries is larger than the arithmetic
+        sq = gbuf * gbuf
+        mode_g2 = [np.add.reduce(sq[:, a:b], axis=1).tolist() for a, b in spans]
+        bias = 1.0 - CP_EMA_BETA ** (it + 1)
+        eta = []
+        within = True
+        for i, run_g2 in enumerate(zip(*mode_g2)):
+            g2 = 0.0
+            for g in run_g2:  # summed per mode, in mode order
+                g2 += g
+            gamma[i] = CP_EMA_BETA * gamma[i] + (1.0 - CP_EMA_BETA) * g2
+            eta.append(CP_BASE_LR / (math.sqrt(gamma[i] / bias) + 1e-6))
+            bound[i] = (bound[i] + eta[i] * math.sqrt(g2)) * slack
+            within = within and bound[i] <= ENTRY_BLOWUP_LIMIT  # False on NaN
+        # the gradients are spent: scale them in place
+        buf -= np.multiply(gbuf, eta[0] if len(eta) == 1 else np.array(eta)[:, None], out=gbuf)
         it += 1
-    if not trajectory or trajectory[-1].iteration != it:
-        trajectory.append(CpTrainSample(it, lo, mse))
-    return CpTrainResult(CpModel(tuple(f.copy() for f in factors)), trajectory, it, converged)
 
 
 # ---------------------------------------------------------------------------

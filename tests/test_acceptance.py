@@ -325,8 +325,9 @@ def test_criterion_10_tensor_completion():
 
     def run_batch(task, truth, init_std, rank=True):
         errs, ranks = [], []
-        for seed in range(5):
-            result = tenfac.train_cp(task, 64, init_std, seed)
+        for result in tenfac.train_cp_runs(task, 64, [(init_std, seed) for seed in range(5)]):
+            if isinstance(result, Exception):
+                raise result
             learned = tenfac.cp_compose(result.model)
             errs.append(float(np.linalg.norm(learned - truth)))
             if rank:

@@ -510,7 +510,8 @@ class TestTenfacSweep:
                 assert float(r["recon_error"]) >= 0.0 and int(r["est_rank"]) >= 1
 
     def test_csv_independent_of_jobs(self, tmp_path, monkeypatch):
-        cfg = TenfacSweepConfig(dims=(4, 4, 4), gt_rank=1, n_obs=(20, 40), init_stds=(1e-3,), seeds=(0, 1))
+        # 2 observation counts x 2 inits: four stacked groups of 3 seeds
+        cfg = TenfacSweepConfig(dims=(4, 4, 4), gt_rank=1, n_obs=(20, 40), init_stds=(1e-3, 1e-2), seeds=(0, 1, 2))
         serial = csvs_at_jobs(tmp_path, monkeypatch, run_tenfac_sweep, cfg, 1)
         assert len(serial) == 1
         assert csvs_at_jobs(tmp_path, monkeypatch, run_tenfac_sweep, cfg, 2) == serial
@@ -691,9 +692,18 @@ class TestCli:
         "argv, message",
         [
             (["detsign", "--samples", "10"], "need at least 1000 samples"),
+            (["detsign", "--samples", "1000", "--depth", "0"], "depth must be >= 1"),
+            (["detsign", "--samples", "1000", "--depth", "-1"], "depth must be >= 1"),
+            (["detsign", "--samples", "1000", "--dim", "0"], "dim must be >= 1"),
             (["plot", "--input", "missing.csv", "--style", "sweep"], "missing.csv"),
         ],
-        ids=["detsign-too-few-samples", "plot-missing-input"],
+        ids=[
+            "detsign-too-few-samples",
+            "detsign-depth-0",
+            "detsign-depth-negative",
+            "detsign-dim-0",
+            "plot-missing-input",
+        ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, message):
         from implreg.cli import main

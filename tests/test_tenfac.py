@@ -17,6 +17,7 @@ from implreg.tenfac import (
     gen_ground_truth,
     sample_observations,
     train_cp,
+    train_cp_runs,
 )
 from implreg.rng import stream
 
@@ -386,6 +387,101 @@ class TestBitwiseOracle:
         assert result.converged and result.iterations == it > 100
         assert same_bits([(s.iteration, s.loss, s.mse) for s in result.trajectory], trajectory)
         assert all(same_bits(f, ref) for f, ref in zip(result.model.factors, factors))
+
+
+def assert_is_oracle_run(result, task, terms, init_std, seed, **stop):
+    # one member of a stacked run against old_train_cp, bit for bit
+    it, trajectory, factors = old_train_cp(task, terms, init_std, seed, **stop)
+    assert result.iterations == it
+    assert result.converged == (trajectory[-1][2] < stop.get("mse_threshold", 1e-6))
+    assert same_bits([(s.iteration, s.loss, s.mse) for s in result.trajectory], trajectory)
+    assert len(result.model.factors) == len(factors)
+    assert all(same_bits(f, ref) for f, ref in zip(result.model.factors, factors))
+
+
+class TestStackedRuns:
+    """train_cp_runs trains several (init_std, seed) runs on one task as
+    one stacked loop; every member keeps the bits of its own run."""
+
+    def test_perfbench_config_seeds_0_to_2(self):
+        task = sample_observations(gen_ground_truth((8, 8, 8), 2, seed=0), 400, seed=1)
+        terms = default_terms((8, 8, 8))
+        results = train_cp_runs(task, terms, [(1e-2, seed) for seed in range(3)])
+        assert [r.converged for r in results] == [True] * 3
+        assert len({r.iterations for r in results}) == 3  # each run leaves the stack on its own
+        for seed, result in enumerate(results):
+            assert_is_oracle_run(result, task, terms, 1e-2, seed)
+
+    @pytest.mark.parametrize("dims, terms", [((3, 4, 5), 4), ((2, 3, 4, 2), 5)], ids=str)
+    def test_unequal_dims_and_mixed_runs(self, dims, terms):
+        # unequal per-mode slices of every row; members converge or hit
+        # the cap at different iterations, so rows leave mid-run
+        task = sample_observations(gen_ground_truth(dims, 2, seed=1), int(np.prod(dims)) // 2, seed=2)
+        runs = [(1e-1, 3), (1e-2, 0), (3e-1, 5), (5e-2, 4)]
+        stop = {"mse_threshold": 1e-3, "max_iters": 2000}
+        results = train_cp_runs(task, terms, runs, **stop)
+        assert len({r.iterations for r in results}) >= 2
+        for (init_std, seed), result in zip(runs, results):
+            assert_is_oracle_run(result, task, terms, init_std, seed, **stop)
+
+    @pytest.mark.parametrize("dims", [(5,), (4, 3)], ids=str)
+    def test_orders_one_and_two(self, dims):
+        task = sample_observations(gen_ground_truth(dims, 1, seed=1), int(np.prod(dims)) - 2, seed=2)
+        runs = [(1e-1, 0), (1e-2, 1), (1.0, 2)]
+        results = train_cp_runs(task, 3, runs, max_iters=3000)
+        assert len({r.iterations for r in results}) == 3
+        for (init_std, seed), result in zip(runs, results):
+            assert_is_oracle_run(result, task, 3, init_std, seed, max_iters=3000)
+
+    def test_diverged_member_leaves_its_siblings_alone(self):
+        task = sample_observations(gen_ground_truth((3, 3, 3), 1, seed=0), 10, seed=0)
+        runs = [(1e-2, 0), (1e13, 0), (1e-2, 1)]
+        results = train_cp_runs(task, 3, runs)
+        with pytest.raises(matfac.DivergenceError) as info:
+            train_cp(task, 3, 1e13, seed=0)
+        diverged = results[1]
+        assert isinstance(diverged, matfac.DivergenceError)
+        assert str(diverged) == str(info.value) == "CP training diverged at iteration 0"
+        assert diverged.trajectory == info.value.trajectory == []
+        assert diverged.last_sample is info.value.last_sample is None
+        assert diverged.net is None
+        for i in (0, 2):
+            assert_is_oracle_run(results[i], task, 3, *runs[i])
+
+    def test_norm_over_the_limit_with_entries_under_it(self):
+        # init 2e11: the factor norm (1.8e12) passes the 1e12 blow-up
+        # limit and no entry does (max 4.3e11), so this member searches its
+        # entries every step and trains on, beside a small-init member
+        task = sample_observations(gen_ground_truth((4, 4, 4), 1, seed=0), 30, seed=0)
+        runs = [(2e11, 0), (1e-2, 1)]
+        results = train_cp_runs(task, 8, runs, max_iters=50)
+        assert results[0].trajectory[-1].loss > 1e60
+        for (init_std, seed), result in zip(runs, results):
+            assert_is_oracle_run(result, task, 8, init_std, seed, max_iters=50)
+
+    def test_batch_of_one_is_train_cp(self):
+        task = sample_observations(gen_ground_truth((3, 4, 5), 2, seed=1), 30, seed=2)
+        (result,) = train_cp_runs(task, 4, [(1e-1, 7)], mse_threshold=1e-4, max_iters=1500)
+        ref = train_cp(task, 4, 1e-1, 7, mse_threshold=1e-4, max_iters=1500)
+        assert (result.iterations, result.converged) == (ref.iterations, ref.converged)
+        assert result.trajectory == ref.trajectory
+        assert all(same_bits(f, r) for f, r in zip(result.model.factors, ref.model.factors))
+
+    def test_members_own_their_factors(self):
+        task = sample_observations(gen_ground_truth((3, 4, 5), 1, seed=0), 20, seed=0)
+        results = train_cp_runs(task, 3, [(1e-2, 0), (1e-2, 1)], max_iters=50)
+        arrays = [f for r in results for f in r.model.factors]
+        assert all(f.flags.owndata for f in arrays)
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+
+    def test_inputs(self):
+        task = sample_observations(gen_ground_truth((3, 3), 1, seed=0), 4, seed=0)
+        assert train_cp_runs(task, 2, []) == []
+        with pytest.raises(ValueError, match="terms"):
+            train_cp_runs(task, 0, [(1e-2, 0)])
+        with pytest.raises(ValueError, match="init_std"):
+            train_cp_runs(task, 2, [(1e-2, 0), (0.0, 1)])
 
 
 class TestOrderOne:
