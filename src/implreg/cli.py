@@ -75,11 +75,14 @@ def main(argv=None) -> int:
         seeds = cfg.seeds if hasattr(cfg, "seeds") else (cfg.seed,)
         if len(seeds) > 1 and args.seed is not None:
             parser.error(f"--seed needs a config with one seed; {args.config} lists {len(seeds)}")
-        if len(seeds) == 1:
-            seed = harness.resolve_seed(args.seed, seeds[0])
-            if seed != seeds[0]:
-                cfg = _reseed(cfg, seed)
-        out = harness.run_config(cfg, jobs=args.jobs)
+        try:
+            if len(seeds) == 1:
+                seed = harness.resolve_seed(args.seed, seeds[0])
+                if seed != seeds[0]:
+                    cfg = _reseed(cfg, seed)
+            out = harness.run_config(cfg, jobs=args.jobs)
+        except ValueError as exc:
+            parser.error(f"cannot run {args.config}: {exc}")
         if isinstance(out, harness.RunRecord):
             print(f"{out.run_id}: {out.csv_path}")
         elif isinstance(out, list):
@@ -90,9 +93,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "detsign":
-        seed = harness.resolve_seed(args.seed, 0)
-        dists = harness.detsign_distributions(args.depth, args.dim)
         try:
+            seed = harness.resolve_seed(args.seed, 0)
+            dists = harness.detsign_distributions(args.depth, args.dim)
             rows = harness.run_detsign(args.samples, dists, seed, out=args.out)
         except ValueError as exc:
             parser.error(str(exc))

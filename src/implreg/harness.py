@@ -93,7 +93,10 @@ def resolve_seed(flag_seed: int | None, config_seed: int) -> int:
         return flag_seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None and env != "":
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
     return config_seed
 
 

@@ -89,9 +89,6 @@ class SvdResult:
     sigmas: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigmas) @ self.v.T
-
 
 def _lapack_svd(a: np.ndarray, compute_uv: bool):
     try:

@@ -552,6 +552,11 @@ def _hidden_dims(shape: tuple[int, int], depth: int) -> list[int]:
     return [dp] + [min(d, dp)] * (depth - 1) + [d]
 
 
+def _check_depth(depth: int) -> None:
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+
+
 def init_unbalanced(shape: tuple[int, int], depth: int, alpha: float, rng: np.random.Generator) -> DeepNet:
     """Layer-wise independent Gaussian factors calibrated so the product
     matrix has entry standard deviation close to ``alpha``.
@@ -563,6 +568,7 @@ def init_unbalanced(shape: tuple[int, int], depth: int, alpha: float, rng: np.ra
     are cleared so the product is supported on its leading min-square
     block.
     """
+    _check_depth(depth)
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     d, dp = shape
@@ -589,6 +595,7 @@ def init_balanced(shape: tuple[int, int], depth: int, alpha: float, rng: np.rand
     product-matrix singular value is the L-th power of the matching
     factor singular value.
     """
+    _check_depth(depth)
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     d, dp = shape
@@ -615,6 +622,7 @@ def init_identity(dim: int, depth: int, alpha: float) -> DeepNet:
     Requires alpha in (0, 1]; the factors are balanced and the product
     determinant alpha**dim is positive.
     """
+    _check_depth(depth)
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
     f = alpha ** (1.0 / depth) * np.eye(dim)

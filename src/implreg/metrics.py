@@ -30,19 +30,15 @@ from .linalg import svd  # noqa: F401
 __all__ = [
     "QuasiNormSpec",
     "BoundReport",
-    "UnbalancedInitReport",
     "nuclear",
     "frobenius",
     "spectral",
     "schatten",
-    "effective_rank",
     "effective_rank_of_sigmas",
     "dist_from_rank",
     "solution_singular_values",
-    "perturbed_solution_singular_values",
     "base_task_bounds",
     "perturbed_task_bounds",
-    "unbalanced_init_report",
     "solution_norm_argmin",
 ]
 
@@ -132,16 +128,6 @@ def effective_rank_of_sigmas(sigmas: np.ndarray | Sequence[float]) -> float | np
     return float(erank) if sig.ndim == 1 else erank
 
 
-def effective_rank(m) -> float:
-    """exp of the Shannon entropy of the singular-value distribution.
-
-    Lies in (0, min(d, d')]; equals the integer rank exactly when all
-    non-zero singular values coincide.  Undefined (raises) for the zero
-    matrix.
-    """
-    return effective_rank_of_sigmas(singular_values(m))
-
-
 def dist_from_rank(m, r: int) -> float:
     """Frobenius distance from the set of matrices with rank <= r,
     i.e. sqrt(sum of squared singular values past the r-th)."""
@@ -166,22 +152,6 @@ def solution_singular_values(free_entry: float) -> tuple[float, float]:
     return (x + root) / 2.0, (root - x) / 2.0
 
 
-def perturbed_solution_singular_values(
-    free_entry: float, z: float, z_prime: float, eps: float
-) -> tuple[float, float]:
-    """Singular values of the perturbed-task solution with the given free
-    entry: the squared values are (S +- sqrt(S^2 - 4 D^2)) / 2 with
-    S the squared Frobenius norm and D the determinant x*eps - z*z'."""
-    x = float(free_entry)
-    s = x * x + z * z + z_prime * z_prime + eps * eps
-    det = x * eps - z * z_prime
-    inner = max(s * s - 4.0 * det * det, 0.0)
-    root = math.sqrt(inner)
-    s1 = math.sqrt((s + root) / 2.0)
-    s2 = math.sqrt(max((s - root) / 2.0, 0.0))
-    return s1, s2
-
-
 # ---------------------------------------------------------------------------
 # bound evaluators
 
@@ -196,12 +166,6 @@ def _loss_column(ell) -> np.ndarray:
 def _as_given(loss: np.ndarray, *values) -> tuple:
     # a scalar loss gets Python floats back, a loss array arrays
     return tuple(map(float, values)) if loss.ndim == 0 else values
-
-
-def _exp_sat(x: float) -> float:
-    # exp that saturates to +inf instead of raising: the report formulas
-    # legitimately overflow doubles for tiny defects
-    return math.inf if x > 709.0 else math.exp(x)
 
 
 def base_task_bounds(ell: float | np.ndarray, spec: QuasiNormSpec) -> tuple[BoundReport, BoundReport, BoundReport]:
@@ -269,123 +233,6 @@ def perturbed_task_bounds(
         BoundReport("norm_lower", norm_lb, "lower", inputs),
         BoundReport("erank_upper", erank_ub, "upper", {"loss": ell, "z": z, "z_prime": z_prime, "eps": eps}),
         BoundReport("dist_upper", dist_ub, "upper", {"loss": ell, "z": z, "z_prime": z_prime, "eps": eps}),
-    )
-
-
-@dataclass(frozen=True)
-class UnbalancedInitReport:
-    """Evaluation of the unbalanced-start guarantee.
-
-    ``admissible`` records whether the stated defect threshold holds at
-    the given depth (for depth 2 the threshold lies far below every
-    representable positive double, so admissibility there is effectively
-    a report that it does not); ``exit_time`` is the guaranteed horizon,
-    and ``terminal_bounds`` the norm/erank/distance values at the
-    alternative exit."""
-
-    admissible: bool
-    log_eps_threshold: float
-    exit_time: float
-    terminal_bounds: tuple[BoundReport, BoundReport, BoundReport]
-
-
-def unbalanced_init_report(
-    depth: int,
-    ell_init: float,
-    sigma_init: float,
-    spec: QuasiNormSpec,
-    *,
-    eps: float | None = None,
-    log_eps: float | None = None,
-    factor_norm_max: float = 0.0,
-    terminal_loss: float = 0.0,
-) -> UnbalancedInitReport:
-    """Evaluate the guarantee for trajectories whose initialization has
-    balancedness defect ``eps`` (depth >= 2 only).
-
-    Because the depth-2 branch involves terms like exp(-2^16 ...) and
-    eps^(-L/(128L-64)) that underflow or overflow doubles, the defect
-    may be passed as ``log_eps`` (its natural log) and all formulas are
-    evaluated in log space.  ``factor_norm_max`` is the largest factor
-    Frobenius norm at the start (values <= 32 are equivalent, the
-    threshold clamps from below); ``sigma_init`` is the smaller of the
-    product's minimal singular value and (1 - sqrt(ell_init)) / 2.
-    ``terminal_loss`` feeds the residual term of the distance bound.
-
-    Inadmissibility is reported, not raised.
-    """
-    if depth < 2:
-        raise ValueError("the guarantee needs depth >= 2")
-    if not (0.0 <= ell_init < 1.0):
-        raise ValueError("ell_init must lie in [0, 1)")
-    if not sigma_init > 0:
-        raise ValueError("sigma_init must be positive")
-    if (eps is None) == (log_eps is None):
-        raise ValueError("pass exactly one of eps or log_eps")
-    if eps is not None:
-        if not eps > 0:
-            raise ValueError("eps must be positive")
-        log_eps = math.log(eps)
-    assert log_eps is not None
-
-    gap = 1.0 - math.sqrt(ell_init)  # in (0, 1]
-    m = max(32.0, factor_norm_max)
-    ln2 = math.log(2.0)
-    log_inv_eps = -log_eps
-    if log_inv_eps <= 0:
-        raise ValueError("the defect must be below 1")
-
-    if depth == 2:
-        log_threshold = -(2.0**16) * (m + 1.0) ** 6 / gap**4
-        exit_time = log_inv_eps ** (2.0 / 3.0) / (2.0 ** (2.0 / 3.0) * gap ** (4.0 / 3.0)) - math.log(
-            math.e / (gap * sigma_init)
-        )
-        norm_main = gap ** (4.0 / 3.0) / (2.0**11 * spec.c) * log_inv_eps ** (1.0 / 3.0)
-        erank_extra = 2.0**9 / gap ** (2.0 / 3.0) * log_inv_eps ** (-1.0 / 6.0)
-        dist_main = 2.0**12 / gap ** (4.0 / 3.0) * log_inv_eps ** (-1.0 / 3.0)
-    else:
-        log_threshold = (
-            128.0 * math.log(gap)
-            - (64.0 * depth + 256.0) * ln2
-            - 128.0 * math.log(depth)
-            - (128.0 * depth - 64.0) * math.log(m + 1.0)
-        )
-        exit_time = (
-            2.0 ** (4.0 * depth / 3.0)
-            * depth
-            / gap**2
-            * _exp_sat(log_inv_eps * (3.0 * depth - 8.0) / (32.0 * depth - 16.0))
-            - 2.0 ** (-(5.0 * depth + 5.0)) * sigma_init ** (-(depth - 2.0) / depth)
-        )
-        norm_main = (
-            gap ** (6.0 / 5.0)
-            / (2.0 ** (4.0 * depth) * depth ** (6.0 / 5.0) * spec.c)
-            * _exp_sat(log_inv_eps * depth / (128.0 * depth - 64.0))
-        )
-        erank_extra = (
-            2.0 ** (2.0 * depth + 5.0) * depth / gap * _exp_sat(-log_inv_eps * depth / (256.0 * depth - 128.0))
-        )
-        dist_main = (
-            2.0 ** (3.0 * depth + 4.0)
-            * depth ** (6.0 / 5.0)
-            / gap ** (6.0 / 5.0)
-            * _exp_sat(-log_inv_eps * depth / (128.0 * depth - 64.0))
-        )
-
-    norm_lb = norm_main - 12.0 * spec.c**2
-    erank_ub = 1.0 + erank_extra
-    dist_ub = dist_main + math.sqrt(2.0 * terminal_loss)
-    inputs = {"log_eps": log_eps, "ell_init": ell_init, "sigma_init": sigma_init, "depth": float(depth)}
-    bounds = (
-        BoundReport("norm_lower", norm_lb, "lower", inputs),
-        BoundReport("erank_upper", erank_ub, "upper", inputs),
-        BoundReport("dist_upper", dist_ub, "upper", {**inputs, "terminal_loss": terminal_loss}),
-    )
-    return UnbalancedInitReport(
-        admissible=log_eps <= log_threshold,
-        log_eps_threshold=log_threshold,
-        exit_time=exit_time,
-        terminal_bounds=bounds,
     )
 
 

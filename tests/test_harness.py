@@ -622,6 +622,19 @@ class TestPlots:
             svgplot.emit_plot([], "mystery", tmp_path / "x.svg")
 
 
+# one-seed configs that run as given; a bad-input case overrides one field
+_CLI_MATFAC_DOC = {
+    "kind": "matfac-run",
+    "task": {"kind": "base"},
+    "depth": 2,
+    "learning_rate": 0.03,
+    "init": {"kind": "balanced", "alpha": 0.1},
+    "max_iters": 1000,
+    "out_dir": "runs",
+}
+_CLI_TENFAC_DOC = {"kind": "tenfac-sweep", "dims": [3, 3], "n_obs": [4], "seeds": [0], "out_dir": "runs"}
+
+
 class TestCli:
     def test_detsign_and_plot_subcommands(self, tmp_path, capsys, monkeypatch):
         from implreg.cli import main
@@ -689,13 +702,23 @@ class TestCli:
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, config, env, message",
         [
-            (["detsign", "--samples", "10"], "need at least 1000 samples"),
-            (["detsign", "--samples", "1000", "--depth", "0"], "depth must be >= 1"),
-            (["detsign", "--samples", "1000", "--depth", "-1"], "depth must be >= 1"),
-            (["detsign", "--samples", "1000", "--dim", "0"], "dim must be >= 1"),
-            (["plot", "--input", "missing.csv", "--style", "sweep"], "missing.csv"),
+            (["detsign", "--samples", "10"], None, None, "need at least 1000 samples"),
+            (["detsign", "--samples", "1000", "--depth", "0"], None, None, "depth must be >= 1"),
+            (["detsign", "--samples", "1000", "--depth", "-1"], None, None, "depth must be >= 1"),
+            (["detsign", "--samples", "1000", "--dim", "0"], None, None, "dim must be >= 1"),
+            (["plot", "--input", "missing.csv", "--style", "sweep"], None, None, "missing.csv"),
+            (["matfac"], {"depth": 0}, None, "depth must be >= 1"),
+            (["matfac"], {"depth": -1}, None, "depth must be >= 1"),
+            (["matfac"], {"task": {"kind": "mystery"}}, None, "unknown task kind"),
+            (["matfac"], {"init": {"kind": "mystery"}}, None, "unknown init kind"),
+            (["matfac"], {"learning_rate": 0.0}, None, "learning_rate must be positive"),
+            (["tenfac"], {"n_obs": [0]}, None, "n_obs must lie in [1, 8]"),
+            (["tenfac"], {"n_obs": [9]}, None, "n_obs must lie in [1, 8]"),
+            (["matfac"], {}, "abc", "IMPLREG_SEED must be an integer"),
+            (["tenfac"], {}, "abc", "IMPLREG_SEED must be an integer"),
+            (["detsign", "--samples", "1000"], None, "abc", "IMPLREG_SEED must be an integer"),
         ],
         ids=[
             "detsign-too-few-samples",
@@ -703,18 +726,40 @@ class TestCli:
             "detsign-depth-negative",
             "detsign-dim-0",
             "plot-missing-input",
+            "matfac-depth-0",
+            "matfac-depth-negative",
+            "matfac-unknown-task",
+            "matfac-unknown-init",
+            "matfac-learning-rate-0",
+            "tenfac-n-obs-0",
+            "tenfac-n-obs-size",
+            "matfac-env-seed-not-int",
+            "tenfac-env-seed-not-int",
+            "detsign-env-seed-not-int",
         ],
     )
-    def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, message):
+    def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, config, env, message):
         from implreg.cli import main
 
-        monkeypatch.chdir(tmp_path)
-        out = tmp_path / "out.file"
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        if env is None:
+            monkeypatch.delenv(harness.SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(harness.SEED_ENV_VAR, env)
+        if config is None:
+            argv = [*argv, "--out", str(work / "out.file")]
+        else:
+            base = _CLI_MATFAC_DOC if argv[0] == "matfac" else _CLI_TENFAC_DOC
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({**base, **config}))
+            argv = [*argv, "--config", str(cfg_path)]
         with pytest.raises(SystemExit) as exc_info:
-            main([*argv, "--out", str(out)])
+            main(argv)
         assert exc_info.value.code == 2
         assert message in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []  # no output file, no runs/
+        assert list(work.iterdir()) == []  # no output file, no runs/, no CSV
 
     def test_seed_flag_refused_on_multi_seed_config(self, tmp_path, capsys):
         from implreg.cli import main

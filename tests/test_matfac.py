@@ -755,6 +755,19 @@ class TestInitIdentity:
             init_identity(2, 2, 0.0)
 
 
+@pytest.mark.parametrize("depth", [0, -1], ids=["depth-0", "depth-negative"])
+def test_initializers_refuse_depth_below_1(depth):
+    # unchecked, depth 0 divides by zero and depth -1 builds a 2-factor
+    # net of inverted singular values
+    for make in (
+        lambda: init_balanced((2, 2), depth, 1e-3, stream(0, 2)),
+        lambda: init_unbalanced((2, 2), depth, 1e-3, stream(0, 2)),
+        lambda: init_identity(2, depth, 1e-3),
+    ):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            make()
+
+
 class TestResampleDetSign:
     @staticmethod
     def gaussian_init(rng):

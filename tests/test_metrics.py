@@ -5,22 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from implreg import metrics
-from implreg.linalg import SPECTRAL
+from implreg.linalg import SPECTRAL, singular_values
 from implreg.metrics import (
     QuasiNormSpec,
     base_task_bounds,
     dist_from_rank,
-    effective_rank,
     effective_rank_of_sigmas,
     frobenius,
     nuclear,
-    perturbed_solution_singular_values,
     perturbed_task_bounds,
     schatten,
     solution_norm_argmin,
     solution_singular_values,
     spectral,
-    unbalanced_init_report,
 )
 
 
@@ -55,23 +52,23 @@ class TestQuasiNormSpec:
 
 class TestEffectiveRank:
     def test_maximal_on_balanced_solution(self):
-        assert effective_rank(solution_matrix(0.0)) == pytest.approx(2.0, abs=1e-12)
+        assert effective_rank_of_sigmas(singular_values(solution_matrix(0.0))) == pytest.approx(2.0, abs=1e-12)
 
     def test_rank_one_matrix(self):
-        assert effective_rank(np.outer([1.0, 2.0], [3.0, -1.0])) == pytest.approx(1.0, abs=1e-9)
+        assert effective_rank_of_sigmas(singular_values(np.outer([1.0, 2.0], [3.0, -1.0]))) == pytest.approx(1.0, abs=1e-9)
 
     def test_solution_matrix_x3(self):
         # frozen from the closed-form singular values fed through the
         # entropy definition at high precision
-        assert effective_rank(solution_matrix(3.0)) == pytest.approx(1.3342530099260723, abs=1e-10)
+        assert effective_rank_of_sigmas(singular_values(solution_matrix(3.0))) == pytest.approx(1.3342530099260723, abs=1e-10)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
-            effective_rank(np.zeros((2, 2)))
+            effective_rank_of_sigmas(singular_values(np.zeros((2, 2))))
 
     def test_equals_integer_rank_for_equal_singular_values(self):
-        assert effective_rank(np.diag([2.0, 2.0, 0.0])) == pytest.approx(2.0, abs=1e-12)
-        assert effective_rank(5.0 * np.eye(4)) == pytest.approx(4.0, abs=1e-12)
+        assert effective_rank_of_sigmas(singular_values(np.diag([2.0, 2.0, 0.0]))) == pytest.approx(2.0, abs=1e-12)
+        assert effective_rank_of_sigmas(singular_values(5.0 * np.eye(4))) == pytest.approx(4.0, abs=1e-12)
 
     def test_stack_equals_each_row_and_the_positive_only_sum(self):
         rng = np.random.default_rng(11)
@@ -96,7 +93,7 @@ class TestEffectiveRank:
     @given(st.integers(0, 10**6), st.integers(1, 6), st.integers(1, 6))
     def test_range(self, seed, d, dp):
         m = np.random.default_rng(seed).normal(size=(d, dp))
-        er = effective_rank(m)
+        er = effective_rank_of_sigmas(singular_values(m))
         assert 0.0 < er <= min(d, dp) + 1e-12
 
 
@@ -154,13 +151,6 @@ class TestSolutionSingularValues:
     def test_balanced_point(self):
         assert solution_singular_values(0.0) == (1.0, 1.0)
 
-    def test_perturbed_reduces_to_plain(self):
-        for x in (0.0, 2.0, -3.5):
-            plain = solution_singular_values(x)
-            gen = perturbed_solution_singular_values(x, 1.0, 1.0, 0.0)
-            assert gen[0] == pytest.approx(plain[0], abs=1e-12)
-            assert gen[1] == pytest.approx(plain[1], abs=1e-12)
-
     def test_x3_values_and_determinant_identity(self):
         s1, s2 = solution_singular_values(3.0)
         assert s1 == pytest.approx(3.302775637731995, abs=1e-12)
@@ -172,16 +162,6 @@ class TestSolutionSingularValues:
         s1s, s2s = zip(*(solution_singular_values(x) for x in xs))
         assert all(b > a for a, b in zip(s1s, s1s[1:]))
         assert all(b < a for a, b in zip(s2s, s2s[1:]))
-
-    def test_perturbed_matches_direct_svd(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            x, z, zp, eps = rng.normal(size=4) * 3
-            m = np.array([[x, z], [zp, eps]])
-            expect = np.linalg.svd(m, compute_uv=False)
-            got = perturbed_solution_singular_values(x, z, zp, eps)
-            assert got[0] == pytest.approx(float(expect[0]), abs=1e-9)
-            assert got[1] == pytest.approx(float(expect[1]), abs=1e-9)
 
 
 class TestBaseTaskBounds:
@@ -282,54 +262,6 @@ class TestBoundsOverLossArrays:
             with pytest.raises(ValueError):
                 perturbed_task_bounds(ell, 1.0, 1.0, 0.1, nuclear())
         base_task_bounds(np.array([0.1, -0.0]), nuclear())  # -0.0 is not negative
-
-
-class TestUnbalancedInitReport:
-    def test_large_defect_is_inadmissible(self):
-        rep = unbalanced_init_report(3, 0.25, 0.1, nuclear(), eps=0.5)
-        assert not rep.admissible
-
-    def test_depth3_limits_as_defect_vanishes(self):
-        prev_exit, prev_norm, prev_erank = -math.inf, -math.inf, math.inf
-        for log_eps in (-1e2, -1e3, -1e6):
-            rep = unbalanced_init_report(3, 0.25, 0.1, nuclear(), log_eps=log_eps)
-            assert rep.exit_time > prev_exit
-            assert rep.terminal_bounds[0].value > prev_norm
-            assert rep.terminal_bounds[1].value <= prev_erank
-            prev_exit = rep.exit_time
-            prev_norm = rep.terminal_bounds[0].value
-            prev_erank = rep.terminal_bounds[1].value
-        assert rep.terminal_bounds[1].value < 1.0 + 1e-3
-
-    def test_depth2_log_space_evaluation(self):
-        # independent evaluation of the printed depth-2 expressions at
-        # log(defect) = -1e9, far beyond representable doubles
-        gap = 1.0 - math.sqrt(0.25)
-        sigma = 0.05
-        expected_exit = (1e9) ** (2.0 / 3.0) / (2.0 ** (2.0 / 3.0) * gap ** (4.0 / 3.0)) - math.log(
-            math.e / (gap * sigma)
-        )
-        rep = unbalanced_init_report(2, 0.25, sigma, nuclear(), log_eps=-1e9)
-        assert rep.exit_time == pytest.approx(expected_exit, rel=1e-12)
-        assert rep.exit_time > 0
-        expected_norm = gap ** (4.0 / 3.0) / 2.0**11 * (1e9) ** (1.0 / 3.0) - 12.0
-        assert rep.terminal_bounds[0].value == pytest.approx(expected_norm, rel=1e-12)
-
-    def test_depth2_threshold_below_floats(self):
-        # no positive double satisfies the depth-2 admissibility gate
-        rep = unbalanced_init_report(2, 0.25, 0.1, nuclear(), eps=5e-324)
-        assert not rep.admissible
-        assert rep.log_eps_threshold < math.log(5e-324)
-
-    def test_rejects_depth1(self):
-        with pytest.raises(ValueError):
-            unbalanced_init_report(1, 0.1, 0.1, nuclear(), eps=0.5)
-
-    def test_needs_exactly_one_defect_form(self):
-        with pytest.raises(ValueError):
-            unbalanced_init_report(3, 0.1, 0.1, nuclear(), eps=0.5, log_eps=-1.0)
-        with pytest.raises(ValueError):
-            unbalanced_init_report(3, 0.1, 0.1, nuclear())
 
 
 class TestSolutionNormArgmin:
