@@ -354,44 +354,51 @@ def _free_entry_column(ij: tuple[int, int]) -> str:
     return "w11" if ij == (0, 0) else f"unobs_{ij[0] + 1}_{ij[1] + 1}"
 
 
-def trajectory_rows(samples, task_spec: TaskSpec):
-    """Flatten trajectory samples into CSV rows (norm bounds use the
-    nuclear spec's constants).  Each unobserved entry of the task gets a
-    column after loss: ``w11`` for the (1,1) corner, ``unobs_i_j``
-    (1-based) for any other.  The table is built a column at a time;
-    rows are tuples."""
+def trajectory_rows(trajectory: matfac.Trajectory, task_spec: TaskSpec):
+    """The CSV rows of a trajectory (norm bounds use the nuclear spec's
+    constants).  Each unobserved entry of the task gets a column after
+    loss: ``w11`` for the (1,1) corner, ``unobs_i_j`` (1-based) for any
+    other.  The rows are tuples zipped from the trajectory's columns; an
+    empty trajectory (or list) gives the header alone."""
     free = task_spec.build().unobserved_indices()
-    free_cols = [_free_entry_column(ij) for ij in free]
-    losses = [s.loss for s in samples]
-    bound_names, bounds = _bounds_for(task_spec, losses)
-    header = MATFAC_BASE_COLUMNS[:2] + free_cols + MATFAC_BASE_COLUMNS[3:] + bound_names
+    t = trajectory or matfac.Trajectory()
+    bound_names, bounds = _bounds_for(task_spec, t.losses)
+    header = MATFAC_BASE_COLUMNS[:2] + [_free_entry_column(ij) for ij in free] + MATFAC_BASE_COLUMNS[3:] + bound_names
+    if not t:
+        return header, []
     columns = [
-        [s.iteration for s in samples],
-        losses,
-        *([s.unobserved[ij] for s in samples] for ij in free),
-        [s.det for s in samples],
-        [s.sigmas[0] for s in samples],
-        [s.sigmas[1] if len(s.sigmas) > 1 else 0.0 for s in samples],
-        *([s.metrics[k] for s in samples] for k in MATFAC_BASE_COLUMNS[6:11]),  # erank .. schatten_half
-        [s.unbalancedness for s in samples],
+        t.iterations,
+        t.losses,
+        *(t.unobserved[ij] for ij in free),
+        t.dets,
+        t.sigmas[0],
+        t.sigmas[1] if len(t.sigmas) > 1 else (0.0,) * len(t),
+        *(t.metrics[k] for k in MATFAC_BASE_COLUMNS[6:11]),  # erank .. schatten_half
+        t.unbalancedness,
         *bounds,
     ]
     return header, list(zip(*columns))
 
 
-def run_matfac(cfg: MatfacRunConfig) -> RunRecord:
-    """Execute one training run and persist its trajectory CSV plus a
-    JSON record.  Divergence is recorded in the summary and the partial
-    trajectory kept."""
+def _prepare(cfg: MatfacRunConfig):
+    """The task, initial net, init attempt count and training config of
+    a run; raises ValueError for a value the run cannot start with."""
     task = cfg.task.build()
-    rng = stream(cfg.seed, 1)
-    net, attempts = cfg.init.build(task, cfg.depth, rng)
+    net, attempts = cfg.init.build(task, cfg.depth, stream(cfg.seed, 1))
     train_cfg = matfac.TrainConfig(
         learning_rate=cfg.learning_rate,
         max_iters=cfg.max_iters,
         loss_threshold=cfg.loss_threshold,
         log_stride=cfg.log_stride,
     )
+    return task, net, attempts, train_cfg
+
+
+def run_matfac(cfg: MatfacRunConfig) -> RunRecord:
+    """Execute one training run and persist its trajectory CSV plus a
+    JSON record.  Divergence is recorded in the summary and the partial
+    trajectory kept."""
+    task, net, attempts, train_cfg = _prepare(cfg)
     t0 = time.monotonic()
     diverged = converged = False
     try:
@@ -400,9 +407,6 @@ def run_matfac(cfg: MatfacRunConfig) -> RunRecord:
     except matfac.DivergenceError as exc:
         diverged, trajectory = True, exc.trajectory
     elapsed = time.monotonic() - t0
-    # a finished run always logs its final state: its last sample is at
-    # result.iterations
-    last = trajectory[-1] if trajectory else None
 
     header, rows = trajectory_rows(trajectory, cfg.task)
     config = asdict(cfg)
@@ -417,10 +421,12 @@ def run_matfac(cfg: MatfacRunConfig) -> RunRecord:
             "diverged": diverged,
             "init_attempts": attempts,
             "runtime_s": elapsed,
-            "iterations": last.iteration if last else 0,
-            "final_loss": last.loss if last else math.nan,
+            # a finished run always logs its final state: its last
+            # sample is at result.iterations
+            "iterations": trajectory.iterations[-1] if trajectory else 0,
+            "final_loss": trajectory.losses[-1] if trajectory else math.nan,
             **{
-                f"final_{_free_entry_column(ij)}": last.unobserved[ij] if last else math.nan
+                f"final_{_free_entry_column(ij)}": trajectory.unobserved[ij][-1] if trajectory else math.nan
                 for ij in task.unobserved_indices()
             },
             "converged": converged,
@@ -431,7 +437,13 @@ def run_matfac(cfg: MatfacRunConfig) -> RunRecord:
 
 
 def run_matfac_sweep(cfg: MatfacSweepConfig, jobs: int = 1) -> list[RunRecord]:
-    return _map_jobs(run_matfac, cfg.expand(), jobs)
+    """Run every cell of the grid.  Each cell is prepared once before the
+    first runs, so a bad value in any cell raises before anything is
+    written."""
+    runs = cfg.expand()
+    for run in runs:
+        _prepare(run)
+    return _map_jobs(run_matfac, runs, jobs)
 
 
 def _map_jobs(fn, items, jobs):

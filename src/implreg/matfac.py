@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "DeepNet",
     "TrainConfig",
     "TrajectorySample",
+    "Trajectory",
     "TrainResult",
     "DivergenceError",
     "ResampleError",
@@ -181,10 +183,55 @@ class TrajectorySample:
     metrics: dict[str, float]
 
 
+@dataclass(frozen=True, eq=False)
+class Trajectory(Sequence):
+    """The logged samples of a run, held as columns: entry k of every
+    column belongs to sample k, and ``sigmas`` holds one column per
+    singular value.  Indexing or iterating builds the
+    :class:`TrajectorySample` objects; a slice is a list of them, and a
+    trajectory equals another or a list when their samples are equal.
+    ``Trajectory()`` is the empty trajectory."""
+
+    iterations: tuple[int, ...] = ()
+    losses: tuple[float, ...] = ()
+    unobserved: Mapping[tuple[int, int], tuple[float, ...]] = field(default_factory=dict)
+    sigmas: tuple[tuple[float, ...], ...] = ()
+    dets: tuple[float, ...] = ()
+    unbalancedness: tuple[float, ...] = ()
+    metrics: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.iterations)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._sample(i) for i in range(*k.indices(len(self)))]
+        return self._sample(range(len(self))[k])
+
+    def __iter__(self):
+        return map(self._sample, range(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, (Trajectory, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def _sample(self, k: int) -> TrajectorySample:
+        return TrajectorySample(
+            iteration=self.iterations[k],
+            loss=self.losses[k],
+            unobserved={ij: col[k] for ij, col in self.unobserved.items()},
+            sigmas=tuple(col[k] for col in self.sigmas),
+            det=self.dets[k],
+            unbalancedness=self.unbalancedness[k],
+            metrics={name: col[k] for name, col in self.metrics.items()},
+        )
+
+
 @dataclass(frozen=True)
 class TrainResult:
     net: DeepNet
-    trajectory: list[TrajectorySample]
+    trajectory: Trajectory
     iterations: int
     converged: bool
 
@@ -224,6 +271,10 @@ _NN = ((0, 0, 1, 2), (0, 1, 1, 3), (2, 0, 3, 2), (2, 1, 3, 3))
 
 def _transpose4(a):
     return (a[0], a[2], a[1], a[3])
+
+
+# a.T of a numpy array, a view
+_T = operator.attrgetter("T")
 
 
 class _StepWriter:
@@ -279,7 +330,7 @@ def factor_gradients(net: DeepNet, task: CompletionTask) -> list[np.ndarray]:
     if net.shape != task.shape:
         raise ValueError(f"net shape {net.shape} does not match task shape {task.shape}")
     prefixes, p = _prefix_chain(net.factors, np.matmul)
-    return _chain_gradients(net.factors, prefixes, residual_gradient(task, p), np.matmul, np.transpose)
+    return _chain_gradients(net.factors, prefixes, residual_gradient(task, p), np.matmul, _T)
 
 
 def leading_minor_det(m: np.ndarray) -> float:
@@ -316,47 +367,43 @@ def _stack(mats) -> np.ndarray:
     return s.reshape(-1, 2, 2) if s.ndim == 2 else s
 
 
-def _samples(snapshots, task: CompletionTask) -> list[TrajectorySample]:
-    """The trajectory samples of ``gd_train``'s snapshots (iteration,
-    loss, product, factors), computed over stacks in one pass.
+def _column(values: np.ndarray) -> tuple[float, ...]:
+    return tuple(values.tolist())
+
+
+def _samples(snapshots, task: CompletionTask) -> Trajectory:
+    """The trajectory of ``gd_train``'s snapshots (iteration, loss,
+    product, factors), computed over stacks in one pass.
 
     The singular values of all products, and of all Gram differences of
     one layer pair, come from one values-only call each; the metrics are
-    then taken along the stacks.  Each value equals what the public
-    per-matrix functions give for that sample, bit for bit.
+    then taken along the stacks and kept as columns.  Each value equals
+    what the public per-matrix functions give for that sample, bit for
+    bit.
     """
     if not snapshots:
-        return []
+        return Trajectory()
     its, losses, products, factors = zip(*snapshots)
     ps = _stack(products)
     sig = singular_values(ps)
-    unobserved = task.unobserved_indices()
-    columns = zip(
-        its,
-        losses,
-        zip(*(ps[:, i, j].tolist() for i, j in unobserved)),
-        sig.tolist(),
-        leading_minor_dets(ps).tolist(),
-        _unbalancedness([_stack(layer) for layer in zip(*factors)]).tolist(),
-        metrics.effective_rank_of_sigmas(sig).tolist(),
-        sig.sum(axis=-1).tolist(),
-        np.sqrt((sig * sig).sum(axis=-1)).tolist(),
-        # Python's float ** is C pow, as on a numpy scalar; an array's
-        # ** 2 squares, which can round the last bit differently
-        [s**2 for s in np.sqrt(sig).sum(axis=-1).tolist()],
+    sigmas = tuple(map(_column, sig.T))
+    return Trajectory(
+        iterations=its,
+        losses=losses,
+        unobserved={(i, j): _column(ps[:, i, j]) for i, j in task.unobserved_indices()},
+        sigmas=sigmas,
+        dets=_column(leading_minor_dets(ps)),
+        unbalancedness=_column(_unbalancedness([_stack(layer) for layer in zip(*factors)])),
+        metrics={
+            "erank": _column(metrics.effective_rank_of_sigmas(sig)),
+            "nuclear_norm": _column(sig.sum(axis=-1)),
+            "frob_norm": _column(np.sqrt((sig * sig).sum(axis=-1))),
+            "spectral_norm": sigmas[0],
+            # Python's float ** is C pow, as on a numpy scalar; an array's
+            # ** 2 squares, which can round the last bit differently
+            "schatten_half": tuple(s**2 for s in np.sqrt(sig).sum(axis=-1).tolist()),
+        },
     )
-    return [
-        TrajectorySample(
-            iteration=it,
-            loss=lo,
-            unobserved=dict(zip(unobserved, free)),
-            sigmas=tuple(s),
-            det=det,
-            unbalancedness=gap,
-            metrics={"erank": er, "nuclear_norm": nuc, "frob_norm": fro, "spectral_norm": s[0], "schatten_half": half},
-        )
-        for it, lo, free, s, det, gap, er, nuc, fro, half in columns
-    ]
 
 
 # A step kernel holds the factors of a run; ``__init__`` evaluates the
@@ -370,28 +417,29 @@ def _samples(snapshots, task: CompletionTask) -> list[TrajectorySample]:
 
 
 class _ArrayKernel:
-    """Factors as numpy arrays: any shape.  A step builds new arrays
-    (w - eta * g) and writes into none, so a snapshot is the live state.
-    An overflowing start or step ends the run through gd_train's checks
-    (DivergenceError), so numpy's overflow warnings are off there."""
+    """Factors as numpy arrays: any shape.  A step builds new factor
+    arrays (w - eta * g) and writes into none of them, so a snapshot is
+    the live state; the masked residual lives in one buffer whose
+    unobserved entries stay 0.0.  An overflowing start or step ends the
+    run through gd_train's checks (DivergenceError), and gd_train turns
+    numpy's overflow warnings off around the kernel."""
 
-    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, factors: Sequence[np.ndarray], task: CompletionTask):
         self.ws = list(factors)
-        self.rows, self.cols, self.vals = task.index_arrays()
+        rows, cols, self.vals = task.index_arrays()
+        self.observed = np.ravel_multi_index((rows, cols), task.shape)
+        self.g = np.zeros(task.shape)
         self._forward()
 
     def _forward(self) -> None:
         self.prefixes, self.p = _prefix_chain(self.ws, np.matmul)
-        self.r = self.p[self.rows, self.cols] - self.vals
+        self.r = self.p.take(self.observed) - self.vals
         self.lo, self.peak = 0.5 * float(self.r @ self.r), float(np.abs(self.p).max())
 
-    @np.errstate(over="ignore", invalid="ignore")
     def run_until(self, eta: float, it: int, stop_it: int, lo_min: float, lo_max: float) -> tuple[int, float, float]:
         while it < stop_it:
-            g = np.zeros_like(self.p)
-            g[self.rows, self.cols] = self.r
-            grads = _chain_gradients(self.ws, self.prefixes, g, np.matmul, np.transpose)
+            self.g.put(self.observed, self.r)
+            grads = _chain_gradients(self.ws, self.prefixes, self.g, np.matmul, _T)
             self.ws = [w - eta * gl for w, gl in zip(self.ws, grads)]
             it += 1
             self._forward()
@@ -501,39 +549,46 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
     iteration at which one of them could fire (stride, cap, threshold,
     ``_decade_band``).  Logging keeps the state; the samples are
     computed from all kept states in one stacked pass (``_samples``)
-    when the run ends or before DivergenceError is raised.
+    when the run ends or before DivergenceError is raised.  numpy's
+    overflow and invalid-value warnings are off while the kernel steps
+    (the checks above catch what they would report) and back on for
+    the sampling.
     """
     if net.shape != task.shape:
         raise ValueError(f"net shape {net.shape} does not match task shape {task.shape}")
-    kernel = _kernel_for(net, task)
     eta, stride = cfg.learning_rate, cfg.log_stride
 
     snapshots: list[tuple] = []
     last_decade: float | None = None
-    converged = False
-    it, lo, peak = kernel.run_until(eta, 0, 0, 0.0, 0.0)
-    while True:
-        if not math.isfinite(lo) or peak > ENTRY_BLOWUP_LIMIT:
-            trajectory = _samples(snapshots, task)
-            last = trajectory[-1] if trajectory else None
-            raise DivergenceError(f"training diverged at iteration {it}", last, trajectory, _net(kernel.snapshot()[1]))
+    converged = diverged = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = _kernel_for(net, task)
+        it, lo, peak = kernel.run_until(eta, 0, 0, 0.0, 0.0)
+        while True:
+            if not math.isfinite(lo) or peak > ENTRY_BLOWUP_LIMIT:
+                diverged = True
+                break
 
-        decade = math.floor(math.log10(lo)) if lo > 0 else None
-        crossed = last_decade is not None and decade != last_decade
-        last_decade = decade
-        if it % stride == 0 or crossed:
-            snapshots.append((it, lo, *kernel.snapshot()))
+            decade = math.floor(math.log10(lo)) if lo > 0 else None
+            crossed = last_decade is not None and decade != last_decade
+            last_decade = decade
+            if it % stride == 0 or crossed:
+                snapshots.append((it, lo, *kernel.snapshot()))
 
-        if lo < cfg.loss_threshold:
-            converged = True
-            break
-        if it >= cfg.max_iters:
-            break
+            if lo < cfg.loss_threshold:
+                converged = True
+                break
+            if it >= cfg.max_iters:
+                break
 
-        band_lo, band_hi = _decade_band(decade)
-        stop_it = min((it // stride + 1) * stride, cfg.max_iters)
-        it, lo, peak = kernel.run_until(eta, it, stop_it, max(band_lo, cfg.loss_threshold), band_hi)
+            band_lo, band_hi = _decade_band(decade)
+            stop_it = min((it // stride + 1) * stride, cfg.max_iters)
+            it, lo, peak = kernel.run_until(eta, it, stop_it, max(band_lo, cfg.loss_threshold), band_hi)
 
+    if diverged:
+        trajectory = _samples(snapshots, task)
+        last = trajectory[-1] if trajectory else None
+        raise DivergenceError(f"training diverged at iteration {it}", last, trajectory, _net(kernel.snapshot()[1]))
     if snapshots[-1][0] != it:
         snapshots.append((it, lo, *kernel.snapshot()))
     return TrainResult(

@@ -336,6 +336,31 @@ class TestRunMatfac:
         ]
         assert base.summary["final_w11"] == float(read_csv(base.csv_path)[-1]["w11"])
 
+    @pytest.mark.parametrize(
+        "task, depth",
+        [(TaskSpec(kind="perturbed", z=1.0, z_prime=1.0, eps=0.01), 2), (TaskSpec(kind="extended", rows=3, cols=4), 3)],
+        ids=["perturbed2x2-d2", "extended3x4-d3"],
+    )
+    def test_dense_log_builds_no_sample_objects(self, tmp_path, monkeypatch, task, depth):
+        # the CSV and the summary read the trajectory's columns: a run
+        # logged at every step constructs no TrajectorySample
+        built, sample = [], matfac.TrajectorySample
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(matfac, "TrajectorySample", counting)
+        init = InitSpec(kind="balanced", alpha=1e-3, det_sign=None)
+        cfg = quick_run_config(tmp_path, task=task, depth=depth, init=init, loss_threshold=0.0, max_iters=300, log_stride=1)
+        rec = run_matfac(cfg)
+        assert len(read_csv(rec.csv_path)) == 301 and rec.summary["iterations"] == 300
+        assert built == []
+        # the counter sees the samples a caller asks for
+        built_task, net, _, train_cfg = harness._prepare(cfg)
+        assert matfac.gd_train(net, built_task, train_cfg).trajectory[-1].iteration == 300
+        assert len(built) == 1
+
     def test_divergent_run_keeps_partial_csv(self, tmp_path):
         cfg = quick_run_config(
             tmp_path,
@@ -633,6 +658,16 @@ _CLI_MATFAC_DOC = {
     "out_dir": "runs",
 }
 _CLI_TENFAC_DOC = {"kind": "tenfac-sweep", "dims": [3, 3], "n_obs": [4], "seeds": [0], "out_dir": "runs"}
+# its first cell runs and writes unless the whole grid is checked first
+_CLI_SWEEP_DOC = {
+    "kind": "matfac-sweep",
+    "task": {"kind": "base"},
+    "depths": [2],
+    "learning_rates": [0.03],
+    "alphas": [0.1],
+    "max_iters": 1000,
+    "out_dir": "runs",
+}
 
 
 class TestCli:
@@ -719,6 +754,12 @@ class TestCli:
             (["matfac"], {}, "abc", "IMPLREG_SEED must be an integer"),
             (["tenfac"], {}, "abc", "IMPLREG_SEED must be an integer"),
             (["detsign", "--samples", "1000"], None, "abc", "IMPLREG_SEED must be an integer"),
+            (["matfac", "--jobs", "1"], {**_CLI_SWEEP_DOC, "depths": [2, 0]}, None, "depth must be >= 1"),
+            (["matfac", "--jobs", "2"], {**_CLI_SWEEP_DOC, "depths": [2, 0]}, None, "depth must be >= 1"),
+            (["matfac", "--jobs", "1"], {**_CLI_SWEEP_DOC, "learning_rates": [0.03, 0.0]}, None,
+             "learning_rate must be positive"),
+            (["matfac", "--jobs", "2"], {**_CLI_SWEEP_DOC, "learning_rates": [0.03, 0.0]}, None,
+             "learning_rate must be positive"),
         ],
         ids=[
             "detsign-too-few-samples",
@@ -736,6 +777,10 @@ class TestCli:
             "matfac-env-seed-not-int",
             "tenfac-env-seed-not-int",
             "detsign-env-seed-not-int",
+            "sweep-later-depth-0-jobs-1",
+            "sweep-later-depth-0-jobs-2",
+            "sweep-later-learning-rate-0-jobs-1",
+            "sweep-later-learning-rate-0-jobs-2",
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, config, env, message):
@@ -751,7 +796,8 @@ class TestCli:
         if config is None:
             argv = [*argv, "--out", str(work / "out.file")]
         else:
-            base = _CLI_MATFAC_DOC if argv[0] == "matfac" else _CLI_TENFAC_DOC
+            # a config that names its kind is complete
+            base = {} if "kind" in config else _CLI_MATFAC_DOC if argv[0] == "matfac" else _CLI_TENFAC_DOC
             cfg_path = tmp_path / "cfg.json"
             cfg_path.write_text(json.dumps({**base, **config}))
             argv = [*argv, "--config", str(cfg_path)]

@@ -367,6 +367,25 @@ class TestStepKernels:
         for got, want in zip(result.net.factors, fs):
             assert np.array_equal(got, want)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    # at lr 1e100 the first step overflows in a matmul
+    @pytest.mark.parametrize("lr, diverges", [(0.03, False), (1e100, True)], ids=["returns", "raises"])
+    def test_array_kernel_run_restores_errstate(self, lr, diverges):
+        # gd_train turns numpy's overflow checks off only while the
+        # kernel steps: the caller's settings hold again after the run,
+        # and the stepping neither warns nor raises under them
+        net = init_unbalanced((3, 4), 3, 0.5, stream(9, 3))
+        cfg = TrainConfig(learning_rate=lr, max_iters=200, loss_threshold=0.0, log_stride=1)
+        with np.errstate(over="raise", invalid="raise"):
+            before = np.geterr()
+            if diverges:
+                with pytest.raises(matfac.DivergenceError) as err:
+                    gd_train(net, make_extended_task(3, 4), cfg)
+                assert str(err.value) == "training diverged at iteration 1" and len(err.value.trajectory) == 1
+            else:
+                assert len(gd_train(net, make_extended_task(3, 4), cfg).trajectory) == 201
+            assert np.geterr() == before
+
     @pytest.mark.parametrize("dims, task", [([2, 2, 2, 2], BASE), ([4, 3, 3, 3], make_extended_task(3, 4))])
     def test_rerun_is_bitwise_identical(self, dims, task):
         net = random_net(4, dims)
@@ -647,6 +666,38 @@ class TestSamples:
         cfg = TrainConfig(learning_rate=1e-2, max_iters=200, loss_threshold=0.0, log_stride=1)
         result = self.assert_matches_oracle(monkeypatch, random_net(8, [3, 1, 4]), make_extended_task(4, 3), cfg)
         assert all(s.sigmas[1:] == (0.0, 0.0) for s in result.trajectory)
+
+
+class TestTrajectorySequence:
+    """A trajectory holds columns and builds its samples when indexed or
+    iterated; it behaves as the list of those samples."""
+
+    @pytest.mark.parametrize(
+        "dims, task", [([2, 2, 2], BASE), ([4, 3, 3, 3], make_extended_task(3, 4))], ids=["scalar", "array"]
+    )
+    def test_behaves_as_the_list_of_its_samples(self, dims, task):
+        cfg = TrainConfig(learning_rate=1e-2, max_iters=12, loss_threshold=0.0, log_stride=1)
+        trajectory = gd_train(random_net(4, dims), task, cfg).trajectory
+        samples = [trajectory[k] for k in range(len(trajectory))]
+        assert len(trajectory) == 13 and trajectory
+        assert [s.iteration for s in samples] == list(range(13))
+        assert list(trajectory) == samples
+        assert trajectory[-1] == samples[-1] and trajectory[-13] == samples[0]
+        for k in (slice(None), slice(2, 9, 3), slice(None, None, -1), slice(-4, -1), slice(7, 3)):
+            assert isinstance(trajectory[k], list)
+            assert [repr(s) for s in trajectory[k]] == [repr(s) for s in samples[k]]
+        assert trajectory == samples and samples == trajectory
+        assert trajectory != samples[:-1] and trajectory != samples[::-1] and trajectory != tuple(samples)
+        for k in (13, -14):
+            with pytest.raises(IndexError):
+                trajectory[k]
+
+    def test_empty_trajectory(self):
+        empty = matfac.Trajectory()
+        assert len(empty) == 0 and not empty
+        assert empty == [] and list(empty) == [] and empty[:] == []
+        with pytest.raises(IndexError):
+            empty[-1]
 
 
 class TestSamplerEdgeCases:
