@@ -222,9 +222,12 @@ def main(argv=None) -> int:
     problems = compare(manifest, got)
     for line in problems:
         print(line)
-    print(f"{len(got) - len(problems)} of {len(manifest['digests'])} digests match" if problems else
-          f"all {len(got)} digests match")
-    return 1 if problems and not args.report else 0
+    if not problems:
+        print(f"all {len(got)} digests match")
+        return 0
+    matched = sum(manifest["digests"].get(k) == v for k, v in got.items())
+    print(f"{matched} of {len(manifest['digests'])} recorded digests match")
+    return 0 if args.report else 1
 
 
 if __name__ == "__main__":

@@ -110,8 +110,8 @@ def main(argv=None) -> int:
     if args.command == "plot":
         try:
             path = svgplot.emit_plot(args.input, args.style, args.out, title=args.title)
-        except FileNotFoundError as exc:
-            parser.error(str(exc))
+        except (ValueError, OSError) as exc:  # SchemaError is a ValueError
+            parser.error(f"cannot plot: {exc}")
         print(f"wrote {path}")
         return 0
 

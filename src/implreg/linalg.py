@@ -127,9 +127,18 @@ def singular_values(m) -> np.ndarray:
 
 
 def _sigmas(ws: np.ndarray) -> np.ndarray:
-    """Values of each matrix in a validated (n, d, d') stack, one row each."""
+    """Values of each matrix in a validated (n, d, d') stack, one row each.
+
+    On 2x2s, the closed form of :func:`svd2x2_analytic` by column: the
+    same IEEE operations on every matrix at once, with ``math.hypot``
+    (numpy's hypot may round differently) over the columns as lists.
+    """
     if ws.shape[1:] == (2, 2):
-        return np.array([_svd2x2(w) for w in ws.tolist()]).reshape(-1, 2)
+        a, b, c, d = ws.reshape(-1, 4).T
+        n = len(ws)
+        q = np.fromiter(map(math.hypot, (a + d).tolist(), (b - c).tolist()), float, n)
+        r = np.fromiter(map(math.hypot, (a - d).tolist(), (b + c).tolist()), float, n)
+        return np.stack([0.5 * (q + r), 0.5 * abs(q - r)], axis=1)
     return _lapack_svd(ws, compute_uv=False)
 
 
@@ -144,11 +153,7 @@ def svd2x2_analytic(m) -> tuple[float, float]:
     w = as_matrix(m)
     if w.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {w.shape}")
-    return _svd2x2(w.tolist())
-
-
-def _svd2x2(rows) -> tuple[float, float]:
-    (a, b), (c, d) = rows
+    (a, b), (c, d) = w.tolist()
     q = math.hypot(a + d, b - c)
     r = math.hypot(a - d, b + c)
     return 0.5 * (q + r), 0.5 * abs(q - r)

@@ -407,13 +407,16 @@ def _samples(snapshots, task: CompletionTask) -> Trajectory:
 
 
 # A step kernel holds the factors of a run; ``__init__`` evaluates the
-# start point.  ``run_until(eta, it, stop_it, lo_min, lo_max)`` steps
-# every factor by -eta times its gradient from iteration ``it`` until
-# ``stop_it``, a loss outside [lo_min, lo_max) or an entry beyond
-# ENTRY_BLOWUP_LIMIT, and returns (iteration, loss, max |entry|); with
-# ``stop_it == it`` it only reports the current point.  ``snapshot()``
-# returns (product, factors) in a form no later step changes, for
-# _samples and _net.
+# start point.  ``run_until(eta, it, stop_it, lo_min, lo_max, stride,
+# log)`` steps every factor by -eta times its gradient from iteration
+# ``it`` until ``stop_it``, a loss outside [lo_min, lo_max) or an entry
+# beyond ENTRY_BLOWUP_LIMIT, and returns (iteration, loss, max |entry|);
+# with ``stop_it == it`` it only reports the current point.  At each
+# multiple of ``stride`` it steps on from, it first calls
+# ``log((iteration, loss, product, factors))``: the step loop runs
+# between two multiples and makes no stride test.
+# ``snapshot()`` returns (product, factors) in a form no later step
+# changes, for _samples and _net; ``log`` gets the same form.
 
 
 class _ArrayKernel:
@@ -436,15 +439,21 @@ class _ArrayKernel:
         self.r = self.p.take(self.observed) - self.vals
         self.lo, self.peak = 0.5 * float(self.r @ self.r), float(np.abs(self.p).max())
 
-    def run_until(self, eta: float, it: int, stop_it: int, lo_min: float, lo_max: float) -> tuple[int, float, float]:
+    def run_until(
+        self, eta: float, it: int, stop_it: int, lo_min: float, lo_max: float, stride: int, log
+    ) -> tuple[int, float, float]:
         while it < stop_it:
-            self.g.put(self.observed, self.r)
-            grads = _chain_gradients(self.ws, self.prefixes, self.g, np.matmul, _T)
-            self.ws = [w - eta * gl for w, gl in zip(self.ws, grads)]
-            it += 1
-            self._forward()
-            if not (lo_min <= self.lo < lo_max and self.peak <= ENTRY_BLOWUP_LIMIT):
-                break
+            until = min((it // stride + 1) * stride, stop_it)
+            while it < until:
+                self.g.put(self.observed, self.r)
+                grads = _chain_gradients(self.ws, self.prefixes, self.g, np.matmul, _T)
+                self.ws = [w - eta * gl for w, gl in zip(self.ws, grads)]
+                it += 1
+                self._forward()
+                if not (lo_min <= self.lo < lo_max and self.peak <= ENTRY_BLOWUP_LIMIT):
+                    return it, self.lo, self.peak
+            if it < stop_it:
+                log((it, self.lo, self.p, self.ws))
         return it, self.lo, self.peak
 
     def snapshot(self) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -460,8 +469,9 @@ def _step_function(depth: int, observed: tuple[int, ...]):
     variable names (_StepWriter), so every float operation is the one
     the chain rule takes, in the same order; zeros of the masked
     residual stay literal multiplications by 0.0.  The compiled function
-    maps (factors, observed values, eta, it, stop_it, lo_min, lo_max) to
-    (it, loss, product, factors).
+    maps (factors, observed values, eta, it, stop_it, lo_min, lo_max,
+    stride, log) to (it, loss, product, factors); the step loop runs
+    inside a loop over stride multiples, which calls ``log``.
     """
     ws = [tuple(f"w{l}_{e}" for e in range(4)) for l in range(depth)]
     writer = _StepWriter()
@@ -475,14 +485,17 @@ def _step_function(depth: int, observed: tuple[int, ...]):
     update += [f"{w} = {w} - eta * {gw}" for wl, gl in zip(ws, grads) for w, gw in zip(wl, gl)]
     inside = " and ".join(f"{-ENTRY_BLOWUP_LIMIT!r} <= {x} <= {ENTRY_BLOWUP_LIMIT!r}" for x in p)
     factors = "(" + "".join(f"({', '.join(w)}), " for w in ws) + ")"
+    state = f"it, lo, ({', '.join(p)}), {factors}"
     src = "\n".join(
-        ["def run_until(ws, vs, eta, it, stop_it, lo_min, lo_max):", f"    {factors} = ws"]
+        ["def run_until(ws, vs, eta, it, stop_it, lo_min, lo_max, stride, log):", f"    {factors} = ws"]
         + [f"    ({''.join(f'v{k}, ' for k in observed)}) = vs"]
         + [f"    {line}" for line in forward]
-        + ["    while it < stop_it:"]
-        + [f"        {line}" for line in update + ["it += 1"] + forward]
-        + [f"        if not (lo_min <= lo < lo_max and {inside}):", "            break"]
-        + [f"    return it, lo, ({', '.join(p)}), {factors}"]
+        + ["    while it < stop_it:", "        until = min((it // stride + 1) * stride, stop_it)"]
+        + ["        while it < until:"]
+        + [f"            {line}" for line in update + ["it += 1"] + forward]
+        + [f"            if not (lo_min <= lo < lo_max and {inside}):", f"                return {state}"]
+        + ["        if it < stop_it:", f"            log(({state}))"]
+        + [f"    return {state}"]
     )
     namespace: dict = {}
     exec(compile(src, f"<2x2 step, depth {depth}, observed {observed}>", "exec"), namespace)
@@ -499,10 +512,12 @@ class _Scalar2x2Kernel:
         rows, cols, vals = task.index_arrays()
         self.vals = tuple(vals.tolist())
         self._run = _step_function(len(self.ws), tuple(2 * i + j for i, j in zip(rows.tolist(), cols.tolist())))
-        self.run_until(0.0, 0, 0, 0.0, 0.0)
+        self.p = self._run(self.ws, self.vals, 0.0, 0, 0, 0.0, 0.0, 1, None)[2]
 
-    def run_until(self, eta: float, it: int, stop_it: int, lo_min: float, lo_max: float) -> tuple[int, float, float]:
-        it, lo, self.p, self.ws = self._run(self.ws, self.vals, eta, it, stop_it, lo_min, lo_max)
+    def run_until(
+        self, eta: float, it: int, stop_it: int, lo_min: float, lo_max: float, stride: int, log
+    ) -> tuple[int, float, float]:
+        it, lo, self.p, self.ws = self._run(self.ws, self.vals, eta, it, stop_it, lo_min, lo_max, stride, log)
         return it, lo, max(map(abs, self.p))
 
     def snapshot(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
@@ -545,11 +560,12 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
     beyond 1e12; its ``net`` is None when a step overflowed a factor
     entry to inf or nan.  Nets whose factors are all 2x2 step on Python
     floats, every other shape on numpy arrays; the two agree to
-    rounding.  Between checks the kernel runs on alone until an
-    iteration at which one of them could fire (stride, cap, threshold,
-    ``_decade_band``).  Logging keeps the state; the samples are
-    computed from all kept states in one stacked pass (``_samples``)
-    when the run ends or before DivergenceError is raised.  numpy's
+    rounding.  Between checks the kernel runs on alone, keeping the
+    state at each stride multiple itself, until an iteration at which
+    a check could fire (cap, threshold, divergence, ``_decade_band``).
+    Logging keeps the state; the samples are computed from all kept
+    states in one stacked pass (``_samples``) when the run ends or
+    before DivergenceError is raised.  numpy's
     overflow and invalid-value warnings are off while the kernel steps
     (the checks above catch what they would report) and back on for
     the sampling.
@@ -563,7 +579,7 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
     converged = diverged = False
     with np.errstate(over="ignore", invalid="ignore"):
         kernel = _kernel_for(net, task)
-        it, lo, peak = kernel.run_until(eta, 0, 0, 0.0, 0.0)
+        it, lo, peak = kernel.run_until(eta, 0, 0, 0.0, 0.0, stride, snapshots.append)
         while True:
             if not math.isfinite(lo) or peak > ENTRY_BLOWUP_LIMIT:
                 diverged = True
@@ -582,8 +598,8 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
                 break
 
             band_lo, band_hi = _decade_band(decade)
-            stop_it = min((it // stride + 1) * stride, cfg.max_iters)
-            it, lo, peak = kernel.run_until(eta, it, stop_it, max(band_lo, cfg.loss_threshold), band_hi)
+            lo_min = max(band_lo, cfg.loss_threshold)
+            it, lo, peak = kernel.run_until(eta, it, cfg.max_iters, lo_min, band_hi, stride, snapshots.append)
 
     if diverged:
         trajectory = _samples(snapshots, task)

@@ -15,7 +15,6 @@ Output is plain SVG 1.1 with no external assets.
 
 from __future__ import annotations
 
-import csv
 import math
 from pathlib import Path
 from typing import Sequence
@@ -33,7 +32,8 @@ _RAMP = [(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 3
 
 
 class SchemaError(ValueError):
-    """An input CSV lacks a column the requested style needs."""
+    """An input CSV lacks a column the requested style needs, quotes a
+    field, or holds a cell that is not a number where one is needed."""
 
 
 def _ramp_color(f: float) -> str:
@@ -46,14 +46,35 @@ def _ramp_color(f: float) -> str:
 
 
 def _read_rows(path: str | Path, cols: Sequence[str]) -> tuple[list[str], list[list[str]]]:
-    """Header and non-blank rows of a CSV; a column in ``cols`` that the
-    header lacks is a SchemaError unless there are no rows."""
-    with open(path, newline="") as fh:
-        header, *rows = [row for row in csv.reader(fh) if row] or [[]]
+    """Header and non-blank rows of a CSV, split on commas; a column in
+    ``cols`` that the header lacks is a SchemaError unless there are no
+    rows.  The run and sweep CSVs never quote a field (``write_csv``
+    refuses to), so a file holding a quote is a SchemaError too."""
+    text = Path(path).read_text()
+    if '"' in text:
+        raise SchemaError(f"quoted field in {path}: plot inputs are unquoted CSVs")
+    header, *rows = [line.split(",") for line in text.split("\n") if line] or [[]]
     missing = [c for c in cols if c not in header]
     if rows and missing:
         raise SchemaError(f"missing column '{missing[0]}' in {path}")
     return header, rows
+
+
+def _bad_cell(path, header, rows, cols, empty_ok=False) -> SchemaError | None:
+    """The error for the first cell of ``cols`` that is not a number (an
+    empty cell counts as one when ``empty_ok``), or None."""
+    at = [(c, header.index(c)) for c in cols if c in header]
+    for k, row in enumerate(rows, start=1):
+        for c, i in at:
+            if i >= len(row):
+                return SchemaError(f"row {k} of {path} has {len(row)} fields, its header {len(header)}")
+            if row[i] == "" and empty_ok:
+                continue
+            try:
+                float(row[i])
+            except ValueError:
+                return SchemaError(f"non-numeric value {row[i]!r} in column '{c}', row {k} of {path}")
+    return None
 
 
 def _esc(s: str) -> str:
@@ -184,7 +205,10 @@ def _plot_loss_vs_entry(csv_paths, out_path, title):
         if rows and entry not in header:
             raise SchemaError(f"missing column '{entry}' in {p}")
         it, lo, w = (header.index(c) if rows else 0 for c in ("iter", "loss", entry))
-        pts = [(float(r[lo]), abs(float(r[w])), float(r[it])) for r in rows]
+        try:
+            pts = [(float(r[lo]), abs(float(r[w])), float(r[it])) for r in rows]
+        except (ValueError, IndexError):
+            raise _bad_cell(p, header, rows, ("iter", "loss", entry)) from None
         pts = [pt for pt in pts if pt[0] > 0]
         runs.append((Path(p).stem, pts))
 
@@ -217,10 +241,16 @@ def _series_key(row):
     return (row.get("method", ""), row.get("init_std", ""))
 
 
+# the sweep CSV columns the plot reads as numbers; empty where not computed
+_SWEEP_NUMBERS = ("n_obs", "recon_error", "est_rank", "recon_error_q25", "recon_error_q75", "est_rank_q25", "est_rank_q75")
+
+
 def _plot_sweep(csv_paths, out_path, title):
     rows = []
     for p in csv_paths:
         header, rs = _read_rows(p, ["row", "method", "n_obs", "init_std", "recon_error", "est_rank"])
+        if bad := _bad_cell(p, header, rs, _SWEEP_NUMBERS, empty_ok=True):
+            raise bad
         rows.extend(dict(zip(header, r)) for r in rs)
     agg = [r for r in rows if r["row"] == "median_iqr"]
 
@@ -278,8 +308,10 @@ def _plot_sweep(csv_paths, out_path, title):
 def emit_plot(csv_paths: Sequence[str | Path], style: str, out_path: str | Path, title: str | None = None) -> Path:
     """Render the named style from one or more CSVs to ``out_path``.
 
-    Raises :class:`SchemaError` if an input lacks a required column.
-    An empty trajectory still yields a valid SVG with axes.
+    Raises :class:`SchemaError` if an input lacks a required column,
+    quotes a field, or holds a cell that is not a number where a number
+    is plotted; nothing is written then.  An empty trajectory still
+    yields a valid SVG with axes.
     """
     if style == "loss-vs-entry":
         _plot_loss_vs_entry([str(p) for p in csv_paths], out_path, title)

@@ -647,6 +647,63 @@ class TestPlots:
             svgplot.emit_plot([], "mystery", tmp_path / "x.svg")
 
 
+class TestPlotReadRows:
+    """The plot splits rows on commas: on every CSV the package writes,
+    that gives what csv.reader gives."""
+
+    @staticmethod
+    def csv_module_rows(path):
+        with open(path, newline="") as fh:
+            return [row for row in csv.reader(fh) if row]
+
+    def test_trajectory_csv(self, tmp_path):
+        cfg = quick_run_config(tmp_path, task=TaskSpec(kind="perturbed", z=1.0, z_prime=1.0, eps=0.01), log_stride=1)
+        path = run_matfac(replace(cfg, max_iters=300)).csv_path
+        header, rows = svgplot._read_rows(path, ["iter", "loss", "w11"])
+        assert [header, *rows] == self.csv_module_rows(path) and len(rows) == 301
+
+    def test_sweep_csv_with_empty_cells(self, tmp_path):
+        cfg = TenfacSweepConfig(
+            dims=(4, 4), gt_rank=1, n_obs=(6, 8), init_stds=(1e-3,), seeds=(0, 1), out_dir=str(tmp_path)
+        )
+        path = run_tenfac_sweep(cfg)
+        header, rows = svgplot._read_rows(path, ["row", "method", "n_obs"])
+        assert [header, *rows] == self.csv_module_rows(path)
+        assert any("" in r for r in rows) and any(r[0] == "median_iqr" for r in rows)
+
+    def test_blank_lines_and_crlf(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"iter,loss,w11\r\n\r\n0,1.0,0.5\r\n1,,0.25\n\n")
+        header, rows = svgplot._read_rows(path, ["w11"])
+        want = [["iter", "loss", "w11"], ["0", "1.0", "0.5"], ["1", "", "0.25"]]
+        assert [header, *rows] == self.csv_module_rows(path) == want
+
+    def test_quoted_file_refused(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text('iter,loss,w11\n0,"1.0",0.5\n')
+        with pytest.raises(svgplot.SchemaError, match=f"quoted field in {path}"):
+            svgplot.emit_plot([path], "loss-vs-entry", tmp_path / "x.svg")
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize(
+        "style, text, message",
+        [
+            ("loss-vs-entry", "iter,loss,w11\n0,1.0,0.5\n1,abc,0.4\n", "non-numeric value 'abc' in column 'loss', row 2"),
+            ("loss-vs-entry", "iter,loss,w11\n0,1.0,0.5\n1,0.9\n", "row 2 of"),
+            ("sweep", f"{','.join(harness.TENFAC_COLUMNS)}\nmedian_iqr,tf,x8,,,1.0,1,,,,\n",
+             "non-numeric value 'x8' in column 'n_obs', row 1"),
+        ],
+        ids=["loss-vs-entry-cell", "loss-vs-entry-short-row", "sweep-cell"],
+    )
+    def test_bad_cell_named(self, tmp_path, style, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(svgplot.SchemaError, match=message) as err:
+            svgplot.emit_plot([path], style, tmp_path / "x.svg")
+        assert str(path) in str(err.value)
+        assert not (tmp_path / "x.svg").exists()
+
+
 # one-seed configs that run as given; a bad-input case overrides one field
 _CLI_MATFAC_DOC = {
     "kind": "matfac-run",
@@ -667,6 +724,12 @@ _CLI_SWEEP_DOC = {
     "alphas": [0.1],
     "max_iters": 1000,
     "out_dir": "runs",
+}
+
+_CLI_PLOT_INPUTS = {
+    "no-w11.csv": "iter,loss\n0,1.0\n",
+    "abc.csv": "iter,loss,w11\n0,abc,0.5\n",
+    "quoted.csv": 'iter,loss,w11\n0,"1.0",0.5\n',
 }
 
 
@@ -744,6 +807,13 @@ class TestCli:
             (["detsign", "--samples", "1000", "--depth", "-1"], None, None, "depth must be >= 1"),
             (["detsign", "--samples", "1000", "--dim", "0"], None, None, "dim must be >= 1"),
             (["plot", "--input", "missing.csv", "--style", "sweep"], None, None, "missing.csv"),
+            (["plot", "--input", "../no-w11.csv", "--style", "loss-vs-entry"], None, None,
+             "missing column 'w11' in ../no-w11.csv"),
+            (["plot", "--input", "../abc.csv", "--style", "loss-vs-entry"], None, None,
+             "non-numeric value 'abc' in column 'loss', row 1 of ../abc.csv"),
+            (["plot", "--input", "../a-directory", "--style", "loss-vs-entry"], None, None, "Is a directory"),
+            (["plot", "--input", "../quoted.csv", "--style", "loss-vs-entry"], None, None,
+             "quoted field in ../quoted.csv"),
             (["matfac"], {"depth": 0}, None, "depth must be >= 1"),
             (["matfac"], {"depth": -1}, None, "depth must be >= 1"),
             (["matfac"], {"task": {"kind": "mystery"}}, None, "unknown task kind"),
@@ -767,6 +837,10 @@ class TestCli:
             "detsign-depth-negative",
             "detsign-dim-0",
             "plot-missing-input",
+            "plot-missing-column",
+            "plot-non-numeric-cell",
+            "plot-directory",
+            "plot-quoted-csv",
             "matfac-depth-0",
             "matfac-depth-negative",
             "matfac-unknown-task",
@@ -793,6 +867,11 @@ class TestCli:
             monkeypatch.delenv(harness.SEED_ENV_VAR, raising=False)
         else:
             monkeypatch.setenv(harness.SEED_ENV_VAR, env)
+        if argv[0] == "plot":
+            # inputs beside the working directory, which must stay empty
+            for name, text in _CLI_PLOT_INPUTS.items():
+                (tmp_path / name).write_text(text)
+            (tmp_path / "a-directory").mkdir()
         if config is None:
             argv = [*argv, "--out", str(work / "out.file")]
         else:

@@ -151,6 +151,48 @@ class TestSingularValues:
         if min(shape) > 1 and shape != (2, 2):
             assert (singular_values(low)[:, 1:] == 0.0).all()
 
+    @staticmethod
+    def assert_2x2_stack_is_the_closed_form(stack):
+        stack = np.asarray(stack, dtype=float).reshape(-1, 2, 2)
+        got = singular_values(stack)
+        want = np.array([svd2x2_analytic(m) for m in stack]).reshape(-1, 2)
+        assert got.shape == want.shape == (len(stack), 2)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.floats(min_value=-1e150, max_value=1e150, allow_nan=False),
+                    st.sampled_from([0.0, -0.0, 1e-150, -1e-150, 1e150, -1e150]),
+                ),
+                min_size=4,
+                max_size=4,
+            ),
+            max_size=12,
+        )
+    )
+    def test_2x2_stack_is_the_closed_form_of_each_matrix(self, entries):
+        self.assert_2x2_stack_is_the_closed_form(entries)
+
+    def test_2x2_stack_edge_cases(self):
+        rng = np.random.default_rng(11)
+        u, v = rng.normal(size=(30, 2, 1)), rng.normal(size=(30, 1, 2))
+        q, _ = np.linalg.qr(rng.normal(size=(30, 2, 2)))
+        scales = 10.0 ** rng.uniform(-150, 150, size=(30, 1, 1))
+        for stack in (
+            rng.normal(size=(500, 2, 2)),
+            # exact zeros of both signs
+            [[[0.0, -0.0], [-0.0, 0.0]], [[-0.0, -0.0], [-0.0, -0.0]], [[0.0, 1.0], [-0.0, 0.0]]],
+            u @ v,  # rank one
+            3.0 * q,  # equal singular values
+            [[[2.0, 0.0], [0.0, 2.0]], [[0.0, -5.0], [5.0, 0.0]]],
+            scales * rng.normal(size=(30, 2, 2)),  # 1e-150 to 1e150
+            np.zeros((0, 2, 2)),  # an empty stack
+        ):
+            self.assert_2x2_stack_is_the_closed_form(stack)
+
     def test_stack_rejects_non_finite(self):
         stack = np.ones((4, 3, 3))
         stack[2, 1, 1] = np.nan

@@ -318,16 +318,16 @@ class TestStepKernels:
                 _assert_close_to_scale(np.reshape(p_s, (2, 2)), p_a, 1e-10)
                 for w_s, w_a in zip(ws_s, ws_a):
                     _assert_close_to_scale(np.reshape(w_s, (2, 2)), w_a, 1e-10)
-            scalar.run_until(1e-3, step, step + 1, -math.inf, math.inf)
-            array.run_until(1e-3, step, step + 1, -math.inf, math.inf)
+            scalar.run_until(1e-3, step, step + 1, -math.inf, math.inf, 1, None)
+            array.run_until(1e-3, step, step + 1, -math.inf, math.inf, 1, None)
 
     @pytest.mark.parametrize("kernel", [matfac._Scalar2x2Kernel, matfac._ArrayKernel])
     def test_run_until_stop_at_it_only_reports(self, kernel):
         net = random_net(6, [2, 2, 2])
         k = kernel(net.factors, BASE)
-        reached = k.run_until(1e-2, 0, 5, -math.inf, math.inf)
+        reached = k.run_until(1e-2, 0, 5, -math.inf, math.inf, 5, None)
         p, ws = (np.array(x, dtype=float) for x in k.snapshot())
-        assert k.run_until(1e-2, 5, 5, -math.inf, math.inf) == reached
+        assert k.run_until(1e-2, 5, 5, -math.inf, math.inf, 5, None) == reached
         assert reached[0] == 5
         assert np.array_equal(np.array(k.snapshot()[0], dtype=float), p)
         assert np.array_equal(np.array(k.snapshot()[1], dtype=float), ws)
@@ -337,10 +337,10 @@ class TestStepKernels:
         # at depth 1 the product is the factor itself
         task = make_extended_task(3, 4)
         k = matfac._ArrayKernel(init_unbalanced((3, 4), depth, 0.5, stream(9, depth)).factors, task)
-        k.run_until(0.03, 0, 3, -math.inf, math.inf)
+        k.run_until(0.03, 0, 3, -math.inf, math.inf, 3, None)
         p, ws = k.snapshot()
         kept = p.copy(), [w.copy() for w in ws]
-        k.run_until(0.03, 3, 10, -math.inf, math.inf)
+        k.run_until(0.03, 3, 10, -math.inf, math.inf, 10, None)
         assert not np.array_equal(k.snapshot()[0], kept[0])
         assert np.array_equal(p, kept[0])
         assert all(np.array_equal(w, v) for w, v in zip(ws, kept[1]))
@@ -441,13 +441,51 @@ def _ref_chain_gradients(fs, prefixes, g):
     return grads
 
 
-def reference_gd_train(net, task, cfg):
-    """gd_train on 2x2 factors, checking stride, decade, threshold, cap
-    and divergence after every single step.  Samples are built from its
-    snapshots by matfac._samples, which TestSamples checks on its own."""
-    ws = [tuple(f.ravel().tolist()) for f in net.factors]
+def _ref_scalar_forward(ws, observed):
+    prefixes, p = _ref_prefix_chain(ws)
+    g, sq = [0.0, 0.0, 0.0, 0.0], 0.0
+    for k, v in observed:
+        g[k] = p[k] - v
+        sq += g[k] * g[k]
+    return 0.5 * sq, p, max(map(abs, p)), (prefixes, g)
+
+
+def _ref_scalar_update(ws, eta, state, task):
+    grads = _ref_chain_gradients(ws, *state)
+    return [tuple(wi - eta * gi for wi, gi in zip(w, gl)) for w, gl in zip(ws, grads)]
+
+
+def _ref_array_forward(ws, task):
+    # product_matrix and loss, on factors that may have left the finite range
+    p = ws[0]
+    for f in ws[1:]:
+        p = f @ p
     rows, cols, vals = task.index_arrays()
-    observed = [(2 * i + j, v) for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist())]
+    r = p[rows, cols] - vals
+    return 0.5 * float(r @ r), p, float(np.abs(p).max()), None
+
+
+def _ref_array_update(ws, eta, state, task):
+    return [w - eta * g for w, g in zip(ws, factor_gradients(DeepNet(tuple(ws)), task))]
+
+
+def reference_gd_train(net, task, cfg):
+    """gd_train checking stride, decade, threshold, cap and divergence
+    after every single step.  2x2 factors step on Python floats as
+    above; other shapes step by W - eta * factor_gradients on numpy
+    arrays, which the numpy kernel equals bit for bit
+    (test_hidden_width_3_steps_with_factor_gradients).  Samples are
+    built from its snapshots by matfac._samples, which TestSamples
+    checks on its own."""
+    shapes = [f.shape for f in net.factors]
+    if all(shape == (2, 2) for shape in shapes):
+        ws = [tuple(f.ravel().tolist()) for f in net.factors]
+        rows, cols, vals = task.index_arrays()
+        observed = [(2 * i + j, v) for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist())]
+        forward, update = (lambda ws: _ref_scalar_forward(ws, observed)), _ref_scalar_update
+    else:
+        ws = [f.copy() for f in net.factors]
+        forward, update = (lambda ws: _ref_array_forward(ws, task)), _ref_array_update
     snapshots, it, last_decade, logged_it, converged = [], 0, None, -1, False
 
     def log_state(lo):
@@ -455,18 +493,15 @@ def reference_gd_train(net, task, cfg):
         snapshots.append((it, lo, p, tuple(ws)))
         logged_it = it
 
+    def net_now():
+        return DeepNet(tuple(np.reshape(w, shape) for w, shape in zip(ws, shapes)))
+
     while True:
-        prefixes, p = _ref_prefix_chain(ws)
-        g, sq = [0.0, 0.0, 0.0, 0.0], 0.0
-        for k, v in observed:
-            g[k] = p[k] - v
-            sq += g[k] * g[k]
-        lo = 0.5 * sq
-        if not math.isfinite(lo) or max(map(abs, p)) > matfac.ENTRY_BLOWUP_LIMIT:
+        lo, p, peak, state = forward(ws)
+        if not math.isfinite(lo) or peak > matfac.ENTRY_BLOWUP_LIMIT:
             trajectory = matfac._samples(snapshots, task)
             last = trajectory[-1] if trajectory else None
-            net_now = DeepNet(tuple(np.reshape(w, (2, 2)) for w in ws))
-            raise matfac.DivergenceError(f"training diverged at iteration {it}", last, trajectory, net_now)
+            raise matfac.DivergenceError(f"training diverged at iteration {it}", last, trajectory, net_now())
         decade = math.floor(math.log10(lo)) if lo > 0 else None
         crossed = last_decade is not None and decade != last_decade
         last_decade = decade
@@ -477,14 +512,12 @@ def reference_gd_train(net, task, cfg):
             break
         if it >= cfg.max_iters:
             break
-        grads = _ref_chain_gradients(ws, prefixes, g)
-        ws = [tuple(wi - cfg.learning_rate * gi for wi, gi in zip(w, gl)) for w, gl in zip(ws, grads)]
+        ws = update(ws, cfg.learning_rate, state, task)
         it += 1
     if logged_it != it:
         log_state(lo)
-    net_now = DeepNet(tuple(np.reshape(w, (2, 2)) for w in ws))
     return matfac.TrainResult(
-        net=net_now, trajectory=matfac._samples(snapshots, task), iterations=it, converged=converged
+        net=net_now(), trajectory=matfac._samples(snapshots, task), iterations=it, converged=converged
     )
 
 
@@ -522,6 +555,51 @@ class TestEventLoop:
             logged = [s.iteration for s in result.trajectory[:-1]]
             assert any(i and i % cfg.log_stride == 0 for i in logged)
             assert any(i % cfg.log_stride for i in logged)
+        # short strides: the kernel logs at every step, or at several
+        # multiples of 7 inside one call, between decade crossings
+        for stride in (1, 7):
+            cfg = TrainConfig(learning_rate=0.02, max_iters=2_000, loss_threshold=3e-4, log_stride=stride)
+            _assert_bitwise_same_run(gd_train(net, task, cfg), reference_gd_train(net, task, cfg))
+
+    @pytest.mark.parametrize(
+        "dims, task",
+        [([4, 3, 3, 3], make_extended_task(3, 4)), ([2, 3, 2], BASE)],
+        ids=["extended3x4", "hidden-width-3"],
+    )
+    def test_array_kernel_matches_step_by_step_loop(self, dims, task):
+        net = DeepNet(tuple(0.5 * f for f in random_net(4, dims).factors))
+        for stride in (1, 7, 50):
+            cfg = TrainConfig(learning_rate=0.02, max_iters=400, loss_threshold=0.0, log_stride=stride)
+            result = gd_train(net, task, cfg)
+            _assert_bitwise_same_run(result, reference_gd_train(net, task, cfg))
+            assert len(result.trajectory) > 400 // stride
+
+    @pytest.mark.parametrize(
+        "kernel, shape, depth, task, lr, max_iters",
+        [
+            (matfac._Scalar2x2Kernel, (2, 2), 2, make_perturbed_task(1.0, 1.0, 0.01), 1e-2, 2_000),
+            (matfac._ArrayKernel, (3, 4), 3, make_extended_task(3, 4), 0.03, 1_000),
+        ],
+        ids=["perturbed2x2", "extended3x4"],
+    )
+    def test_dense_log_returns_only_at_decade_crossings(self, monkeypatch, kernel, shape, depth, task, lr, max_iters):
+        # the kernel logs every step itself: gd_train calls it once to
+        # report the start, once to run, and once more per decade crossing
+        calls = []
+        run_until = kernel.run_until
+
+        def counting(self, *args):
+            calls.append(args[1])
+            return run_until(self, *args)
+
+        monkeypatch.setattr(kernel, "run_until", counting)
+        net = init_balanced(shape, depth, 1e-3, stream(0, depth))
+        cfg = TrainConfig(learning_rate=lr, max_iters=max_iters, loss_threshold=0.0, log_stride=1)
+        result = gd_train(net, task, cfg)
+        decades = [math.floor(math.log10(lo)) for lo in result.trajectory.losses]
+        crossings = sum(a != b for a, b in zip(decades, decades[1:]))
+        assert result.iterations == max_iters and len(result.trajectory) == max_iters + 1
+        assert crossings >= 1 and len(calls) <= crossings + 2
 
     def test_single_observed_entry(self):
         task = CompletionTask(shape=(2, 2), observations={(1, 0): 0.5})
