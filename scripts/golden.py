@@ -11,6 +11,13 @@ Regenerates, in a temporary directory, in a few seconds:
 - the quick outputs of scripts/reproduce_entry_vs_loss.py;
 - an 8x8x8 rank-2 tensor sweep CSV (400 observations, three seeds) at
   seeds 0-2;
+- runs near the 1e12 entry limit, at seeds 0-2: divergence runs on the
+  base task (balanced alpha 1.0, depths 2-3, steps 1.0 and 3.0, logged
+  at every step), and the perturbed task with an observed value of 9e11
+  (it starts with a loss above the bound that keeps observed entries
+  within the limit) or 2e12 (past the limit: no such bound);
+- identity-init runs on the base task (alpha 1e-3, the start of
+  acceptance criterion 1) at depths 2-4, step 1e-2, 20,000 steps;
 - the arithmetic lines of the generated 2x2 step function for depths
   1-5, observing the row-major entries (1, 2, 3) and (0, 2, 3).
 
@@ -22,7 +29,7 @@ under other versions.
 
     python scripts/golden.py            # exit 1 if a digest differs
     python scripts/golden.py --report   # print the comparison, exit 0
-    python scripts/golden.py --update   # rewrite the manifest
+    python scripts/golden.py --update   # print the comparison, rewrite the manifest
 """
 
 from __future__ import annotations
@@ -110,6 +117,59 @@ def _dense_log(seed: int, out_dir: Path) -> list[Path]:
     return csvs + [svg]
 
 
+def _runs(cells: list[dict]):
+    """The maker of one harness.run_matfac run per cell (MatfacRunConfig
+    fields besides seed and out_dir) at a seed."""
+
+    def make(seed: int, out_dir: Path) -> list[Path]:
+        cfgs = (harness.MatfacRunConfig(seed=seed, out_dir=str(out_dir), **cell) for cell in cells)
+        return [Path(harness.run_matfac(cfg).csv_path) for cfg in cfgs]
+
+    return make
+
+
+_diverge = _runs(
+    [
+        dict(
+            task=harness.TaskSpec(kind="base"),
+            depth=depth,
+            learning_rate=lr,
+            init=harness.InitSpec(kind="balanced", alpha=1.0, det_sign=1),
+            max_iters=1_000,
+            log_stride=1,
+        )
+        for depth in (2, 3)
+        for lr in (1.0, 3.0)
+    ]
+)
+_large_target = _runs(
+    [
+        dict(
+            task=harness.TaskSpec(kind="perturbed", z=z, z_prime=1.0, eps=0.0),
+            depth=2,
+            learning_rate=5e-13,
+            init=harness.InitSpec(kind="balanced", alpha=1e-3, det_sign=None),
+            max_iters=2_000,
+            log_stride=1,
+        )
+        for z in (9e11, 2e12)
+    ]
+)
+_identity = _runs(
+    [
+        dict(
+            task=harness.TaskSpec(kind="base"),
+            depth=depth,
+            learning_rate=1e-2,
+            init=harness.InitSpec(kind="identity", alpha=1e-3, det_sign=None),
+            max_iters=20_000,
+            log_stride=2_000,
+        )
+        for depth in (2, 3, 4)
+    ]
+)
+
+
 def _tenfac(seed: int, out_dir: Path) -> list[Path]:
     cfg = harness.TenfacSweepConfig(
         dims=(8, 8, 8),
@@ -172,7 +232,14 @@ def digests() -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for seed in SEEDS:
-            for group, make in (("grid", _grid), ("dense-log", _dense_log), ("tenfac", _tenfac)):
+            for group, make in (
+                ("grid", _grid),
+                ("dense-log", _dense_log),
+                ("tenfac", _tenfac),
+                ("diverge", _diverge),
+                ("large-target", _large_target),
+                ("identity", _identity),
+            ):
                 out_dir = tmp / group / f"s{seed}"
                 for csv_path in make(seed, out_dir):
                     out[f"{group}/s{seed}/{csv_path.name}"] = _digest_file(csv_path)
@@ -210,6 +277,9 @@ def main(argv=None) -> int:
 
     got = digests()
     if args.update:
+        if MANIFEST.is_file():
+            for line in compare(json.loads(MANIFEST.read_text()), got):
+                print(line)
         MANIFEST.parent.mkdir(exist_ok=True)
         MANIFEST.write_text(json.dumps({**versions(), "digests": got}, indent=2) + "\n")
         print(f"wrote {len(got)} digests to {MANIFEST.relative_to(ROOT)}")
