@@ -278,9 +278,11 @@ _T = operator.attrgetter("T")
 
 
 class _StepWriter:
-    """2x2 products over 4-tuples of variable names: ``mul`` appends the
-    source lines computing a product's entries to ``lines`` and returns
-    the names of those entries."""
+    """2x2 products over 4-tuples of variable names, where an entry may
+    be the literal ``0.0``: ``mul`` appends the source lines computing a
+    product's entries to ``lines`` and returns the names of those
+    entries.  A term with a literal 0.0 operand is left out; an entry
+    left with no term is the literal 0.0 itself and gets no line."""
 
     def __init__(self):
         self.lines: list[str] = []
@@ -288,8 +290,12 @@ class _StepWriter:
     def mul(self, a, b):
         out = []
         for i, j, k, m in _NN:
-            out.append(f"t{len(self.lines)}")
-            self.lines.append(f"{out[-1]} = {a[i]} * {b[j]} + {a[k]} * {b[m]}")
+            terms = [f"{x} * {y}" for x, y in ((a[i], b[j]), (a[k], b[m])) if "0.0" not in (x, y)]
+            if terms:
+                out.append(f"t{len(self.lines)}")
+                self.lines.append(f"{out[-1]} = {' + '.join(terms)}")
+            else:
+                out.append("0.0")
         return tuple(out)
 
 
@@ -467,11 +473,22 @@ def _step_function(depth: int, observed: tuple[int, ...]):
 
     The source comes from running _prefix_chain and _chain_gradients on
     variable names (_StepWriter), so every float operation is the one
-    the chain rule takes, in the same order; zeros of the masked
-    residual stay literal multiplications by 0.0.  The compiled function
-    maps (factors, observed values, eta, it, stop_it, lo_min, lo_max,
-    stride, log) to (it, loss, product, factors); the step loop runs
-    inside a loop over stride multiples, which calls ``log``.
+    the chain rule takes, in the same order, except for the terms with
+    a zero of the masked residual: ``0.0 * x + y`` is written ``y``, an
+    entry with no other term is the literal 0.0, and an update
+    ``w - eta * 0.0`` is not written (eta > 0, so it is ``w`` for every
+    ``w``, -0.0 and nan included).  Dropping ``0.0 * x`` can change the
+    sign of an exact zero, and gives a number where the full sum is nan
+    only when ``x``, a factor or partial-product entry, is not finite.
+    A factor entry becomes -0.0 through no update, so a run is bitwise
+    the chain rule's unless its start holds a -0.0 entry.
+
+    The step checks only the unobserved product entries against
+    ENTRY_BLOWUP_LIMIT; the caller bounds the observed ones through
+    ``lo_max`` (_Scalar2x2Kernel).  The compiled function maps (factors,
+    observed values, eta, it, stop_it, lo_min, lo_max, stride, log) to
+    (it, loss, product, factors); the step loop runs inside a loop over
+    stride multiples, which calls ``log``.
     """
     ws = [tuple(f"w{l}_{e}" for e in range(4)) for l in range(depth)]
     writer = _StepWriter()
@@ -482,8 +499,9 @@ def _step_function(depth: int, observed: tuple[int, ...]):
     n_forward = len(writer.lines)
     grads = _chain_gradients(ws, prefixes, g, writer.mul, _transpose4)
     update = writer.lines[n_forward:]
-    update += [f"{w} = {w} - eta * {gw}" for wl, gl in zip(ws, grads) for w, gw in zip(wl, gl)]
-    inside = " and ".join(f"{-ENTRY_BLOWUP_LIMIT!r} <= {x} <= {ENTRY_BLOWUP_LIMIT!r}" for x in p)
+    update += [f"{w} = {w} - eta * {gw}" for wl, gl in zip(ws, grads) for w, gw in zip(wl, gl) if gw != "0.0"]
+    free = [x for k, x in enumerate(p) if k not in observed]
+    inside = " and ".join(f"{-ENTRY_BLOWUP_LIMIT!r} <= {x} <= {ENTRY_BLOWUP_LIMIT!r}" for x in free)
     factors = "(" + "".join(f"({', '.join(w)}), " for w in ws) + ")"
     state = f"it, lo, ({', '.join(p)}), {factors}"
     src = "\n".join(
@@ -505,18 +523,28 @@ def _step_function(depth: int, observed: tuple[int, ...]):
 class _Scalar2x2Kernel:
     """Factors all 2x2, held as row-major 4-tuples of Python floats and
     stepped by a generated straight-line function (_step_function): at
-    these sizes a numpy call costs far more than its arithmetic."""
+    these sizes a numpy call costs far more than its arithmetic.
+
+    The step checks only the unobserved entries against
+    ENTRY_BLOWUP_LIMIT.  An observed entry p_k has |p_k| <= |v_k| +
+    sqrt(2 loss), so below ``lo_cap`` none can pass the limit (the
+    relative 1e-9 covers the rounding of the loss); at or above it the
+    step returns after each step, and gd_train's checks of every entry
+    run as before."""
 
     def __init__(self, factors: Sequence[np.ndarray], task: CompletionTask):
         self.ws = tuple(tuple(f.ravel().tolist()) for f in factors)
         rows, cols, vals = task.index_arrays()
         self.vals = tuple(vals.tolist())
+        margin = max(ENTRY_BLOWUP_LIMIT - max(map(abs, self.vals)), 0.0)
+        self.lo_cap = 0.5 * margin**2 * (1 - 1e-9)
         self._run = _step_function(len(self.ws), tuple(2 * i + j for i, j in zip(rows.tolist(), cols.tolist())))
         self.p = self._run(self.ws, self.vals, 0.0, 0, 0, 0.0, 0.0, 1, None)[2]
 
     def run_until(
         self, eta: float, it: int, stop_it: int, lo_min: float, lo_max: float, stride: int, log
     ) -> tuple[int, float, float]:
+        lo_max = min(lo_max, self.lo_cap)
         it, lo, self.p, self.ws = self._run(self.ws, self.vals, eta, it, stop_it, lo_min, lo_max, stride, log)
         return it, lo, max(map(abs, self.p))
 
@@ -531,14 +559,27 @@ def _kernel_for(net: DeepNet, task: CompletionTask):
     return _ArrayKernel(net.factors, task)
 
 
+@functools.cache
+def _decade_edge(k: int) -> float:
+    """The least double x with math.floor(math.log10(x)) >= k, found by
+    single-ulp steps from 10.0**k; inf past the largest double."""
+    if k > 308:
+        return math.inf
+    x = 10.0**k
+    while math.floor(math.log10(x)) < k:
+        x = math.nextafter(x, math.inf)
+    while math.floor(math.log10(below := math.nextafter(x, 0.0))) >= k:
+        x = below
+    return x
+
+
 def _decade_band(decade: int | None) -> tuple[float, float]:
-    """[lo, hi): losses a relative 1e-9 inside ``decade``'s boundaries,
-    where math.floor(math.log10(loss)) == decade surely holds.  Empty for
-    a zero loss (no decade) and below 1e-300 (near-subnormal powers)."""
+    """[lo, hi): exactly the losses with math.floor(math.log10(loss)) ==
+    decade.  Empty for a zero loss (no decade) and below 1e-300
+    (near-subnormal powers)."""
     if decade is None or decade < -300:
         return 0.0, 0.0
-    base = 10.0**decade
-    return base * (1 + 1e-9), 10.0 * base * (1 - 1e-9)
+    return _decade_edge(decade), _decade_edge(decade + 1)
 
 
 def _net(factors) -> DeepNet | None:

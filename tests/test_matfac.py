@@ -1,4 +1,7 @@
+import itertools
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -521,6 +524,18 @@ def reference_gd_train(net, task, cfg):
     )
 
 
+LARGE_TARGET = make_perturbed_task(9e11, 1.0, 0.0)
+PAST_LIMIT = make_perturbed_task(2e12, 1.0, 0.0)
+
+
+def _balanced_start(task, depth, alpha):
+    """The factors harness.InitSpec(kind="balanced", det_sign=None) draws
+    at seed 0."""
+    rng = stream(0, 1)
+    net, _ = resample_until_det_sign(lambda r: init_balanced((2, 2), depth, alpha, r), required_det_sign(task), rng)
+    return net.factors
+
+
 def _assert_bitwise_same_trajectory(got, want):
     assert [s.iteration for s in got] == [s.iteration for s in want]
     # repr tells every float bit apart, including the sign of zero
@@ -617,42 +632,155 @@ class TestEventLoop:
         _assert_bitwise_same_run(result, reference_gd_train(net, BASE, cfg))
 
     @pytest.mark.parametrize(
-        "factors, lr, log_stride",
+        "factors, task, lr, log_stride",
         [
             # test_divergence_raises_with_partial_trajectory's run
-            ((np.full((2, 2), 5.0), np.full((2, 2), 5.0)), 0.9, 1),
+            ((np.full((2, 2), 5.0), np.full((2, 2), 5.0)), BASE, 0.9, 1),
             # residuals scale by -2 a step, between log strides
-            ((np.eye(2),), 3.0, 1_000),
+            ((np.eye(2),), BASE, 3.0, 1_000),
+            # an observed value of 9e11: every step until the blow-up
+            # has a loss above the scalar kernel's lo_cap
+            (_balanced_start(LARGE_TARGET, 3, 1e-3), LARGE_TARGET, 5e-13, 10),
+            # the residual scales by -1.2 a step from 1: 139 steps below
+            # lo_cap, then one above it before the observed entry passes 1e12
+            ((np.array([[0.0, 9e11 + 1.0], [1.0, 0.0]]),), LARGE_TARGET, 2.2, 1_000),
+            # an observed value past the limit: lo_cap is 0
+            (_balanced_start(PAST_LIMIT, 2, 1e-3), PAST_LIMIT, 5e-13, 10),
         ],
-        ids=["depth2-burst", "depth1-geometric"],
+        ids=["depth2-burst", "depth1-geometric", "observed-9e11", "observed-9e11-geometric", "observed-2e12"],
     )
-    def test_divergence_matches_step_by_step_loop(self, factors, lr, log_stride):
+    def test_divergence_matches_step_by_step_loop(self, factors, task, lr, log_stride):
         net = DeepNet(factors)
         cfg = TrainConfig(learning_rate=lr, max_iters=10_000, loss_threshold=0.0, log_stride=log_stride)
         with pytest.raises(matfac.DivergenceError) as got:
-            gd_train(net, BASE, cfg)
+            gd_train(net, task, cfg)
         with pytest.raises(matfac.DivergenceError) as want:
-            reference_gd_train(net, BASE, cfg)
+            reference_gd_train(net, task, cfg)
         assert str(got.value) == str(want.value)
         assert repr(got.value.last_sample) == repr(want.value.last_sample)
         _assert_bitwise_same_trajectory(got.value.trajectory, want.value.trajectory)
         assert [f.tobytes() for f in got.value.net.factors] == [f.tobytes() for f in want.value.net.factors]
 
+    def test_large_observed_value_matches_step_by_step_loop(self):
+        # an observed value of 9e11: the first ~50 steps have a loss above
+        # lo_cap and return one by one, the rest run on in the kernel
+        net = DeepNet(_balanced_start(LARGE_TARGET, 2, 1e-3))
+        cfg = TrainConfig(learning_rate=5e-13, max_iters=400, loss_threshold=0.0, log_stride=7)
+        result = gd_train(net, LARGE_TARGET, cfg)
+        _assert_bitwise_same_run(result, reference_gd_train(net, LARGE_TARGET, cfg))
+        lo_cap = matfac._Scalar2x2Kernel(net.factors, LARGE_TARGET).lo_cap
+        assert result.trajectory.losses[0] > lo_cap > result.trajectory.losses[-1]
+
     def test_decade_band_agrees_with_log10(self):
-        for k in range(-30, 4):
-            edge = 10.0**k
-            points = (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf), 3.0 * edge)
-            for x in map(float, points):
+        # within 64 ulps of every power of ten a loss lies in a decade's
+        # band exactly when math.floor(math.log10(loss)) is that decade
+        for k in range(-300, 309):
+            below = above = 10.0**k
+            points = [below]
+            for _ in range(64):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+                points += [below, above]
+            for x in points:
                 for decade in (k - 1, k):
                     lo, hi = matfac._decade_band(decade)
-                    if lo <= x < hi:
-                        assert math.floor(math.log10(x)) == decade, (x, decade)
-            lo, hi = matfac._decade_band(k)
-            assert lo <= 3.0 * edge < hi
+                    if decade < -300:
+                        assert lo == hi
+                    else:
+                        assert (lo <= x < hi) == (math.floor(math.log10(x)) == decade), (x, decade)
+        # 10.0**309 overflows: the top decade runs to the largest double
+        assert matfac._decade_band(308)[1] == math.inf
+        x = sys.float_info.max
+        for _ in range(64):
+            lo, hi = matfac._decade_band(308)
+            assert math.floor(math.log10(x)) == 308 and lo <= x < hi
+            x = math.nextafter(x, 0.0)
         # a zero loss has no decade and lies in no band
         for decade in (None, -30, 0):
             lo, hi = matfac._decade_band(decade)
             assert not lo <= 0.0 < hi
+
+    def test_saddle_cell_returns_only_at_decade_crossings(self, monkeypatch):
+        # the grid's d3 / lr 9e-4 / alpha 1e-7 cell sits at a loss near
+        # 1.0, the edge of decade 0, for most of its 2,500 steps: the
+        # kernel returns to gd_train only where the decade changes
+        calls = []
+        run_until = matfac._Scalar2x2Kernel.run_until
+
+        def counting(self, *args):
+            calls.append(args[1])
+            return run_until(self, *args)
+
+        monkeypatch.setattr(matfac._Scalar2x2Kernel, "run_until", counting)
+        net = DeepNet(_balanced_start(BASE, 3, 1e-7))
+        cfg = TrainConfig(learning_rate=9e-4, max_iters=2_500, loss_threshold=1e-4, log_stride=500)
+        result = gd_train(net, BASE, cfg)
+        decades = [math.floor(math.log10(lo)) for lo in result.trajectory.losses]
+        crossings = sum(a != b for a, b in zip(decades, decades[1:]))
+        assert result.iterations == 2_500 and crossings >= 1
+        assert len(calls) <= crossings + 2
+
+
+# every row-major observed-entry pattern of a 2x2 task: at least one
+# entry observed and one not
+PATTERNS = [obs for n in (1, 2, 3) for obs in itertools.combinations(range(4), n)]
+
+
+def _generated_source(monkeypatch, depth, observed):
+    """The source of the 2x2 step function, caught on its way to compile."""
+    sources = []
+
+    def catch(src, *args):
+        sources.append(src)
+        return compile(src, *args)
+
+    monkeypatch.setattr(matfac, "compile", catch, raising=False)
+    matfac._step_function.__wrapped__(depth, observed)
+    return sources[0]
+
+
+class TestGeneratedStep:
+    """The generated 2x2 step leaves out the terms of the masked
+    residual's zeros, which the zero-keeping chain rule of the oracle
+    above multiplies out."""
+
+    @staticmethod
+    def _runs(depth, observed, start, vals, eta, steps):
+        want_ws, pairs = start, list(zip(observed, vals))
+        lo, p, _, state = _ref_scalar_forward(want_ws, pairs)
+        for _ in range(steps):
+            want_ws = _ref_scalar_update(want_ws, eta, state, None)
+            lo, p, _, state = _ref_scalar_forward(want_ws, pairs)
+        want = (steps, lo, tuple(p), tuple(want_ws))
+        got = matfac._step_function(depth, observed)(start, vals, eta, 0, steps, -math.inf, math.inf, steps, None)
+        return got, want
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    def test_matches_zero_keeping_chain_rule(self, depth):
+        rng = np.random.default_rng(depth)
+        for observed in PATTERNS:
+            vals = tuple(rng.normal(size=len(observed)).tolist())
+            for _ in range(2):
+                start = rng.normal(scale=0.8, size=(depth, 4))
+                zeros = rng.random(start.shape) < 0.3
+                # +0.0 starts: the same bits as the chain rule
+                plus = tuple(map(tuple, np.where(zeros, 0.0, start).tolist()))
+                got, want = self._runs(depth, observed, plus, vals, 0.01, 300)
+                assert repr(got) == repr(want)
+                # -0.0 starts: only the signs of zeros may differ
+                minus = tuple(map(tuple, np.where(zeros, -0.0, start).tolist()))
+                got, want = self._runs(depth, observed, minus, vals, 0.01, 300)
+                assert got == want
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    def test_source_skips_zero_terms_and_observed_entry_checks(self, monkeypatch, depth):
+        limit = re.escape(repr(matfac.ENTRY_BLOWUP_LIMIT))
+        for observed in PATTERNS:
+            src = _generated_source(monkeypatch, depth, observed)
+            # no product term and no update "w = w - eta * 0.0" with a literal 0.0
+            assert "0.0 *" not in src and "* 0.0" not in src
+            product = re.search(r"return it, lo, \((\w+), (\w+), (\w+), (\w+)\)", src).groups()
+            checked = re.findall(rf"-{limit} <= (\w+) <= {limit}", src)
+            assert checked == [product[k] for k in range(4) if k not in observed]
 
 
 # ---------------------------------------------------------------------------
