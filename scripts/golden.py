@@ -18,8 +18,10 @@ Regenerates, in a temporary directory, in a few seconds:
   within the limit) or 2e12 (past the limit: no such bound);
 - identity-init runs on the base task (alpha 1e-3, the start of
   acceptance criterion 1) at depths 2-4, step 1e-2, 20,000 steps;
-- the arithmetic lines of the generated 2x2 step function for depths
-  1-5, observing the row-major entries (1, 2, 3) and (0, 2, 3).
+- the arithmetic lines of the generated step function: for 2x2
+  factors at depths 1-5, observing the row-major entries (1, 2, 3) and
+  (0, 2, 3), and for the dense-logged 3x4 extended cell (depth 3,
+  factors 3x4, 3x3, 3x3, every entry but (0, 0) observed).
 
 Run records are compared with their runtime and output paths left out.
 The sha256 of every output is compared with golden/manifest.json, which
@@ -194,8 +196,8 @@ def _repro(out_dir: Path) -> list[Path]:
     return sorted(out_dir.iterdir())
 
 
-def _step_lines(depth: int, observed: tuple[int, ...]) -> bytes:
-    """The float assignments of the generated 2x2 step source, stripped of
+def _step_lines(shapes: tuple[tuple[int, int], ...], observed: tuple[int, ...]) -> bytes:
+    """The float assignments of the generated step source, stripped of
     indentation: the forward pass at entry, then one step's update and
     forward pass.  The source is caught on its way to ``compile``."""
     sources = []
@@ -206,7 +208,7 @@ def _step_lines(depth: int, observed: tuple[int, ...]) -> bytes:
 
     matfac.compile = catch
     try:
-        matfac._step_function.__wrapped__(depth, observed)
+        matfac._step_function.__wrapped__(shapes, observed)
     finally:
         del matfac.compile
     (src,) = sources
@@ -248,10 +250,14 @@ def digests() -> dict[str, str]:
                         out[f"{group}/s{seed}/{record.name}"] = _digest_file(record)
         for path in _repro(tmp / "repro"):
             out[f"repro/{path.name}"] = _digest_file(path)
-    for depth in range(1, 6):
-        for observed in STEP_PATTERNS:
-            name = f"step/d{depth}-obs{''.join(map(str, observed))}"
-            out[name] = hashlib.sha256(_step_lines(depth, observed)).hexdigest()
+    steps = {
+        f"step/d{depth}-obs{''.join(map(str, observed))}": (((2, 2),) * depth, observed)
+        for depth in range(1, 6)
+        for observed in STEP_PATTERNS
+    }
+    steps["step/extended3x4-d3"] = (((3, 4), (3, 3), (3, 3)), tuple(range(1, 12)))
+    for name, (shapes, observed) in steps.items():
+        out[name] = hashlib.sha256(_step_lines(shapes, observed)).hexdigest()
     return dict(sorted(out.items()))
 
 

@@ -11,7 +11,6 @@ recovers the exact doubles.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import hashlib
@@ -43,24 +42,18 @@ __all__ = [
     "run_tenfac_sweep",
     "run_config",
     "resolve_seed",
-    "format_float",
     "write_csv",
-    "read_csv",
     "MATFAC_BASE_COLUMNS",
 ]
 
 SEED_ENV_VAR = "IMPLREG_SEED"
 
 
-def format_float(x: float) -> str:
-    """17-significant-digit rendering; round-trips every finite double
-    and prints "inf", "-inf" and "nan" (either sign) for the rest."""
-    return f"{x:.17g}"
-
-
 @functools.cache
 def _row_format(types: tuple[type, ...]) -> str:
-    # a float subclass (numpy's float64 too) renders as format_float does
+    # a float, or a float subclass such as numpy's float64, takes 17
+    # significant digits: every finite double round-trips, and the rest
+    # print as "inf", "-inf" and "nan" (either sign)
     return ",".join("%.17g" if issubclass(t, float) else "%s" for t in types) + "\n"
 
 
@@ -80,11 +73,6 @@ def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> Path:
     with open(path, "w", newline="") as fh:
         fh.write(text)
     return path
-
-
-def read_csv(path) -> list[dict[str, str]]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
 
 
 def resolve_seed(flag_seed: int | None, config_seed: int) -> int:

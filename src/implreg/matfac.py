@@ -19,8 +19,10 @@ entry [0, 0].
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
+import struct
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -141,15 +143,8 @@ class DeepNet:
         object.__setattr__(self, "factors", fs)
 
     @property
-    def depth(self) -> int:
-        return len(self.factors)
-
-    @property
     def shape(self) -> tuple[int, int]:
         return (self.factors[-1].shape[0], self.factors[0].shape[1])
-
-    def copy(self) -> "DeepNet":
-        return DeepNet(tuple(f.copy() for f in self.factors))
 
 
 @dataclass(frozen=True)
@@ -264,39 +259,31 @@ def product_matrix(net: DeepNet) -> np.ndarray:
     return p
 
 
-# Entry e of a 2x2 product a @ b of row-major 4-tuples is
-# a[i] * b[j] + a[k] * b[m] for (i, j, k, m) = _NN[e].
-_NN = ((0, 0, 1, 2), (0, 1, 1, 3), (2, 0, 3, 2), (2, 1, 3, 3))
-
-
-def _transpose4(a):
-    return (a[0], a[2], a[1], a[3])
-
-
 # a.T of a numpy array, a view
 _T = operator.attrgetter("T")
 
 
 class _StepWriter:
-    """2x2 products over 4-tuples of variable names, where an entry may
-    be the literal ``0.0``: ``mul`` appends the source lines computing a
-    product's entries to ``lines`` and returns the names of those
-    entries.  A term with a literal 0.0 operand is left out; an entry
-    left with no term is the literal 0.0 itself and gets no line."""
+    """Products of matrices held as tuples of row tuples of variable
+    names, where an entry may be the literal ``0.0``: ``mul`` appends
+    the source lines computing a product's entries, row by row, to
+    ``lines`` and returns their names in the same form.  An entry sums
+    over the inner index in ascending order.  A term with a literal 0.0
+    operand is left out; an entry left with no term is the literal 0.0
+    itself and gets no line."""
 
     def __init__(self):
         self.lines: list[str] = []
 
     def mul(self, a, b):
-        out = []
-        for i, j, k, m in _NN:
-            terms = [f"{x} * {y}" for x, y in ((a[i], b[j]), (a[k], b[m])) if "0.0" not in (x, y)]
-            if terms:
-                out.append(f"t{len(self.lines)}")
-                self.lines.append(f"{out[-1]} = {' + '.join(terms)}")
-            else:
-                out.append("0.0")
-        return tuple(out)
+        return tuple(tuple(self._entry(row, col) for col in zip(*b)) for row in a)
+
+    def _entry(self, row, col) -> str:
+        terms = [f"{x} * {y}" for x, y in zip(row, col) if "0.0" not in (x, y)]
+        if not terms:
+            return "0.0"
+        self.lines.append(f"t{len(self.lines)} = {' + '.join(terms)}")
+        return f"t{len(self.lines) - 1}"
 
 
 def _prefix_chain(fs, mul):
@@ -366,20 +353,23 @@ def _unbalancedness(stacks: Sequence[np.ndarray]) -> np.ndarray:
     return worst
 
 
-def _stack(mats) -> np.ndarray:
-    """(n, rows, cols) from n matrices of one shape: numpy arrays, or the
-    scalar kernel's row-major 4-tuples of a 2x2."""
-    s = np.array(mats, dtype=float)
-    return s.reshape(-1, 2, 2) if s.ndim == 2 else s
+def _stacks(packed, layout) -> list[np.ndarray]:
+    """One (n, rows, cols) stack per shape of ``layout`` from n packed
+    snapshots: the doubles of the matrices of ``layout``, each
+    row-major, one after the other."""
+    flat = np.frombuffer(b"".join(packed)).reshape(len(packed), -1)
+    ends = itertools.accumulate(r * c for r, c in layout)
+    return [flat[:, end - r * c : end].reshape(-1, r, c) for end, (r, c) in zip(ends, layout)]
 
 
 def _column(values: np.ndarray) -> tuple[float, ...]:
     return tuple(values.tolist())
 
 
-def _samples(snapshots, task: CompletionTask) -> Trajectory:
+def _samples(snapshots, task: CompletionTask, layout) -> Trajectory:
     """The trajectory of ``gd_train``'s snapshots (iteration, loss,
-    product, factors), computed over stacks in one pass.
+    packed product and factors of the shapes in ``layout``), computed
+    over stacks in one pass.
 
     The singular values of all products, and of all Gram differences of
     one layer pair, come from one values-only call each; the metrics are
@@ -389,8 +379,8 @@ def _samples(snapshots, task: CompletionTask) -> Trajectory:
     """
     if not snapshots:
         return Trajectory()
-    its, losses, products, factors = zip(*snapshots)
-    ps = _stack(products)
+    its, losses, packed = zip(*snapshots)
+    ps, *factors = _stacks(packed, layout)
     sig = singular_values(ps)
     sigmas = tuple(map(_column, sig.T))
     return Trajectory(
@@ -399,7 +389,7 @@ def _samples(snapshots, task: CompletionTask) -> Trajectory:
         unobserved={(i, j): _column(ps[:, i, j]) for i, j in task.unobserved_indices()},
         sigmas=sigmas,
         dets=_column(leading_minor_dets(ps)),
-        unbalancedness=_column(_unbalancedness([_stack(layer) for layer in zip(*factors)])),
+        unbalancedness=_column(_unbalancedness(factors)),
         metrics={
             "erank": _column(metrics.effective_rank_of_sigmas(sig)),
             "nuclear_norm": _column(sig.sum(axis=-1)),
@@ -419,18 +409,19 @@ def _samples(snapshots, task: CompletionTask) -> Trajectory:
 # beyond ENTRY_BLOWUP_LIMIT, and returns (iteration, loss, max |entry|);
 # with ``stop_it == it`` it only reports the current point.  At each
 # multiple of ``stride`` it steps on from, it first calls
-# ``log((iteration, loss, product, factors))``: the step loop runs
-# between two multiples and makes no stride test.
-# ``snapshot()`` returns (product, factors) in a form no later step
-# changes, for _samples and _net; ``log`` gets the same form.
+# ``log((iteration, loss, snapshot))``: the step loop runs between two
+# multiples and makes no stride test.  ``snapshot()`` returns the
+# product and the factors (W_1 first), each row-major, as the bytes of
+# their doubles one after the other (_stacks reads them back): 8 bytes
+# an entry, where a Python float takes 24 and a pointer.
 
 
 class _ArrayKernel:
-    """Factors as numpy arrays: any shape.  A step builds new factor
-    arrays (w - eta * g) and writes into none of them, so a snapshot is
-    the live state; the masked residual lives in one buffer whose
-    unobserved entries stay 0.0.  An overflowing start or step ends the
-    run through gd_train's checks (DivergenceError), and gd_train turns
+    """Factors as numpy arrays: any shape.  It steps the nets above
+    SCALAR_STEP_MAX_DIM, and the tests check the scalar kernel against
+    it.  The masked residual lives in one buffer whose unobserved
+    entries stay 0.0.  An overflowing start or step ends the run
+    through gd_train's checks (DivergenceError), and gd_train turns
     numpy's overflow warnings off around the kernel."""
 
     def __init__(self, factors: Sequence[np.ndarray], task: CompletionTask):
@@ -459,23 +450,36 @@ class _ArrayKernel:
                 if not (lo_min <= self.lo < lo_max and self.peak <= ENTRY_BLOWUP_LIMIT):
                     return it, self.lo, self.peak
             if it < stop_it:
-                log((it, self.lo, self.p, self.ws))
+                log((it, self.lo, self.snapshot()))
         return it, self.lo, self.peak
 
-    def snapshot(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        return self.p, self.ws
+    def snapshot(self) -> bytes:
+        return np.concatenate([self.p, *self.ws], axis=None).tobytes()
+
+
+# The largest factor dimension the scalar kernel steps.  Per step on d x d
+# extended tasks, scalar against array kernel (one pinned CPU of a 2-core
+# x86-64 host, two runs): depth 2, d = 4 / 5: 11.5 / 21.3 against 24.0 /
+# 24.1 us; depth 3: 17-21 / 31-41 against 21-34 / 22-34 us; depth 5: 30 /
+# 71 against 32 / 42 us.  Compiling the step takes 4-8 ms at d = 4.
+SCALAR_STEP_MAX_DIM = 4
+
+
+def _flat(m) -> list:
+    return [x for row in m for x in row]
 
 
 @functools.cache
-def _step_function(depth: int, observed: tuple[int, ...]):
-    """Compile ``run_until`` for ``depth`` 2x2 factors observing the
-    row-major entries ``observed``, as straight-line Python.
+def _step_function(shapes: tuple[tuple[int, int], ...], observed: tuple[int, ...]):
+    """Compile ``run_until`` for factors of ``shapes`` (W_1 first)
+    observing the row-major product entries ``observed``, as
+    straight-line Python.
 
     The source comes from running _prefix_chain and _chain_gradients on
-    variable names (_StepWriter), so every float operation is the one
-    the chain rule takes, in the same order, except for the terms with
-    a zero of the masked residual: ``0.0 * x + y`` is written ``y``, an
-    entry with no other term is the literal 0.0, and an update
+    matrices of variable names (_StepWriter), so every float operation
+    is the one the chain rule takes, in the same order, except for the
+    terms with a zero of the masked residual: ``0.0 * x + y`` is written
+    ``y``, an entry with no other term is the literal 0.0, and an update
     ``w - eta * 0.0`` is not written (eta > 0, so it is ``w`` for every
     ``w``, -0.0 and nan included).  Dropping ``0.0 * x`` can change the
     sign of an exact zero, and gives a number where the full sum is nan
@@ -485,25 +489,29 @@ def _step_function(depth: int, observed: tuple[int, ...]):
 
     The step checks only the unobserved product entries against
     ENTRY_BLOWUP_LIMIT; the caller bounds the observed ones through
-    ``lo_max`` (_Scalar2x2Kernel).  The compiled function maps (factors,
-    observed values, eta, it, stop_it, lo_min, lo_max, stride, log) to
-    (it, loss, product, factors); the step loop runs inside a loop over
-    stride multiples, which calls ``log``.
+    ``lo_max`` (_ScalarKernel).  The compiled function maps (factor
+    entries, observed values, eta, it, stop_it, lo_min, lo_max, stride,
+    log) to (it, loss, product entries, factor entries), entries in
+    flat row-major tuples (``w{l}_{e}`` is entry e of factor l); the
+    step loop runs inside a loop over stride multiples, which calls
+    ``log``.
     """
-    ws = [tuple(f"w{l}_{e}" for e in range(4)) for l in range(depth)]
+    ws = [tuple(tuple(f"w{l}_{i * c + j}" for j in range(c)) for i in range(r)) for l, (r, c) in enumerate(shapes)]
     writer = _StepWriter()
     prefixes, p = _prefix_chain(ws, writer.mul)
+    p, cols = _flat(p), shapes[0][1]
+    g = [f"r{k}" if k in observed else "0.0" for k in range(len(p))]
+    g = tuple(tuple(g[i : i + cols]) for i in range(0, len(g), cols))
     forward = writer.lines + [f"r{k} = {p[k]} - v{k}" for k in observed]
     forward.append("lo = 0.5 * (" + (" + ".join(f"r{k} * r{k}" for k in observed) or "0.0") + ")")
-    g = tuple(f"r{k}" if k in observed else "0.0" for k in range(4))
     n_forward = len(writer.lines)
-    grads = _chain_gradients(ws, prefixes, g, writer.mul, _transpose4)
-    update = writer.lines[n_forward:]
-    update += [f"{w} = {w} - eta * {gw}" for wl, gl in zip(ws, grads) for w, gw in zip(wl, gl) if gw != "0.0"]
+    grads = _chain_gradients(ws, prefixes, g, writer.mul, lambda a: tuple(zip(*a)))
+    entries, gradients = _flat(map(_flat, ws)), _flat(map(_flat, grads))
+    update = writer.lines[n_forward:] + [f"{w} = {w} - eta * {gw}" for w, gw in zip(entries, gradients) if gw != "0.0"]
     free = [x for k, x in enumerate(p) if k not in observed]
     inside = " and ".join(f"{-ENTRY_BLOWUP_LIMIT!r} <= {x} <= {ENTRY_BLOWUP_LIMIT!r}" for x in free)
-    factors = "(" + "".join(f"({', '.join(w)}), " for w in ws) + ")"
-    state = f"it, lo, ({', '.join(p)}), {factors}"
+    product, factors = (f"({''.join(f'{x}, ' for x in xs)})" for xs in (p, entries))
+    state = f"it, lo, {product}, {factors}"
     src = "\n".join(
         ["def run_until(ws, vs, eta, it, stop_it, lo_min, lo_max, stride, log):", f"    {factors} = ws"]
         + [f"    ({''.join(f'v{k}, ' for k in observed)}) = vs"]
@@ -512,18 +520,19 @@ def _step_function(depth: int, observed: tuple[int, ...]):
         + ["        while it < until:"]
         + [f"            {line}" for line in update + ["it += 1"] + forward]
         + [f"            if not (lo_min <= lo < lo_max and {inside}):", f"                return {state}"]
-        + ["        if it < stop_it:", f"            log(({state}))"]
+        + ["        if it < stop_it:", f"            log((it, lo, pack({', '.join(p + entries)})))"]
         + [f"    return {state}"]
     )
-    namespace: dict = {}
-    exec(compile(src, f"<2x2 step, depth {depth}, observed {observed}>", "exec"), namespace)
+    namespace: dict = {"pack": struct.Struct(f"{len(p) + len(entries)}d").pack}
+    exec(compile(src, f"<step, factors {shapes}, observed {observed}>", "exec"), namespace)
     return namespace["run_until"]
 
 
-class _Scalar2x2Kernel:
-    """Factors all 2x2, held as row-major 4-tuples of Python floats and
-    stepped by a generated straight-line function (_step_function): at
-    these sizes a numpy call costs far more than its arithmetic.
+class _ScalarKernel:
+    """Factors of at most SCALAR_STEP_MAX_DIM rows and columns, held as
+    one flat tuple of Python floats (row-major, W_1 first) and stepped
+    by a generated straight-line function (_step_function): at these
+    sizes a numpy call costs far more than its arithmetic.
 
     The step checks only the unobserved entries against
     ENTRY_BLOWUP_LIMIT.  An observed entry p_k has |p_k| <= |v_k| +
@@ -533,12 +542,12 @@ class _Scalar2x2Kernel:
     run as before."""
 
     def __init__(self, factors: Sequence[np.ndarray], task: CompletionTask):
-        self.ws = tuple(tuple(f.ravel().tolist()) for f in factors)
+        self.ws = tuple(x for f in factors for x in f.ravel().tolist())
         rows, cols, vals = task.index_arrays()
         self.vals = tuple(vals.tolist())
         margin = max(ENTRY_BLOWUP_LIMIT - max(map(abs, self.vals)), 0.0)
         self.lo_cap = 0.5 * margin**2 * (1 - 1e-9)
-        self._run = _step_function(len(self.ws), tuple(2 * i + j for i, j in zip(rows.tolist(), cols.tolist())))
+        self._run = _step_function(tuple(f.shape for f in factors), tuple((rows * task.shape[1] + cols).tolist()))
         self.p = self._run(self.ws, self.vals, 0.0, 0, 0, 0.0, 0.0, 1, None)[2]
 
     def run_until(
@@ -548,14 +557,14 @@ class _Scalar2x2Kernel:
         it, lo, self.p, self.ws = self._run(self.ws, self.vals, eta, it, stop_it, lo_min, lo_max, stride, log)
         return it, lo, max(map(abs, self.p))
 
-    def snapshot(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
-        return self.p, self.ws
+    def snapshot(self) -> bytes:
+        return np.array(self.p + self.ws).tobytes()
 
 
 def _kernel_for(net: DeepNet, task: CompletionTask):
-    """The scalar kernel when every factor is 2x2, else the array kernel."""
-    if all(f.shape == (2, 2) for f in net.factors):
-        return _Scalar2x2Kernel(net.factors, task)
+    """The scalar kernel up to SCALAR_STEP_MAX_DIM rows and columns a factor, else the array kernel."""
+    if max(max(f.shape) for f in net.factors) <= SCALAR_STEP_MAX_DIM:
+        return _ScalarKernel(net.factors, task)
     return _ArrayKernel(net.factors, task)
 
 
@@ -582,10 +591,10 @@ def _decade_band(decade: int | None) -> tuple[float, float]:
     return _decade_edge(decade), _decade_edge(decade + 1)
 
 
-def _net(factors) -> DeepNet | None:
+def _net(packed: bytes, layout) -> DeepNet | None:
     """A snapshot's factors as a DeepNet of fresh arrays; None when an
     entry is not finite (a step overflowed)."""
-    fs = tuple(_stack([f])[0] for f in factors)
+    fs = tuple(s[0].copy() for s in _stacks([packed], layout)[1:])
     return DeepNet(fs) if all(np.isfinite(f).all() for f in fs) else None
 
 
@@ -599,9 +608,11 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
     sampled without storing every step), and at the final state.
     Raises :class:`DivergenceError` on non-finite loss or entries
     beyond 1e12; its ``net`` is None when a step overflowed a factor
-    entry to inf or nan.  Nets whose factors are all 2x2 step on Python
-    floats, every other shape on numpy arrays; the two agree to
-    rounding.  Between checks the kernel runs on alone, keeping the
+    entry to inf or nan.  Nets with no factor dimension above
+    SCALAR_STEP_MAX_DIM step on Python floats, larger ones on numpy
+    arrays.  The two kernels agree only to rounding, and runs past the
+    edge of stability separate (the 3x4 depth-3 cell at step 0.03, from
+    about step 15,000).  Between checks the kernel runs on alone, keeping the
     state at each stride multiple itself, until an iteration at which
     a check could fire (cap, threshold, divergence, ``_decade_band``).
     Logging keeps the state; the samples are computed from all kept
@@ -614,6 +625,7 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
     if net.shape != task.shape:
         raise ValueError(f"net shape {net.shape} does not match task shape {task.shape}")
     eta, stride = cfg.learning_rate, cfg.log_stride
+    layout = (task.shape, *(f.shape for f in net.factors))
 
     snapshots: list[tuple] = []
     last_decade: float | None = None
@@ -630,7 +642,7 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
             crossed = last_decade is not None and decade != last_decade
             last_decade = decade
             if it % stride == 0 or crossed:
-                snapshots.append((it, lo, *kernel.snapshot()))
+                snapshots.append((it, lo, kernel.snapshot()))
 
             if lo < cfg.loss_threshold:
                 converged = True
@@ -642,15 +654,13 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
             lo_min = max(band_lo, cfg.loss_threshold)
             it, lo, peak = kernel.run_until(eta, it, cfg.max_iters, lo_min, band_hi, stride, snapshots.append)
 
+    if not diverged and snapshots[-1][0] != it:
+        snapshots.append((it, lo, kernel.snapshot()))
+    trajectory = _samples(snapshots, task, layout)
     if diverged:
-        trajectory = _samples(snapshots, task)
         last = trajectory[-1] if trajectory else None
-        raise DivergenceError(f"training diverged at iteration {it}", last, trajectory, _net(kernel.snapshot()[1]))
-    if snapshots[-1][0] != it:
-        snapshots.append((it, lo, *kernel.snapshot()))
-    return TrainResult(
-        net=_net(snapshots[-1][3]), trajectory=_samples(snapshots, task), iterations=it, converged=converged
-    )
+        raise DivergenceError(f"training diverged at iteration {it}", last, trajectory, _net(kernel.snapshot(), layout))
+    return TrainResult(net=_net(snapshots[-1][2], layout), trajectory=trajectory, iterations=it, converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -689,10 +699,8 @@ def init_unbalanced(shape: tuple[int, int], depth: int, alpha: float, rng: np.ra
     std = (alpha**2 / h ** (depth - 1)) ** (1.0 / (2 * depth))
     streams = rng.spawn(depth)
     fs = [streams[l].normal(0.0, std, size=(dims[l + 1], dims[l])) for l in range(depth)]
-    if d > dp:
-        fs[-1][dp:, :] = 0.0
-    elif dp > d:
-        fs[0][:, d:] = 0.0
+    fs[-1][dp:, :] = 0.0  # rows past dp exist only when d > dp
+    fs[0][:, d:] = 0.0  # columns past d only when dp > d
     return DeepNet(tuple(fs))
 
 
@@ -712,20 +720,15 @@ def init_balanced(shape: tuple[int, int], depth: int, alpha: float, rng: np.rand
         raise ValueError("alpha must be positive")
     d, dp = shape
     target = rng.normal(0.0, alpha, size=(d, dp))
-    if d > dp:
-        target[dp:, :] = 0.0
-    elif dp > d:
-        target[:, d:] = 0.0
+    target[dp:, :] = 0.0  # rows past dp exist only when d > dp
+    target[:, d:] = 0.0  # columns past d only when dp > d
     res = svd(target)
     root = res.sigmas ** (1.0 / depth)
     if depth == 1:
         return DeepNet((target,))
-    fs: list[np.ndarray] = []
-    fs.append(root[:, None] * res.v.T)  # W_1 = diag(root) V^T, (h, dp)
-    for _ in range(1, depth - 1):
-        fs.append(np.diag(root))
-    fs.append(res.u * root[None, :])  # W_L = U diag(root), (d, h)
-    return DeepNet(tuple(fs))
+    # W_1 = diag(root) V^T of shape (h, dp), W_L = U diag(root) of shape (d, h)
+    middle = [np.diag(root) for _ in range(depth - 2)]
+    return DeepNet((root[:, None] * res.v.T, *middle, res.u * root[None, :]))
 
 
 def init_identity(dim: int, depth: int, alpha: float) -> DeepNet:
@@ -838,7 +841,7 @@ def balance_project(net: DeepNet) -> DeepNet:
         if f.shape != (d, d):
             raise ValueError("balance_project expects square factors of equal size")
     if len(fs) == 1:
-        return net.copy()
+        return DeepNet((fs[0].copy(),))
     svds = [svd(f) for f in fs]
     core = (svds[0].u * svds[0].sigmas) @ svds[0].u.T
     out = [fs[0].copy()]
@@ -889,14 +892,8 @@ def make_extended_task(rows: int, cols: int) -> CompletionTask:
     (1, 0); zeros elsewhere."""
     if rows < 2 or cols < 2:
         raise ValueError("extended task needs both dimensions >= 2")
-    k = min(rows, cols)
-    obs = {}
-    for i in range(rows):
-        for j in range(cols):
-            if (i, j) == (0, 0):
-                continue
-            one = (i == j and 2 <= i < k) or (i, j) in ((0, 1), (1, 0))
-            obs[(i, j)] = 1.0 if one else 0.0
+    ones = {(0, 1), (1, 0)} | {(i, i) for i in range(2, min(rows, cols))}
+    obs = {ij: float(ij in ones) for ij in np.ndindex(rows, cols) if ij != (0, 0)}
     return CompletionTask(shape=(rows, cols), observations=obs)
 
 

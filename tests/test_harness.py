@@ -15,10 +15,8 @@ from implreg.harness import (
     TaskSpec,
     TenfacSweepConfig,
     detsign_distributions,
-    format_float,
     load_config,
     parse_config,
-    read_csv,
     resolve_seed,
     run_detsign,
     run_matfac,
@@ -55,18 +53,32 @@ def quick_run_config(out_dir, seed=3, task=None, **overrides):
     return MatfacRunConfig(**kw)
 
 
-class TestFloatFormat:
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(0)
-        values = list(rng.normal(scale=10.0 ** rng.integers(-300, 300, size=500), size=500))
-        values += [0.0, -0.0, 1e-308, math.pi, 2.0 / 3.0]
-        for v in values:
-            assert float(format_float(float(v))) == float(v)
+def format_float(x: float) -> str:
+    """write_csv's rendering of a float: 17 significant digits."""
+    return f"{x:.17g}"
 
-    def test_non_finite(self):
-        assert format_float(math.inf) == "inf"
-        assert format_float(-math.inf) == "-inf"
-        assert format_float(math.nan) == "nan"
+
+def read_csv(path) -> list[dict[str, str]]:
+    """What write_csv wrote, read back by the csv module."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def written_cells(tmp_path, values) -> list[str]:
+    """The cells write_csv writes for ``values``, one a row."""
+    return [row["x"] for row in read_csv(write_csv(tmp_path / "cells.csv", ["x"], [[v] for v in values]))]
+
+
+class TestFloatFormat:
+    def test_round_trip_exact(self, tmp_path):
+        rng = np.random.default_rng(0)
+        values = rng.normal(scale=10.0 ** rng.integers(-300, 300, size=500), size=500).tolist()
+        values += [0.0, -0.0, 1e-308, math.pi, 2.0 / 3.0]
+        # repr tells every double apart, the sign of zero included
+        assert [repr(float(c)) for c in written_cells(tmp_path, values)] == [repr(v) for v in values]
+
+    def test_non_finite(self, tmp_path):
+        assert written_cells(tmp_path, [math.inf, -math.inf, math.nan, -math.nan]) == ["inf", "-inf", "nan", "nan"]
 
 
 def old_format_float(x):
@@ -120,9 +132,12 @@ class TestWriteCsvMatchesCsvModule:
         new = write_csv(tmp_path / "new.csv", header, []).read_bytes()
         assert new == old_write_csv(tmp_path / "old.csv", header, []).read_bytes()
 
-    def test_format_float_matches_old(self):
-        for v in SPECIAL_FLOATS + [math.pi, -1.5e-310, np.float64(-math.nan), 12345678901234567890.0]:
-            assert format_float(v) == old_format_float(v)
+    def test_format_float_matches_old(self, tmp_path):
+        # the tests' format_float oracle is write_csv's rendering and the old one
+        values = SPECIAL_FLOATS + [math.pi, -1.5e-310, np.float64(-math.nan), 12345678901234567890.0]
+        want = [old_format_float(v) for v in values]
+        assert [format_float(v) for v in values] == want
+        assert written_cells(tmp_path, values) == want
 
     @pytest.mark.parametrize("cell", ["a,b", 'say "hi"', "two\nlines", "cr\rhere"])
     def test_cell_needing_quotes_rejected(self, tmp_path, cell):

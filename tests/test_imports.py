@@ -29,8 +29,6 @@ PROGRAM = [*SOURCES, *sorted(p for p in ROOT.glob("perfbench/*.py") if not p.nam
 # public names that nothing in PROGRAM reads, and why each stays
 KEPT_UNREFERENCED = {
     "implreg.stream": "the package-level seed entry the README documents (rng.stream re-exported)",
-    "harness.format_float": "test oracle for write_csv's float format",
-    "harness.read_csv": "test oracle: reads back what write_csv wrote",
     "matfac.loss": "test oracle for the step kernels' loss (finite-difference gradients)",
     "matfac.factor_gradients": "criterion 11",
     "matfac.product_ode_step": "criterion 6",

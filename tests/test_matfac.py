@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import re
 import sys
 
@@ -280,7 +282,13 @@ class TestGdTrain:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "shape, depth, task", [((2, 2), 2, BASE), ((2, 2), 1, BASE), ((3, 4), 3, make_extended_task(3, 4))]
+        "shape, depth, task",
+        [
+            ((2, 2), 2, BASE),
+            ((2, 2), 1, BASE),
+            ((3, 4), 3, make_extended_task(3, 4)),
+            ((5, 6), 3, make_extended_task(5, 6)),
+        ],
     )
     def test_factor_overflow_raises_divergence_without_net(self, shape, depth, task):
         # the first step overflows a factor entry: there is no finite net to
@@ -301,11 +309,32 @@ def _assert_close_to_scale(actual, expected, rtol):
     assert float(np.abs(np.asarray(actual) - expected).max()) <= rtol * scale
 
 
+def _unpack(packed, layout):
+    """The matrices of a packed snapshot, one per shape of ``layout``
+    (the product's, then each factor's)."""
+    flat, out = np.frombuffer(packed), []
+    for r, c in layout:
+        out.append(flat[: r * c].reshape(r, c))
+        flat = flat[r * c :]
+    return out
+
+
+# extended tasks with more columns than rows, as many, and more rows
+# (the last factor's extra rows start cleared)
+SMALL_NETS = {
+    "extended3x3": ((3, 3), make_extended_task(3, 3)),
+    "extended3x4": ((3, 4), make_extended_task(3, 4)),
+    "extended4x3": ((4, 3), make_extended_task(4, 3)),
+}
+
+
 class TestStepKernels:
-    """gd_train steps 2x2-only nets on Python floats and every other
-    shape on numpy arrays.  The two kernels sum in different orders (and
-    BLAS may fuse multiply-adds), so across kernels only a tolerance is
-    required; a rerun of one kernel must be bitwise identical."""
+    """gd_train steps nets with no factor dimension above
+    SCALAR_STEP_MAX_DIM on Python floats and larger ones on numpy arrays.
+    The two kernels sum in different orders (and BLAS may fuse
+    multiply-adds), so across kernels only a tolerance is required, and
+    only before the edge of stability; a rerun of one kernel must be
+    bitwise identical."""
 
     @pytest.mark.parametrize("det_sign", [1, -1])
     @pytest.mark.parametrize("task", [BASE, make_perturbed_task(1.0, 0.7, 0.1)], ids=["base", "perturbed"])
@@ -313,62 +342,94 @@ class TestStepKernels:
     def test_scalar_and_array_kernels_agree(self, depth, task, det_sign):
         rng = stream(3, depth)
         net, _ = resample_until_det_sign(lambda r: init_unbalanced((2, 2), depth, 0.1, r), det_sign, rng)
-        scalar = matfac._Scalar2x2Kernel(net.factors, task)
+        layout = [(2, 2)] * (depth + 1)
+        scalar = matfac._ScalarKernel(net.factors, task)
         array = matfac._ArrayKernel(net.factors, task)
         for step in range(10_001):
             if step % 500 == 0:
-                (p_s, ws_s), (p_a, ws_a) = scalar.snapshot(), array.snapshot()
-                _assert_close_to_scale(np.reshape(p_s, (2, 2)), p_a, 1e-10)
-                for w_s, w_a in zip(ws_s, ws_a):
-                    _assert_close_to_scale(np.reshape(w_s, (2, 2)), w_a, 1e-10)
+                for got, want in zip(_unpack(scalar.snapshot(), layout), _unpack(array.snapshot(), layout)):
+                    _assert_close_to_scale(got, want, 1e-10)
             scalar.run_until(1e-3, step, step + 1, -math.inf, math.inf, 1, None)
             array.run_until(1e-3, step, step + 1, -math.inf, math.inf, 1, None)
 
-    @pytest.mark.parametrize("kernel", [matfac._Scalar2x2Kernel, matfac._ArrayKernel])
+    @pytest.mark.parametrize("name", SMALL_NETS)
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_generated_step_agrees_with_array_kernel(self, depth, name):
+        # the dense-log cell's rate from a balanced start, far from the
+        # edge of stability over 1,000 steps: the kernels agree to 1e-12
+        # of the largest entry of each matrix
+        shape, task = SMALL_NETS[name]
+        net = init_balanced(shape, depth, 0.5, stream(13, depth))
+        layout = [shape] + [f.shape for f in net.factors]
+        scalar = matfac._ScalarKernel(net.factors, task)
+        array = matfac._ArrayKernel(net.factors, task)
+        for step in range(0, 1_001, 100):
+            for got, want in zip(_unpack(scalar.snapshot(), layout), _unpack(array.snapshot(), layout)):
+                _assert_close_to_scale(got, want, 1e-12)
+            scalar.run_until(0.03, step, step + 100, -math.inf, math.inf, 100, None)
+            array.run_until(0.03, step, step + 100, -math.inf, math.inf, 100, None)
+
+    @pytest.mark.parametrize("kernel", [matfac._ScalarKernel, matfac._ArrayKernel])
     def test_run_until_stop_at_it_only_reports(self, kernel):
         net = random_net(6, [2, 2, 2])
         k = kernel(net.factors, BASE)
         reached = k.run_until(1e-2, 0, 5, -math.inf, math.inf, 5, None)
-        p, ws = (np.array(x, dtype=float) for x in k.snapshot())
+        packed = k.snapshot()
         assert k.run_until(1e-2, 5, 5, -math.inf, math.inf, 5, None) == reached
         assert reached[0] == 5
-        assert np.array_equal(np.array(k.snapshot()[0], dtype=float), p)
-        assert np.array_equal(np.array(k.snapshot()[1], dtype=float), ws)
+        assert k.snapshot() == packed
 
     @pytest.mark.parametrize("depth", [1, 3])
     def test_array_snapshot_outlives_later_steps(self, depth):
         # at depth 1 the product is the factor itself
-        task = make_extended_task(3, 4)
-        k = matfac._ArrayKernel(init_unbalanced((3, 4), depth, 0.5, stream(9, depth)).factors, task)
+        task = make_extended_task(5, 6)
+        net = init_unbalanced((5, 6), depth, 0.5, stream(9, depth))
+        layout = [(5, 6)] + [f.shape for f in net.factors]
+        k = matfac._ArrayKernel(net.factors, task)
         k.run_until(0.03, 0, 3, -math.inf, math.inf, 3, None)
-        p, ws = k.snapshot()
-        kept = p.copy(), [w.copy() for w in ws]
+        kept, state = k.snapshot(), [k.p.copy(), *(w.copy() for w in k.ws)]
         k.run_until(0.03, 3, 10, -math.inf, math.inf, 10, None)
-        assert not np.array_equal(k.snapshot()[0], kept[0])
-        assert np.array_equal(p, kept[0])
-        assert all(np.array_equal(w, v) for w, v in zip(ws, kept[1]))
+        assert not np.array_equal(k.p, state[0])
+        assert all(m.tobytes() == s.tobytes() for m, s in zip(_unpack(kept, layout), state))
 
     def test_kernel_chosen_by_factor_shape(self):
-        square = random_net(1, [2, 2, 2, 2])
-        hidden3 = random_net(2, [2, 3, 2])
-        extended = random_net(3, [4, 3, 3, 3])
-        assert isinstance(matfac._kernel_for(square, BASE), matfac._Scalar2x2Kernel)
-        assert isinstance(matfac._kernel_for(hidden3, BASE), matfac._ArrayKernel)
-        assert isinstance(matfac._kernel_for(extended, make_extended_task(3, 4)), matfac._ArrayKernel)
+        # the scalar kernel up to SCALAR_STEP_MAX_DIM rows and columns
+        cut = matfac.SCALAR_STEP_MAX_DIM
+        scalar = [
+            (random_net(1, [2, 2, 2, 2]), BASE),
+            (random_net(2, [2, 3, 2]), BASE),
+            (random_net(3, [4, 3, 3, 3]), make_extended_task(3, 4)),
+            (random_net(4, [cut, cut, cut]), make_extended_task(cut, cut)),
+            (random_net(5, [2, cut, 2]), BASE),
+        ]
+        array = [
+            (random_net(6, [2, cut + 1, 2]), BASE),
+            (random_net(7, [cut + 1, 2, 2]), make_extended_task(2, cut + 1)),
+            (random_net(8, [2, 2, cut + 1]), make_extended_task(cut + 1, 2)),
+        ]
+        assert all(isinstance(matfac._kernel_for(net, task), matfac._ScalarKernel) for net, task in scalar)
+        assert all(isinstance(matfac._kernel_for(net, task), matfac._ArrayKernel) for net, task in array)
 
     def test_hidden_width_3_steps_with_factor_gradients(self):
-        # a 2x2 product through a width-3 hidden layer takes the numpy
-        # path, whose steps are exactly W - eta * factor_gradients
-        net = random_net(2, [2, 3, 2])
+        # a 2x2 product through a width-3 hidden layer takes the scalar
+        # step: the zero-keeping chain rule's bits, and W - eta *
+        # factor_gradients to rounding.  Above SCALAR_STEP_MAX_DIM the
+        # numpy path steps by exactly W - eta * factor_gradients
         eta, n_steps = 1e-2, 200
         cfg = TrainConfig(learning_rate=eta, max_iters=n_steps, loss_threshold=0.0, log_stride=n_steps)
-        result = gd_train(net, BASE, cfg)
-        fs = [f.copy() for f in net.factors]
-        for _ in range(n_steps):
-            grads = factor_gradients(DeepNet(tuple(fs)), BASE)
-            fs = [f - eta * g for f, g in zip(fs, grads)]
-        for got, want in zip(result.net.factors, fs):
-            assert np.array_equal(got, want)
+        for width in (3, matfac.SCALAR_STEP_MAX_DIM + 1):
+            net = random_net(2, [2, width, 2])
+            result = gd_train(net, BASE, cfg)
+            fs = [f.copy() for f in net.factors]
+            for _ in range(n_steps):
+                grads = factor_gradients(DeepNet(tuple(fs)), BASE)
+                fs = [f - eta * g for f, g in zip(fs, grads)]
+            if width == 3:
+                _assert_bitwise_same_run(result, reference_gd_train(net, BASE, cfg))
+                for got, want in zip(result.net.factors, fs):
+                    _assert_close_to_scale(got, want, 1e-13)
+            else:
+                assert all(np.array_equal(got, want) for got, want in zip(result.net.factors, fs))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     # at lr 1e100 the first step overflows in a matmul
@@ -377,19 +438,22 @@ class TestStepKernels:
         # gd_train turns numpy's overflow checks off only while the
         # kernel steps: the caller's settings hold again after the run,
         # and the stepping neither warns nor raises under them
-        net = init_unbalanced((3, 4), 3, 0.5, stream(9, 3))
+        net = init_unbalanced((5, 6), 3, 0.5, stream(9, 3))
         cfg = TrainConfig(learning_rate=lr, max_iters=200, loss_threshold=0.0, log_stride=1)
         with np.errstate(over="raise", invalid="raise"):
             before = np.geterr()
             if diverges:
                 with pytest.raises(matfac.DivergenceError) as err:
-                    gd_train(net, make_extended_task(3, 4), cfg)
+                    gd_train(net, make_extended_task(5, 6), cfg)
                 assert str(err.value) == "training diverged at iteration 1" and len(err.value.trajectory) == 1
             else:
-                assert len(gd_train(net, make_extended_task(3, 4), cfg).trajectory) == 201
+                assert len(gd_train(net, make_extended_task(5, 6), cfg).trajectory) == 201
             assert np.geterr() == before
 
-    @pytest.mark.parametrize("dims, task", [([2, 2, 2, 2], BASE), ([4, 3, 3, 3], make_extended_task(3, 4))])
+    @pytest.mark.parametrize(
+        "dims, task",
+        [([2, 2, 2, 2], BASE), ([4, 3, 3, 3], make_extended_task(3, 4)), ([6, 5, 5, 5], make_extended_task(5, 6))],
+    )
     def test_rerun_is_bitwise_identical(self, dims, task):
         net = random_net(4, dims)
         net = DeepNet(tuple(0.5 * f for f in net.factors))
@@ -401,61 +465,58 @@ class TestStepKernels:
 
 
 # ---------------------------------------------------------------------------
-# Oracle for the 2x2 event loop: the scalar step and the loop gd_train
-# ran before it stepped on a generated straight-line function, with one
-# forward, one update and every check at each iteration.
+# Oracle for the event loop: the scalar step and the loop gd_train ran
+# before it stepped on a generated straight-line function, with one
+# forward, one update and every check at each iteration.  Matrices are
+# tuples of row tuples of Python floats; every product term is kept,
+# the masked residual's zeros included.
 
 
-def _ref_mul2(a, b):
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
+def _ref_mul(a, b):
+    # each entry summed over the inner index from the left
+    return tuple(tuple(functools.reduce(operator.add, map(operator.mul, row, col)) for col in zip(*b)) for row in a)
 
 
-def _ref_mul2_tn(a, b):
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (a0 * b0 + a2 * b2, a0 * b1 + a2 * b3, a1 * b0 + a3 * b2, a1 * b1 + a3 * b3)
-
-
-def _ref_mul2_nt(a, b):
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (a0 * b0 + a1 * b1, a0 * b2 + a1 * b3, a2 * b0 + a3 * b1, a2 * b2 + a3 * b3)
+def _ref_t(a):
+    return tuple(zip(*a))
 
 
 def _ref_prefix_chain(fs):
     prefixes, p = [None], fs[0]
     for f in fs[1:]:
         prefixes.append(p)
-        p = _ref_mul2(f, p)
+        p = _ref_mul(f, p)
     return prefixes, p
 
 
 def _ref_chain_gradients(fs, prefixes, g):
     grads, s = [None] * len(fs), None
     for l in range(len(fs) - 1, -1, -1):
-        gl = g if s is None else _ref_mul2_tn(s, g)
+        gl = g if s is None else _ref_mul(_ref_t(s), g)
         if prefixes[l] is not None:
-            gl = _ref_mul2_nt(gl, prefixes[l])
+            gl = _ref_mul(gl, _ref_t(prefixes[l]))
         grads[l] = gl
         if l:
-            s = fs[l] if s is None else _ref_mul2(s, fs[l])
+            s = fs[l] if s is None else _ref_mul(s, fs[l])
     return grads
 
 
 def _ref_scalar_forward(ws, observed):
+    """Loss, product, max |entry| and the gradient's inputs, for
+    ``observed`` ((row, col), value) pairs in row-major order."""
     prefixes, p = _ref_prefix_chain(ws)
-    g, sq = [0.0, 0.0, 0.0, 0.0], 0.0
-    for k, v in observed:
-        g[k] = p[k] - v
-        sq += g[k] * g[k]
-    return 0.5 * sq, p, max(map(abs, p)), (prefixes, g)
+    g, sq = [[0.0] * len(row) for row in p], 0.0
+    for (i, j), v in observed:
+        g[i][j] = p[i][j] - v
+        sq += g[i][j] * g[i][j]
+    return 0.5 * sq, p, max(abs(x) for row in p for x in row), (prefixes, g)
 
 
 def _ref_scalar_update(ws, eta, state, task):
     grads = _ref_chain_gradients(ws, *state)
-    return [tuple(wi - eta * gi for wi, gi in zip(w, gl)) for w, gl in zip(ws, grads)]
+    return [
+        tuple(tuple(wi - eta * gi for wi, gi in zip(wr, gr)) for wr, gr in zip(w, gl)) for w, gl in zip(ws, grads)
+    ]
 
 
 def _ref_array_forward(ws, task):
@@ -474,17 +535,18 @@ def _ref_array_update(ws, eta, state, task):
 
 def reference_gd_train(net, task, cfg):
     """gd_train checking stride, decade, threshold, cap and divergence
-    after every single step.  2x2 factors step on Python floats as
-    above; other shapes step by W - eta * factor_gradients on numpy
-    arrays, which the numpy kernel equals bit for bit
-    (test_hidden_width_3_steps_with_factor_gradients).  Samples are
-    built from its snapshots by matfac._samples, which TestSamples
+    after every single step.  Nets up to SCALAR_STEP_MAX_DIM step on
+    Python floats as above; larger ones step by W - eta *
+    factor_gradients on numpy arrays, which the numpy kernel equals bit
+    for bit (test_hidden_width_3_steps_with_factor_gradients).  Samples
+    are built from its snapshots by matfac._samples, which TestSamples
     checks on its own."""
     shapes = [f.shape for f in net.factors]
-    if all(shape == (2, 2) for shape in shapes):
-        ws = [tuple(f.ravel().tolist()) for f in net.factors]
+    layout = [task.shape, *shapes]
+    if max(max(shape) for shape in shapes) <= matfac.SCALAR_STEP_MAX_DIM:
+        ws = [tuple(map(tuple, f.tolist())) for f in net.factors]
         rows, cols, vals = task.index_arrays()
-        observed = [(2 * i + j, v) for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist())]
+        observed = list(zip(zip(rows.tolist(), cols.tolist()), vals.tolist()))
         forward, update = (lambda ws: _ref_scalar_forward(ws, observed)), _ref_scalar_update
     else:
         ws = [f.copy() for f in net.factors]
@@ -493,7 +555,7 @@ def reference_gd_train(net, task, cfg):
 
     def log_state(lo):
         nonlocal logged_it
-        snapshots.append((it, lo, p, tuple(ws)))
+        snapshots.append((it, lo, np.concatenate([np.ravel(m) for m in (p, *ws)]).tobytes()))
         logged_it = it
 
     def net_now():
@@ -502,7 +564,7 @@ def reference_gd_train(net, task, cfg):
     while True:
         lo, p, peak, state = forward(ws)
         if not math.isfinite(lo) or peak > matfac.ENTRY_BLOWUP_LIMIT:
-            trajectory = matfac._samples(snapshots, task)
+            trajectory = matfac._samples(snapshots, task, layout)
             last = trajectory[-1] if trajectory else None
             raise matfac.DivergenceError(f"training diverged at iteration {it}", last, trajectory, net_now())
         decade = math.floor(math.log10(lo)) if lo > 0 else None
@@ -520,7 +582,7 @@ def reference_gd_train(net, task, cfg):
     if logged_it != it:
         log_state(lo)
     return matfac.TrainResult(
-        net=net_now(), trajectory=matfac._samples(snapshots, task), iterations=it, converged=converged
+        net=net_now(), trajectory=matfac._samples(snapshots, task, layout), iterations=it, converged=converged
     )
 
 
@@ -549,8 +611,9 @@ def _assert_bitwise_same_run(got, want):
 
 
 class TestEventLoop:
-    """The 2x2 kernel steps a generated straight-line function between
-    checks; the run must equal the step-by-step oracle bit for bit."""
+    """The kernels step between checks, the scalar one on a generated
+    straight-line function; the run must equal the step-by-step oracle
+    bit for bit."""
 
     @pytest.mark.parametrize("det_sign", [1, -1])
     @pytest.mark.parametrize("task", [BASE, make_perturbed_task(1.0, 0.7, 0.1)], ids=["base", "perturbed"])
@@ -578,11 +641,20 @@ class TestEventLoop:
 
     @pytest.mark.parametrize(
         "dims, task",
-        [([4, 3, 3, 3], make_extended_task(3, 4)), ([2, 3, 2], BASE)],
-        ids=["extended3x4", "hidden-width-3"],
+        [
+            ([4, 3, 3, 3], make_extended_task(3, 4)),
+            ([2, 3, 2], BASE),
+            ([3, 1, 4], make_extended_task(4, 3)),
+            ([6, 5, 5, 5], make_extended_task(5, 6)),
+        ],
+        ids=["extended3x4", "hidden-width-3", "hidden-width-1", "extended5x6-array"],
     )
-    def test_array_kernel_matches_step_by_step_loop(self, dims, task):
+    def test_other_shapes_match_step_by_step_loop(self, dims, task):
+        # the scalar step up to SCALAR_STEP_MAX_DIM, the numpy kernel
+        # above it; each against the oracle that steps the same way
         net = DeepNet(tuple(0.5 * f for f in random_net(4, dims).factors))
+        above_cutoff = max(dims) > matfac.SCALAR_STEP_MAX_DIM
+        assert isinstance(matfac._kernel_for(net, task), matfac._ArrayKernel) is above_cutoff
         for stride in (1, 7, 50):
             cfg = TrainConfig(learning_rate=0.02, max_iters=400, loss_threshold=0.0, log_stride=stride)
             result = gd_train(net, task, cfg)
@@ -592,8 +664,8 @@ class TestEventLoop:
     @pytest.mark.parametrize(
         "kernel, shape, depth, task, lr, max_iters",
         [
-            (matfac._Scalar2x2Kernel, (2, 2), 2, make_perturbed_task(1.0, 1.0, 0.01), 1e-2, 2_000),
-            (matfac._ArrayKernel, (3, 4), 3, make_extended_task(3, 4), 0.03, 1_000),
+            (matfac._ScalarKernel, (2, 2), 2, make_perturbed_task(1.0, 1.0, 0.01), 1e-2, 2_000),
+            (matfac._ScalarKernel, (3, 4), 3, make_extended_task(3, 4), 0.03, 1_000),
         ],
         ids=["perturbed2x2", "extended3x4"],
     )
@@ -668,7 +740,7 @@ class TestEventLoop:
         cfg = TrainConfig(learning_rate=5e-13, max_iters=400, loss_threshold=0.0, log_stride=7)
         result = gd_train(net, LARGE_TARGET, cfg)
         _assert_bitwise_same_run(result, reference_gd_train(net, LARGE_TARGET, cfg))
-        lo_cap = matfac._Scalar2x2Kernel(net.factors, LARGE_TARGET).lo_cap
+        lo_cap = matfac._ScalarKernel(net.factors, LARGE_TARGET).lo_cap
         assert result.trajectory.losses[0] > lo_cap > result.trajectory.losses[-1]
 
     def test_decade_band_agrees_with_log10(self):
@@ -704,13 +776,13 @@ class TestEventLoop:
         # 1.0, the edge of decade 0, for most of its 2,500 steps: the
         # kernel returns to gd_train only where the decade changes
         calls = []
-        run_until = matfac._Scalar2x2Kernel.run_until
+        run_until = matfac._ScalarKernel.run_until
 
         def counting(self, *args):
             calls.append(args[1])
             return run_until(self, *args)
 
-        monkeypatch.setattr(matfac._Scalar2x2Kernel, "run_until", counting)
+        monkeypatch.setattr(matfac._ScalarKernel, "run_until", counting)
         net = DeepNet(_balanced_start(BASE, 3, 1e-7))
         cfg = TrainConfig(learning_rate=9e-4, max_iters=2_500, loss_threshold=1e-4, log_stride=500)
         result = gd_train(net, BASE, cfg)
@@ -725,8 +797,8 @@ class TestEventLoop:
 PATTERNS = [obs for n in (1, 2, 3) for obs in itertools.combinations(range(4), n)]
 
 
-def _generated_source(monkeypatch, depth, observed):
-    """The source of the 2x2 step function, caught on its way to compile."""
+def _generated_source(monkeypatch, shapes, observed):
+    """The source of the step function, caught on its way to compile."""
     sources = []
 
     def catch(src, *args):
@@ -734,53 +806,102 @@ def _generated_source(monkeypatch, depth, observed):
         return compile(src, *args)
 
     monkeypatch.setattr(matfac, "compile", catch, raising=False)
-    matfac._step_function.__wrapped__(depth, observed)
+    matfac._step_function.__wrapped__(shapes, observed)
     return sources[0]
 
 
+def _flat(m):
+    return tuple(x for row in m for x in row)
+
+
 class TestGeneratedStep:
-    """The generated 2x2 step leaves out the terms of the masked
-    residual's zeros, which the zero-keeping chain rule of the oracle
-    above multiplies out."""
+    """The generated step leaves out the terms of the masked residual's
+    zeros, which the zero-keeping chain rule of the oracle above
+    multiplies out."""
 
     @staticmethod
-    def _runs(depth, observed, start, vals, eta, steps):
-        want_ws, pairs = start, list(zip(observed, vals))
+    def _runs(dims, product_shape, observed, start, vals, eta, steps):
+        """The step function's and the oracle's state after ``steps``
+        steps from the factors ``start`` (flat, W_1 first)."""
+        shapes = tuple((dims[l + 1], dims[l]) for l in range(len(dims) - 1))
+        want_ws, it = [], iter(start)
+        for r, c in shapes:
+            want_ws.append(tuple(tuple(next(it) for _ in range(c)) for _ in range(r)))
+        cols = product_shape[1]
+        pairs = [((k // cols, k % cols), v) for k, v in zip(observed, vals)]
         lo, p, _, state = _ref_scalar_forward(want_ws, pairs)
         for _ in range(steps):
             want_ws = _ref_scalar_update(want_ws, eta, state, None)
             lo, p, _, state = _ref_scalar_forward(want_ws, pairs)
-        want = (steps, lo, tuple(p), tuple(want_ws))
-        got = matfac._step_function(depth, observed)(start, vals, eta, 0, steps, -math.inf, math.inf, steps, None)
+        want = (steps, lo, _flat(p), tuple(x for w in want_ws for x in _flat(w)))
+        got = matfac._step_function(shapes, observed)(start, vals, eta, 0, steps, -math.inf, math.inf, steps, None)
         return got, want
+
+    def _check(self, rng, dims, product_shape, observed, steps):
+        vals = tuple(rng.normal(size=len(observed)).tolist())
+        size = sum(dims[l + 1] * dims[l] for l in range(len(dims) - 1))
+        for _ in range(2):
+            start = rng.normal(scale=0.8, size=size)
+            zeros = rng.random(size) < 0.3
+            # +0.0 starts: the same bits as the chain rule
+            plus = tuple(np.where(zeros, 0.0, start).tolist())
+            got, want = self._runs(dims, product_shape, observed, plus, vals, 0.01, steps)
+            assert repr(got) == repr(want)
+            # -0.0 starts: only the signs of zeros may differ
+            minus = tuple(np.where(zeros, -0.0, start).tolist())
+            got, want = self._runs(dims, product_shape, observed, minus, vals, 0.01, steps)
+            assert got == want
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
     def test_matches_zero_keeping_chain_rule(self, depth):
         rng = np.random.default_rng(depth)
         for observed in PATTERNS:
-            vals = tuple(rng.normal(size=len(observed)).tolist())
-            for _ in range(2):
-                start = rng.normal(scale=0.8, size=(depth, 4))
-                zeros = rng.random(start.shape) < 0.3
-                # +0.0 starts: the same bits as the chain rule
-                plus = tuple(map(tuple, np.where(zeros, 0.0, start).tolist()))
-                got, want = self._runs(depth, observed, plus, vals, 0.01, 300)
-                assert repr(got) == repr(want)
-                # -0.0 starts: only the signs of zeros may differ
-                minus = tuple(map(tuple, np.where(zeros, -0.0, start).tolist()))
-                got, want = self._runs(depth, observed, minus, vals, 0.01, 300)
-                assert got == want
+            self._check(rng, [2] * (depth + 1), (2, 2), observed, 300)
+
+    @pytest.mark.parametrize(
+        "dims, shape",
+        [
+            ([3, 3], (3, 3)),
+            ([4, 3, 3], (3, 4)),
+            ([3, 3, 3, 4], (4, 3)),
+            ([4, 3, 3, 3, 3], (3, 4)),
+            ([2, 1, 2], (2, 2)),
+            ([3, 1, 4], (4, 3)),
+            ([2, 3, 2], (2, 2)),
+            ([4, 3, 1, 3, 3], (3, 4)),
+        ],
+        ids=[
+            "3x3-d1",
+            "3x4-d2",
+            "4x3-d3",
+            "3x4-d4",
+            "hidden-width-1",
+            "4x3-hidden-width-1",
+            "hidden-width-3",
+            "3x4-width-1-middle",
+        ],
+    )
+    def test_other_shapes_match_zero_keeping_chain_rule(self, dims, shape):
+        # the extended task's pattern and a random one of the same size
+        rng = np.random.default_rng(len(dims) * 10 + shape[0])
+        size = shape[0] * shape[1]
+        some = tuple(sorted(rng.choice(size, size=size // 2, replace=False).tolist()))
+        for observed in (tuple(range(1, size)), some):
+            self._check(rng, dims, shape, observed, 100)
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
     def test_source_skips_zero_terms_and_observed_entry_checks(self, monkeypatch, depth):
         limit = re.escape(repr(matfac.ENTRY_BLOWUP_LIMIT))
-        for observed in PATTERNS:
-            src = _generated_source(monkeypatch, depth, observed)
+        cases = [(((2, 2),) * depth, observed, 4) for observed in PATTERNS]
+        cases.append((((3, 4),) + ((3, 3),) * (depth - 1), tuple(range(1, 12)), 12))
+        for shapes, observed, size in cases:
+            src = _generated_source(monkeypatch, shapes, observed)
             # no product term and no update "w = w - eta * 0.0" with a literal 0.0
             assert "0.0 *" not in src and "* 0.0" not in src
-            product = re.search(r"return it, lo, \((\w+), (\w+), (\w+), (\w+)\)", src).groups()
+            product = re.search(r"return it, lo, \(((?:\w+, )+)\)", src).group(1).split(", ")[:-1]
+            assert len(product) == size
             checked = re.findall(rf"-{limit} <= (\w+) <= {limit}", src)
-            assert checked == [product[k] for k in range(4) if k not in observed]
+            assert checked == [product[k] for k in range(size) if k not in observed]
 
 
 # ---------------------------------------------------------------------------
@@ -822,17 +943,17 @@ def train_with_snapshots(monkeypatch, net, task, cfg):
     each product and factor as a numpy matrix."""
     seen, samples = [], matfac._samples
 
-    def spy(snapshots, task_):
+    def spy(snapshots, task_, layout):
         seen.extend(snapshots)
-        return samples(snapshots, task_)
+        return samples(snapshots, task_, layout)
 
     monkeypatch.setattr(matfac, "_samples", spy)
     result = gd_train(net, task, cfg)
-    shapes = [f.shape for f in net.factors]
-    states = [
-        (it, lo, np.reshape(p, task.shape), [np.reshape(w, shape) for w, shape in zip(ws, shapes)])
-        for it, lo, p, ws in seen
-    ]
+    layout = [task.shape] + [f.shape for f in net.factors]
+    states = []
+    for it, lo, packed in seen:
+        p, *ws = _unpack(packed, layout)
+        states.append((it, lo, p, ws))
     return result, states
 
 
@@ -857,6 +978,12 @@ class TestSamples:
         self.assert_matches_oracle(monkeypatch, net, task, cfg)
 
     @pytest.mark.parametrize("shape, depth", [((3, 4), 3), ((4, 3), 2)])
+    def test_scalar_kernel_extended(self, monkeypatch, shape, depth):
+        net = init_unbalanced(shape, depth, 0.5, stream(7, depth))
+        cfg = TrainConfig(learning_rate=0.03, max_iters=300, loss_threshold=0.0, log_stride=1)
+        self.assert_matches_oracle(monkeypatch, net, make_extended_task(*shape), cfg)
+
+    @pytest.mark.parametrize("shape, depth", [((5, 6), 3), ((6, 5), 2)])
     def test_array_kernel(self, monkeypatch, shape, depth):
         net = init_unbalanced(shape, depth, 0.5, stream(7, depth))
         cfg = TrainConfig(learning_rate=0.03, max_iters=300, loss_threshold=0.0, log_stride=1)
@@ -879,7 +1006,7 @@ class TestTrajectorySequence:
     iterated; it behaves as the list of those samples."""
 
     @pytest.mark.parametrize(
-        "dims, task", [([2, 2, 2], BASE), ([4, 3, 3, 3], make_extended_task(3, 4))], ids=["scalar", "array"]
+        "dims, task", [([2, 2, 2], BASE), ([6, 5, 5, 5], make_extended_task(5, 6))], ids=["scalar", "array"]
     )
     def test_behaves_as_the_list_of_its_samples(self, dims, task):
         cfg = TrainConfig(learning_rate=1e-2, max_iters=12, loss_threshold=0.0, log_stride=1)
@@ -908,7 +1035,7 @@ class TestTrajectorySequence:
 
 class TestSamplerEdgeCases:
     @pytest.mark.parametrize(
-        "task, shape", [(BASE, (2, 2)), (make_extended_task(3, 4), (3, 4))], ids=["scalar", "array"]
+        "task, shape", [(BASE, (2, 2)), (make_extended_task(5, 6), (5, 6))], ids=["scalar", "array"]
     )
     def test_divergence_before_the_first_sample(self, task, shape):
         # every product entry starts beyond 1e12: the run stops at
