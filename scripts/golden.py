@@ -18,6 +18,8 @@ Regenerates, in a temporary directory, in a few seconds:
   within the limit) or 2e12 (past the limit: no such bound);
 - identity-init runs on the base task (alpha 1e-3, the start of
   acceptance criterion 1) at depths 2-4, step 1e-2, 20,000 steps;
+- determinant-sign Monte Carlo CSVs of 1,000 samples at (depth, dim)
+  = (2, 2), (3, 2) and (3, 3), at seeds 0-2;
 - the arithmetic lines of the generated step function: for 2x2
   factors at depths 1-5, observing the row-major entries (1, 2, 3) and
   (0, 2, 3), and for the dense-logged 3x4 extended cell (depth 3,
@@ -64,6 +66,7 @@ GRIDS = {
     4: ((0.006, 0.0045, 0.003, 0.0015, 0.001), (0.1, 1e-2, 1e-3, 1e-4, 1e-5)),
 }
 STEP_PATTERNS = ((1, 2, 3), (0, 2, 3))
+DETSIGN_CELLS = ((2, 2), (3, 2), (3, 3))  # (depth, dim)
 # a float assignment of the generated step: product and gradient terms,
 # residuals, the loss and the factor updates
 _STEP_LINE = re.compile(r"\s*(t\d+|r\d+|lo|w\d+_\d+) = ")
@@ -190,6 +193,15 @@ def _tenfac(seed: int, out_dir: Path) -> list[Path]:
     return [harness.run_tenfac_sweep(cfg)]
 
 
+def _detsign(seed: int, out_dir: Path) -> list[Path]:
+    paths = []
+    for depth, dim in DETSIGN_CELLS:
+        path = out_dir / f"d{depth}-dim{dim}.csv"
+        harness.run_detsign(1_000, harness.detsign_distributions(depth, dim), seed, out=path)
+        paths.append(path)
+    return paths
+
+
 def _repro(out_dir: Path) -> list[Path]:
     script = ROOT / "scripts" / "reproduce_entry_vs_loss.py"
     subprocess.run([sys.executable, str(script), "--out-dir", str(out_dir)], check=True, stdout=subprocess.DEVNULL)
@@ -241,6 +253,7 @@ def digests() -> dict[str, str]:
                 ("diverge", _diverge),
                 ("large-target", _large_target),
                 ("identity", _identity),
+                ("detsign", _detsign),
             ):
                 out_dir = tmp / group / f"s{seed}"
                 for csv_path in make(seed, out_dir):
