@@ -197,7 +197,7 @@ def _detsign(seed: int, out_dir: Path) -> list[Path]:
     paths = []
     for depth, dim in DETSIGN_CELLS:
         path = out_dir / f"d{depth}-dim{dim}.csv"
-        harness.run_detsign(1_000, harness.detsign_distributions(depth, dim), seed, out=path)
+        harness.run_detsign(1_000, depth, dim, seed, out=path)
         paths.append(path)
     return paths
 

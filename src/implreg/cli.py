@@ -95,8 +95,7 @@ def main(argv=None) -> int:
     if args.command == "detsign":
         try:
             seed = harness.resolve_seed(args.seed, 0)
-            dists = harness.detsign_distributions(args.depth, args.dim)
-            rows = harness.run_detsign(args.samples, dists, seed, out=args.out)
+            rows = harness.run_detsign(args.samples, args.depth, args.dim, seed, out=args.out)
         except ValueError as exc:
             parser.error(str(exc))
         for r in rows:

@@ -17,7 +17,7 @@ import hashlib
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -37,7 +37,6 @@ __all__ = [
     "load_config",
     "run_matfac",
     "run_matfac_sweep",
-    "detsign_distributions",
     "run_detsign",
     "run_tenfac_sweep",
     "run_config",
@@ -92,11 +91,16 @@ def resolve_seed(flag_seed: int | None, config_seed: int) -> int:
 # configs
 
 
+# the TaskSpec fields each task kind reads
+_TASK_FIELDS = {"base": (), "perturbed": ("z", "z_prime", "eps", "unobserved"), "extended": ("rows", "cols")}
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """Which completion problem to run.  ``kind``: "base", "perturbed",
     or "extended".  Positions in configs are 1-based (the top-left
-    corner is [1, 1]), matching the w11 naming in logs."""
+    corner is [1, 1]), matching the w11 naming in logs.  A field the
+    kind does not read must keep its default."""
 
     kind: str = "base"
     z: float = 1.0
@@ -107,14 +111,18 @@ class TaskSpec:
     cols: int = 2
 
     def build(self) -> matfac.CompletionTask:
+        if self.kind not in _TASK_FIELDS:
+            raise ValueError(f"unknown task kind {self.kind!r}")
+        reads = ("kind", *_TASK_FIELDS[self.kind])
+        for f in fields(self):
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ValueError(f"task kind {self.kind!r} does not read {f.name!r}")
         if self.kind == "base":
             return matfac.make_base_task()
         if self.kind == "perturbed":
             i, j = self.unobserved
             return matfac.make_perturbed_task(self.z, self.z_prime, self.eps, (i - 1, j - 1))
-        if self.kind == "extended":
-            return matfac.make_extended_task(self.rows, self.cols)
-        raise ValueError(f"unknown task kind {self.kind!r}")
+        return matfac.make_extended_task(self.rows, self.cols)
 
 
 @dataclass(frozen=True)
@@ -320,7 +328,7 @@ MATFAC_BASE_COLUMNS = [
     "unbalancedness",
 ]
 
-_NUCLEAR = metrics.nuclear()
+_NUCLEAR = metrics.QuasiNormSpec(1.0)
 
 
 def _bounds_for(task_spec: TaskSpec, losses: list[float]) -> tuple[list[str], list[list[float]]]:
@@ -334,7 +342,7 @@ def _bounds_for(task_spec: TaskSpec, losses: list[float]) -> tuple[list[str], li
         prefix = "thm1"
         b = metrics.base_task_bounds(ell, _NUCLEAR)
     names = [f"{prefix}_norm_lb", f"{prefix}_erank_ub", f"{prefix}_dist_ub"]
-    return names, [report.value.tolist() for report in b]
+    return names, [v.tolist() for v in b]
 
 
 def _free_entry_column(ij: tuple[int, int]) -> str:
@@ -449,47 +457,32 @@ def _map_jobs(fn, items, jobs):
 # determinant-sign Monte Carlo
 
 
-def detsign_distributions(depth: int, dim: int) -> list[str]:
-    """The distributions a det-sign study compares: one Gaussian matrix,
-    a depth-``depth`` Gaussian product, and the identity sanity path."""
-    dists = ["gaussian", f"gaussian-product-{depth}", "identity"]
-    return dists if dim == 2 else [f"{d}@{dim}" for d in dists]
-
-
-def run_detsign(n_samples: int, distributions: Sequence[str], seed: int, out=None):
-    """Empirical P(det > 0) per distribution, with a 3-sigma binomial
-    interval.  Distributions: "gaussian" (one square Gaussian matrix),
-    "gaussian-product-L" (product of L of them), "identity" (sanity
-    path, P = 1).  Append "@d" for a dimension other than 2.
+def run_detsign(n_samples: int, depth: int, dim: int, seed: int, out=None):
+    """Empirical P(det > 0), with a 3-sigma binomial interval, for three
+    distributions of ``dim`` x ``dim`` matrices: "gaussian" (one Gaussian
+    matrix), "gaussian-product-L" (the product of ``depth`` = L of them)
+    and "identity" (sanity path, P = 1).  Their labels end in "@dim" for
+    a dimension other than 2.
     """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples for a meaningful estimate")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    label = "" if dim == 2 else f"@{dim}"
     rows = []
-    for k, name in enumerate(distributions):
-        base, _, dim_part = name.partition("@")
-        dim = int(dim_part) if dim_part else 2
-        if dim < 1:
-            raise ValueError(f"{name!r}: dim must be >= 1")
-        gen = stream(seed, 23, k)
-        if base == "identity":
-            p = 1.0
-        else:
-            if base == "gaussian":
-                factors = 1
-            elif base.startswith("gaussian-product-"):
-                factors = int(base.removeprefix("gaussian-product-"))
-                if factors < 1:
-                    raise ValueError(f"{name!r}: depth must be >= 1")
-            else:
-                raise ValueError(f"unknown distribution {name!r}")
-            prod = None
-            for _ in range(factors):
-                draw = gen.standard_normal((n_samples, dim, dim))
-                prod = draw if prod is None else draw @ prod
+    for k, (name, factors) in enumerate((("gaussian", 1), (f"gaussian-product-{depth}", depth), ("identity", 0))):
+        p = 1.0
+        if factors:
+            gen = stream(seed, 23, k)
+            prod = gen.standard_normal((n_samples, dim, dim))
+            for _ in range(factors - 1):
+                prod = gen.standard_normal((n_samples, dim, dim)) @ prod
             p = float(np.mean(matfac.leading_minor_dets(prod) > 0))
         half = 3.0 * math.sqrt(max(p * (1.0 - p), 1e-12) / n_samples)
         rows.append(
-            {"distribution": name, "n": n_samples, "p_det_pos": p, "ci_low": p - half, "ci_high": p + half}
+            {"distribution": name + label, "n": n_samples, "p_det_pos": p, "ci_low": p - half, "ci_high": p + half}
         )
     if out is not None:
         write_csv(

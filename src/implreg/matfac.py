@@ -253,10 +253,7 @@ def residual_gradient(task: CompletionTask, w) -> np.ndarray:
 
 
 def product_matrix(net: DeepNet) -> np.ndarray:
-    p = net.factors[0]
-    for f in net.factors[1:]:
-        p = f @ p
-    return p
+    return _prefix_chain(net.factors, np.matmul)[1]
 
 
 # a.T of a numpy array, a view

@@ -22,18 +22,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import SPECTRAL, as_matrix, schatten_norm, singular_values
+from .linalg import as_matrix, schatten_norm, singular_values
 
 # Imported unused: perfbench/layers.py traces it under this module name.
 from .linalg import svd  # noqa: F401
 
 __all__ = [
     "QuasiNormSpec",
-    "BoundReport",
-    "nuclear",
-    "frobenius",
-    "spectral",
-    "schatten",
     "effective_rank_of_sigmas",
     "dist_from_rank",
     "solution_singular_values",
@@ -62,47 +57,8 @@ class QuasiNormSpec:
             raise ValueError("Schatten order must be positive")
         object.__setattr__(self, "c", 1.0 if pf >= 1.0 else 2.0 ** (1.0 / pf - 1.0))
 
-    @property
-    def name(self) -> str:
-        if self.p == SPECTRAL:
-            return "spectral"
-        if self.p == 1.0:
-            return "nuclear"
-        if self.p == 2.0:
-            return "frobenius"
-        return f"schatten_{self.p:g}"
-
     def norm(self, m) -> float:
         return schatten_norm(m, self.p)
-
-
-def nuclear() -> QuasiNormSpec:
-    return QuasiNormSpec(p=1.0)
-
-
-def frobenius() -> QuasiNormSpec:
-    return QuasiNormSpec(p=2.0)
-
-
-def spectral() -> QuasiNormSpec:
-    return QuasiNormSpec(p=SPECTRAL)
-
-
-def schatten(p: float) -> QuasiNormSpec:
-    return QuasiNormSpec(p=p)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One evaluated bound: its name, value, direction, and the inputs
-    it was computed from.  ``value`` may be +inf (as the loss tends to
-    zero) or negative (a vacuous lower bound, recorded as-is); it is an
-    array when the bound was evaluated over an array of losses."""
-
-    name: str
-    value: float | np.ndarray
-    kind: str  # "lower" | "upper"
-    inputs: dict[str, float | np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +124,18 @@ def _as_given(loss: np.ndarray, *values) -> tuple:
     return tuple(map(float, values)) if loss.ndim == 0 else values
 
 
-def base_task_bounds(ell: float | np.ndarray, spec: QuasiNormSpec) -> tuple[BoundReport, BoundReport, BoundReport]:
-    """Bounds holding along positive-determinant trajectories of the base
-    task at loss ``ell``:
+def base_task_bounds(ell: float | np.ndarray, spec: QuasiNormSpec) -> tuple:
+    """The bounds ``(norm_lb, erank_ub, dist_ub)`` holding along
+    positive-determinant trajectories of the base task at loss ``ell``:
 
     - ||W|| >= a / sqrt(ell) - b with a = 1 / (sqrt(2) c) and
       b = max(sqrt(2) a, 8 c^2);
     - erank(W) <= 1 + (2 sqrt(12) / ln 2) sqrt(ell);
     - distance from rank one <= 3 sqrt(2) sqrt(ell).
 
-    ``ell`` may be an array of losses; the values are then arrays, bitwise
-    equal to scalar calls (IEEE sqrt and division are correctly rounded).
+    A scalar ``ell`` gives Python floats, an array of losses arrays,
+    bitwise equal to scalar calls (IEEE sqrt and division are correctly
+    rounded).
     """
     loss = _loss_column(ell)
     a = 1.0 / (math.sqrt(2.0) * spec.c)
@@ -188,20 +145,13 @@ def base_task_bounds(ell: float | np.ndarray, spec: QuasiNormSpec) -> tuple[Boun
         norm_lb = a / root - b
     erank_ub = 1.0 + (2.0 * math.sqrt(12.0) / math.log(2.0)) * root
     dist_ub = 3.0 * math.sqrt(2.0) * root
-    norm_lb, erank_ub, dist_ub = _as_given(loss, norm_lb, erank_ub, dist_ub)
-    inputs = {"loss": ell, "a": a, "b": b, "c": spec.c}
-    return (
-        BoundReport("norm_lower", norm_lb, "lower", inputs),
-        BoundReport("erank_upper", erank_ub, "upper", {"loss": ell, "inf_erank": 1.0}),
-        BoundReport("dist_upper", dist_ub, "upper", {"loss": ell}),
-    )
+    return _as_given(loss, norm_lb, erank_ub, dist_ub)
 
 
-def perturbed_task_bounds(
-    ell: float | np.ndarray, z: float, z_prime: float, eps: float, spec: QuasiNormSpec
-) -> tuple[BoundReport, BoundReport, BoundReport]:
-    """Bounds for the perturbed task at loss ``ell``, valid along
-    trajectories whose determinant sign matches the task:
+def perturbed_task_bounds(ell: float | np.ndarray, z: float, z_prime: float, eps: float, spec: QuasiNormSpec) -> tuple:
+    """The bounds ``(norm_lb, erank_ub, dist_ub)`` for the perturbed task
+    at loss ``ell``, valid along trajectories whose determinant sign
+    matches the task:
 
     - ||W|| >= a |z z'| / (|eps| + sqrt(2 ell)) - b with
       a = 1 / c and
@@ -227,13 +177,7 @@ def perturbed_task_bounds(
         norm_lb = a * az * azp / (ae + root) - b
     erank_ub = 1.0 + (16.0 / zmin) * (ae + root)
     dist_ub = 4.0 * ae + (4.0 + math.sqrt(az * azp) / zmin) * root
-    norm_lb, erank_ub, dist_ub = _as_given(loss, norm_lb, erank_ub, dist_ub)
-    inputs = {"loss": ell, "z": z, "z_prime": z_prime, "eps": eps, "a": a, "b": b, "c": spec.c}
-    return (
-        BoundReport("norm_lower", norm_lb, "lower", inputs),
-        BoundReport("erank_upper", erank_ub, "upper", {"loss": ell, "z": z, "z_prime": z_prime, "eps": eps}),
-        BoundReport("dist_upper", dist_ub, "upper", {"loss": ell, "z": z, "z_prime": z_prime, "eps": eps}),
-    )
+    return _as_given(loss, norm_lb, erank_ub, dist_ub)
 
 
 def solution_norm_argmin(spec: QuasiNormSpec, x_grid: Sequence[float]) -> float:

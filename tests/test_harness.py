@@ -14,7 +14,6 @@ from implreg.harness import (
     MatfacSweepConfig,
     TaskSpec,
     TenfacSweepConfig,
-    detsign_distributions,
     load_config,
     parse_config,
     resolve_seed,
@@ -417,7 +416,7 @@ class TestRunMatfac:
 def old_trajectory_rows(samples, task_spec):
     # one row per sample with scalar bound evaluations, as rows were once built
     free = task_spec.build().unobserved_indices()
-    nuclear = metrics.nuclear()
+    nuclear = metrics.QuasiNormSpec(1.0)
     rows = []
     for s in samples:
         if task_spec.kind == "perturbed":
@@ -429,7 +428,7 @@ def old_trajectory_rows(samples, task_spec):
             + [s.unobserved[ij] for ij in free]
             + [s.det, s.sigmas[0], s.sigmas[1] if len(s.sigmas) > 1 else 0.0]
             + [s.metrics[k] for k in ("erank", "nuclear_norm", "frob_norm", "spectral_norm", "schatten_half")]
-            + [s.unbalancedness, b[0].value, b[1].value, b[2].value]
+            + [s.unbalancedness, *b]
         )
     return rows
 
@@ -464,17 +463,18 @@ class TestTrajectoryRows:
 
 class TestDetsign:
     def test_identity_sanity_path(self):
-        rows = run_detsign(1000, ["identity"], seed=0)
-        assert rows[0]["p_det_pos"] == 1.0
+        rows = run_detsign(1000, 2, 2, seed=0)
+        assert [r["distribution"] for r in rows] == ["gaussian", "gaussian-product-2", "identity"]
+        assert rows[2]["p_det_pos"] == 1.0
 
     def test_gaussian_near_half(self):
-        rows = run_detsign(10_000, ["gaussian", "gaussian-product-3"], seed=0)
-        for r in rows:
+        rows = run_detsign(10_000, 3, 2, seed=0)
+        for r in rows[:2]:
             assert abs(r["p_det_pos"] - 0.5) < 0.02
 
     def test_dimension_3_names_and_determinants(self):
         # the "@d" names and the np.linalg.det branch of leading_minor_dets
-        rows = run_detsign(10_000, detsign_distributions(3, 3), seed=0)
+        rows = run_detsign(10_000, 3, 3, seed=0)
         assert [r["distribution"] for r in rows] == ["gaussian@3", "gaussian-product-3@3", "identity@3"]
         assert rows[2]["p_det_pos"] == 1.0
         for r in rows[:2]:
@@ -482,12 +482,12 @@ class TestDetsign:
 
     def test_csv_written(self, tmp_path):
         out = tmp_path / "ds.csv"
-        run_detsign(1000, ["gaussian"], seed=1, out=out)
-        assert read_csv(out)[0]["distribution"] == "gaussian"
+        run_detsign(1000, 3, 2, seed=1, out=out)
+        assert [r["distribution"] for r in read_csv(out)] == ["gaussian", "gaussian-product-3", "identity"]
 
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError):
-            run_detsign(10, ["gaussian"], seed=0)
+            run_detsign(10, 3, 2, seed=0)
 
 
 class TestTenfacSweep:
@@ -833,6 +833,12 @@ class TestCli:
             (["matfac"], {"depth": -1}, None, "depth must be >= 1"),
             (["matfac"], {"task": {"kind": "mystery"}}, None, "unknown task kind"),
             (["matfac"], {"init": {"kind": "mystery"}}, None, "unknown init kind"),
+            (["matfac"], {"task": {"kind": "base", "eps": 0.1}}, None, "task kind 'base' does not read 'eps'"),
+            (["matfac"], {"task": {"kind": "extended", "rows": 3, "cols": 4, "unobserved": [1, 2]}}, None,
+             "task kind 'extended' does not read 'unobserved'"),
+            (["matfac"], {"task": {"kind": "perturbed", "rows": 3}}, None, "task kind 'perturbed' does not read 'rows'"),
+            (["matfac", "--jobs", "2"], {**_CLI_SWEEP_DOC, "task": {"kind": "base", "z": 2.0}}, None,
+             "task kind 'base' does not read 'z'"),
             (["matfac"], {"learning_rate": 0.0}, None, "learning_rate must be positive"),
             (["tenfac"], {"n_obs": [0]}, None, "n_obs must lie in [1, 8]"),
             (["tenfac"], {"n_obs": [9]}, None, "n_obs must lie in [1, 8]"),
@@ -860,6 +866,10 @@ class TestCli:
             "matfac-depth-negative",
             "matfac-unknown-task",
             "matfac-unknown-init",
+            "matfac-base-task-eps",
+            "matfac-extended-task-unobserved",
+            "matfac-perturbed-task-rows",
+            "sweep-base-task-z-jobs-2",
             "matfac-learning-rate-0",
             "tenfac-n-obs-0",
             "tenfac-n-obs-size",

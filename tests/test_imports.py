@@ -35,9 +35,6 @@ KEPT_UNREFERENCED = {
     "matfac.singular_value_rates": "ROADMAP item 19",
     "matfac.unbalancedness_magnitude": "criteria 5 and 8",
     "matfac.balance_project": "criterion 8",
-    "metrics.frobenius": "criteria 2, 7 and 9 (the norm columns)",
-    "metrics.spectral": "criteria 2, 7 and 9 (the norm columns)",
-    "metrics.schatten": "criteria 2, 7 and 9 (the norm columns)",
     "metrics.dist_from_rank": "ROADMAP item 10",
     "metrics.solution_singular_values": "criterion 7",
     "metrics.solution_norm_argmin": "criterion 7",

@@ -11,14 +11,12 @@ from implreg.metrics import (
     base_task_bounds,
     dist_from_rank,
     effective_rank_of_sigmas,
-    frobenius,
-    nuclear,
     perturbed_task_bounds,
-    schatten,
     solution_norm_argmin,
     solution_singular_values,
-    spectral,
 )
+
+NUCLEAR = QuasiNormSpec(1.0)
 
 
 def solution_matrix(x):
@@ -27,17 +25,11 @@ def solution_matrix(x):
 
 class TestQuasiNormSpec:
     def test_triangle_constants(self):
-        assert nuclear().c == 1.0
-        assert frobenius().c == 1.0
-        assert spectral().c == 1.0
-        assert schatten(0.5).c == 2.0
-        assert schatten(0.25).c == pytest.approx(2.0**3)
-
-    def test_names(self):
-        assert nuclear().name == "nuclear"
-        assert frobenius().name == "frobenius"
-        assert spectral().name == "spectral"
-        assert schatten(0.5).name == "schatten_0.5"
+        assert QuasiNormSpec(1.0).c == 1.0
+        assert QuasiNormSpec(2.0).c == 1.0
+        assert QuasiNormSpec(SPECTRAL).c == 1.0
+        assert QuasiNormSpec(0.5).c == 2.0
+        assert QuasiNormSpec(0.25).c == pytest.approx(2.0**3)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
@@ -46,8 +38,8 @@ class TestQuasiNormSpec:
     @pytest.mark.parametrize("p", [SPECTRAL, math.inf, float("inf")])
     def test_infinite_order_is_spectral(self, p):
         spec = QuasiNormSpec(p=p)
-        assert (spec.c, spec.name) == (1.0, "spectral")
-        assert spec == spectral()
+        assert spec.c == 1.0
+        assert spec == QuasiNormSpec(SPECTRAL)
 
 
 class TestEffectiveRank:
@@ -166,44 +158,43 @@ class TestSolutionSingularValues:
 
 class TestBaseTaskBounds:
     def test_nuclear_at_loss_001_is_vacuous(self):
-        norm_lb, _, _ = base_task_bounds(0.01, nuclear())
-        assert norm_lb.value == pytest.approx(-0.9289321881345254, abs=1e-12)
+        norm_lb, _, _ = base_task_bounds(0.01, NUCLEAR)
+        assert norm_lb == pytest.approx(-0.9289321881345254, abs=1e-12)
 
     def test_zero_loss_limits(self):
-        norm_lb, erank_ub, dist_ub = base_task_bounds(0.0, nuclear())
-        assert norm_lb.value == math.inf
-        assert erank_ub.value == 1.0
-        assert dist_ub.value == 0.0
+        norm_lb, erank_ub, dist_ub = base_task_bounds(0.0, NUCLEAR)
+        assert norm_lb == math.inf
+        assert erank_ub == 1.0
+        assert dist_ub == 0.0
 
     def test_nuclear_at_loss_1e6(self):
-        norm_lb, _, _ = base_task_bounds(1e-6, nuclear())
-        assert norm_lb.value == pytest.approx(699.1067811865474, abs=1e-9)
+        norm_lb, _, _ = base_task_bounds(1e-6, NUCLEAR)
+        assert norm_lb == pytest.approx(699.1067811865474, abs=1e-9)
 
-    def test_kinds_and_inputs_recorded(self):
-        norm_lb, erank_ub, dist_ub = base_task_bounds(0.25, schatten(0.5))
-        assert norm_lb.kind == "lower" and erank_ub.kind == "upper" and dist_ub.kind == "upper"
-        assert norm_lb.inputs["c"] == 2.0
-        assert norm_lb.inputs["b"] == 32.0  # 8 c^2 dominates sqrt(2) a
+    def test_schatten_half_offset_is_8c2(self):
+        # c = 2, a = 1 / (2 sqrt(2)): b = 8 c^2 = 32 dominates sqrt(2) a = 1/2
+        norm_lb, _, _ = base_task_bounds(0.25, QuasiNormSpec(0.5))
+        assert norm_lb == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)) / 0.5 - 32.0, abs=1e-12)
 
 
 class TestPerturbedTaskBounds:
     def test_specialization_diverges_like_base(self):
         for ell in (1e-2, 1e-4, 1e-6):
-            pb, _, _ = perturbed_task_bounds(ell, 1.0, 1.0, 0.0, nuclear())
-            assert pb.value == pytest.approx(1.0 / math.sqrt(2 * ell) - 8.0, abs=1e-9)
+            pb, _, _ = perturbed_task_bounds(ell, 1.0, 1.0, 0.0, NUCLEAR)
+            assert pb == pytest.approx(1.0 / math.sqrt(2 * ell) - 8.0, abs=1e-9)
 
     def test_finite_zero_loss_limit(self):
-        pb, _, _ = perturbed_task_bounds(0.0, 1.0, 1.0, 0.1, nuclear())
-        assert pb.value == pytest.approx(2.0, abs=1e-12)  # 1/0.1 - max(1/1.1, 8)
+        pb, _, _ = perturbed_task_bounds(0.0, 1.0, 1.0, 0.1, NUCLEAR)
+        assert pb == pytest.approx(2.0, abs=1e-12)  # 1/0.1 - max(1/1.1, 8)
 
     def test_rejects_zero_adjacent(self):
         with pytest.raises(ValueError):
-            perturbed_task_bounds(0.1, 0.0, 1.0, 0.0, nuclear())
+            perturbed_task_bounds(0.1, 0.0, 1.0, 0.0, NUCLEAR)
 
     def test_upper_bounds_at_zero_loss(self):
-        _, erank_ub, dist_ub = perturbed_task_bounds(0.0, 2.0, -1.0, 0.05, nuclear())
-        assert erank_ub.value == pytest.approx(1.0 + 16.0 * 0.05 / 1.0, abs=1e-12)
-        assert dist_ub.value == pytest.approx(4.0 * 0.05, abs=1e-12)
+        _, erank_ub, dist_ub = perturbed_task_bounds(0.0, 2.0, -1.0, 0.05, NUCLEAR)
+        assert erank_ub == pytest.approx(1.0 + 16.0 * 0.05 / 1.0, abs=1e-12)
+        assert dist_ub == pytest.approx(4.0 * 0.05, abs=1e-12)
 
 
 LOSSES = [0.0, 5e-324, 1e-300, 1e-4, 0.5, 1e300] + (10.0 ** np.random.default_rng(3).uniform(-12, 1, 200)).tolist()
@@ -235,47 +226,47 @@ def bits(values):
 
 
 class TestBoundsOverLossArrays:
-    @pytest.mark.parametrize("spec", [nuclear(), schatten(0.5)], ids=["nuclear", "schatten_half"])
+    @pytest.mark.parametrize("spec", [NUCLEAR, QuasiNormSpec(0.5)], ids=["nuclear", "schatten_half"])
     def test_base_array_equals_scalar_calls(self, spec):
         column = base_task_bounds(np.array(LOSSES), spec)
-        for k, report in enumerate(column):
-            assert isinstance(report.value, np.ndarray)
-            scalars = [base_task_bounds(ell, spec)[k].value for ell in LOSSES]
+        for k, values in enumerate(column):
+            assert isinstance(values, np.ndarray)
+            scalars = [base_task_bounds(ell, spec)[k] for ell in LOSSES]
             assert all(type(v) is float for v in scalars)
-            assert bits(report.value) == bits(scalars)
+            assert bits(values) == bits(scalars)
             assert bits(scalars) == bits([scalar_base_oracle(ell, spec.c)[k] for ell in LOSSES])
 
     @pytest.mark.parametrize("z, z_prime, eps", [(1.0, 1.0, 0.0), (1.0, 1.0, 0.01), (0.7, -1.3, -0.05)])
     def test_perturbed_array_equals_scalar_calls(self, z, z_prime, eps):
-        column = perturbed_task_bounds(np.array(LOSSES), z, z_prime, eps, nuclear())
-        for k, report in enumerate(column):
-            scalars = [perturbed_task_bounds(ell, z, z_prime, eps, nuclear())[k].value for ell in LOSSES]
+        column = perturbed_task_bounds(np.array(LOSSES), z, z_prime, eps, NUCLEAR)
+        for k, values in enumerate(column):
+            scalars = [perturbed_task_bounds(ell, z, z_prime, eps, NUCLEAR)[k] for ell in LOSSES]
             assert all(type(v) is float for v in scalars)
-            assert bits(report.value) == bits(scalars)
+            assert bits(values) == bits(scalars)
             assert bits(scalars) == bits([scalar_perturbed_oracle(ell, z, z_prime, eps, 1.0)[k] for ell in LOSSES])
-        assert (column[0].value[0] == math.inf) == (eps == 0.0)
+        assert (column[0][0] == math.inf) == (eps == 0.0)
 
     def test_negative_loss_rejected(self):
         for ell in (-1e-300, np.array([0.1, -0.0, -1e-12])):
             with pytest.raises(ValueError):
-                base_task_bounds(ell, nuclear())
+                base_task_bounds(ell, NUCLEAR)
             with pytest.raises(ValueError):
-                perturbed_task_bounds(ell, 1.0, 1.0, 0.1, nuclear())
-        base_task_bounds(np.array([0.1, -0.0]), nuclear())  # -0.0 is not negative
+                perturbed_task_bounds(ell, 1.0, 1.0, 0.1, NUCLEAR)
+        base_task_bounds(np.array([0.1, -0.0]), NUCLEAR)  # -0.0 is not negative
 
 
 class TestSolutionNormArgmin:
-    @pytest.mark.parametrize("spec", [nuclear(), spectral()])
+    @pytest.mark.parametrize("spec", [NUCLEAR, QuasiNormSpec(SPECTRAL)])
     def test_coarse_grid(self, spec):
         assert solution_norm_argmin(spec, [-2.0, -1.0, 0.0, 1.0, 2.0]) == 0.0
 
     def test_quasi_norm_fine_grid(self):
         grid = np.arange(-3.0, 3.0 + 1e-9, 0.1).round(10).tolist()
-        assert solution_norm_argmin(schatten(0.5), grid) == 0.0
+        assert solution_norm_argmin(QuasiNormSpec(0.5), grid) == 0.0
 
     def test_grid_must_contain_zero(self):
         with pytest.raises(ValueError):
-            solution_norm_argmin(nuclear(), [1.0, 2.0])
+            solution_norm_argmin(NUCLEAR, [1.0, 2.0])
 
 
 class TestEvaluatorConsistency:
@@ -283,7 +274,7 @@ class TestEvaluatorConsistency:
         # both families diverge as loss -> 0 at z = z' = 1, eps = 0;
         # constants differ by design, so only the scaling is compared
         for ell in (1e-4, 1e-8):
-            base = base_task_bounds(ell, nuclear())[0].value
-            pert = perturbed_task_bounds(ell, 1.0, 1.0, 0.0, nuclear())[0].value
+            base = base_task_bounds(ell, NUCLEAR)[0]
+            pert = perturbed_task_bounds(ell, 1.0, 1.0, 0.0, NUCLEAR)[0]
             assert base > 0 and pert > 0
             assert pert / base == pytest.approx(1.0, rel=0.2)
