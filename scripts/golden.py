@@ -11,6 +11,11 @@ Regenerates, in a temporary directory, in a few seconds:
 - the quick outputs of scripts/reproduce_entry_vs_loss.py;
 - an 8x8x8 rank-2 tensor sweep CSV (400 observations, three seeds) at
   seeds 0-2;
+- stacked CP runs on unequal dims at seeds 0-2, one JSON per seed: four
+  runs of 4 terms on a (3, 4, 5) task and four of 5 terms on a
+  (2, 3, 4, 2) task, whose members stop at different iterations, each
+  with its iterations, trajectory and a digest of its factors; and the
+  estimated rank of the configs/tenfac_* ground truths;
 - runs near the 1e12 entry limit, at seeds 0-2: divergence runs on the
   base task (balanced alpha 1.0, depths 2-3, steps 1.0 and 3.0, logged
   at every step), and the perturbed task with an observed value of 9e11
@@ -53,7 +58,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from implreg import harness, matfac, svgplot  # noqa: E402
+from implreg import harness, matfac, svgplot, tenfac  # noqa: E402
 
 MANIFEST = ROOT / "golden" / "manifest.json"
 SEEDS = (0, 1, 2)
@@ -193,6 +198,42 @@ def _tenfac(seed: int, out_dir: Path) -> list[Path]:
     return [harness.run_tenfac_sweep(cfg)]
 
 
+# (dims, terms) of the stacked CP runs; TestStackedRuns' unequal-dims stacks
+CP_STACKS = (((3, 4, 5), 4), ((2, 3, 4, 2), 5))
+
+
+def _cp_runs(seed: int, out_dir: Path) -> list[Path]:
+    # at seed 0 the stacks of tests/test_tenfac.py::TestStackedRuns
+    stacks = []
+    for dims, terms in CP_STACKS:
+        truth = tenfac.gen_ground_truth(dims, 2, seed=seed + 1)
+        task = tenfac.sample_observations(truth, int(np.prod(dims)) // 2, seed=seed + 2)
+        runs = [(1e-1, seed + 3), (1e-2, seed), (3e-1, seed + 5), (5e-2, seed + 4)]
+        members = []
+        for (init_std, run_seed), result in zip(runs, tenfac.train_cp_runs(task, terms, runs, 1e-3, 2_000)):
+            factors = b"".join(f.tobytes() for f in result.model.factors)
+            members.append(
+                {
+                    "init_std": init_std,
+                    "seed": run_seed,
+                    "iterations": result.iterations,
+                    "converged": result.converged,
+                    "trajectory": [[s.iteration, s.loss, s.mse] for s in result.trajectory],
+                    "factors_sha256": hashlib.sha256(factors).hexdigest(),
+                }
+            )
+        stacks.append({"dims": dims, "terms": terms, "runs": members})
+    ranks = []
+    for path in sorted((ROOT / "configs").glob("tenfac_*.json")):
+        cfg = json.loads(path.read_text())
+        truth = tenfac.gen_ground_truth(cfg["dims"], cfg["gt_rank"], cfg["gt_seed"])
+        ranks.append({"config": path.name, "estimate_rank": tenfac.estimate_rank(truth)})
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "cp-runs.json"
+    path.write_text(json.dumps({"stacks": stacks, "ranks": ranks}, indent=1) + "\n")
+    return [path]
+
+
 def _detsign(seed: int, out_dir: Path) -> list[Path]:
     paths = []
     for depth, dim in DETSIGN_CELLS:
@@ -229,7 +270,7 @@ def _step_lines(shapes: tuple[tuple[int, int], ...], observed: tuple[int, ...]) 
 
 def _digest_file(path: Path) -> str:
     data = path.read_bytes()
-    if path.suffix == ".json":
+    if path.suffix == ".json" and path.with_suffix(".csv").is_file():
         # a run record: its runtime and where it was written are no part
         # of what the run computed
         doc = json.loads(data)
@@ -250,6 +291,7 @@ def digests() -> dict[str, str]:
                 ("grid", _grid),
                 ("dense-log", _dense_log),
                 ("tenfac", _tenfac),
+                ("cp-runs", _cp_runs),
                 ("diverge", _diverge),
                 ("large-target", _large_target),
                 ("identity", _identity),
