@@ -114,7 +114,11 @@ def _khatri_rao(mats: Sequence[np.ndarray], terms: int) -> np.ndarray:
     # with the same leading batch axes, each output slice a C-contiguous
     # (terms, prod d_n); a ones column for no modes.  Matmuls must see this
     # layout: the same values copied to another layout can take a
-    # different BLAS path and change the last bits.
+    # different BLAS path and change the last bits.  The compose and mode
+    # 0 matmuls take the product of modes 1..N-1 as it is; the gradient of
+    # mode n >= 1 takes the products of the modes left and right of n as
+    # per-term rows (..., terms, 1, k) and columns (..., terms, k, 1),
+    # views of this layout.
     if not mats:
         return np.ones((terms, 1))
     out = mats[0]
@@ -132,29 +136,46 @@ def _unfold(t: np.ndarray, n: int, lead: int = 0) -> np.ndarray:
 
 
 def _loss_and_grads(factors, task: CompletionTask, out=None):
-    # masked MTTKRP: mode n's gradient is khatri_rao(other modes) @
-    # unfold_n(E)^T with E = mask * X - target; mode 0 reuses the compose
-    # product.  Factors are (terms, d_n), or (runs, terms, d_n) for a stack
-    # of runs; every run gets the bits of its own unstacked call.  Returns
-    # the list of losses, one per run, each a sum over that run's residual
-    # alone.  Mode n's gradient is written into out[n] when out is given
-    # (arrays shaped like the factors, each run's slice C-contiguous),
-    # else into a fresh array.  A lone (terms, d_n) matrix takes .T, the
-    # cheapest transpose.
+    # masked CP gradient, E = mask * X - target, with one partial MTTKRP
+    # shared between the modes (Phan, Tichavsky & Cichocki 2013).  Factors
+    # are (terms, d_n), or (runs, terms, d_n) for a stack of runs; every
+    # run gets the bits of its own unstacked call.  Returns the list of
+    # losses, one per run, each a sum over that run's residual alone, and
+    # the gradients, written into out[n] when out is given (arrays shaped
+    # like the factors, each run's slice C-contiguous).  The layouts the
+    # bits depend on: compose is F_0^T (.T alone, the cheapest transpose)
+    # @ the C-contiguous Khatri-Rao product of modes 1..N-1, and mode 0's
+    # gradient is that product @ unfold_0(E)^T.  M = F_0 @ unfold_0(E) is
+    # C-contiguous (terms, d_1 * ... * d_{N-1}); per term r, mode n >= 1's
+    # gradient is the left Khatri-Rao row times M_r viewed (left, d_n *
+    # right), viewed (d_n, right) times the right Khatri-Rao column: for
+    # order 3, M_r F_2[r] and F_1[r] M_r; for order 2, M itself.
+    n_modes = len(factors)
     terms = factors[0].shape[-2]
     lead = factors[0].ndim - 2
+    batch = factors[0].shape[:lead]
+    if out is None:
+        out = [np.empty(f.shape) for f in factors]
     kr = _khatri_rao(factors[1:], terms)
     f0t = factors[0].swapaxes(1, 2) if lead else factors[0].T
-    err = (f0t @ kr).reshape(factors[0].shape[:lead] + task.shape) * task.mask - task.target
+    err = (f0t @ kr).reshape(batch + task.shape) * task.mask - task.target
     lo = [0.5 * s for s in np.add.reduce((err * err).reshape(-1, task.mask.size), axis=1).tolist()]
-    grads = []
-    for n in range(len(factors)):
-        if n:
-            kr = _khatri_rao([*factors[:n], *factors[n + 1 :]], terms)
-        unfolded = _unfold(err, n, lead)
-        unfolded = unfolded.swapaxes(1, 2) if lead else unfolded.T
-        grads.append(np.matmul(kr, unfolded, out=None if out is None else out[n]))
-    return lo, grads
+    unfolded = _unfold(err, 0, lead)
+    np.matmul(kr, unfolded.swapaxes(1, 2) if lead else unfolded.T, out=out[0])
+    if n_modes > 1:
+        m = np.matmul(factors[0], unfolded, out=out[1] if n_modes == 2 else None)
+    for n in range(1, n_modes):
+        d_n = factors[n].shape[-1]
+        left, right = factors[1:n], factors[n + 1 :]
+        part = m
+        if left:
+            row = _khatri_rao(left, terms)[..., None, :]
+            blocks = m.reshape(batch + (terms, row.shape[-1], -1))
+            part = np.matmul(row, blocks, out=None if right else out[n][..., None, :])
+        if right:
+            col = _khatri_rao(right, terms)[..., None]
+            np.matmul(part.reshape(batch + (terms, d_n, col.shape[-2])), col, out=out[n][..., None])
+    return lo, out
 
 
 def cp_loss_and_grads(model: CpModel, task: CompletionTask):
@@ -515,9 +536,6 @@ def sample_observations(truth, n_obs: int, seed: int) -> CompletionTask:
     if not 1 <= n_obs <= total - 1:
         raise ValueError(f"n_obs must lie in [1, {total - 1}]")
     gen = stream(seed, 17)
-    flat = gen.choice(total, size=n_obs, replace=False)
-    obs = {}
-    for f in sorted(int(x) for x in flat):
-        idx = np.unravel_index(f, t.shape)
-        obs[tuple(int(i) for i in idx)] = float(t[idx])
+    idx = np.unravel_index(np.sort(gen.choice(total, size=n_obs, replace=False)), t.shape)
+    obs = dict(zip(zip(*(i.tolist() for i in idx)), t[idx].tolist()))
     return CompletionTask(shape=t.shape, observations=obs)

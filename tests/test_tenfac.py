@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from implreg import matfac, tenfac
+from implreg import harness, matfac, tenfac
 from implreg.matfac import CompletionTask
 from implreg.tenfac import (
     CpModel,
@@ -96,6 +97,8 @@ def old_compose(factors):
 
 
 def old_loss_and_grads(factors, task):
+    """The dense masked MTTKRP the shared partial one replaced: mode n's
+    gradient from the Khatri-Rao product of all the other modes."""
     terms = factors[0].shape[0]
     kr = old_khatri_rao(factors[1:], terms)
     err = (factors[0].T @ kr.T).reshape(task.shape) * task.mask - task.target
@@ -108,18 +111,46 @@ def old_loss_and_grads(factors, task):
     return lo, grads
 
 
-def old_train_cp(task, terms, init_std, seed, mse_threshold=1e-6, max_iters=10**6):
+def shared_loss_and_grads(factors, task):
+    """The shared partial MTTKRP written out per mode and per term on the
+    old products: compose, loss and mode 0 as in old_loss_and_grads, then
+    M = F_0 @ unfold_0(E) and row r of mode n >= 1's gradient
+    (left_r @ M_r) @ right_r, with M_r viewed (left, d_n * right) and then
+    (d_n, right), left_r and right_r the rows of the Khatri-Rao products
+    of the modes before and after n, and a side with no modes left out."""
+    terms, last = factors[0].shape[0], len(factors) - 1
+    kr = old_khatri_rao(factors[1:], terms).T
+    err = (factors[0].T @ kr).reshape(task.shape) * task.mask - task.target
+    lo = 0.5 * float((err * err).sum())
+    grads = [kr @ old_unfold(err, 0).T]
+    m = factors[0] @ old_unfold(err, 0)
+    for n in range(1, last + 1):
+        left = old_khatri_rao(factors[1:n], terms).T
+        right = old_khatri_rao(factors[n + 1 :], terms).T
+        g = np.empty(factors[n].shape)
+        for r in range(terms):
+            part = m[r].reshape(left.shape[1], -1)
+            if n > 1:
+                part = left[r] @ part
+            part = part.reshape(factors[n].shape[1], -1)
+            g[r] = part @ right[r] if n < last else part.ravel()
+        grads.append(g)
+    return lo, grads
+
+
+def oracle_train_cp(task, terms, init_std, seed, mse_threshold=1e-6, max_iters=10**6, grads_of=shared_loss_and_grads):
     """train_cp on per-mode factor arrays and per-mode gradient arrays,
-    the oracle gradient and the rate formula written out (base 1e-2, EMA
-    weight 0.99, bias-corrected); returns (iterations, trajectory tuples,
-    factors).  Fails on divergence."""
+    the gradient ``grads_of`` (the shared partial MTTKRP by default,
+    old_loss_and_grads for the trainer before it) and the rate formula
+    written out (base 1e-2, EMA weight 0.99, bias-corrected); returns
+    (iterations, trajectory tuples, factors).  Fails on divergence."""
     subs = stream(seed, 7).spawn(len(task.shape))
     factors = [subs[n].normal(0.0, init_std, size=(terms, d)) for n, d in enumerate(task.shape)]
     gamma, t = 0.0, 0
     trajectory = []
     it = 0
     while True:
-        lo, grads = old_loss_and_grads(factors, task)
+        lo, grads = grads_of(factors, task)
         mse = 2.0 * lo / len(task.observations)
         assert math.isfinite(lo)
         if it % tenfac.CP_LOG_STRIDE == 0:
@@ -324,10 +355,26 @@ class TestCpLossAndGrads:
 ORACLE_DIMS = [(3,), (3, 4), (3, 4, 5), (3, 4, 5, 2)]
 
 
+def oracle_case(dims, terms):
+    """A model with signed-zero rows and a task observing half the
+    entries."""
+    rng = np.random.default_rng(len(dims) * 10 + terms)
+    model = random_model(terms, dims, terms)
+    model.factors[0][0, :] = -0.0  # signed zeros must survive
+    model.factors[-1][-1, 0] = 0.0
+    total = int(np.prod(dims))
+    flat = rng.choice(total, size=total // 2, replace=False)
+    obs = {tuple(int(i) for i in np.unravel_index(f, dims)): float(rng.normal()) for f in flat}
+    return model, CompletionTask(shape=dims, observations=obs)
+
+
 class TestBitwiseOracle:
     """The row-layout Khatri-Rao product, transpose unfoldings and
     train_cp's single factor buffer give the bits of the column-layout,
-    moveaxis, per-mode-array code they replaced."""
+    moveaxis, per-mode-array code they replaced for compose, the loss,
+    mode 0's gradient and ALS.  The gradients of modes >= 1 come from one
+    partial MTTKRP shared between the modes: bitwise the written-out
+    shared oracle, and within 1e-12 of the old per-mode MTTKRP."""
 
     @pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
     def test_khatri_rao_is_the_old_transpose(self, dims):
@@ -343,17 +390,26 @@ class TestBitwiseOracle:
     @pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
     @pytest.mark.parametrize("terms", [1, 3, 5])
     def test_compose_and_loss_and_grads(self, dims, terms):
-        rng = np.random.default_rng(len(dims) * 10 + terms)
-        model = random_model(terms, dims, terms)
-        model.factors[0][0, :] = -0.0  # signed zeros must survive
-        model.factors[-1][-1, 0] = 0.0
+        model, task = oracle_case(dims, terms)
         assert same_bits(cp_compose(model), old_compose(model.factors))
-        total = int(np.prod(dims))
-        flat = rng.choice(total, size=total // 2, replace=False)
-        obs = {tuple(int(i) for i in np.unravel_index(f, dims)): float(rng.normal()) for f in flat}
-        task = CompletionTask(shape=dims, observations=obs)
         lo, grads = cp_loss_and_grads(model, task)
         lo_ref, grads_ref = old_loss_and_grads(model.factors, task)
+        assert same_bits(lo, lo_ref)
+        assert len(grads) == len(grads_ref)
+        assert same_bits(grads[0], grads_ref[0])
+        # the shared partial MTTKRP sums modes >= 1 in another order: each
+        # gradient within 1e-12 of its largest entry (an all-zero one
+        # exactly)
+        for g, ref in zip(grads[1:], grads_ref[1:]):
+            assert g.shape == ref.shape
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
+    @pytest.mark.parametrize("terms", [1, 3, 5])
+    def test_gradients_are_the_shared_oracle(self, dims, terms):
+        model, task = oracle_case(dims, terms)
+        lo, grads = cp_loss_and_grads(model, task)
+        lo_ref, grads_ref = shared_loss_and_grads(model.factors, task)
         assert same_bits(lo, lo_ref)
         assert len(grads) == len(grads_ref)
         assert all(same_bits(g, ref) for g, ref in zip(grads, grads_ref))
@@ -373,7 +429,7 @@ class TestBitwiseOracle:
         # would move entries between modes; 250 steps, capped unconverged
         task = sample_observations(gen_ground_truth(dims, 2, seed=1), int(np.prod(dims)) // 2, seed=2)
         result = train_cp(task, terms, 1e-1, 3, mse_threshold=0.0, max_iters=250)
-        it, trajectory, factors = old_train_cp(task, terms, 1e-1, 3, mse_threshold=0.0, max_iters=250)
+        it, trajectory, factors = oracle_train_cp(task, terms, 1e-1, 3, mse_threshold=0.0, max_iters=250)
         assert not result.converged and result.iterations == it == 250
         assert same_bits([(s.iteration, s.loss, s.mse) for s in result.trajectory], trajectory)
         assert all(same_bits(f, ref) for f, ref in zip(result.model.factors, factors))
@@ -383,15 +439,51 @@ class TestBitwiseOracle:
         # the benchmark's tenfac-sweep cell: 8x8x8, rank 2, 400 observations, init 1e-2
         task = sample_observations(gen_ground_truth((8, 8, 8), 2, seed=0), 400, seed=1)
         result = train_cp(task, default_terms((8, 8, 8)), 1e-2, seed)
-        it, trajectory, factors = old_train_cp(task, default_terms((8, 8, 8)), 1e-2, seed)
+        it, trajectory, factors = oracle_train_cp(task, default_terms((8, 8, 8)), 1e-2, seed)
         assert result.converged and result.iterations == it > 100
         assert same_bits([(s.iteration, s.loss, s.mse) for s in result.trajectory], trajectory)
         assert all(same_bits(f, ref) for f, ref in zip(result.model.factors, factors))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_perfbench_sweep_keeps_the_old_trainers_outcome(seed, tmp_path):
+    # the benchmark's tenfac-sweep config at workload seed ``seed``, end to
+    # end through the harness: each cell takes the old per-mode MTTKRP
+    # trainer's iterations and estimated rank, with its recon_error
+    # within 1e-12 relative
+    cfg = harness.TenfacSweepConfig(
+        dims=(8, 8, 8),
+        gt_rank=2,
+        gt_seed=0,
+        obs_seed=seed + 1,
+        n_obs=(400,),
+        init_stds=(1e-2,),
+        seeds=(seed, seed + 1, seed + 2),
+        mse_threshold=1e-6,
+        max_iters=1_000_000,
+        baseline=True,
+        baseline_rank=False,
+        out_dir=str(tmp_path),
+    )
+    with harness.run_tenfac_sweep(cfg).open() as fh:
+        cells = [row for row in csv.DictReader(fh) if row["row"] == "cell" and row["method"] == "tf"]
+    truth = gen_ground_truth(cfg.dims, cfg.gt_rank, cfg.gt_seed)
+    task = sample_observations(truth, 400, cfg.obs_seed)
+    terms = default_terms(cfg.dims)
+    results = train_cp_runs(task, terms, [(1e-2, s) for s in cfg.seeds])
+    assert [int(row["seed"]) for row in cells] == list(cfg.seeds)
+    for run_seed, row, result in zip(cfg.seeds, cells, results):
+        it, _, factors = oracle_train_cp(task, terms, 1e-2, run_seed, grads_of=old_loss_and_grads)
+        learned = old_compose(factors)
+        old_error = float(np.linalg.norm(learned - truth))
+        assert result.iterations == it
+        assert int(row["est_rank"]) == estimate_rank(learned, threshold=1e-6)
+        assert float(row["recon_error"]) == pytest.approx(old_error, rel=1e-12, abs=0.0)
+
+
 def assert_is_oracle_run(result, task, terms, init_std, seed, **stop):
-    # one member of a stacked run against old_train_cp, bit for bit
-    it, trajectory, factors = old_train_cp(task, terms, init_std, seed, **stop)
+    # one member of a stacked run against oracle_train_cp, bit for bit
+    it, trajectory, factors = oracle_train_cp(task, terms, init_std, seed, **stop)
     assert result.iterations == it
     assert result.converged == (trajectory[-1][2] < stop.get("mse_threshold", 1e-6))
     assert same_bits([(s.iteration, s.loss, s.mse) for s in result.trajectory], trajectory)
@@ -803,3 +895,18 @@ class TestTaskValidation:
         b = sample_observations(truth, 20, seed=3)
         assert len(a.observations) == 20
         assert a.observations == b.observations
+
+    @pytest.mark.parametrize("dims", [(5,), (4, 3), (3, 1, 2), (2, 3, 4, 2)], ids=str)
+    def test_sample_observations_is_the_per_entry_draw(self, dims):
+        # the same dict, in the same (sorted flat index) order, as indexing
+        # the tensor one drawn entry at a time; -0.0 keeps its sign
+        t = np.random.default_rng(len(dims)).normal(size=dims)
+        t.flat[0] = -0.0
+        total = t.size
+        for n_obs, seed in [(1, 0), (total // 2, 1), (total - 1, 2)]:
+            flat = sorted(int(f) for f in stream(seed, 17).choice(total, size=n_obs, replace=False))
+            ref = [(tuple(int(i) for i in np.unravel_index(f, dims)), float(t.flat[f])) for f in flat]
+            got = list(sample_observations(t, n_obs, seed).observations.items())
+            assert [k for k, _ in got] == [k for k, _ in ref]
+            assert same_bits([v for _, v in got], [v for _, v in ref])
+            assert all(type(i) is int for k, _ in got for i in k) and all(type(v) is float for _, v in got)
