@@ -165,7 +165,6 @@ def _loss_and_grads(factors, task: CompletionTask, out=None):
     if n_modes > 1:
         m = np.matmul(factors[0], unfolded, out=out[1] if n_modes == 2 else None)
     for n in range(1, n_modes):
-        d_n = factors[n].shape[-1]
         left, right = factors[1:n], factors[n + 1 :]
         part = m
         if left:
@@ -173,8 +172,8 @@ def _loss_and_grads(factors, task: CompletionTask, out=None):
             blocks = m.reshape(batch + (terms, row.shape[-1], -1))
             part = np.matmul(row, blocks, out=None if right else out[n][..., None, :])
         if right:
-            col = _khatri_rao(right, terms)[..., None]
-            np.matmul(part.reshape(batch + (terms, d_n, col.shape[-2])), col, out=out[n][..., None])
+            blocks = part.reshape(batch + (terms, factors[n].shape[-1], -1))
+            np.matmul(blocks, _khatri_rao(right, terms)[..., None], out=out[n][..., None])
     return lo, out
 
 
