@@ -16,6 +16,11 @@ Regenerates, in a temporary directory, in a few seconds:
   (2, 3, 4, 2) task, whose members stop at different iterations, each
   with its iterations, trajectory and a digest of its factors; and the
   estimated rank of the configs/tenfac_* ground truths;
+- lone CP runs at seeds 0-2, one JSON per seed: train_cp at init 1e-1
+  on the (5,) and (4, 3) tasks of 3 terms and the (3, 4, 5) and
+  (2, 3, 4, 2) tasks of 4 and 5 terms that the stacks of
+  tests/test_tenfac.py::TestStackedRuns train on, recorded like the
+  stacked runs; and the 8x8x8 sweep CSV above with its one seed alone;
 - runs near the 1e12 entry limit, at seeds 0-2: divergence runs on the
   base task (balanced alpha 1.0, depths 2-3, steps 1.0 and 3.0, logged
   at every step), and the perturbed task with an observed value of 9e11
@@ -180,7 +185,7 @@ _identity = _runs(
 )
 
 
-def _tenfac(seed: int, out_dir: Path) -> list[Path]:
+def _tenfac_sweep(seed: int, out_dir: Path, seeds: tuple[int, ...]) -> Path:
     cfg = harness.TenfacSweepConfig(
         dims=(8, 8, 8),
         gt_rank=2,
@@ -188,18 +193,49 @@ def _tenfac(seed: int, out_dir: Path) -> list[Path]:
         obs_seed=seed + 1,
         n_obs=(400,),
         init_stds=(1e-2,),
-        seeds=(seed, seed + 1, seed + 2),
+        seeds=seeds,
         mse_threshold=1e-6,
         max_iters=1_000_000,
         baseline=True,
         baseline_rank=False,
         out_dir=str(out_dir),
     )
-    return [harness.run_tenfac_sweep(cfg)]
+    return harness.run_tenfac_sweep(cfg)
+
+
+def _tenfac(seed: int, out_dir: Path) -> list[Path]:
+    return [_tenfac_sweep(seed, out_dir, (seed, seed + 1, seed + 2))]
 
 
 # (dims, terms) of the stacked CP runs; TestStackedRuns' unequal-dims stacks
 CP_STACKS = (((3, 4, 5), 4), ((2, 3, 4, 2), 5))
+# (dims, truth rank, observations, terms, mse threshold, max iters) of the
+# lone CP runs' tasks: TestStackedRuns' order-1 and order-2 tasks and its
+# unequal-dims ones, with their stops
+CP_LONE = (
+    ((5,), 1, 3, 3, 1e-6, 3_000),
+    ((4, 3), 1, 10, 3, 1e-6, 3_000),
+    ((3, 4, 5), 2, 30, 4, 1e-3, 2_000),
+    ((2, 3, 4, 2), 2, 24, 5, 1e-3, 2_000),
+)
+
+
+def _cp_record(init_std: float, seed: int, result) -> dict:
+    factors = b"".join(f.tobytes() for f in result.model.factors)
+    return {
+        "init_std": init_std,
+        "seed": seed,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "trajectory": [[s.iteration, s.loss, s.mse] for s in result.trajectory],
+        "factors_sha256": hashlib.sha256(factors).hexdigest(),
+    }
+
+
+def _write_json(doc: dict, path: Path) -> list[Path]:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    return [path]
 
 
 def _cp_runs(seed: int, out_dir: Path) -> list[Path]:
@@ -209,29 +245,24 @@ def _cp_runs(seed: int, out_dir: Path) -> list[Path]:
         truth = tenfac.gen_ground_truth(dims, 2, seed=seed + 1)
         task = tenfac.sample_observations(truth, int(np.prod(dims)) // 2, seed=seed + 2)
         runs = [(1e-1, seed + 3), (1e-2, seed), (3e-1, seed + 5), (5e-2, seed + 4)]
-        members = []
-        for (init_std, run_seed), result in zip(runs, tenfac.train_cp_runs(task, terms, runs, 1e-3, 2_000)):
-            factors = b"".join(f.tobytes() for f in result.model.factors)
-            members.append(
-                {
-                    "init_std": init_std,
-                    "seed": run_seed,
-                    "iterations": result.iterations,
-                    "converged": result.converged,
-                    "trajectory": [[s.iteration, s.loss, s.mse] for s in result.trajectory],
-                    "factors_sha256": hashlib.sha256(factors).hexdigest(),
-                }
-            )
+        results = tenfac.train_cp_runs(task, terms, runs, 1e-3, 2_000)
+        members = [_cp_record(init_std, run_seed, result) for (init_std, run_seed), result in zip(runs, results)]
         stacks.append({"dims": dims, "terms": terms, "runs": members})
     ranks = []
     for path in sorted((ROOT / "configs").glob("tenfac_*.json")):
         cfg = json.loads(path.read_text())
         truth = tenfac.gen_ground_truth(cfg["dims"], cfg["gt_rank"], cfg["gt_seed"])
         ranks.append({"config": path.name, "estimate_rank": tenfac.estimate_rank(truth)})
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "cp-runs.json"
-    path.write_text(json.dumps({"stacks": stacks, "ranks": ranks}, indent=1) + "\n")
-    return [path]
+    return _write_json({"stacks": stacks, "ranks": ranks}, out_dir / "cp-runs.json")
+
+
+def _cp_lone(seed: int, out_dir: Path) -> list[Path]:
+    runs = []
+    for dims, rank, n_obs, terms, mse_threshold, max_iters in CP_LONE:
+        task = tenfac.sample_observations(tenfac.gen_ground_truth(dims, rank, seed=1), n_obs, seed=2)
+        result = tenfac.train_cp(task, terms, 1e-1, seed, mse_threshold, max_iters)
+        runs.append({"dims": dims, "terms": terms, **_cp_record(1e-1, seed, result)})
+    return _write_json({"runs": runs}, out_dir / "cp-lone.json") + [_tenfac_sweep(seed, out_dir, (seed,))]
 
 
 def _detsign(seed: int, out_dir: Path) -> list[Path]:
@@ -292,6 +323,7 @@ def digests() -> dict[str, str]:
                 ("dense-log", _dense_log),
                 ("tenfac", _tenfac),
                 ("cp-runs", _cp_runs),
+                ("cp-lone", _cp_lone),
                 ("diverge", _diverge),
                 ("large-target", _large_target),
                 ("identity", _identity),
