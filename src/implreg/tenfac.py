@@ -64,29 +64,25 @@ class GenerationError(RuntimeError):
 @dataclass(frozen=True)
 class CpModel:
     """Per-mode factor matrices of shape (R, d_n); row r of mode n is the
-    vector w_r^(n)."""
+    vector w_r^(n).  Stored C-contiguous, whatever layout the caller
+    hands in: the last bits of a matmul depend on its operands' layout."""
 
     factors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if len(self.factors) < 1:
+        fs = tuple(np.ascontiguousarray(f, dtype=float) for f in self.factors)
+        if not fs:
             raise ValueError("a CP model needs at least one mode")
-        fs = []
-        r = None
-        for f in self.factors:
-            arr = np.asarray(f, dtype=float)
-            if arr.ndim != 2:
+        for f in fs:
+            if f.ndim != 2:
                 raise ValueError("each mode factor must be a 2-D (terms x dim) array")
-            if not np.all(np.isfinite(arr)):
+            if not np.all(np.isfinite(f)):
                 raise ValueError("factor entries must be finite")
-            if r is None:
-                r = arr.shape[0]
-            elif arr.shape[0] != r:
+            if f.shape[0] != fs[0].shape[0]:
                 raise ValueError("all modes must share the same number of terms")
-            fs.append(arr)
-        if r < 1:
+        if fs[0].shape[0] < 1:
             raise ValueError("the model needs at least one term")
-        object.__setattr__(self, "factors", tuple(fs))
+        object.__setattr__(self, "factors", fs)
 
     @property
     def terms(self) -> int:
@@ -106,19 +102,20 @@ def default_terms(dims: Sequence[int]) -> int:
 
 def cp_compose(model: CpModel) -> np.ndarray:
     """Dense tensor of the model: sum of the per-term outer products."""
-    return (model.factors[0].T @ _khatri_rao(model.factors[1:], model.terms)).reshape(model.dims)
+    stack = [f[None] for f in model.factors]
+    return (stack[0].swapaxes(1, 2) @ _khatri_rao(stack[1:], model.terms)).reshape(model.dims)
 
 
 def _khatri_rao(mats: Sequence[np.ndarray], terms: int) -> np.ndarray:
-    # row-wise Kronecker over modes in C order; mats are (..., terms, d_n)
-    # with the same leading batch axes, each output slice a C-contiguous
-    # (terms, prod d_n); a ones column for no modes.  Matmuls must see this
-    # layout: the same values copied to another layout can take a
-    # different BLAS path and change the last bits.  The compose and mode
-    # 0 matmuls take the product of modes 1..N-1 as it is; the gradient of
-    # mode n >= 1 takes the products of the modes left and right of n as
-    # per-term rows (..., terms, 1, k) and columns (..., terms, k, 1),
-    # views of this layout.
+    # row-wise Kronecker over modes in C order; mats are (..., terms, d_n),
+    # a stack of runs (runs, terms, d_n) or ALS's lone (terms, d_n), each
+    # output slice a C-contiguous (terms, prod d_n); a ones column for no
+    # modes.  Matmuls must see this layout: the same values copied to
+    # another layout can take a different BLAS path and change the last
+    # bits.  The compose and mode 0 matmuls take the product of modes
+    # 1..N-1 as it is; the gradient of mode n >= 1 takes the products of
+    # the modes left and right of n as per-term rows (..., terms, 1, k)
+    # and columns (..., terms, k, 1), views of this layout.
     if not mats:
         return np.ones((terms, 1))
     out = mats[0]
@@ -127,54 +124,47 @@ def _khatri_rao(mats: Sequence[np.ndarray], terms: int) -> np.ndarray:
     return out
 
 
-def _unfold(t: np.ndarray, n: int, lead: int = 0) -> np.ndarray:
-    # mode-n unfolding (d_n, prod of the other dims), other modes in C
-    # order, behind ``lead`` leading batch axes
-    axes = list(range(t.ndim))
-    axes.insert(lead, axes.pop(lead + n))
-    return t.transpose(axes).reshape(t.shape[:lead] + (t.shape[lead + n], -1))
+def _unfold(t: np.ndarray, n: int) -> np.ndarray:
+    # mode-n unfolding (d_n, prod of the other dims), other modes in C order
+    return np.moveaxis(t, n, 0).reshape(t.shape[n], -1)
 
 
-def _loss_and_grads(factors, task: CompletionTask, out=None):
+def _loss_and_grads(factors, task: CompletionTask, out):
     # masked CP gradient, E = mask * X - target, with one partial MTTKRP
-    # shared between the modes (Phan, Tichavsky & Cichocki 2013).  Factors
-    # are (terms, d_n), or (runs, terms, d_n) for a stack of runs; every
-    # run gets the bits of its own unstacked call.  Returns the list of
-    # losses, one per run, each a sum over that run's residual alone, and
-    # the gradients, written into out[n] when out is given (arrays shaped
-    # like the factors, each run's slice C-contiguous).  The layouts the
-    # bits depend on: compose is F_0^T (.T alone, the cheapest transpose)
-    # @ the C-contiguous Khatri-Rao product of modes 1..N-1, and mode 0's
-    # gradient is that product @ unfold_0(E)^T.  M = F_0 @ unfold_0(E) is
-    # C-contiguous (terms, d_1 * ... * d_{N-1}); per term r, mode n >= 1's
-    # gradient is the left Khatri-Rao row times M_r viewed (left, d_n *
-    # right), viewed (d_n, right) times the right Khatri-Rao column: for
-    # order 3, M_r F_2[r] and F_1[r] M_r; for order 2, M itself.
+    # shared between the modes (Phan, Tichavsky & Cichocki 2013), on a
+    # stack of runs: factors and out[n] are (runs, terms, d_n), each run's
+    # slice C-contiguous, and a lone model is a stack of one; every run
+    # gets the bits of its own stack of one.  Writes the gradients into out
+    # and returns the list of losses, one per run, each a sum over that
+    # run's residual alone.  The layouts the bits depend on: F_0^T (a
+    # transposed view, the cheapest) @ the C-contiguous Khatri-Rao product
+    # of modes 1..N-1 is unfold_0(X) in C order, so E is formed there,
+    # with mask and target viewed (d_0, rest), and mode 0's gradient is
+    # that product @ E^T.  M = F_0 @ E is C-contiguous (terms, d_1 * ... *
+    # d_{N-1}); per term r, mode n >= 1's gradient is the left Khatri-Rao
+    # row times M_r viewed (left, d_n * right), viewed (d_n, right) times
+    # the right Khatri-Rao column: for order 3, M_r F_2[r] and F_1[r] M_r;
+    # for order 2, M itself.
     n_modes = len(factors)
-    terms = factors[0].shape[-2]
-    lead = factors[0].ndim - 2
-    batch = factors[0].shape[:lead]
-    if out is None:
-        out = [np.empty(f.shape) for f in factors]
+    runs, terms = factors[0].shape[:2]
     kr = _khatri_rao(factors[1:], terms)
-    f0t = factors[0].swapaxes(1, 2) if lead else factors[0].T
-    err = (f0t @ kr).reshape(batch + task.shape) * task.mask - task.target
-    lo = [0.5 * s for s in np.add.reduce((err * err).reshape(-1, task.mask.size), axis=1).tolist()]
-    unfolded = _unfold(err, 0, lead)
-    np.matmul(kr, unfolded.swapaxes(1, 2) if lead else unfolded.T, out=out[0])
+    unfold0 = (task.shape[0], -1)
+    err = (factors[0].swapaxes(1, 2) @ kr) * task.mask.reshape(unfold0) - task.target.reshape(unfold0)
+    lo = [0.5 * s for s in np.add.reduce((err * err).reshape(runs, -1), axis=1).tolist()]
+    np.matmul(kr, err.swapaxes(1, 2), out=out[0])
     if n_modes > 1:
-        m = np.matmul(factors[0], unfolded, out=out[1] if n_modes == 2 else None)
+        m = np.matmul(factors[0], err, out=out[1] if n_modes == 2 else None)
     for n in range(1, n_modes):
         left, right = factors[1:n], factors[n + 1 :]
         part = m
         if left:
             row = _khatri_rao(left, terms)[..., None, :]
-            blocks = m.reshape(batch + (terms, row.shape[-1], -1))
+            blocks = m.reshape(runs, terms, row.shape[-1], -1)
             part = np.matmul(row, blocks, out=None if right else out[n][..., None, :])
         if right:
-            blocks = part.reshape(batch + (terms, factors[n].shape[-1], -1))
+            blocks = part.reshape(runs, terms, factors[n].shape[-1], -1)
             np.matmul(blocks, _khatri_rao(right, terms)[..., None], out=out[n][..., None])
-    return lo, out
+    return lo
 
 
 def cp_loss_and_grads(model: CpModel, task: CompletionTask):
@@ -186,7 +176,8 @@ def cp_loss_and_grads(model: CpModel, task: CompletionTask):
     """
     if model.dims != task.shape:
         raise ValueError(f"model dims {model.dims} do not match task shape {task.shape}")
-    (lo,), grads = _loss_and_grads(model.factors, task)
+    grads = [np.empty(f.shape) for f in model.factors]
+    (lo,) = _loss_and_grads([f[None] for f in model.factors], task, [g[None] for g in grads])
     return lo, grads
 
 
@@ -273,10 +264,8 @@ def train_cp_runs(
     results: list = [None] * len(runs)
 
     def views(stack):
-        # per-mode (runs, terms, d) views, (terms, d) for a lone run: numpy's
-        # same-shape loops are faster than broadcasting over a batch of one
-        batch = (len(stack),) if len(stack) > 1 else ()
-        return [stack[:, a:b].reshape(*batch, terms, d) for (a, b), d in zip(spans, task.shape)]
+        # per-mode (runs, terms, d) views, a lone run a stack of one
+        return [stack[:, a:b].reshape(len(stack), terms, d) for (a, b), d in zip(spans, task.shape)]
 
     factors, grads = views(buf), views(gbuf)
     # per live run, a bound on the Euclidean norm of its factors, carried
@@ -288,7 +277,7 @@ def train_cp_runs(
     within = all(b <= ENTRY_BLOWUP_LIMIT for b in bound)
     it = 0
     while True:
-        los = _loss_and_grads(factors, task, grads)[0]
+        los = _loss_and_grads(factors, task, grads)
         # one max and min over the stack once a bound passes the limit, and
         # per run only if that fails
         diverging = not all(map(math.isfinite, los)) or (
@@ -346,7 +335,7 @@ def train_cp_runs(
             bound[i] = (bound[i] + eta[i] * math.sqrt(g2)) * slack
             within = within and bound[i] <= ENTRY_BLOWUP_LIMIT  # False on NaN
         # the gradients are spent: scale them in place
-        buf -= np.multiply(gbuf, eta[0] if len(eta) == 1 else np.array(eta)[:, None], out=gbuf)
+        buf -= np.multiply(gbuf, np.array(eta)[:, None], out=gbuf)
         it += 1
 
 

@@ -576,6 +576,53 @@ class TestStackedRuns:
             train_cp_runs(task, 2, [(1e-2, 0), (0.0, 1)])
 
 
+def layouts(f):
+    """``f`` C-contiguous, Fortran-ordered and as every other row of a
+    larger array."""
+    wide = np.full((2 * f.shape[0], f.shape[1]), np.nan)
+    wide[::2] = f
+    return np.ascontiguousarray(f), np.asfortranarray(f), wide[::2]
+
+
+class TestOneLayout:
+    """CP computations see one memory layout: a model stores C-contiguous
+    factors, whatever layout its caller hands it, and a lone set of
+    factors runs as a stack of one."""
+
+    @pytest.mark.parametrize(
+        "dims, terms", [((3,), 3), ((3, 4), 3), ((3, 4, 5), 5), ((3, 4, 5, 2), 5), ((8, 8, 8), 8)], ids=str
+    )
+    def test_results_do_not_depend_on_the_factor_layout(self, dims, terms):
+        rng = np.random.default_rng(len(dims) * 10 + terms)
+        factors = [rng.normal(size=(terms, d)) for d in dims]
+        if len(dims) >= 3:
+            factors[0][0, :] = -0.0
+        task = sample_observations(rng.normal(size=dims), int(np.prod(dims)) // 2, seed=0)
+        outputs = []
+        for form in zip(*(layouts(f) for f in factors)):
+            model = CpModel(form)
+            assert all(f.flags.c_contiguous for f in model.factors)
+            composed = cp_compose(model)
+            lo, grads = cp_loss_and_grads(model, task)
+            outputs.append((composed.tobytes(), lo, [g.tobytes() for g in grads], estimate_rank(composed)))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("dims", ORACLE_DIMS, ids=str)
+    @pytest.mark.parametrize("terms", [1, 3, 5])
+    def test_stack_gives_each_member_its_lone_gradients(self, dims, terms):
+        model, task = oracle_case(dims, terms)
+        models = [model, random_model(7, dims, terms), random_model(8, dims, terms)]
+        stack = [np.stack(fs) for fs in zip(*(m.factors for m in models))]
+        grads = [np.empty_like(f) for f in stack]
+        los = tenfac._loss_and_grads(stack, task, grads)
+        assert len(los) == 3
+        for i, model in enumerate(models):
+            lo, lone = cp_loss_and_grads(model, task)
+            assert same_bits(los[i], lo)
+            assert all(same_bits(g[i], ref) for g, ref in zip(grads, lone))
+
+
 class TestOrderOne:
     """A one-mode CP model is a sum of R vectors."""
 
