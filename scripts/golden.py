@@ -9,8 +9,8 @@ Regenerates, in a temporary directory, in a few seconds:
   the perturbed 2x2 task at depth 2) with their loss-vs-entry SVG, at
   seeds 0-2;
 - the quick outputs of scripts/reproduce_entry_vs_loss.py;
-- an 8x8x8 rank-2 tensor sweep CSV (400 observations, three seeds) at
-  seeds 0-2;
+- an 8x8x8 rank-2 tensor sweep CSV (400 observations, three seeds) and
+  its sweep SVG at seeds 0-2;
 - stacked CP runs on unequal dims at seeds 0-2, one JSON per seed: four
   runs of 4 terms on a (3, 4, 5) task and four of 5 terms on a
   (2, 3, 4, 2) task, whose members stop at different iterations, each
@@ -204,7 +204,8 @@ def _tenfac_sweep(seed: int, out_dir: Path, seeds: tuple[int, ...]) -> Path:
 
 
 def _tenfac(seed: int, out_dir: Path) -> list[Path]:
-    return [_tenfac_sweep(seed, out_dir, (seed, seed + 1, seed + 2))]
+    csv_path = _tenfac_sweep(seed, out_dir, (seed, seed + 1, seed + 2))
+    return [csv_path, svgplot.emit_plot([csv_path], "sweep", out_dir / "sweep.svg", title="tensor sweep")]
 
 
 # (dims, terms) of the stacked CP runs; TestStackedRuns' unequal-dims stacks
