@@ -3,8 +3,9 @@
 
 Regenerates, in a temporary directory, in a few seconds:
 
-- the 17 cells of the depth-2/3/4 entry-vs-loss grids on the 2x2 base
-  task, capped at 2,500 steps, log stride 500, at seeds 0-2;
+- the 17 cells of the depth-2/3/4 entry-vs-loss presets
+  (configs/matfac_entry_vs_loss_depth{2,3,4}.json: 2x2 base task, log
+  stride 500) capped at 2,500 steps, at seeds 0-2;
 - two cells logged at every step (3x4 extended task at depth 3, and
   the perturbed 2x2 task at depth 2) with their loss-vs-entry SVG, at
   seeds 0-2;
@@ -49,6 +50,7 @@ under other versions.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import platform
@@ -68,13 +70,6 @@ from implreg import harness, matfac, svgplot, tenfac  # noqa: E402
 MANIFEST = ROOT / "golden" / "manifest.json"
 SEEDS = (0, 1, 2)
 
-# (learning rates, init scales) paired per depth, as in
-# configs/matfac_entry_vs_loss_depth{2,3,4}.json
-GRIDS = {
-    2: ((0.06, 0.03, 0.009, 0.006, 0.003, 0.0009), (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)),
-    3: ((0.06, 0.03, 0.009, 0.006, 0.003, 0.0009), (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)),
-    4: ((0.006, 0.0045, 0.003, 0.0015, 0.001), (0.1, 1e-2, 1e-3, 1e-4, 1e-5)),
-}
 STEP_PATTERNS = ((1, 2, 3), (0, 2, 3))
 DETSIGN_CELLS = ((2, 2), (3, 2), (3, 3))  # (depth, dim)
 # a float assignment of the generated step: product and gradient terms,
@@ -84,21 +79,9 @@ _STEP_LINE = re.compile(r"\s*(t\d+|r\d+|lo|w\d+_\d+) = ")
 
 def _grid(seed: int, out_dir: Path) -> list[Path]:
     paths = []
-    for depth, (rates, alphas) in GRIDS.items():
-        sweep = harness.MatfacSweepConfig(
-            task=harness.TaskSpec(kind="base"),
-            depths=(depth,),
-            learning_rates=rates,
-            alphas=alphas,
-            pair_lr_alpha=True,
-            init_kind="balanced",
-            det_sign=1,
-            loss_threshold=1e-4,
-            max_iters=2_500,
-            log_stride=500,
-            seeds=(seed,),
-            out_dir=str(out_dir),
-        )
+    for depth in (2, 3, 4):
+        preset = harness.load_config(ROOT / "configs" / f"matfac_entry_vs_loss_depth{depth}.json")
+        sweep = dataclasses.replace(preset, max_iters=2_500, seeds=(seed,), out_dir=str(out_dir))
         paths += [Path(rec.csv_path) for rec in harness.run_matfac_sweep(sweep)]
     return paths
 

@@ -394,7 +394,11 @@ def run_matfac(cfg: MatfacRunConfig) -> RunRecord:
     """Execute one training run and persist its trajectory CSV plus a
     JSON record.  Divergence is recorded in the summary and the partial
     trajectory kept."""
-    task, net, attempts, train_cfg = _prepare(cfg)
+    return _run_prepared((cfg, _prepare(cfg)))
+
+
+def _run_prepared(cell) -> RunRecord:  # cell: (config, _prepare(config))
+    cfg, (task, net, attempts, train_cfg) = cell
     t0 = time.monotonic()
     diverged = converged = False
     try:
@@ -433,13 +437,12 @@ def run_matfac(cfg: MatfacRunConfig) -> RunRecord:
 
 
 def run_matfac_sweep(cfg: MatfacSweepConfig, jobs: int = 1) -> list[RunRecord]:
-    """Run every cell of the grid.  Each cell is prepared once before the
-    first runs, so a bad value in any cell raises before anything is
-    written."""
-    runs = cfg.expand()
-    for run in runs:
-        _prepare(run)
-    return _map_jobs(run_matfac, runs, jobs)
+    """Run every cell of the grid as :func:`run_matfac` runs it.  Each
+    cell is prepared once, before the first runs, so a bad value in any
+    cell raises before anything is written; ``jobs`` worker processes
+    share out the prepared cells."""
+    cells = [(run, _prepare(run)) for run in cfg.expand()]
+    return _map_jobs(_run_prepared, cells, jobs)
 
 
 def _map_jobs(fn, items, jobs):

@@ -129,9 +129,11 @@ def singular_values(m) -> np.ndarray:
 def _sigmas(ws: np.ndarray) -> np.ndarray:
     """Values of each matrix in a validated (n, d, d') stack, one row each.
 
-    On 2x2s, the closed form of :func:`svd2x2_analytic` by column: the
-    same IEEE operations on every matrix at once, with ``math.hypot``
-    (numpy's hypot may round differently) over the columns as lists.
+    On 2x2s, the exact rotation-invariant closed form on every matrix at
+    once: with q = hypot(a+d, b-c) and r = hypot(a-d, b+c), the values
+    are (q+r)/2 and |q-r|/2, the quadratic formula on the Gram matrix's
+    eigenvalues, immune to cancellation.  ``math.hypot`` runs over the
+    columns as lists (numpy's hypot may round differently).
     """
     if ws.shape[1:] == (2, 2):
         a, b, c, d = ws.reshape(-1, 4).T
@@ -143,20 +145,12 @@ def _sigmas(ws: np.ndarray) -> np.ndarray:
 
 
 def svd2x2_analytic(m) -> tuple[float, float]:
-    """Closed-form singular values of a 2x2 matrix, largest first.
-
-    Uses the exact rotation-invariant form: with e = a+d, f = a-d,
-    g = b+c, h = b-c, the singular values are (|q|+|r|)/2 and
-    ||q|-|r||/2 for q = hypot(e, h), r = hypot(f, g): the quadratic
-    formula on the Gram matrix's eigenvalues, immune to cancellation.
-    """
+    """Closed-form singular values of a 2x2 matrix, largest first, as
+    Python floats: the form of :func:`singular_values` on a 2x2."""
     w = as_matrix(m)
     if w.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {w.shape}")
-    (a, b), (c, d) = w.tolist()
-    q = math.hypot(a + d, b - c)
-    r = math.hypot(a - d, b + c)
-    return 0.5 * (q + r), 0.5 * abs(q - r)
+    return tuple(_sigmas(w[None])[0].tolist())
 
 
 def schatten_norm(m, p: float) -> float:

@@ -741,24 +741,24 @@ def init_identity(dim: int, depth: int, alpha: float) -> DeepNet:
     return DeepNet(tuple(f.copy() for _ in range(depth)))
 
 
+RESAMPLE_ATTEMPTS = 100  # draws before resample_until_det_sign gives up
+
+
 def resample_until_det_sign(
     make_init: Callable[[np.random.Generator], DeepNet],
     target_sign: int,
     rng: np.random.Generator,
-    attempt_cap: int = 100,
 ) -> tuple[DeepNet, int]:
     """Redraw ``make_init`` until the product's leading-minor determinant
     has ``target_sign``; returns the net and the attempt count."""
     if target_sign not in (-1, 1):
         raise ValueError("target_sign must be +1 or -1")
-    if attempt_cap < 1:
-        raise ValueError("attempt_cap must be >= 1")
-    for attempt in range(1, attempt_cap + 1):
+    for attempt in range(1, RESAMPLE_ATTEMPTS + 1):
         net = make_init(rng)
         det = leading_minor_det(product_matrix(net))
         if det != 0.0 and math.copysign(1.0, det) == target_sign:
             return net, attempt
-    raise ResampleError(f"no draw matched determinant sign {target_sign:+d} in {attempt_cap} attempts")
+    raise ResampleError(f"no draw matched determinant sign {target_sign:+d} in {RESAMPLE_ATTEMPTS} attempts")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ __all__ = ["SchemaError", "emit_plot"]
 _WIDTH = 640
 _HEIGHT = 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 20, 34, 48
+_TICKS = 6  # ticks on a linear axis
 
 _SERIES_COLORS = ["#1f6fb2", "#c94f2a", "#3d8c4f", "#7b4fa6", "#b08a1e", "#3a3a3a"]
 
@@ -82,27 +83,26 @@ def _esc(s: str) -> str:
 
 
 class _Canvas:
-    def __init__(self, width=_WIDTH, height=_HEIGHT):
+    def __init__(self, width=_WIDTH):
         self.width = width
-        self.height = height
         self.parts: list[str] = []
 
-    def line(self, x1, y1, x2, y2, color="#444", width=1.0):
+    def line(self, x1, y1, x2, y2):
         self.parts.append(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-            f'stroke="{color}" stroke-width="{width}"/>'
+            'stroke="#444" stroke-width="1.0"/>'
         )
 
-    def polyline(self, pts, color, width=1.4, opacity=1.0):
+    def polyline(self, pts, color, width=1.4):
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
         self.parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="{width}" '
-            f'stroke-opacity="{opacity}" points="{coords}"/>'
+            f'stroke-opacity="1.0" points="{coords}"/>'
         )
 
-    def polygon(self, pts, color, opacity=0.18):
+    def polygon(self, pts, color):
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
-        self.parts.append(f'<polygon fill="{color}" fill-opacity="{opacity}" stroke="none" points="{coords}"/>')
+        self.parts.append(f'<polygon fill="{color}" fill-opacity="0.18" stroke="none" points="{coords}"/>')
 
     def circle(self, x, y, r, color):
         self.parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r:.2f}" fill="{color}"/>')
@@ -118,9 +118,9 @@ class _Canvas:
         body = "\n".join(self.parts)
         return (
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{self.width}" height="{self.height}" '
-            f'viewBox="0 0 {self.width} {self.height}">\n'
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>\n'
+            f'width="{self.width}" height="{_HEIGHT}" '
+            f'viewBox="0 0 {self.width} {_HEIGHT}">\n'
+            f'<rect width="{self.width}" height="{_HEIGHT}" fill="white"/>\n'
             f"{body}\n</svg>\n"
         )
 
@@ -167,22 +167,22 @@ class _Axes:
             canvas.line(px, self.y1, px, self.y1 + 4)
             canvas.text(px, self.y1 + 16, f"1e{k}", anchor="middle", size=10)
 
-    def xticks_linear(self, canvas: _Canvas, n=6):
-        for i in range(n):
-            v = self.xa + (self.xb - self.xa) * i / (n - 1)
+    def xticks_linear(self, canvas: _Canvas):
+        for i in range(_TICKS):
+            v = self.xa + (self.xb - self.xa) * i / (_TICKS - 1)
             px = self.x(v)
             canvas.line(px, self.y1, px, self.y1 + 4)
             canvas.text(px, self.y1 + 16, f"{v:g}" if abs(v) < 1e4 else f"{v:.1e}", anchor="middle", size=10)
 
-    def yticks(self, canvas: _Canvas, n=6):
+    def yticks(self, canvas: _Canvas):
         if self.ylog:
             for k in range(math.ceil(self.ya), math.floor(self.yb) + 1):
                 py = self.y(10.0**k)
                 canvas.line(self.x0 - 4, py, self.x0, py)
                 canvas.text(self.x0 - 7, py + 4, f"1e{k}", anchor="end", size=10)
         else:
-            for i in range(n):
-                v = self.ya + (self.yb - self.ya) * i / (n - 1)
+            for i in range(_TICKS):
+                v = self.ya + (self.yb - self.ya) * i / (_TICKS - 1)
                 py = self.y(v)
                 canvas.line(self.x0 - 4, py, self.x0, py)
                 canvas.text(self.x0 - 7, py + 4, f"{v:.3g}", anchor="end", size=10)
@@ -254,7 +254,7 @@ def _plot_sweep(csv_paths, out_path, title):
         rows.extend(dict(zip(header, r)) for r in rs)
     agg = [r for r in rows if r["row"] == "median_iqr"]
 
-    canvas = _Canvas(width=_WIDTH + 320, height=_HEIGHT)
+    canvas = _Canvas(width=_WIDTH + 320)
     mid = canvas.width // 2
     panels = []
     for (x0, x1, field, qlo, qhi, ylabel, ylog) in (

@@ -36,6 +36,23 @@ def csvs_at_jobs(tmp_path, monkeypatch, run, cfg, jobs):
     return {p.relative_to(where): p.read_bytes() for p in sorted(where.rglob("*.csv"))}
 
 
+def outputs_in(where, monkeypatch, run):
+    # the CSV bytes and JSON records (runtime left out) that ``run``
+    # writes under a fresh working directory
+    where.mkdir()
+    monkeypatch.chdir(where)
+    run()
+    out = {}
+    for p in sorted(where.rglob("*")):
+        if p.suffix == ".csv":
+            out[p.relative_to(where)] = p.read_bytes()
+        elif p.suffix == ".json":
+            doc = json.loads(p.read_text())
+            doc["summary"].pop("runtime_s")
+            out[p.relative_to(where)] = doc
+    return out
+
+
 def quick_run_config(out_dir, seed=3, task=None, **overrides):
     kw = dict(
         task=task or TaskSpec(kind="base"),
@@ -268,6 +285,32 @@ class TestRunMatfac:
         serial = csvs_at_jobs(tmp_path, monkeypatch, run_matfac_sweep, cfg, 1)
         assert len(serial) == 4
         assert csvs_at_jobs(tmp_path, monkeypatch, run_matfac_sweep, cfg, 2) == serial
+
+    def test_sweep_prepares_each_cell_once(self, tmp_path, monkeypatch):
+        # three auto-sign cells: each one's task, init draw and det-sign
+        # resampling are made once, and the sweep writes what separate
+        # run_matfac calls write (runtime aside)
+        cfg = MatfacSweepConfig(
+            depths=(2,),
+            learning_rates=(3e-2,),
+            alphas=(0.3,),
+            loss_threshold=1e-3,
+            max_iters=100_000,
+            log_stride=50,
+            seeds=(0, 1, 2),
+        )
+        prepared, prepare = [], harness._prepare
+
+        def counting(run):
+            prepared.append(run)
+            return prepare(run)
+
+        monkeypatch.setattr(harness, "_prepare", counting)
+        swept = outputs_in(tmp_path / "sweep", monkeypatch, lambda: run_matfac_sweep(cfg, jobs=1))
+        assert len(prepared) == 3
+        alone = outputs_in(tmp_path / "alone", monkeypatch, lambda: [run_matfac(run) for run in cfg.expand()])
+        assert len(swept) == 6
+        assert swept == alone
 
     def test_csv_round_trip_exact(self, tmp_path):
         rec = run_matfac(quick_run_config(tmp_path))

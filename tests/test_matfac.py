@@ -1173,8 +1173,17 @@ class TestResampleDetSign:
         assert abs(p - 0.5) <= 0.015
 
     def test_cap_exceeded_raises(self):
-        with pytest.raises(matfac.ResampleError):
-            resample_until_det_sign(lambda r: init_identity(2, 2, 0.5), -1, stream(3, 3), attempt_cap=5)
+        # identity factors never meet sign -1: every allowed draw is made
+        draws = []
+
+        def make(r):
+            draws.append(r)
+            return init_identity(2, 2, 0.5)
+
+        cap = matfac.RESAMPLE_ATTEMPTS
+        with pytest.raises(matfac.ResampleError, match=rf"^no draw matched determinant sign -1 in {cap} attempts$"):
+            resample_until_det_sign(make, -1, stream(3, 3))
+        assert len(draws) == cap
 
 
 class TestProductOde:
