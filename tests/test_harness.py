@@ -28,17 +28,14 @@ from implreg.rng import stream
 
 
 def csvs_at_jobs(tmp_path, monkeypatch, run, cfg, jobs):
-    # the same relative out_dir in a fresh directory keeps run ids equal
-    where = tmp_path / f"jobs{jobs}"
-    where.mkdir()
-    monkeypatch.chdir(where)
-    run(cfg, jobs=jobs)
-    return {p.relative_to(where): p.read_bytes() for p in sorted(where.rglob("*.csv"))}
+    out = outputs_in(tmp_path / f"jobs{jobs}", monkeypatch, lambda: run(cfg, jobs=jobs))
+    return {p: data for p, data in out.items() if p.suffix == ".csv"}
 
 
 def outputs_in(where, monkeypatch, run):
     # the CSV bytes and JSON records (runtime left out) that ``run``
-    # writes under a fresh working directory
+    # writes under a fresh working directory: the same relative out_dir
+    # there keeps run ids and paths equal
     where.mkdir()
     monkeypatch.chdir(where)
     run()
@@ -308,8 +305,8 @@ class TestRunMatfac:
         monkeypatch.setattr(harness, "_prepare", counting)
         swept = outputs_in(tmp_path / "sweep", monkeypatch, lambda: run_matfac_sweep(cfg, jobs=1))
         assert len(prepared) == 3
+        assert len(swept) == 6  # a CSV and a JSON record per cell
         alone = outputs_in(tmp_path / "alone", monkeypatch, lambda: [run_matfac(run) for run in cfg.expand()])
-        assert len(swept) == 6
         assert swept == alone
 
     def test_csv_round_trip_exact(self, tmp_path):
