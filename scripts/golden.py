@@ -5,11 +5,15 @@ Regenerates, in a temporary directory, in a few seconds:
 
 - the 17 cells of the depth-2/3/4 entry-vs-loss presets
   (configs/matfac_entry_vs_loss_depth{2,3,4}.json: 2x2 base task, log
-  stride 500) capped at 2,500 steps, at seeds 0-2;
+  stride 500) capped at 2,500 steps, at seeds 0-2, run through the
+  process pool as `implreg matfac --jobs 2` runs them: the manifest was
+  recorded serially, so these digests also check that the pool changes
+  no byte;
 - two cells logged at every step (3x4 extended task at depth 3, and
   the perturbed 2x2 task at depth 2) with their loss-vs-entry SVG, at
   seeds 0-2;
-- the quick outputs of scripts/reproduce_entry_vs_loss.py;
+- the quick outputs of scripts/reproduce_entry_vs_loss.py, which must
+  exit 0;
 - an 8x8x8 rank-2 tensor sweep CSV (400 observations, three seeds) and
   its sweep SVG at seeds 0-2;
 - stacked CP runs on unequal dims at seeds 0-2, one JSON per seed: four
@@ -82,7 +86,7 @@ def _grid(seed: int, out_dir: Path) -> list[Path]:
     for depth in (2, 3, 4):
         preset = harness.load_config(ROOT / "configs" / f"matfac_entry_vs_loss_depth{depth}.json")
         sweep = dataclasses.replace(preset, max_iters=2_500, seeds=(seed,), out_dir=str(out_dir))
-        paths += [Path(rec.csv_path) for rec in harness.run_matfac_sweep(sweep)]
+        paths += [Path(rec.csv_path) for rec in harness.run_matfac_sweep(sweep, jobs=2)]
     return paths
 
 

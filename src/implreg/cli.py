@@ -66,6 +66,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command in _OWNED:
+        if args.jobs < 1:
+            parser.error(f"--jobs must be >= 1, got {args.jobs}")
         try:
             cfg = harness.load_config(args.config)
         except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError

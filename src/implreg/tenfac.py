@@ -240,6 +240,8 @@ def train_cp_runs(
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
+    if mse_threshold < 0:
+        raise ValueError("mse_threshold must be non-negative")
     runs = list(runs)
     if not all(init_std > 0 for init_std, _ in runs):
         raise ValueError("init_std must be positive")
@@ -458,6 +460,8 @@ def estimate_rank(target, threshold: float = 1e-6, r_max: int | None = None) -> 
     can fit below it, so the result is the same as with the fits run at
     every count.
     """
+    if threshold < 0:
+        raise ValueError("threshold must be non-negative")
     t = as_tensor(target)
     if float(np.abs(t).max(initial=0.0)) == 0.0:
         return 0

@@ -66,6 +66,21 @@ def quick_run_config(out_dir, seed=3, task=None, **overrides):
     return MatfacRunConfig(**kw)
 
 
+def dense_sweep(task, depths, learning_rate, alpha, max_iters):
+    """A two-seed sweep of one rate and init scale, logged at every step
+    and run to its cap."""
+    return MatfacSweepConfig(
+        task=task,
+        depths=depths,
+        learning_rates=(learning_rate,),
+        alphas=(alpha,),
+        loss_threshold=0.0,
+        max_iters=max_iters,
+        log_stride=1,
+        seeds=(0, 1),
+    )
+
+
 def format_float(x: float) -> str:
     """write_csv's rendering of a float: 17 significant digits."""
     return f"{x:.17g}"
@@ -269,16 +284,39 @@ class TestRunMatfac:
         rec2 = run_matfac(cfg2)
         assert open(rec1.csv_path, "rb").read() == open(rec2.csv_path, "rb").read()
 
-    def test_sweep_csvs_independent_of_jobs(self, tmp_path, monkeypatch):
-        cfg = MatfacSweepConfig(
-            depths=(2, 3),
-            learning_rates=(3e-2,),
-            alphas=(0.3,),
-            loss_threshold=1e-3,
-            max_iters=100_000,
-            log_stride=50,
-            seeds=(0, 1),
-        )
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pytest.param(
+                MatfacSweepConfig(
+                    depths=(2, 3),
+                    learning_rates=(3e-2,),
+                    alphas=(0.3,),
+                    loss_threshold=1e-3,
+                    max_iters=100_000,
+                    log_stride=50,
+                    seeds=(0, 1),
+                ),
+                id="to-loss-1e-3",
+            ),
+            # logged at every step: the 2x2 base task; the 3x4 extended
+            # task and the 4x3 one, whose last factor starts with its extra
+            # row cleared; and the base task from a small init that sits
+            # near its saddle at a loss of about 1.0
+            pytest.param(dense_sweep(TaskSpec(kind="base"), (2, 3), 3e-2, 1e-3, 2_000), id="dense-base"),
+            pytest.param(
+                dense_sweep(TaskSpec(kind="extended", rows=3, cols=4), (2, 3), 3e-2, 1e-3, 2_000),
+                id="dense-extended3x4",
+            ),
+            pytest.param(
+                dense_sweep(TaskSpec(kind="extended", rows=4, cols=3), (2, 3), 3e-2, 1e-3, 2_000),
+                id="dense-extended4x3",
+            ),
+            pytest.param(dense_sweep(TaskSpec(kind="base"), (3, 4), 9e-4, 1e-7, 2_500), id="dense-saddle"),
+        ],
+    )
+    def test_sweep_csvs_independent_of_jobs(self, tmp_path, monkeypatch, cfg):
+        # the preset grid under the pool is golden.py's grid group
         serial = csvs_at_jobs(tmp_path, monkeypatch, run_matfac_sweep, cfg, 1)
         assert len(serial) == 4
         assert csvs_at_jobs(tmp_path, monkeypatch, run_matfac_sweep, cfg, 2) == serial
@@ -596,6 +634,32 @@ class TestTenfacSweep:
         assert len(serial) == 1
         assert csvs_at_jobs(tmp_path, monkeypatch, run_tenfac_sweep, cfg, 2) == serial
 
+    @pytest.mark.parametrize(
+        "dims, n_obs, max_iters",
+        [((8, 8, 8), 400, 1_000_000), ((2, 3, 4, 2), 36, 20_000)],
+        ids=["order3", "order4"],
+    )
+    def test_cell_row_independent_of_its_batch(self, tmp_path, dims, n_obs, max_iters):
+        # seed 1 trained in a stack of three and alone: its cell row has the
+        # same bytes, so the stacked gradient gives a member the bits it
+        # gets alone (test_csv_independent_of_jobs keeps the groups the same
+        # under the pool)
+        def seed1_row(seeds, out_dir):
+            cfg = TenfacSweepConfig(
+                dims=dims,
+                gt_rank=2,
+                n_obs=(n_obs,),
+                init_stds=(1e-2,),
+                seeds=seeds,
+                max_iters=max_iters,
+                out_dir=str(out_dir),
+            )
+            lines = run_tenfac_sweep(cfg).read_text().splitlines()
+            (row,) = [line for line in lines if line.startswith(f"cell,tf,{n_obs},0.01,1,")]
+            return row
+
+        assert seed1_row((0, 1, 2), tmp_path / "batch") == seed1_row((1,), tmp_path / "alone")
+
     def test_truth_and_observations_drawn_once(self, tmp_path, monkeypatch):
         from implreg import tenfac
 
@@ -882,6 +946,9 @@ class TestCli:
             (["matfac"], {"learning_rate": 0.0}, None, "learning_rate must be positive"),
             (["tenfac"], {"n_obs": [0]}, None, "n_obs must lie in [1, 8]"),
             (["tenfac"], {"n_obs": [9]}, None, "n_obs must lie in [1, 8]"),
+            (["tenfac"], {"mse_threshold": -1}, None, "mse_threshold must be non-negative"),
+            (["matfac", "--jobs", "0"], {}, None, "--jobs must be >= 1, got 0"),
+            (["tenfac", "--jobs", "-1"], {}, None, "--jobs must be >= 1, got -1"),
             (["matfac"], {}, "abc", "IMPLREG_SEED must be an integer"),
             (["tenfac"], {}, "abc", "IMPLREG_SEED must be an integer"),
             (["detsign", "--samples", "1000"], None, "abc", "IMPLREG_SEED must be an integer"),
@@ -913,6 +980,9 @@ class TestCli:
             "matfac-learning-rate-0",
             "tenfac-n-obs-0",
             "tenfac-n-obs-size",
+            "tenfac-mse-threshold-negative",
+            "matfac-jobs-0",
+            "tenfac-jobs-negative",
             "matfac-env-seed-not-int",
             "tenfac-env-seed-not-int",
             "detsign-env-seed-not-int",

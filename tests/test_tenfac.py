@@ -574,6 +574,10 @@ class TestStackedRuns:
             train_cp_runs(task, 0, [(1e-2, 0)])
         with pytest.raises(ValueError, match="init_std"):
             train_cp_runs(task, 2, [(1e-2, 0), (0.0, 1)])
+        # no run can get below a negative threshold, so it is refused, not
+        # run to max_iters
+        with pytest.raises(ValueError, match="mse_threshold must be non-negative"):
+            train_cp_runs(task, 2, [(1e-2, 0)], mse_threshold=-1.0)
 
 
 def layouts(f):
@@ -745,6 +749,15 @@ class TestEstimateRank:
     def test_sentinel_when_out_of_range(self):
         truth = gen_ground_truth((4, 4), 3, seed=10)
         assert estimate_rank(truth, r_max=2) == 3  # r_max + 1 sentinel
+
+    def test_negative_threshold_refused(self):
+        # no fit gets below it: the search would end in the r_max + 1
+        # sentinel whatever the tensor's rank
+        truth = gen_ground_truth((3, 3), 1, seed=10)
+        with pytest.raises(ValueError, match="threshold must be non-negative"):
+            estimate_rank(truth, threshold=-1.0)
+        with pytest.raises(ValueError, match="threshold must be non-negative"):
+            estimate_rank(np.zeros((3, 3)), threshold=-1.0)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from([(3, 4), (3, 3, 3), (2, 3, 4), (2, 2, 2, 3)]))
