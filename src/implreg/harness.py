@@ -350,14 +350,13 @@ def _free_entry_column(ij: tuple[int, int]) -> str:
     return "w11" if ij == (0, 0) else f"unobs_{ij[0] + 1}_{ij[1] + 1}"
 
 
-def trajectory_rows(trajectory: matfac.Trajectory, task_spec: TaskSpec):
+def trajectory_rows(t: matfac.Trajectory, task_spec: TaskSpec):
     """The CSV rows of a trajectory (norm bounds use the nuclear spec's
     constants).  Each unobserved entry of the task gets a column after
     loss: ``w11`` for the (1,1) corner, ``unobs_i_j`` (1-based) for any
     other.  The rows are tuples zipped from the trajectory's columns; an
-    empty trajectory (or list) gives the header alone."""
+    empty trajectory gives the header alone."""
     free = task_spec.build().unobserved_indices()
-    t = trajectory or matfac.Trajectory()
     bound_names, bounds = _bounds_for(task_spec, t.losses)
     header = MATFAC_BASE_COLUMNS[:2] + [_free_entry_column(ij) for ij in free] + MATFAC_BASE_COLUMNS[3:] + bound_names
     if not t:
@@ -368,7 +367,7 @@ def trajectory_rows(trajectory: matfac.Trajectory, task_spec: TaskSpec):
         *(t.unobserved[ij] for ij in free),
         t.dets,
         t.sigmas[0],
-        t.sigmas[1] if len(t.sigmas) > 1 else (0.0,) * len(t),
+        t.sigmas[1],
         *(t.metrics[k] for k in MATFAC_BASE_COLUMNS[6:11]),  # erank .. schatten_half
         t.unbalancedness,
         *bounds,
@@ -442,6 +441,8 @@ def run_matfac_sweep(cfg: MatfacSweepConfig, jobs: int = 1) -> list[RunRecord]:
     cell raises before anything is written; ``jobs`` worker processes
     share out the prepared cells."""
     cells = [(run, _prepare(run)) for run in cfg.expand()]
+    if not cells:
+        raise ValueError("the sweep grid is empty")
     return _map_jobs(_run_prepared, cells, jobs)
 
 
@@ -552,6 +553,9 @@ def run_tenfac_sweep(cfg: TenfacSweepConfig, jobs: int = 1) -> Path:
     (:func:`tenfac.train_cp_runs`), bitwise equal to separate runs;
     ``jobs`` worker processes share out the groups.
     """
+    for name in ("n_obs", "init_stds", "seeds"):
+        if not getattr(cfg, name):
+            raise ValueError(f"{name} must not be empty")
     truth = tenfac.gen_ground_truth(cfg.dims, cfg.gt_rank, cfg.gt_seed)
     tasks = {n: tenfac.sample_observations(truth, n, cfg.obs_seed) for n in cfg.n_obs}
     groups = [(n, std) for n in cfg.n_obs for std in cfg.init_stds]

@@ -38,7 +38,6 @@ __all__ = [
     "CompletionTask",
     "DeepNet",
     "TrainConfig",
-    "TrajectorySample",
     "Trajectory",
     "TrainResult",
     "DivergenceError",
@@ -70,14 +69,14 @@ ENTRY_BLOWUP_LIMIT = 1e12
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or an entry beyond 1e12.
 
-    Carries the last finite logged sample plus the partial trajectory so
-    callers can persist what was computed before the blow-up, and the
-    net at the blow-up, or None when a factor entry is not finite.
+    Carries the partial trajectory, which ends at the last finite logged
+    sample, so callers can persist what was computed before the
+    blow-up, and the net at the blow-up, or None when a factor entry is
+    not finite.
     """
 
-    def __init__(self, message, last_sample, trajectory, net):
+    def __init__(self, message, trajectory, net):
         super().__init__(message)
-        self.last_sample = last_sample
         self.trajectory = trajectory
         self.net = net
 
@@ -159,33 +158,17 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.loss_threshold < 0:
+        if not self.loss_threshold >= 0:
             raise ValueError("loss_threshold must be non-negative")
         if self.log_stride < 1:
             raise ValueError("log_stride must be >= 1")
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    """Per-logged-iteration snapshot of a training run."""
-
-    iteration: int
-    loss: float
-    unobserved: dict[tuple[int, int], float]
-    sigmas: tuple[float, ...]
-    det: float
-    unbalancedness: float
-    metrics: dict[str, float]
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory(Sequence):
+class Trajectory:
     """The logged samples of a run, held as columns: entry k of every
     column belongs to sample k, and ``sigmas`` holds one column per
-    singular value.  Indexing or iterating builds the
-    :class:`TrajectorySample` objects; a slice is a list of them, and a
-    trajectory equals another or a list when their samples are equal.
-    ``Trajectory()`` is the empty trajectory."""
+    singular value.  ``Trajectory()`` is the empty trajectory."""
 
     iterations: tuple[int, ...] = ()
     losses: tuple[float, ...] = ()
@@ -197,30 +180,6 @@ class Trajectory(Sequence):
 
     def __len__(self) -> int:
         return len(self.iterations)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self._sample(i) for i in range(*k.indices(len(self)))]
-        return self._sample(range(len(self))[k])
-
-    def __iter__(self):
-        return map(self._sample, range(len(self)))
-
-    def __eq__(self, other):
-        if isinstance(other, (Trajectory, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def _sample(self, k: int) -> TrajectorySample:
-        return TrajectorySample(
-            iteration=self.iterations[k],
-            loss=self.losses[k],
-            unobserved={ij: col[k] for ij, col in self.unobserved.items()},
-            sigmas=tuple(col[k] for col in self.sigmas),
-            det=self.dets[k],
-            unbalancedness=self.unbalancedness[k],
-            metrics={name: col[k] for name, col in self.metrics.items()},
-        )
 
 
 @dataclass(frozen=True)
@@ -655,8 +614,7 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
         snapshots.append((it, lo, kernel.snapshot()))
     trajectory = _samples(snapshots, task, layout)
     if diverged:
-        last = trajectory[-1] if trajectory else None
-        raise DivergenceError(f"training diverged at iteration {it}", last, trajectory, _net(kernel.snapshot(), layout))
+        raise DivergenceError(f"training diverged at iteration {it}", trajectory, _net(kernel.snapshot(), layout))
     return TrainResult(net=_net(snapshots[-1][2], layout), trajectory=trajectory, iterations=it, converged=converged)
 
 

@@ -240,7 +240,7 @@ def train_cp_runs(
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    if mse_threshold < 0:
+    if not mse_threshold >= 0:
         raise ValueError("mse_threshold must be non-negative")
     runs = list(runs)
     if not all(init_std > 0 for init_std, _ in runs):
@@ -294,12 +294,7 @@ def train_cp_runs(
                 # train_cp's order: divergence, log, then stop
                 trajectory = trajectories[run]
                 if diverging and (not math.isfinite(lo) or peaks[i] > ENTRY_BLOWUP_LIMIT):
-                    stopped[i] = DivergenceError(
-                        f"CP training diverged at iteration {it}",
-                        trajectory[-1] if trajectory else None,
-                        trajectory,
-                        None,
-                    )
+                    stopped[i] = DivergenceError(f"CP training diverged at iteration {it}", trajectory, None)
                     continue
                 mse = 2.0 * lo / n_obs
                 if it % CP_LOG_STRIDE == 0:
@@ -460,7 +455,7 @@ def estimate_rank(target, threshold: float = 1e-6, r_max: int | None = None) -> 
     can fit below it, so the result is the same as with the fits run at
     every count.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be non-negative")
     t = as_tensor(target)
     if float(np.abs(t).max(initial=0.0)) == 0.0:

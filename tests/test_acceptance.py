@@ -93,7 +93,7 @@ def perturbed_runs():
 
 def test_criterion_01_identity_convergence(identity_run):
     result, elapsed = identity_run
-    final_loss = result.trajectory[-1].loss
+    final_loss = result.trajectory.losses[-1]
     ok = result.converged and final_loss < 1e-4
     report(
         1,
@@ -112,27 +112,28 @@ def test_criterion_01_endpoint_is_pinned(identity_run):
     """Criterion 1 fails by design, so its failure alone cannot tell an
     unchanged run from one whose numbers drifted: pin where it ends."""
     result, _ = identity_run
-    final = result.trajectory[-1]
+    t = result.trajectory
     assert result.iterations == 5_000_000
     assert result.converged is False
-    assert final.loss == pytest.approx(5.22213471067067e-4, rel=1e-12)
-    assert final.unobserved[(0, 0)] == pytest.approx(30.91059595102826, rel=1e-12)
+    assert t.losses[-1] == pytest.approx(5.22213471067067e-4, rel=1e-12)
+    assert t.unobserved[(0, 0)][-1] == pytest.approx(30.91059595102826, rel=1e-12)
 
 
 def test_criterion_02_norm_blowup(identity_run):
     result, _ = identity_run
+    t = result.trajectory
     worst = -math.inf
-    for s in result.trajectory:
-        if s.loss >= 0.5:
+    for k, loss in enumerate(t.losses):
+        if loss >= 0.5:
             continue
         for key, spec in NORM_SPECS.items():
-            bound = metrics.base_task_bounds(s.loss, spec)[0]
-            worst = max(worst, bound - s.metrics[key])
+            bound = metrics.base_task_bounds(loss, spec)[0]
+            worst = max(worst, bound - t.metrics[key][k])
     bounds_ok = worst <= SLACK
-    at_target = [s for s in result.trajectory if s.loss <= 1e-4]
-    nuclear_ok = bool(at_target) and at_target[0].metrics["nuclear_norm"] > 60.0
+    at_target = [nuclear for loss, nuclear in zip(t.losses, t.metrics["nuclear_norm"]) if loss <= 1e-4]
+    nuclear_ok = bool(at_target) and at_target[0] > 60.0
     nuclear_detail = (
-        f"nuclear at first loss<=1e-4 sample: {at_target[0].metrics['nuclear_norm']:.1f}"
+        f"nuclear at first loss<=1e-4 sample: {at_target[0]:.1f}"
         if at_target
         else "run never reached loss 1e-4 (criterion 1 defect)"
     )
@@ -149,18 +150,18 @@ def test_criterion_02_norm_blowup(identity_run):
 
 def test_criterion_03_rank_collapse(identity_run):
     result, _ = identity_run
-    tail = [s for s in result.trajectory if s.loss < 1.0 / 32.0]
-    eranks = [s.metrics["erank"] for s in tail]
+    t = result.trajectory
+    eranks = [erank for loss, erank in zip(t.losses, t.metrics["erank"]) if loss < 1.0 / 32.0]
     monotone = all(b <= a + 1e-9 for a, b in zip(eranks, eranks[1:]))
     erank_excess = max(
-        s.metrics["erank"] - metrics.base_task_bounds(s.loss, NUCLEAR)[1]
-        for s in result.trajectory
+        erank - metrics.base_task_bounds(loss, NUCLEAR)[1]
+        for loss, erank in zip(t.losses, t.metrics["erank"])
     )
     dist_excess = max(
-        s.sigmas[1] - metrics.base_task_bounds(s.loss, NUCLEAR)[2]
-        for s in result.trajectory
+        sigma2 - metrics.base_task_bounds(loss, NUCLEAR)[2]
+        for loss, sigma2 in zip(t.losses, t.sigmas[1])
     )
-    final_erank = result.trajectory[-1].metrics["erank"]
+    final_erank = t.metrics["erank"][-1]
     ok = monotone and erank_excess <= 0 and dist_excess <= 0 and final_erank < 1.05
     report(
         3,
@@ -199,7 +200,7 @@ def test_criterion_05_unbalancedness_conservation():
         start = unbalancedness_magnitude(net)
         cfg = TrainConfig(learning_rate=lr, max_iters=100_000, loss_threshold=0.0, log_stride=500)
         result = gd_train(net, BASE, cfg)
-        drifts.append(max(abs(s.unbalancedness - start) for s in result.trajectory))
+        drifts.append(max(abs(u - start) for u in result.trajectory.unbalancedness))
     ratio = drifts[0] / drifts[1]
     ok = drifts[0] < 1e-3 and ratio >= 1.8
     report(
@@ -295,14 +296,15 @@ def test_criterion_08_balancing_construction():
 def test_criterion_09_perturbation_robustness(perturbed_runs):
     worst = -math.inf
     for eps, result in perturbed_runs.items():
-        for s in result.trajectory:
+        t = result.trajectory
+        for k, loss in enumerate(t.losses):
             for key, spec in NORM_SPECS.items():
-                nb, eub, dub = metrics.perturbed_task_bounds(s.loss, 1.0, 1.0, eps, spec)
-                worst = max(worst, nb - s.metrics[key])
-            worst = max(worst, s.metrics["erank"] - eub)
-            worst = max(worst, s.sigmas[1] - dub)
+                nb, eub, dub = metrics.perturbed_task_bounds(loss, 1.0, 1.0, eps, spec)
+                worst = max(worst, nb - t.metrics[key][k])
+            worst = max(worst, t.metrics["erank"][k] - eub)
+            worst = max(worst, t.sigmas[1][k] - dub)
     bounds_ok = worst <= SLACK
-    terminal = {eps: abs(r.trajectory[-1].unobserved[(0, 0)]) for eps, r in perturbed_runs.items()}
+    terminal = {eps: abs(r.trajectory.unobserved[(0, 0)][-1]) for eps, r in perturbed_runs.items()}
     ordered = terminal[0.0] > terminal[0.1] > terminal[0.5]
     ok = bounds_ok and ordered
     report(
@@ -435,10 +437,10 @@ def test_criterion_12_extended_dimensions():
         cfg = TrainConfig(learning_rate=3e-2, max_iters=3_000_000, loss_threshold=1e-4, log_stride=500)
         result = gd_train(net, task, cfg)
         first = {}
-        for s in result.trajectory:
+        for loss, w11 in zip(result.trajectory.losses, result.trajectory.unobserved[(0, 0)]):
             for dec in (1e-1, 1e-3):
-                if s.loss <= dec and dec not in first:
-                    first[dec] = abs(s.unobserved[(0, 0)])
+                if loss <= dec and dec not in first:
+                    first[dec] = abs(w11)
         firsts[shape] = first
     ok = all(f[1e-3] > f[1e-1] for f in firsts.values())
     report(

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from implreg import harness, matfac, metrics, svgplot
+from implreg import harness, matfac, metrics, svgplot, tenfac
 from implreg.harness import (
     InitSpec,
     MatfacRunConfig,
@@ -428,31 +428,6 @@ class TestRunMatfac:
         ]
         assert base.summary["final_w11"] == float(read_csv(base.csv_path)[-1]["w11"])
 
-    @pytest.mark.parametrize(
-        "task, depth",
-        [(TaskSpec(kind="perturbed", z=1.0, z_prime=1.0, eps=0.01), 2), (TaskSpec(kind="extended", rows=3, cols=4), 3)],
-        ids=["perturbed2x2-d2", "extended3x4-d3"],
-    )
-    def test_dense_log_builds_no_sample_objects(self, tmp_path, monkeypatch, task, depth):
-        # the CSV and the summary read the trajectory's columns: a run
-        # logged at every step constructs no TrajectorySample
-        built, sample = [], matfac.TrajectorySample
-
-        def counting(*args, **kwargs):
-            built.append(1)
-            return sample(*args, **kwargs)
-
-        monkeypatch.setattr(matfac, "TrajectorySample", counting)
-        init = InitSpec(kind="balanced", alpha=1e-3, det_sign=None)
-        cfg = quick_run_config(tmp_path, task=task, depth=depth, init=init, loss_threshold=0.0, max_iters=300, log_stride=1)
-        rec = run_matfac(cfg)
-        assert len(read_csv(rec.csv_path)) == 301 and rec.summary["iterations"] == 300
-        assert built == []
-        # the counter sees the samples a caller asks for
-        built_task, net, _, train_cfg = harness._prepare(cfg)
-        assert matfac.gd_train(net, built_task, train_cfg).trajectory[-1].iteration == 300
-        assert len(built) == 1
-
     def test_divergent_run_keeps_partial_csv(self, tmp_path):
         cfg = quick_run_config(
             tmp_path,
@@ -487,26 +462,26 @@ class TestRunMatfac:
         assert rec.summary["diverged"] is True
         assert rec.summary["iterations"] == 0
         assert math.isnan(rec.summary["final_loss"])
-        header, _ = harness.trajectory_rows([], task)
+        header, _ = harness.trajectory_rows(matfac.Trajectory(), task)
         assert open(rec.csv_path).read().splitlines() == [",".join(header)]
 
 
-def old_trajectory_rows(samples, task_spec):
+def old_trajectory_rows(t, task_spec):
     # one row per sample with scalar bound evaluations, as rows were once built
     free = task_spec.build().unobserved_indices()
     nuclear = metrics.QuasiNormSpec(1.0)
     rows = []
-    for s in samples:
+    for k, lo in enumerate(t.losses):
         if task_spec.kind == "perturbed":
-            b = metrics.perturbed_task_bounds(s.loss, task_spec.z, task_spec.z_prime, task_spec.eps, nuclear)
+            b = metrics.perturbed_task_bounds(lo, task_spec.z, task_spec.z_prime, task_spec.eps, nuclear)
         else:
-            b = metrics.base_task_bounds(s.loss, nuclear)
+            b = metrics.base_task_bounds(lo, nuclear)
         rows.append(
-            [s.iteration, s.loss]
-            + [s.unobserved[ij] for ij in free]
-            + [s.det, s.sigmas[0], s.sigmas[1] if len(s.sigmas) > 1 else 0.0]
-            + [s.metrics[k] for k in ("erank", "nuclear_norm", "frob_norm", "spectral_norm", "schatten_half")]
-            + [s.unbalancedness, *b]
+            [t.iterations[k], lo]
+            + [t.unobserved[ij][k] for ij in free]
+            + [t.dets[k], t.sigmas[0][k], t.sigmas[1][k]]
+            + [t.metrics[name][k] for name in ("erank", "nuclear_norm", "frob_norm", "spectral_norm", "schatten_half")]
+            + [t.unbalancedness[k], *b]
         )
     return rows
 
@@ -530,11 +505,11 @@ class TestTrajectoryRows:
     def test_columns_equal_per_row_oracle(self, task, depth):
         net, _ = InitSpec(kind="balanced", alpha=1e-2, det_sign=None).build(task.build(), depth, stream(4, 1))
         cfg = matfac.TrainConfig(learning_rate=0.03, max_iters=600, loss_threshold=0.0, log_stride=3)
-        samples = matfac.gd_train(net, task.build(), cfg).trajectory
-        header, rows = trajectory_rows(samples, task)
-        assert len(rows) == len(samples) > 200
+        t = matfac.gd_train(net, task.build(), cfg).trajectory
+        header, rows = trajectory_rows(t, task)
+        assert len(rows) == len(t) > 200
         assert all(len(r) == len(header) for r in rows)
-        assert typed_bits(rows) == typed_bits(old_trajectory_rows(samples, task))
+        assert typed_bits(rows) == typed_bits(old_trajectory_rows(t, task))
         if task.unobserved == (1, 2):  # w11 is observed: the free entry's own column, and no w11
             assert header[2:4] == ["unobs_1_2", "det"] and "w11" not in header
 
@@ -585,6 +560,17 @@ class TestTenfacSweep:
         agg = [r for r in read_csv(path) if r["row"] == "median_iqr"]
         assert len(agg) == 1
         assert float(agg[0]["est_rank"]) == 1.0
+
+    @pytest.mark.parametrize("field", ["n_obs", "init_stds", "seeds"])
+    def test_empty_list_refused_before_the_ground_truth(self, tmp_path, monkeypatch, field):
+        def untouched(*args):
+            raise AssertionError("gen_ground_truth ran")
+
+        monkeypatch.setattr(tenfac, "gen_ground_truth", untouched)
+        cfg = replace(TenfacSweepConfig(out_dir=str(tmp_path / "out")), **{field: ()})
+        with pytest.raises(ValueError, match=f"{field} must not be empty"):
+            run_tenfac_sweep(cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_small_sweep_csv_shape(self, tmp_path):
         cfg = TenfacSweepConfig(
@@ -661,8 +647,6 @@ class TestTenfacSweep:
         assert seed1_row((0, 1, 2), tmp_path / "batch") == seed1_row((1,), tmp_path / "alone")
 
     def test_truth_and_observations_drawn_once(self, tmp_path, monkeypatch):
-        from implreg import tenfac
-
         calls = {"gen_ground_truth": 0, "sample_observations": 0}
 
         def counted(name):
@@ -683,8 +667,6 @@ class TestTenfacSweep:
         assert calls == {"gen_ground_truth": 1, "sample_observations": 2}
 
     def test_baseline_error_closed_form(self, tmp_path):
-        from implreg import tenfac
-
         cfg = TenfacSweepConfig(
             dims=(4, 4), gt_rank=1, n_obs=(5,), init_stds=(1e-3,), seeds=(0,), out_dir=str(tmp_path)
         )
@@ -947,6 +929,10 @@ class TestCli:
             (["tenfac"], {"n_obs": [0]}, None, "n_obs must lie in [1, 8]"),
             (["tenfac"], {"n_obs": [9]}, None, "n_obs must lie in [1, 8]"),
             (["tenfac"], {"mse_threshold": -1}, None, "mse_threshold must be non-negative"),
+            (["tenfac"], {"mse_threshold": math.nan}, None, "mse_threshold must be non-negative"),
+            (["matfac"], {"loss_threshold": math.nan}, None, "loss_threshold must be non-negative"),
+            (["matfac"], {**_CLI_SWEEP_DOC, "depths": []}, None, "the sweep grid is empty"),
+            (["tenfac"], {"init_stds": []}, None, "init_stds must not be empty"),
             (["matfac", "--jobs", "0"], {}, None, "--jobs must be >= 1, got 0"),
             (["tenfac", "--jobs", "-1"], {}, None, "--jobs must be >= 1, got -1"),
             (["matfac"], {}, "abc", "IMPLREG_SEED must be an integer"),
@@ -981,6 +967,10 @@ class TestCli:
             "tenfac-n-obs-0",
             "tenfac-n-obs-size",
             "tenfac-mse-threshold-negative",
+            "tenfac-mse-threshold-nan",
+            "matfac-loss-threshold-nan",
+            "matfac-sweep-depths-empty",
+            "tenfac-init-stds-empty",
             "matfac-jobs-0",
             "tenfac-jobs-negative",
             "matfac-env-seed-not-int",

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -200,13 +201,19 @@ class TestFactorGradients:
 
 
 class TestGdTrain:
+    @pytest.mark.parametrize("threshold", [-1e-4, math.nan], ids=["negative", "nan"])
+    def test_config_refuses_threshold_below_0_or_nan(self, threshold):
+        # no loss is below either, so a run would go on to its cap
+        with pytest.raises(ValueError, match="loss_threshold must be non-negative"):
+            TrainConfig(learning_rate=1e-2, max_iters=10, loss_threshold=threshold)
+
     def test_start_in_solution_set(self):
         net = DeepNet((np.array([[2.0, 1.0], [1.0, 0.0]]), np.eye(2)))
         cfg = TrainConfig(learning_rate=1e-2, max_iters=100, loss_threshold=1e-12, log_stride=10)
         result = gd_train(net, BASE, cfg)
         assert result.iterations == 0
         assert result.converged
-        assert result.trajectory[-1].loss == 0.0
+        assert result.trajectory.losses[-1] == 0.0
         assert np.array_equal(result.net.factors[0], net.factors[0])
 
     def test_depth2_identity_converges_and_entry_grows(self):
@@ -223,9 +230,9 @@ class TestGdTrain:
         cfg = TrainConfig(learning_rate=6e-2, max_iters=200_000, loss_threshold=1e-3, log_stride=500)
         result = gd_train(net, BASE, cfg)
         assert result.converged
-        assert result.trajectory[-1].loss < 1e-3
-        tail = [s for s in result.trajectory if s.loss < 0.5]
-        w11s = [abs(s.unobserved[(0, 0)]) for s in tail]
+        t = result.trajectory
+        assert t.losses[-1] < 1e-3
+        w11s = [abs(w11) for lo, w11 in zip(t.losses, t.unobserved[(0, 0)]) if lo < 0.5]
         assert all(b >= a - 1e-12 for a, b in zip(w11s, w11s[1:]))
 
     def test_depth3_entry_larger_at_lower_loss(self):
@@ -237,10 +244,10 @@ class TestGdTrain:
         result = gd_train(net, BASE, cfg)
         assert result.converged
         first_below = {}
-        for s in result.trajectory:
+        for lo, w11 in zip(result.trajectory.losses, result.trajectory.unobserved[(0, 0)]):
             for dec in (1e-1, 1e-3):
-                if s.loss <= dec and dec not in first_below:
-                    first_below[dec] = abs(s.unobserved[(0, 0)])
+                if lo <= dec and dec not in first_below:
+                    first_below[dec] = abs(w11)
         assert first_below[1e-3] > first_below[1e-1]
 
     def test_single_step_matches_simultaneous_gradients(self):
@@ -259,7 +266,7 @@ class TestGdTrain:
         net = init_unbalanced((2, 2), 3, 1e-1, rng)
         cfg = TrainConfig(learning_rate=1e-3, max_iters=30_000, loss_threshold=0.0, log_stride=100)
         result = gd_train(net, BASE, cfg)
-        losses = [s.loss for s in result.trajectory]
+        losses = result.trajectory.losses
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_decade_crossings_are_logged(self):
@@ -268,17 +275,31 @@ class TestGdTrain:
         result = gd_train(net, BASE, cfg)
         # stride never fires, yet every decade between start and stop
         # shows up through crossing-triggered samples
-        decades = {math.floor(math.log10(s.loss)) for s in result.trajectory if s.loss > 0}
+        decades = {math.floor(math.log10(lo)) for lo in result.trajectory.losses if lo > 0}
         assert {-1, -2, -3, -4} <= decades
+
+    @staticmethod
+    def assert_ends_at_last_finite_sample(net, task, lr, diverged_at):
+        # logged at every step: the trajectory holds every iteration before
+        # the blow-up, bit for bit the run capped at the one before it
+        cfg = TrainConfig(learning_rate=lr, max_iters=10_000, loss_threshold=0.0, log_stride=1)
+        with pytest.raises(matfac.DivergenceError) as exc_info:
+            gd_train(net, task, cfg)
+        err = exc_info.value
+        assert str(err) == f"training diverged at iteration {diverged_at}"
+        assert err.trajectory.iterations == tuple(range(diverged_at))
+        assert all(map(math.isfinite, err.trajectory.losses))
+        capped = gd_train(net, task, dataclasses.replace(cfg, max_iters=diverged_at - 1))
+        _assert_bitwise_same_trajectory(err.trajectory, capped.trajectory)
 
     def test_divergence_raises_with_partial_trajectory(self):
         net = DeepNet((np.full((2, 2), 5.0), np.full((2, 2), 5.0)))
-        cfg = TrainConfig(learning_rate=0.9, max_iters=10_000, loss_threshold=0.0, log_stride=1)
-        with pytest.raises(matfac.DivergenceError) as exc_info:
-            gd_train(net, BASE, cfg)
-        err = exc_info.value
-        assert err.trajectory
-        assert math.isfinite(err.last_sample.loss)
+        self.assert_ends_at_last_finite_sample(net, BASE, 0.9, 2)
+
+    def test_array_kernel_divergence_keeps_partial_trajectory(self):
+        net = DeepNet((np.full((5, 6), 1.0), np.full((5, 5), 1.0)))
+        assert isinstance(matfac._kernel_for(net, make_extended_task(5, 6)), matfac._ArrayKernel)
+        self.assert_ends_at_last_finite_sample(net, make_extended_task(5, 6), 0.3, 3)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -298,7 +319,7 @@ class TestGdTrain:
             gd_train(net, task, TrainConfig(learning_rate=1e308, max_iters=10))
         err = exc_info.value
         assert err.net is None
-        assert [s.iteration for s in err.trajectory] == [0]
+        assert err.trajectory.iterations == (0,)
 
 
 def _assert_close_to_scale(actual, expected, rtol):
@@ -459,7 +480,7 @@ class TestStepKernels:
         net = DeepNet(tuple(0.5 * f for f in net.factors))
         cfg = TrainConfig(learning_rate=1e-2, max_iters=3_000, loss_threshold=0.0, log_stride=100)
         first, second = gd_train(net, task, cfg), gd_train(net, task, cfg)
-        assert first.trajectory == second.trajectory
+        _assert_bitwise_same_trajectory(first.trajectory, second.trajectory)
         for a, b in zip(first.net.factors, second.net.factors):
             assert np.array_equal(a, b)
 
@@ -565,8 +586,7 @@ def reference_gd_train(net, task, cfg):
         lo, p, peak, state = forward(ws)
         if not math.isfinite(lo) or peak > matfac.ENTRY_BLOWUP_LIMIT:
             trajectory = matfac._samples(snapshots, task, layout)
-            last = trajectory[-1] if trajectory else None
-            raise matfac.DivergenceError(f"training diverged at iteration {it}", last, trajectory, net_now())
+            raise matfac.DivergenceError(f"training diverged at iteration {it}", trajectory, net_now())
         decade = math.floor(math.log10(lo)) if lo > 0 else None
         crossed = last_decade is not None and decade != last_decade
         last_decade = decade
@@ -599,9 +619,9 @@ def _balanced_start(task, depth, alpha):
 
 
 def _assert_bitwise_same_trajectory(got, want):
-    assert [s.iteration for s in got] == [s.iteration for s in want]
+    assert got.iterations == want.iterations
     # repr tells every float bit apart, including the sign of zero
-    assert [repr(s) for s in got] == [repr(s) for s in want]
+    assert repr(got) == repr(want)
 
 
 def _assert_bitwise_same_run(got, want):
@@ -630,7 +650,7 @@ class TestEventLoop:
             result = gd_train(net, task, cfg)
             _assert_bitwise_same_run(result, reference_gd_train(net, task, cfg))
             assert result.converged is converged and iterations in (None, result.iterations)
-            logged = [s.iteration for s in result.trajectory[:-1]]
+            logged = result.trajectory.iterations[:-1]
             assert any(i and i % cfg.log_stride == 0 for i in logged)
             assert any(i % cfg.log_stride for i in logged)
         # short strides: the kernel logs at every step, or at several
@@ -700,7 +720,7 @@ class TestEventLoop:
         net = DeepNet((np.array([[-1.0, -0.0], [0.0, -1.0]]), np.array([[0.0, -1.0], [-1.0, -0.0]])))
         cfg = TrainConfig(learning_rate=0.1, max_iters=50, loss_threshold=0.0, log_stride=7)
         result = gd_train(net, BASE, cfg)
-        assert result.trajectory[0].loss == 0.0 and result.iterations == 50
+        assert result.trajectory.losses[0] == 0.0 and result.iterations == 50
         _assert_bitwise_same_run(result, reference_gd_train(net, BASE, cfg))
 
     @pytest.mark.parametrize(
@@ -729,7 +749,6 @@ class TestEventLoop:
         with pytest.raises(matfac.DivergenceError) as want:
             reference_gd_train(net, task, cfg)
         assert str(got.value) == str(want.value)
-        assert repr(got.value.last_sample) == repr(want.value.last_sample)
         _assert_bitwise_same_trajectory(got.value.trajectory, want.value.trajectory)
         assert [f.tobytes() for f in got.value.net.factors] == [f.tobytes() for f in want.value.net.factors]
 
@@ -919,22 +938,37 @@ def oracle_det(p):
 
 
 def oracle_sample(it, lo, p, factors, task):
+    """One sample's values, in the order of the Trajectory fields."""
     sig = singular_values(p)
     gaps = [schatten_norm(hi.T @ hi - lo_ @ lo_.T, 1.0) for lo_, hi in zip(factors, factors[1:])]
-    return matfac.TrajectorySample(
-        iteration=it,
-        loss=lo,
-        unobserved={ij: float(p[ij]) for ij in task.unobserved_indices()},
-        sigmas=tuple(float(s) for s in sig),
-        det=oracle_det(p),
-        unbalancedness=max([0.0] + gaps),
-        metrics={
+    return (
+        it,
+        lo,
+        {ij: float(p[ij]) for ij in task.unobserved_indices()},
+        tuple(float(s) for s in sig),
+        oracle_det(p),
+        max([0.0] + gaps),
+        {
             "erank": effective_rank_of_sigmas(sig),
             "nuclear_norm": float(sig.sum()),
             "frob_norm": float(np.sqrt((sig * sig).sum())),
             "spectral_norm": float(sig[0]),
             "schatten_half": float(np.sqrt(sig).sum() ** 2),
         },
+    )
+
+
+def oracle_trajectory(states, task):
+    """The oracle's samples of ``states`` laid out as columns."""
+    its, losses, unobserved, sigmas, dets, unbalancedness, metrics = zip(*(oracle_sample(*st, task) for st in states))
+    return matfac.Trajectory(
+        iterations=its,
+        losses=losses,
+        unobserved={ij: tuple(u[ij] for u in unobserved) for ij in unobserved[0]},
+        sigmas=tuple(zip(*sigmas)),
+        dets=dets,
+        unbalancedness=unbalancedness,
+        metrics={name: tuple(m[name] for m in metrics) for name in metrics[0]},
     )
 
 
@@ -963,11 +997,11 @@ class TestSamples:
 
     def assert_matches_oracle(self, monkeypatch, net, task, cfg):
         result, states = train_with_snapshots(monkeypatch, net, task, cfg)
-        assert [s.iteration for s in result.trajectory] == [it for it, *_ in states]
+        assert result.trajectory.iterations == tuple(it for it, *_ in states)
         # every step moves the factors: a snapshot aliasing the live
         # arrays would repeat the last state
         assert len({b"".join(w.tobytes() for w in ws) for *_, ws in states}) == len(states)
-        _assert_bitwise_same_trajectory(result.trajectory, [oracle_sample(*st, task) for st in states])
+        _assert_bitwise_same_trajectory(result.trajectory, oracle_trajectory(states, task))
         return result
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
@@ -998,39 +1032,30 @@ class TestSamples:
         # small values fall under the cutoff and become exact zeros
         cfg = TrainConfig(learning_rate=1e-2, max_iters=200, loss_threshold=0.0, log_stride=1)
         result = self.assert_matches_oracle(monkeypatch, random_net(8, [3, 1, 4]), make_extended_task(4, 3), cfg)
-        assert all(s.sigmas[1:] == (0.0, 0.0) for s in result.trajectory)
+        assert [set(col) for col in result.trajectory.sigmas[1:]] == [{0.0}, {0.0}]
+
+    def test_bitwise_check_tells_the_signs_of_zero_apart(self):
+        # the rank-1 run's small singular values are exact +0.0; a copy
+        # with one of them -0.0 compares equal under == but not bitwise
+        cfg = TrainConfig(learning_rate=1e-2, max_iters=3, loss_threshold=0.0, log_stride=1)
+        t = gd_train(random_net(8, [3, 1, 4]), make_extended_task(4, 3), cfg).trajectory
+        first, second, third = t.sigmas
+        assert math.copysign(1.0, second[-1]) == 1.0 and second[-1] == 0.0
+        flipped = dataclasses.replace(t, sigmas=(first, second[:-1] + (-0.0,), third))
+        assert flipped == t
+        _assert_bitwise_same_trajectory(t, dataclasses.replace(t))
+        with pytest.raises(AssertionError):
+            _assert_bitwise_same_trajectory(t, flipped)
 
 
 class TestTrajectorySequence:
-    """A trajectory holds columns and builds its samples when indexed or
-    iterated; it behaves as the list of those samples."""
-
-    @pytest.mark.parametrize(
-        "dims, task", [([2, 2, 2], BASE), ([6, 5, 5, 5], make_extended_task(5, 6))], ids=["scalar", "array"]
-    )
-    def test_behaves_as_the_list_of_its_samples(self, dims, task):
-        cfg = TrainConfig(learning_rate=1e-2, max_iters=12, loss_threshold=0.0, log_stride=1)
-        trajectory = gd_train(random_net(4, dims), task, cfg).trajectory
-        samples = [trajectory[k] for k in range(len(trajectory))]
-        assert len(trajectory) == 13 and trajectory
-        assert [s.iteration for s in samples] == list(range(13))
-        assert list(trajectory) == samples
-        assert trajectory[-1] == samples[-1] and trajectory[-13] == samples[0]
-        for k in (slice(None), slice(2, 9, 3), slice(None, None, -1), slice(-4, -1), slice(7, 3)):
-            assert isinstance(trajectory[k], list)
-            assert [repr(s) for s in trajectory[k]] == [repr(s) for s in samples[k]]
-        assert trajectory == samples and samples == trajectory
-        assert trajectory != samples[:-1] and trajectory != samples[::-1] and trajectory != tuple(samples)
-        for k in (13, -14):
-            with pytest.raises(IndexError):
-                trajectory[k]
+    """A trajectory is its columns; its length is its sample count."""
 
     def test_empty_trajectory(self):
         empty = matfac.Trajectory()
         assert len(empty) == 0 and not empty
-        assert empty == [] and list(empty) == [] and empty[:] == []
-        with pytest.raises(IndexError):
-            empty[-1]
+        assert empty.iterations == empty.losses == empty.sigmas == empty.dets == empty.unbalancedness == ()
+        assert empty.unobserved == empty.metrics == {}
 
 
 class TestSamplerEdgeCases:
@@ -1044,8 +1069,7 @@ class TestSamplerEdgeCases:
         cfg = TrainConfig(learning_rate=1e-2, max_iters=100, loss_threshold=0.0, log_stride=1)
         with pytest.raises(matfac.DivergenceError) as err:
             gd_train(net, task, cfg)
-        assert err.value.trajectory == []
-        assert err.value.last_sample is None
+        assert err.value.trajectory == matfac.Trajectory()
         assert str(err.value) == "training diverged at iteration 0"
 
     @pytest.mark.parametrize("dims, task", [([2, 2, 2], BASE), ([4, 3, 3], make_extended_task(3, 4))])
@@ -1268,7 +1292,7 @@ class TestUnbalancedness:
         before = unbalancedness_magnitude(net)
         cfg = TrainConfig(learning_rate=1e-3, max_iters=10_000, loss_threshold=0.0, log_stride=500)
         result = gd_train(net, BASE, cfg)
-        drift = max(abs(s.unbalancedness - before) for s in result.trajectory)
+        drift = max(abs(u - before) for u in result.trajectory.unbalancedness)
         assert drift < 1e-3
 
 
@@ -1348,4 +1372,4 @@ class TestDetSignPreservation:
         net, _ = resample_until_det_sign(lambda r: init_balanced((2, 2), 3, 0.1, r), 1, rng)
         cfg = TrainConfig(learning_rate=1e-4, max_iters=1_000_000, loss_threshold=0.0, log_stride=1000)
         result = gd_train(net, BASE, cfg)
-        assert all(s.det > 0 for s in result.trajectory)
+        assert all(det > 0 for det in result.trajectory.dets)

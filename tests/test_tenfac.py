@@ -535,8 +535,26 @@ class TestStackedRuns:
         assert isinstance(diverged, matfac.DivergenceError)
         assert str(diverged) == str(info.value) == "CP training diverged at iteration 0"
         assert diverged.trajectory == info.value.trajectory == []
-        assert diverged.last_sample is info.value.last_sample is None
         assert diverged.net is None
+        for i in (0, 2):
+            assert_is_oracle_run(results[i], task, 3, *runs[i])
+
+    def test_member_diverging_mid_run_keeps_its_logged_samples(self):
+        # seed 14's largest factor entry starts 0.2 under the blow-up limit
+        # and grows by about 1e-3 a step: the member diverges at iteration
+        # 182, and its trajectory ends at its last logged sample, bit for
+        # bit the run capped there
+        task = sample_observations(gen_ground_truth((3, 3, 3), 1, seed=0), 10, seed=0)
+        largest = max(float(np.abs(sub.normal(size=(3, 3))).max()) for sub in stream(14, 7).spawn(3))
+        init_std = (matfac.ENTRY_BLOWUP_LIMIT - 0.2) / largest
+        runs = [(1e-2, 0), (init_std, 14), (1e-2, 1)]
+        results = train_cp_runs(task, 3, runs)
+        diverged = results[1]
+        assert isinstance(diverged, matfac.DivergenceError)
+        assert str(diverged) == "CP training diverged at iteration 182"
+        capped = train_cp(task, 3, init_std, 14, max_iters=100)
+        assert [s.iteration for s in diverged.trajectory] == [0, 100]
+        assert repr(diverged.trajectory) == repr(capped.trajectory)
         for i in (0, 2):
             assert_is_oracle_run(results[i], task, 3, *runs[i])
 
@@ -574,10 +592,11 @@ class TestStackedRuns:
             train_cp_runs(task, 0, [(1e-2, 0)])
         with pytest.raises(ValueError, match="init_std"):
             train_cp_runs(task, 2, [(1e-2, 0), (0.0, 1)])
-        # no run can get below a negative threshold, so it is refused, not
-        # run to max_iters
-        with pytest.raises(ValueError, match="mse_threshold must be non-negative"):
-            train_cp_runs(task, 2, [(1e-2, 0)], mse_threshold=-1.0)
+        # no run can get below a negative or NaN threshold, so it is
+        # refused, not run to max_iters
+        for threshold in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="mse_threshold must be non-negative"):
+                train_cp_runs(task, 2, [(1e-2, 0)], mse_threshold=threshold)
 
 
 def layouts(f):
@@ -682,7 +701,6 @@ class TestTrainCp:
         with pytest.raises(matfac.DivergenceError, match="iteration 0") as info:
             train_cp(task, 3, 1e13, seed=0)
         assert info.value.trajectory == []
-        assert info.value.last_sample is None
 
     def test_returned_factors_share_no_memory(self):
         task = sample_observations(gen_ground_truth((3, 4, 5), 1, seed=0), 20, seed=0)
@@ -751,13 +769,14 @@ class TestEstimateRank:
         assert estimate_rank(truth, r_max=2) == 3  # r_max + 1 sentinel
 
     def test_negative_threshold_refused(self):
-        # no fit gets below it: the search would end in the r_max + 1
-        # sentinel whatever the tensor's rank
+        # no fit gets below it (nor below a NaN): the search would end in
+        # the r_max + 1 sentinel whatever the tensor's rank
         truth = gen_ground_truth((3, 3), 1, seed=10)
-        with pytest.raises(ValueError, match="threshold must be non-negative"):
-            estimate_rank(truth, threshold=-1.0)
-        with pytest.raises(ValueError, match="threshold must be non-negative"):
-            estimate_rank(np.zeros((3, 3)), threshold=-1.0)
+        for threshold in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="threshold must be non-negative"):
+                estimate_rank(truth, threshold=threshold)
+            with pytest.raises(ValueError, match="threshold must be non-negative"):
+                estimate_rank(np.zeros((3, 3)), threshold=threshold)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from([(3, 4), (3, 3, 3), (2, 3, 4), (2, 2, 2, 3)]))
