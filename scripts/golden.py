@@ -31,6 +31,11 @@ Regenerates, in a temporary directory, in a few seconds:
   at every step), and the perturbed task with an observed value of 9e11
   (it starts with a loss above the bound that keeps observed entries
   within the limit) or 2e12 (past the limit: no such bound);
+- runs that diverge at iteration 0 and write the CSV header alone, at
+  seeds 0-2: depth 2, step 1e-2, balanced init of scale 1e13 on the
+  base task, on the 3x4 extended task (also at scale 1e200, whose
+  product overflows) and on the perturbed task with the free entry at
+  [1, 2];
 - identity-init runs on the base task (alpha 1e-3, the start of
   acceptance criterion 1) at depths 2-4, step 1e-2, 20,000 steps;
 - determinant-sign Monte Carlo CSVs of 1,000 samples at (depth, dim)
@@ -155,6 +160,24 @@ _large_target = _runs(
             log_stride=1,
         )
         for z in (9e11, 2e12)
+    ]
+)
+_diverge_at_0 = _runs(
+    [
+        dict(
+            task=task,
+            depth=2,
+            learning_rate=1e-2,
+            init=harness.InitSpec(kind="balanced", alpha=alpha, det_sign=0),
+            max_iters=10,
+            log_stride=1,
+        )
+        for task, alpha in (
+            (harness.TaskSpec(kind="base"), 1e13),
+            (harness.TaskSpec(kind="extended", rows=3, cols=4), 1e13),
+            (harness.TaskSpec(kind="extended", rows=3, cols=4), 1e200),
+            (harness.TaskSpec(kind="perturbed", unobserved=(1, 2)), 1e13),
+        )
     ]
 )
 _identity = _runs(
@@ -314,6 +337,7 @@ def digests() -> dict[str, str]:
                 ("cp-lone", _cp_lone),
                 ("diverge", _diverge),
                 ("large-target", _large_target),
+                ("diverge-at-0", _diverge_at_0),
                 ("identity", _identity),
                 ("detsign", _detsign),
             ):
