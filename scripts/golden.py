@@ -238,7 +238,7 @@ def _cp_record(init_std: float, seed: int, result) -> dict:
         "seed": seed,
         "iterations": result.iterations,
         "converged": result.converged,
-        "trajectory": [[s.iteration, s.loss, s.mse] for s in result.trajectory],
+        "trajectory": list(zip(*result.trajectory.values())),
         "factors_sha256": hashlib.sha256(factors).hexdigest(),
     }
 

@@ -83,7 +83,7 @@ def main(argv=None) -> int:
                 if seed != seeds[0]:
                     cfg = _reseed(cfg, seed)
             out = harness.run_config(cfg, jobs=args.jobs)
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:  # TypeError: a config value of the wrong JSON type
             parser.error(f"cannot run {args.config}: {exc}")
         if isinstance(out, harness.RunRecord):
             print(f"{out.run_id}: {out.csv_path}")

@@ -42,7 +42,6 @@ __all__ = [
     "run_config",
     "resolve_seed",
     "write_csv",
-    "MATFAC_BASE_COLUMNS",
 ]
 
 SEED_ENV_VAR = "IMPLREG_SEED"
@@ -313,25 +312,10 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 # matrix runs
 
-MATFAC_BASE_COLUMNS = [
-    "iter",
-    "loss",
-    "w11",
-    "det",
-    "sigma1",
-    "sigma2",
-    "erank",
-    "nuclear_norm",
-    "frob_norm",
-    "spectral_norm",
-    "schatten_half",
-    "unbalancedness",
-]
-
 _NUCLEAR = metrics.QuasiNormSpec(1.0)
 
 
-def _bounds_for(task_spec: TaskSpec, losses: list[float]) -> tuple[list[str], list[list[float]]]:
+def _bounds_for(task_spec: TaskSpec, losses: Sequence[float]) -> tuple[list[str], list[list[float]]]:
     """The names of the three bound columns and their values over a loss
     column, as Python floats."""
     ell = np.array(losses, dtype=float)
@@ -345,34 +329,13 @@ def _bounds_for(task_spec: TaskSpec, losses: list[float]) -> tuple[list[str], li
     return names, [v.tolist() for v in b]
 
 
-def _free_entry_column(ij: tuple[int, int]) -> str:
-    # trajectory column (and summary key suffix) of a free entry
-    return "w11" if ij == (0, 0) else f"unobs_{ij[0] + 1}_{ij[1] + 1}"
-
-
-def trajectory_rows(t: matfac.Trajectory, task_spec: TaskSpec):
-    """The CSV rows of a trajectory (norm bounds use the nuclear spec's
-    constants).  Each unobserved entry of the task gets a column after
-    loss: ``w11`` for the (1,1) corner, ``unobs_i_j`` (1-based) for any
-    other.  The rows are tuples zipped from the trajectory's columns; an
-    empty trajectory gives the header alone."""
-    free = task_spec.build().unobserved_indices()
-    bound_names, bounds = _bounds_for(task_spec, t.losses)
-    header = MATFAC_BASE_COLUMNS[:2] + [_free_entry_column(ij) for ij in free] + MATFAC_BASE_COLUMNS[3:] + bound_names
-    if not t:
-        return header, []
-    columns = [
-        t.iterations,
-        t.losses,
-        *(t.unobserved[ij] for ij in free),
-        t.dets,
-        t.sigmas[0],
-        t.sigmas[1],
-        *(t.metrics[k] for k in MATFAC_BASE_COLUMNS[6:11]),  # erank .. schatten_half
-        t.unbalancedness,
-        *bounds,
-    ]
-    return header, list(zip(*columns))
+def trajectory_rows(t: dict[str, tuple], task_spec: TaskSpec):
+    """The CSV header and rows of a trajectory: its columns in order,
+    then the three bound columns over its losses (norm bounds use the
+    nuclear spec's constants).  The rows are tuples zipped from the
+    columns; an empty trajectory gives the header alone."""
+    bound_names, bounds = _bounds_for(task_spec, t["loss"])
+    return [*t, *bound_names], list(zip(*t.values(), *bounds))
 
 
 def _prepare(cfg: MatfacRunConfig):
@@ -408,6 +371,7 @@ def _run_prepared(cell) -> RunRecord:  # cell: (config, _prepare(config))
     elapsed = time.monotonic() - t0
 
     header, rows = trajectory_rows(trajectory, cfg.task)
+    last = {name: column[-1] for name, column in trajectory.items() if column}
     config = asdict(cfg)
     run_id = _run_id(config, cfg.seed)
     out_dir = Path(cfg.out_dir)
@@ -422,12 +386,9 @@ def _run_prepared(cell) -> RunRecord:  # cell: (config, _prepare(config))
             "runtime_s": elapsed,
             # a finished run always logs its final state: its last
             # sample is at result.iterations
-            "iterations": trajectory.iterations[-1] if trajectory else 0,
-            "final_loss": trajectory.losses[-1] if trajectory else math.nan,
-            **{
-                f"final_{_free_entry_column(ij)}": trajectory.unobserved[ij][-1] if trajectory else math.nan
-                for ij in task.unobserved_indices()
-            },
+            "iterations": last.get("iter", 0),
+            "final_loss": last.get("loss", math.nan),
+            **{f"final_{c}": last.get(c, math.nan) for c in map(matfac.entry_column, task.unobserved_indices())},
             "converged": converged,
         },
     )
@@ -438,12 +399,15 @@ def _run_prepared(cell) -> RunRecord:  # cell: (config, _prepare(config))
 def run_matfac_sweep(cfg: MatfacSweepConfig, jobs: int = 1) -> list[RunRecord]:
     """Run every cell of the grid as :func:`run_matfac` runs it.  Each
     cell is prepared once, before the first runs, so a bad value in any
-    cell raises before anything is written; ``jobs`` worker processes
+    cell, or two cells of one ``run_id`` (they would write one pair of
+    files), raises before anything is written; ``jobs`` worker processes
     share out the prepared cells."""
-    cells = [(run, _prepare(run)) for run in cfg.expand()]
-    if not cells:
+    runs = cfg.expand()
+    if not runs:
         raise ValueError("the sweep grid is empty")
-    return _map_jobs(_run_prepared, cells, jobs)
+    if len({run.run_id for run in runs}) < len(runs):
+        raise ValueError("the sweep grid repeats a cell")
+    return _map_jobs(_run_prepared, [(run, _prepare(run)) for run in runs], jobs)
 
 
 def _map_jobs(fn, items, jobs):
@@ -554,8 +518,13 @@ def run_tenfac_sweep(cfg: TenfacSweepConfig, jobs: int = 1) -> Path:
     ``jobs`` worker processes share out the groups.
     """
     for name in ("n_obs", "init_stds", "seeds"):
-        if not getattr(cfg, name):
+        values = getattr(cfg, name)
+        if not values:
             raise ValueError(f"{name} must not be empty")
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} repeats a value")
+    if cfg.max_iters < 1:
+        raise ValueError("max_iters must be positive")
     truth = tenfac.gen_ground_truth(cfg.dims, cfg.gt_rank, cfg.gt_seed)
     tasks = {n: tenfac.sample_observations(truth, n, cfg.obs_seed) for n in cfg.n_obs}
     groups = [(n, std) for n in cfg.n_obs for std in cfg.init_stds]

@@ -38,10 +38,10 @@ __all__ = [
     "CompletionTask",
     "DeepNet",
     "TrainConfig",
-    "Trajectory",
     "TrainResult",
     "DivergenceError",
     "ResampleError",
+    "entry_column",
     "loss",
     "residual_gradient",
     "product_matrix",
@@ -165,27 +165,9 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """The logged samples of a run, held as columns: entry k of every
-    column belongs to sample k, and ``sigmas`` holds one column per
-    singular value.  ``Trajectory()`` is the empty trajectory."""
-
-    iterations: tuple[int, ...] = ()
-    losses: tuple[float, ...] = ()
-    unobserved: Mapping[tuple[int, int], tuple[float, ...]] = field(default_factory=dict)
-    sigmas: tuple[tuple[float, ...], ...] = ()
-    dets: tuple[float, ...] = ()
-    unbalancedness: tuple[float, ...] = ()
-    metrics: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.iterations)
-
-
-@dataclass(frozen=True)
 class TrainResult:
     net: DeepNet
-    trajectory: Trajectory
+    trajectory: dict[str, tuple]  # see _samples
     iterations: int
     converged: bool
 
@@ -313,7 +295,7 @@ def _stacks(packed, layout) -> list[np.ndarray]:
     """One (n, rows, cols) stack per shape of ``layout`` from n packed
     snapshots: the doubles of the matrices of ``layout``, each
     row-major, one after the other."""
-    flat = np.frombuffer(b"".join(packed)).reshape(len(packed), -1)
+    flat = np.frombuffer(b"".join(packed)).reshape(len(packed), sum(r * c for r, c in layout))
     ends = itertools.accumulate(r * c for r, c in layout)
     return [flat[:, end - r * c : end].reshape(-1, r, c) for end, (r, c) in zip(ends, layout)]
 
@@ -322,40 +304,47 @@ def _column(values: np.ndarray) -> tuple[float, ...]:
     return tuple(values.tolist())
 
 
-def _samples(snapshots, task: CompletionTask, layout) -> Trajectory:
+def entry_column(ij: tuple[int, int]) -> str:
+    """The trajectory column of matrix entry ``ij`` (0-based): ``w11``
+    for [0, 0], ``unobs_i_j`` (1-based) for any other."""
+    return "w11" if ij == (0, 0) else f"unobs_{ij[0] + 1}_{ij[1] + 1}"
+
+
+def _samples(snapshots, task: CompletionTask, layout) -> dict[str, tuple]:
     """The trajectory of ``gd_train``'s snapshots (iteration, loss,
     packed product and factors of the shapes in ``layout``), computed
-    over stacks in one pass.
+    over stacks in one pass: named columns, in the order a run CSV
+    writes them, whose entry k belongs to sample k.  The columns are
+    ``iter``, ``loss``, one per unobserved entry (:func:`entry_column`),
+    ``det``, ``sigma1``, ``sigma2``, ``erank``, ``nuclear_norm``,
+    ``frob_norm``, ``spectral_norm``, ``schatten_half`` and
+    ``unbalancedness``; no snapshot gives them all empty.
 
     The singular values of all products, and of all Gram differences of
     one layer pair, come from one values-only call each; the metrics are
-    then taken along the stacks and kept as columns.  Each value equals
-    what the public per-matrix functions give for that sample, bit for
-    bit.
+    then taken along the stacks.  Each value equals what the public
+    per-matrix functions give for that sample, bit for bit.
     """
-    if not snapshots:
-        return Trajectory()
-    its, losses, packed = zip(*snapshots)
+    its, losses, packed = tuple(zip(*snapshots)) or ((), (), ())
     ps, *factors = _stacks(packed, layout)
     sig = singular_values(ps)
-    sigmas = tuple(map(_column, sig.T))
-    return Trajectory(
-        iterations=its,
-        losses=losses,
-        unobserved={(i, j): _column(ps[:, i, j]) for i, j in task.unobserved_indices()},
-        sigmas=sigmas,
-        dets=_column(leading_minor_dets(ps)),
-        unbalancedness=_column(_unbalancedness(factors)),
-        metrics={
-            "erank": _column(metrics.effective_rank_of_sigmas(sig)),
-            "nuclear_norm": _column(sig.sum(axis=-1)),
-            "frob_norm": _column(np.sqrt((sig * sig).sum(axis=-1))),
-            "spectral_norm": sigmas[0],
-            # Python's float ** is C pow, as on a numpy scalar; an array's
-            # ** 2 squares, which can round the last bit differently
-            "schatten_half": tuple(s**2 for s in np.sqrt(sig).sum(axis=-1).tolist()),
-        },
-    )
+    sigma1 = _column(sig[:, 0])
+    return {
+        "iter": its,
+        "loss": losses,
+        **{entry_column(ij): _column(ps[:, ij[0], ij[1]]) for ij in task.unobserved_indices()},
+        "det": _column(leading_minor_dets(ps)),
+        "sigma1": sigma1,
+        "sigma2": _column(sig[:, 1]),
+        "erank": _column(metrics.effective_rank_of_sigmas(sig)),
+        "nuclear_norm": _column(sig.sum(axis=-1)),
+        "frob_norm": _column(np.sqrt((sig * sig).sum(axis=-1))),
+        "spectral_norm": sigma1,
+        # Python's float ** is C pow, as on a numpy scalar; an array's
+        # ** 2 squares, which can round the last bit differently
+        "schatten_half": tuple(s**2 for s in np.sqrt(sig).sum(axis=-1).tolist()),
+        "unbalancedness": _column(_unbalancedness(factors)),
+    }
 
 
 # A step kernel holds the factors of a run; ``__init__`` evaluates the

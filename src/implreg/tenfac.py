@@ -182,18 +182,16 @@ def cp_loss_and_grads(model: CpModel, task: CompletionTask):
 
 
 @dataclass(frozen=True)
-class CpTrainSample:
-    iteration: int
-    loss: float
-    mse: float
-
-
-@dataclass(frozen=True)
 class CpTrainResult:
     model: CpModel
-    trajectory: list[CpTrainSample]
+    trajectory: dict[str, tuple]  # columns "iter", "loss" and "mse" of the logged samples
     iterations: int
     converged: bool
+
+
+def _columns(samples: list[tuple]) -> dict[str, tuple]:
+    # logged (it, lo, mse) samples as the named columns of a trajectory
+    return {name: tuple(s[k] for s in samples) for k, name in enumerate(("iter", "loss", "mse"))}
 
 
 def train_cp(
@@ -262,7 +260,7 @@ def train_cp_runs(
     gbuf = np.empty_like(buf)
     live = list(range(len(runs)))
     gamma = [0.0] * len(runs)  # per live run: EMA of the squared gradient norm
-    trajectories: list[list[CpTrainSample]] = [[] for _ in runs]
+    trajectories: list[list[tuple]] = [[] for _ in runs]  # per run: its logged (it, lo, mse)
     results: list = [None] * len(runs)
 
     def views(stack):
@@ -294,16 +292,16 @@ def train_cp_runs(
                 # train_cp's order: divergence, log, then stop
                 trajectory = trajectories[run]
                 if diverging and (not math.isfinite(lo) or peaks[i] > ENTRY_BLOWUP_LIMIT):
-                    stopped[i] = DivergenceError(f"CP training diverged at iteration {it}", trajectory, None)
+                    stopped[i] = DivergenceError(f"CP training diverged at iteration {it}", _columns(trajectory), None)
                     continue
                 mse = 2.0 * lo / n_obs
                 if it % CP_LOG_STRIDE == 0:
-                    trajectory.append(CpTrainSample(it, lo, mse))
+                    trajectory.append((it, lo, mse))
                 if mse < mse_threshold or it >= max_iters:
-                    if trajectory[-1].iteration != it:
-                        trajectory.append(CpTrainSample(it, lo, mse))
+                    if trajectory[-1][0] != it:
+                        trajectory.append((it, lo, mse))
                     model = CpModel(tuple(buf[i, a:b].reshape(terms, d).copy() for (a, b), d in zip(spans, task.shape)))
-                    stopped[i] = CpTrainResult(model, trajectory, it, mse < mse_threshold)
+                    stopped[i] = CpTrainResult(model, _columns(trajectory), it, mse < mse_threshold)
         if stopped:
             for i, result in stopped.items():
                 results[live[i]] = result

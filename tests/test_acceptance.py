@@ -93,7 +93,7 @@ def perturbed_runs():
 
 def test_criterion_01_identity_convergence(identity_run):
     result, elapsed = identity_run
-    final_loss = result.trajectory.losses[-1]
+    final_loss = result.trajectory["loss"][-1]
     ok = result.converged and final_loss < 1e-4
     report(
         1,
@@ -115,22 +115,22 @@ def test_criterion_01_endpoint_is_pinned(identity_run):
     t = result.trajectory
     assert result.iterations == 5_000_000
     assert result.converged is False
-    assert t.losses[-1] == pytest.approx(5.22213471067067e-4, rel=1e-12)
-    assert t.unobserved[(0, 0)][-1] == pytest.approx(30.91059595102826, rel=1e-12)
+    assert t["loss"][-1] == pytest.approx(5.22213471067067e-4, rel=1e-12)
+    assert t["w11"][-1] == pytest.approx(30.91059595102826, rel=1e-12)
 
 
 def test_criterion_02_norm_blowup(identity_run):
     result, _ = identity_run
     t = result.trajectory
     worst = -math.inf
-    for k, loss in enumerate(t.losses):
+    for k, loss in enumerate(t["loss"]):
         if loss >= 0.5:
             continue
         for key, spec in NORM_SPECS.items():
             bound = metrics.base_task_bounds(loss, spec)[0]
-            worst = max(worst, bound - t.metrics[key][k])
+            worst = max(worst, bound - t[key][k])
     bounds_ok = worst <= SLACK
-    at_target = [nuclear for loss, nuclear in zip(t.losses, t.metrics["nuclear_norm"]) if loss <= 1e-4]
+    at_target = [nuclear for loss, nuclear in zip(t["loss"], t["nuclear_norm"]) if loss <= 1e-4]
     nuclear_ok = bool(at_target) and at_target[0] > 60.0
     nuclear_detail = (
         f"nuclear at first loss<=1e-4 sample: {at_target[0]:.1f}"
@@ -151,17 +151,17 @@ def test_criterion_02_norm_blowup(identity_run):
 def test_criterion_03_rank_collapse(identity_run):
     result, _ = identity_run
     t = result.trajectory
-    eranks = [erank for loss, erank in zip(t.losses, t.metrics["erank"]) if loss < 1.0 / 32.0]
+    eranks = [erank for loss, erank in zip(t["loss"], t["erank"]) if loss < 1.0 / 32.0]
     monotone = all(b <= a + 1e-9 for a, b in zip(eranks, eranks[1:]))
     erank_excess = max(
         erank - metrics.base_task_bounds(loss, NUCLEAR)[1]
-        for loss, erank in zip(t.losses, t.metrics["erank"])
+        for loss, erank in zip(t["loss"], t["erank"])
     )
     dist_excess = max(
         sigma2 - metrics.base_task_bounds(loss, NUCLEAR)[2]
-        for loss, sigma2 in zip(t.losses, t.sigmas[1])
+        for loss, sigma2 in zip(t["loss"], t["sigma2"])
     )
-    final_erank = t.metrics["erank"][-1]
+    final_erank = t["erank"][-1]
     ok = monotone and erank_excess <= 0 and dist_excess <= 0 and final_erank < 1.05
     report(
         3,
@@ -200,7 +200,7 @@ def test_criterion_05_unbalancedness_conservation():
         start = unbalancedness_magnitude(net)
         cfg = TrainConfig(learning_rate=lr, max_iters=100_000, loss_threshold=0.0, log_stride=500)
         result = gd_train(net, BASE, cfg)
-        drifts.append(max(abs(u - start) for u in result.trajectory.unbalancedness))
+        drifts.append(max(abs(u - start) for u in result.trajectory["unbalancedness"]))
     ratio = drifts[0] / drifts[1]
     ok = drifts[0] < 1e-3 and ratio >= 1.8
     report(
@@ -297,14 +297,14 @@ def test_criterion_09_perturbation_robustness(perturbed_runs):
     worst = -math.inf
     for eps, result in perturbed_runs.items():
         t = result.trajectory
-        for k, loss in enumerate(t.losses):
+        for k, loss in enumerate(t["loss"]):
             for key, spec in NORM_SPECS.items():
                 nb, eub, dub = metrics.perturbed_task_bounds(loss, 1.0, 1.0, eps, spec)
-                worst = max(worst, nb - t.metrics[key][k])
-            worst = max(worst, t.metrics["erank"][k] - eub)
-            worst = max(worst, t.sigmas[1][k] - dub)
+                worst = max(worst, nb - t[key][k])
+            worst = max(worst, t["erank"][k] - eub)
+            worst = max(worst, t["sigma2"][k] - dub)
     bounds_ok = worst <= SLACK
-    terminal = {eps: abs(r.trajectory.unobserved[(0, 0)][-1]) for eps, r in perturbed_runs.items()}
+    terminal = {eps: abs(r.trajectory["w11"][-1]) for eps, r in perturbed_runs.items()}
     ordered = terminal[0.0] > terminal[0.1] > terminal[0.5]
     ok = bounds_ok and ordered
     report(
@@ -437,7 +437,7 @@ def test_criterion_12_extended_dimensions():
         cfg = TrainConfig(learning_rate=3e-2, max_iters=3_000_000, loss_threshold=1e-4, log_stride=500)
         result = gd_train(net, task, cfg)
         first = {}
-        for loss, w11 in zip(result.trajectory.losses, result.trajectory.unobserved[(0, 0)]):
+        for loss, w11 in zip(result.trajectory["loss"], result.trajectory["w11"]):
             for dec in (1e-1, 1e-3):
                 if loss <= dec and dec not in first:
                     first[dec] = abs(w11)

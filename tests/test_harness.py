@@ -50,6 +50,19 @@ def outputs_in(where, monkeypatch, run):
     return out
 
 
+# the trajectory CSV header of each task kind: the base task and the 3x4
+# extended task (free entry w11), and the perturbed task with its free
+# entry at [1, 2]
+BASE_HEADER = (
+    "iter,loss,w11,det,sigma1,sigma2,erank,nuclear_norm,frob_norm,spectral_norm,schatten_half,unbalancedness,"
+    "thm1_norm_lb,thm1_erank_ub,thm1_dist_ub"
+)
+PERTURBED_1_2_HEADER = (
+    "iter,loss,unobs_1_2,det,sigma1,sigma2,erank,nuclear_norm,frob_norm,spectral_norm,schatten_half,unbalancedness,"
+    "thm2_norm_lb,thm2_erank_ub,thm2_dist_ub"
+)
+
+
 def quick_run_config(out_dir, seed=3, task=None, **overrides):
     kw = dict(
         task=task or TaskSpec(kind="base"),
@@ -156,7 +169,7 @@ class TestWriteCsvMatchesCsvModule:
         assert new == old_write_csv(tmp_path / "old.csv", ["x"], rows).read_bytes()
 
     def test_header_only(self, tmp_path):
-        header = harness.MATFAC_BASE_COLUMNS
+        header = BASE_HEADER.split(",")
         new = write_csv(tmp_path / "new.csv", header, []).read_bytes()
         assert new == old_write_csv(tmp_path / "old.csv", header, []).read_bytes()
 
@@ -363,9 +376,7 @@ class TestRunMatfac:
 
     def test_columns_present(self, tmp_path):
         rec = run_matfac(quick_run_config(tmp_path))
-        cols = list(read_csv(rec.csv_path)[0].keys())
-        for c in harness.MATFAC_BASE_COLUMNS + ["thm1_norm_lb", "thm1_erank_ub", "thm1_dist_ub"]:
-            assert c in cols
+        assert list(read_csv(rec.csv_path)[0].keys()) == BASE_HEADER.split(",")
 
     def test_perturbed_task_gets_thm2_columns(self, tmp_path):
         cfg = quick_run_config(
@@ -449,12 +460,13 @@ class TestRunMatfac:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "task, alpha",
-        [(TaskSpec(kind="base"), 1e13), (TaskSpec(kind="extended", rows=3, cols=4), 1e13),
-         (TaskSpec(kind="extended", rows=3, cols=4), 1e200)],
-        ids=["base", "extended3x4", "extended3x4-overflow"],
+        "task, alpha, header",
+        [(TaskSpec(kind="base"), 1e13, BASE_HEADER), (TaskSpec(kind="extended", rows=3, cols=4), 1e13, BASE_HEADER),
+         (TaskSpec(kind="extended", rows=3, cols=4), 1e200, BASE_HEADER),
+         (TaskSpec(kind="perturbed", unobserved=(1, 2)), 1e13, PERTURBED_1_2_HEADER)],
+        ids=["base", "extended3x4", "extended3x4-overflow", "perturbed-unobs-1-2"],
     )
-    def test_divergence_at_iteration_0_writes_header_only(self, tmp_path, task, alpha):
+    def test_divergence_at_iteration_0_writes_header_only(self, tmp_path, task, alpha, header):
         # a product drawn at scale 1e13 is past the blow-up limit before
         # the first sample; at 1e200 its loss overflows, without a warning
         cfg = quick_run_config(tmp_path, task=task, init=InitSpec(kind="balanced", alpha=alpha))
@@ -462,8 +474,9 @@ class TestRunMatfac:
         assert rec.summary["diverged"] is True
         assert rec.summary["iterations"] == 0
         assert math.isnan(rec.summary["final_loss"])
-        header, _ = harness.trajectory_rows(matfac.Trajectory(), task)
-        assert open(rec.csv_path).read().splitlines() == [",".join(header)]
+        free = "final_unobs_1_2" if task.kind == "perturbed" else "final_w11"
+        assert math.isnan(rec.summary[free])
+        assert open(rec.csv_path).read() == header + "\n"
 
 
 def old_trajectory_rows(t, task_spec):
@@ -471,17 +484,17 @@ def old_trajectory_rows(t, task_spec):
     free = task_spec.build().unobserved_indices()
     nuclear = metrics.QuasiNormSpec(1.0)
     rows = []
-    for k, lo in enumerate(t.losses):
+    for k, lo in enumerate(t["loss"]):
         if task_spec.kind == "perturbed":
             b = metrics.perturbed_task_bounds(lo, task_spec.z, task_spec.z_prime, task_spec.eps, nuclear)
         else:
             b = metrics.base_task_bounds(lo, nuclear)
         rows.append(
-            [t.iterations[k], lo]
-            + [t.unobserved[ij][k] for ij in free]
-            + [t.dets[k], t.sigmas[0][k], t.sigmas[1][k]]
-            + [t.metrics[name][k] for name in ("erank", "nuclear_norm", "frob_norm", "spectral_norm", "schatten_half")]
-            + [t.unbalancedness[k], *b]
+            [t["iter"][k], lo]
+            + [t[matfac.entry_column(ij)][k] for ij in free]
+            + [t["det"][k], t["sigma1"][k], t["sigma2"][k]]
+            + [t[name][k] for name in ("erank", "nuclear_norm", "frob_norm", "spectral_norm", "schatten_half")]
+            + [t["unbalancedness"][k], *b]
         )
     return rows
 
@@ -507,7 +520,7 @@ class TestTrajectoryRows:
         cfg = matfac.TrainConfig(learning_rate=0.03, max_iters=600, loss_threshold=0.0, log_stride=3)
         t = matfac.gd_train(net, task.build(), cfg).trajectory
         header, rows = trajectory_rows(t, task)
-        assert len(rows) == len(t) > 200
+        assert len(rows) == len(t["iter"]) > 200
         assert all(len(r) == len(header) for r in rows)
         assert typed_bits(rows) == typed_bits(old_trajectory_rows(t, task))
         if task.unobserved == (1, 2):  # w11 is observed: the free entry's own column, and no w11
@@ -569,6 +582,27 @@ class TestTenfacSweep:
         monkeypatch.setattr(tenfac, "gen_ground_truth", untouched)
         cfg = replace(TenfacSweepConfig(out_dir=str(tmp_path / "out")), **{field: ()})
         with pytest.raises(ValueError, match=f"{field} must not be empty"):
+            run_tenfac_sweep(cfg)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n_obs": (50, 100, 50)}, "n_obs repeats a value"),
+            ({"init_stds": (1e-4, 1e-4)}, "init_stds repeats a value"),
+            ({"seeds": (0, 0, 1)}, "seeds repeats a value"),
+            ({"max_iters": 0}, "max_iters must be positive"),
+        ],
+        ids=["n_obs-repeated", "init_stds-repeated", "seeds-repeated", "max-iters-0"],
+    )
+    def test_bad_grid_refused_before_the_ground_truth(self, tmp_path, monkeypatch, change, message):
+        # a repeated value would run its cells twice into the aggregate rows
+        def untouched(*args):
+            raise AssertionError("gen_ground_truth ran")
+
+        monkeypatch.setattr(tenfac, "gen_ground_truth", untouched)
+        cfg = replace(TenfacSweepConfig(out_dir=str(tmp_path / "out")), **change)
+        with pytest.raises(ValueError, match=message):
             run_tenfac_sweep(cfg)
         assert not (tmp_path / "out").exists()
 
@@ -944,6 +978,14 @@ class TestCli:
              "learning_rate must be positive"),
             (["matfac", "--jobs", "2"], {**_CLI_SWEEP_DOC, "learning_rates": [0.03, 0.0]}, None,
              "learning_rate must be positive"),
+            (["tenfac"], {"max_iters": 0}, None, "max_iters must be positive"),
+            (["tenfac"], {"max_iters": -5}, None, "max_iters must be positive"),
+            (["tenfac"], {"seeds": [0, 0, 1]}, None, "seeds repeats a value"),
+            (["matfac"], {**_CLI_SWEEP_DOC, "learning_rates": [0.03, 0.03], "seeds": [0, 0]}, None,
+             "the sweep grid repeats a cell"),
+            (["matfac"], {"learning_rate": "0.01"}, None, "'>' not supported between instances of 'str' and 'int'"),
+            (["matfac"], {**_CLI_SWEEP_DOC, "depths": ["2"]}, None, "not supported between instances of 'str'"),
+            (["tenfac"], {"max_iters": "5"}, None, "not supported between instances of 'str'"),
         ],
         ids=[
             "detsign-too-few-samples",
@@ -980,6 +1022,13 @@ class TestCli:
             "sweep-later-depth-0-jobs-2",
             "sweep-later-learning-rate-0-jobs-1",
             "sweep-later-learning-rate-0-jobs-2",
+            "tenfac-max-iters-0",
+            "tenfac-max-iters-negative",
+            "tenfac-seeds-repeated",
+            "matfac-sweep-cell-repeated",
+            "matfac-learning-rate-string",
+            "matfac-sweep-depths-string",
+            "tenfac-max-iters-string",
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, config, env, message):

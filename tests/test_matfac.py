@@ -38,6 +38,21 @@ from implreg.metrics import effective_rank_of_sigmas
 from implreg.rng import stream
 
 BASE = make_base_task()
+# the trajectory columns of a task whose one free entry is [0, 0]
+COLUMNS = (
+    "iter",
+    "loss",
+    "w11",
+    "det",
+    "sigma1",
+    "sigma2",
+    "erank",
+    "nuclear_norm",
+    "frob_norm",
+    "spectral_norm",
+    "schatten_half",
+    "unbalancedness",
+)
 
 
 def random_net(seed, dims):
@@ -213,7 +228,7 @@ class TestGdTrain:
         result = gd_train(net, BASE, cfg)
         assert result.iterations == 0
         assert result.converged
-        assert result.trajectory.losses[-1] == 0.0
+        assert result.trajectory["loss"][-1] == 0.0
         assert np.array_equal(result.net.factors[0], net.factors[0])
 
     def test_depth2_identity_converges_and_entry_grows(self):
@@ -231,8 +246,8 @@ class TestGdTrain:
         result = gd_train(net, BASE, cfg)
         assert result.converged
         t = result.trajectory
-        assert t.losses[-1] < 1e-3
-        w11s = [abs(w11) for lo, w11 in zip(t.losses, t.unobserved[(0, 0)]) if lo < 0.5]
+        assert t["loss"][-1] < 1e-3
+        w11s = [abs(w11) for lo, w11 in zip(t["loss"], t["w11"]) if lo < 0.5]
         assert all(b >= a - 1e-12 for a, b in zip(w11s, w11s[1:]))
 
     def test_depth3_entry_larger_at_lower_loss(self):
@@ -244,7 +259,7 @@ class TestGdTrain:
         result = gd_train(net, BASE, cfg)
         assert result.converged
         first_below = {}
-        for lo, w11 in zip(result.trajectory.losses, result.trajectory.unobserved[(0, 0)]):
+        for lo, w11 in zip(result.trajectory["loss"], result.trajectory["w11"]):
             for dec in (1e-1, 1e-3):
                 if lo <= dec and dec not in first_below:
                     first_below[dec] = abs(w11)
@@ -266,7 +281,7 @@ class TestGdTrain:
         net = init_unbalanced((2, 2), 3, 1e-1, rng)
         cfg = TrainConfig(learning_rate=1e-3, max_iters=30_000, loss_threshold=0.0, log_stride=100)
         result = gd_train(net, BASE, cfg)
-        losses = result.trajectory.losses
+        losses = result.trajectory["loss"]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_decade_crossings_are_logged(self):
@@ -275,7 +290,7 @@ class TestGdTrain:
         result = gd_train(net, BASE, cfg)
         # stride never fires, yet every decade between start and stop
         # shows up through crossing-triggered samples
-        decades = {math.floor(math.log10(lo)) for lo in result.trajectory.losses if lo > 0}
+        decades = {math.floor(math.log10(lo)) for lo in result.trajectory["loss"] if lo > 0}
         assert {-1, -2, -3, -4} <= decades
 
     @staticmethod
@@ -287,8 +302,8 @@ class TestGdTrain:
             gd_train(net, task, cfg)
         err = exc_info.value
         assert str(err) == f"training diverged at iteration {diverged_at}"
-        assert err.trajectory.iterations == tuple(range(diverged_at))
-        assert all(map(math.isfinite, err.trajectory.losses))
+        assert err.trajectory["iter"] == tuple(range(diverged_at))
+        assert all(map(math.isfinite, err.trajectory["loss"]))
         capped = gd_train(net, task, dataclasses.replace(cfg, max_iters=diverged_at - 1))
         _assert_bitwise_same_trajectory(err.trajectory, capped.trajectory)
 
@@ -319,7 +334,7 @@ class TestGdTrain:
             gd_train(net, task, TrainConfig(learning_rate=1e308, max_iters=10))
         err = exc_info.value
         assert err.net is None
-        assert err.trajectory.iterations == (0,)
+        assert err.trajectory["iter"] == (0,)
 
 
 def _assert_close_to_scale(actual, expected, rtol):
@@ -466,9 +481,9 @@ class TestStepKernels:
             if diverges:
                 with pytest.raises(matfac.DivergenceError) as err:
                     gd_train(net, make_extended_task(5, 6), cfg)
-                assert str(err.value) == "training diverged at iteration 1" and len(err.value.trajectory) == 1
+                assert str(err.value) == "training diverged at iteration 1" and len(err.value.trajectory["iter"]) == 1
             else:
-                assert len(gd_train(net, make_extended_task(5, 6), cfg).trajectory) == 201
+                assert len(gd_train(net, make_extended_task(5, 6), cfg).trajectory["iter"]) == 201
             assert np.geterr() == before
 
     @pytest.mark.parametrize(
@@ -619,7 +634,7 @@ def _balanced_start(task, depth, alpha):
 
 
 def _assert_bitwise_same_trajectory(got, want):
-    assert got.iterations == want.iterations
+    assert got["iter"] == want["iter"]
     # repr tells every float bit apart, including the sign of zero
     assert repr(got) == repr(want)
 
@@ -650,7 +665,7 @@ class TestEventLoop:
             result = gd_train(net, task, cfg)
             _assert_bitwise_same_run(result, reference_gd_train(net, task, cfg))
             assert result.converged is converged and iterations in (None, result.iterations)
-            logged = result.trajectory.iterations[:-1]
+            logged = result.trajectory["iter"][:-1]
             assert any(i and i % cfg.log_stride == 0 for i in logged)
             assert any(i % cfg.log_stride for i in logged)
         # short strides: the kernel logs at every step, or at several
@@ -679,7 +694,7 @@ class TestEventLoop:
             cfg = TrainConfig(learning_rate=0.02, max_iters=400, loss_threshold=0.0, log_stride=stride)
             result = gd_train(net, task, cfg)
             _assert_bitwise_same_run(result, reference_gd_train(net, task, cfg))
-            assert len(result.trajectory) > 400 // stride
+            assert len(result.trajectory["iter"]) > 400 // stride
 
     @pytest.mark.parametrize(
         "kernel, shape, depth, task, lr, max_iters",
@@ -703,9 +718,9 @@ class TestEventLoop:
         net = init_balanced(shape, depth, 1e-3, stream(0, depth))
         cfg = TrainConfig(learning_rate=lr, max_iters=max_iters, loss_threshold=0.0, log_stride=1)
         result = gd_train(net, task, cfg)
-        decades = [math.floor(math.log10(lo)) for lo in result.trajectory.losses]
+        decades = [math.floor(math.log10(lo)) for lo in result.trajectory["loss"]]
         crossings = sum(a != b for a, b in zip(decades, decades[1:]))
-        assert result.iterations == max_iters and len(result.trajectory) == max_iters + 1
+        assert result.iterations == max_iters and len(result.trajectory["iter"]) == max_iters + 1
         assert crossings >= 1 and len(calls) <= crossings + 2
 
     def test_single_observed_entry(self):
@@ -720,7 +735,7 @@ class TestEventLoop:
         net = DeepNet((np.array([[-1.0, -0.0], [0.0, -1.0]]), np.array([[0.0, -1.0], [-1.0, -0.0]])))
         cfg = TrainConfig(learning_rate=0.1, max_iters=50, loss_threshold=0.0, log_stride=7)
         result = gd_train(net, BASE, cfg)
-        assert result.trajectory.losses[0] == 0.0 and result.iterations == 50
+        assert result.trajectory["loss"][0] == 0.0 and result.iterations == 50
         _assert_bitwise_same_run(result, reference_gd_train(net, BASE, cfg))
 
     @pytest.mark.parametrize(
@@ -760,7 +775,7 @@ class TestEventLoop:
         result = gd_train(net, LARGE_TARGET, cfg)
         _assert_bitwise_same_run(result, reference_gd_train(net, LARGE_TARGET, cfg))
         lo_cap = matfac._ScalarKernel(net.factors, LARGE_TARGET).lo_cap
-        assert result.trajectory.losses[0] > lo_cap > result.trajectory.losses[-1]
+        assert result.trajectory["loss"][0] > lo_cap > result.trajectory["loss"][-1]
 
     def test_decade_band_agrees_with_log10(self):
         # within 64 ulps of every power of ten a loss lies in a decade's
@@ -805,7 +820,7 @@ class TestEventLoop:
         net = DeepNet(_balanced_start(BASE, 3, 1e-7))
         cfg = TrainConfig(learning_rate=9e-4, max_iters=2_500, loss_threshold=1e-4, log_stride=500)
         result = gd_train(net, BASE, cfg)
-        decades = [math.floor(math.log10(lo)) for lo in result.trajectory.losses]
+        decades = [math.floor(math.log10(lo)) for lo in result.trajectory["loss"]]
         crossings = sum(a != b for a, b in zip(decades, decades[1:]))
         assert result.iterations == 2_500 and crossings >= 1
         assert len(calls) <= crossings + 2
@@ -938,38 +953,29 @@ def oracle_det(p):
 
 
 def oracle_sample(it, lo, p, factors, task):
-    """One sample's values, in the order of the Trajectory fields."""
+    """One sample's values, keyed by trajectory column in CSV order."""
     sig = singular_values(p)
     gaps = [schatten_norm(hi.T @ hi - lo_ @ lo_.T, 1.0) for lo_, hi in zip(factors, factors[1:])]
-    return (
-        it,
-        lo,
-        {ij: float(p[ij]) for ij in task.unobserved_indices()},
-        tuple(float(s) for s in sig),
-        oracle_det(p),
-        max([0.0] + gaps),
-        {
-            "erank": effective_rank_of_sigmas(sig),
-            "nuclear_norm": float(sig.sum()),
-            "frob_norm": float(np.sqrt((sig * sig).sum())),
-            "spectral_norm": float(sig[0]),
-            "schatten_half": float(np.sqrt(sig).sum() ** 2),
-        },
-    )
+    return {
+        "iter": it,
+        "loss": lo,
+        **{matfac.entry_column(ij): float(p[ij]) for ij in task.unobserved_indices()},
+        "det": oracle_det(p),
+        "sigma1": float(sig[0]),
+        "sigma2": float(sig[1]),
+        "erank": effective_rank_of_sigmas(sig),
+        "nuclear_norm": float(sig.sum()),
+        "frob_norm": float(np.sqrt((sig * sig).sum())),
+        "spectral_norm": float(sig[0]),
+        "schatten_half": float(np.sqrt(sig).sum() ** 2),
+        "unbalancedness": max([0.0] + gaps),
+    }
 
 
 def oracle_trajectory(states, task):
     """The oracle's samples of ``states`` laid out as columns."""
-    its, losses, unobserved, sigmas, dets, unbalancedness, metrics = zip(*(oracle_sample(*st, task) for st in states))
-    return matfac.Trajectory(
-        iterations=its,
-        losses=losses,
-        unobserved={ij: tuple(u[ij] for u in unobserved) for ij in unobserved[0]},
-        sigmas=tuple(zip(*sigmas)),
-        dets=dets,
-        unbalancedness=unbalancedness,
-        metrics={name: tuple(m[name] for m in metrics) for name in metrics[0]},
-    )
+    samples = [oracle_sample(*st, task) for st in states]
+    return {name: tuple(s[name] for s in samples) for name in samples[0]}
 
 
 def train_with_snapshots(monkeypatch, net, task, cfg):
@@ -997,7 +1003,7 @@ class TestSamples:
 
     def assert_matches_oracle(self, monkeypatch, net, task, cfg):
         result, states = train_with_snapshots(monkeypatch, net, task, cfg)
-        assert result.trajectory.iterations == tuple(it for it, *_ in states)
+        assert result.trajectory["iter"] == tuple(it for it, *_ in states)
         # every step moves the factors: a snapshot aliasing the live
         # arrays would repeat the last state
         assert len({b"".join(w.tobytes() for w in ws) for *_, ws in states}) == len(states)
@@ -1032,30 +1038,37 @@ class TestSamples:
         # small values fall under the cutoff and become exact zeros
         cfg = TrainConfig(learning_rate=1e-2, max_iters=200, loss_threshold=0.0, log_stride=1)
         result = self.assert_matches_oracle(monkeypatch, random_net(8, [3, 1, 4]), make_extended_task(4, 3), cfg)
-        assert [set(col) for col in result.trajectory.sigmas[1:]] == [{0.0}, {0.0}]
+        t = result.trajectory
+        assert set(t["sigma2"]) == {0.0}
+        # the third value is kept in no column: exact zeros leave the
+        # nuclear norm at sigma1 and the effective rank at 1.0
+        assert t["nuclear_norm"] == t["sigma1"] and set(t["erank"]) == {1.0}
 
     def test_bitwise_check_tells_the_signs_of_zero_apart(self):
         # the rank-1 run's small singular values are exact +0.0; a copy
         # with one of them -0.0 compares equal under == but not bitwise
         cfg = TrainConfig(learning_rate=1e-2, max_iters=3, loss_threshold=0.0, log_stride=1)
         t = gd_train(random_net(8, [3, 1, 4]), make_extended_task(4, 3), cfg).trajectory
-        first, second, third = t.sigmas
-        assert math.copysign(1.0, second[-1]) == 1.0 and second[-1] == 0.0
-        flipped = dataclasses.replace(t, sigmas=(first, second[:-1] + (-0.0,), third))
+        sigma2 = t["sigma2"]
+        assert math.copysign(1.0, sigma2[-1]) == 1.0 and sigma2[-1] == 0.0
+        flipped = {**t, "sigma2": sigma2[:-1] + (-0.0,)}
         assert flipped == t
-        _assert_bitwise_same_trajectory(t, dataclasses.replace(t))
+        _assert_bitwise_same_trajectory(t, dict(t))
         with pytest.raises(AssertionError):
             _assert_bitwise_same_trajectory(t, flipped)
 
 
 class TestTrajectorySequence:
-    """A trajectory is its columns; its length is its sample count."""
+    """A trajectory is a dict of named columns."""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_empty_trajectory(self):
-        empty = matfac.Trajectory()
-        assert len(empty) == 0 and not empty
-        assert empty.iterations == empty.losses == empty.sigmas == empty.dets == empty.unbalancedness == ()
-        assert empty.unobserved == empty.metrics == {}
+        # no snapshot: every column, each empty, on the closed-form 2x2
+        # path and on LAPACK's (a 3x4 product, 3x3 Gram differences)
+        for task, layout in ((BASE, [(2, 2)] * 3), (make_extended_task(3, 4), [(3, 4), (3, 4), (3, 3), (3, 3)])):
+            empty = matfac._samples([], task, layout)
+            assert list(empty) == list(COLUMNS)
+            assert set(empty.values()) == {()}
 
 
 class TestSamplerEdgeCases:
@@ -1069,7 +1082,7 @@ class TestSamplerEdgeCases:
         cfg = TrainConfig(learning_rate=1e-2, max_iters=100, loss_threshold=0.0, log_stride=1)
         with pytest.raises(matfac.DivergenceError) as err:
             gd_train(net, task, cfg)
-        assert err.value.trajectory == matfac.Trajectory()
+        assert err.value.trajectory == dict.fromkeys(COLUMNS, ())
         assert str(err.value) == "training diverged at iteration 0"
 
     @pytest.mark.parametrize("dims, task", [([2, 2, 2], BASE), ([4, 3, 3], make_extended_task(3, 4))])
@@ -1292,7 +1305,7 @@ class TestUnbalancedness:
         before = unbalancedness_magnitude(net)
         cfg = TrainConfig(learning_rate=1e-3, max_iters=10_000, loss_threshold=0.0, log_stride=500)
         result = gd_train(net, BASE, cfg)
-        drift = max(abs(u - before) for u in result.trajectory.unbalancedness)
+        drift = max(abs(u - before) for u in result.trajectory["unbalancedness"])
         assert drift < 1e-3
 
 
@@ -1372,4 +1385,4 @@ class TestDetSignPreservation:
         net, _ = resample_until_det_sign(lambda r: init_balanced((2, 2), 3, 0.1, r), 1, rng)
         cfg = TrainConfig(learning_rate=1e-4, max_iters=1_000_000, loss_threshold=0.0, log_stride=1000)
         result = gd_train(net, BASE, cfg)
-        assert all(det > 0 for det in result.trajectory.dets)
+        assert all(det > 0 for det in result.trajectory["det"])

@@ -431,7 +431,7 @@ class TestBitwiseOracle:
         result = train_cp(task, terms, 1e-1, 3, mse_threshold=0.0, max_iters=250)
         it, trajectory, factors = oracle_train_cp(task, terms, 1e-1, 3, mse_threshold=0.0, max_iters=250)
         assert not result.converged and result.iterations == it == 250
-        assert same_bits([(s.iteration, s.loss, s.mse) for s in result.trajectory], trajectory)
+        assert same_bits(list(zip(*result.trajectory.values())), trajectory)
         assert all(same_bits(f, ref) for f, ref in zip(result.model.factors, factors))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -441,7 +441,7 @@ class TestBitwiseOracle:
         result = train_cp(task, default_terms((8, 8, 8)), 1e-2, seed)
         it, trajectory, factors = oracle_train_cp(task, default_terms((8, 8, 8)), 1e-2, seed)
         assert result.converged and result.iterations == it > 100
-        assert same_bits([(s.iteration, s.loss, s.mse) for s in result.trajectory], trajectory)
+        assert same_bits(list(zip(*result.trajectory.values())), trajectory)
         assert all(same_bits(f, ref) for f, ref in zip(result.model.factors, factors))
 
 
@@ -486,7 +486,7 @@ def assert_is_oracle_run(result, task, terms, init_std, seed, **stop):
     it, trajectory, factors = oracle_train_cp(task, terms, init_std, seed, **stop)
     assert result.iterations == it
     assert result.converged == (trajectory[-1][2] < stop.get("mse_threshold", 1e-6))
-    assert same_bits([(s.iteration, s.loss, s.mse) for s in result.trajectory], trajectory)
+    assert same_bits(list(zip(*result.trajectory.values())), trajectory)
     assert len(result.model.factors) == len(factors)
     assert all(same_bits(f, ref) for f, ref in zip(result.model.factors, factors))
 
@@ -534,7 +534,7 @@ class TestStackedRuns:
         diverged = results[1]
         assert isinstance(diverged, matfac.DivergenceError)
         assert str(diverged) == str(info.value) == "CP training diverged at iteration 0"
-        assert diverged.trajectory == info.value.trajectory == []
+        assert diverged.trajectory == info.value.trajectory == {"iter": (), "loss": (), "mse": ()}
         assert diverged.net is None
         for i in (0, 2):
             assert_is_oracle_run(results[i], task, 3, *runs[i])
@@ -553,7 +553,7 @@ class TestStackedRuns:
         assert isinstance(diverged, matfac.DivergenceError)
         assert str(diverged) == "CP training diverged at iteration 182"
         capped = train_cp(task, 3, init_std, 14, max_iters=100)
-        assert [s.iteration for s in diverged.trajectory] == [0, 100]
+        assert diverged.trajectory["iter"] == (0, 100)
         assert repr(diverged.trajectory) == repr(capped.trajectory)
         for i in (0, 2):
             assert_is_oracle_run(results[i], task, 3, *runs[i])
@@ -565,7 +565,7 @@ class TestStackedRuns:
         task = sample_observations(gen_ground_truth((4, 4, 4), 1, seed=0), 30, seed=0)
         runs = [(2e11, 0), (1e-2, 1)]
         results = train_cp_runs(task, 8, runs, max_iters=50)
-        assert results[0].trajectory[-1].loss > 1e60
+        assert results[0].trajectory["loss"][-1] > 1e60
         for (init_std, seed), result in zip(runs, results):
             assert_is_oracle_run(result, task, 8, init_std, seed, max_iters=50)
 
@@ -671,7 +671,7 @@ class TestTrainCp:
         task = full_task(truth)
         result = train_cp(task, default_terms((8, 8, 8)), 1e-3, seed=0)
         assert result.converged
-        assert result.trajectory[-1].mse < 1e-6
+        assert result.trajectory["mse"][-1] < 1e-6
 
     def test_all_but_one_observed_allowed(self):
         truth = gen_ground_truth((3, 3), 1, seed=1)
@@ -684,7 +684,7 @@ class TestTrainCp:
         result = train_cp(task, 2, 1e-2, seed=0, max_iters=20_000)
         assert not result.converged
         assert result.iterations == 20_000
-        assert result.trajectory[-1].mse > 1e-6
+        assert result.trajectory["mse"][-1] > 1e-6
 
     def test_deterministic_per_seed(self):
         truth = gen_ground_truth((4, 4), 1, seed=3)
@@ -700,7 +700,7 @@ class TestTrainCp:
         task = sample_observations(gen_ground_truth((3, 3, 3), 1, seed=0), 10, seed=0)
         with pytest.raises(matfac.DivergenceError, match="iteration 0") as info:
             train_cp(task, 3, 1e13, seed=0)
-        assert info.value.trajectory == []
+        assert info.value.trajectory == {"iter": (), "loss": (), "mse": ()}
 
     def test_returned_factors_share_no_memory(self):
         task = sample_observations(gen_ground_truth((3, 4, 5), 1, seed=0), 20, seed=0)
