@@ -312,27 +312,24 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 # matrix runs
 
-_NUCLEAR = metrics.QuasiNormSpec(1.0)
-
-
 def _bounds_for(task_spec: TaskSpec, losses: Sequence[float]) -> tuple[list[str], list[list[float]]]:
     """The names of the three bound columns and their values over a loss
     column, as Python floats."""
     ell = np.array(losses, dtype=float)
     if task_spec.kind == "perturbed":
         prefix = "thm2"
-        b = metrics.perturbed_task_bounds(ell, task_spec.z, task_spec.z_prime, task_spec.eps, _NUCLEAR)
+        b = metrics.perturbed_task_bounds(ell, task_spec.z, task_spec.z_prime, task_spec.eps, 1.0)
     else:
         prefix = "thm1"
-        b = metrics.base_task_bounds(ell, _NUCLEAR)
+        b = metrics.base_task_bounds(ell, 1.0)
     names = [f"{prefix}_norm_lb", f"{prefix}_erank_ub", f"{prefix}_dist_ub"]
     return names, [v.tolist() for v in b]
 
 
 def trajectory_rows(t: dict[str, tuple], task_spec: TaskSpec):
     """The CSV header and rows of a trajectory: its columns in order,
-    then the three bound columns over its losses (norm bounds use the
-    nuclear spec's constants).  The rows are tuples zipped from the
+    then the three bound columns over its losses (norm bounds at Schatten
+    order 1, the nuclear norm).  The rows are tuples zipped from the
     columns; an empty trajectory gives the header alone."""
     bound_names, bounds = _bounds_for(task_spec, t["loss"])
     return [*t, *bound_names], list(zip(*t.values(), *bounds))
@@ -340,7 +337,7 @@ def trajectory_rows(t: dict[str, tuple], task_spec: TaskSpec):
 
 def _prepare(cfg: MatfacRunConfig):
     """The task, initial net, init attempt count and training config of
-    a run; raises ValueError for a value the run cannot start with."""
+    a run; raises ValueError or ResampleError if the run cannot start."""
     task = cfg.task.build()
     net, attempts = cfg.init.build(task, cfg.depth, stream(cfg.seed, 1))
     train_cfg = matfac.TrainConfig(

@@ -14,14 +14,12 @@ form, which the tests also use as an oracle independent of LAPACK.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "KernelError",
-    "SvdResult",
     "SPECTRAL",
     "as_matrix",
     "as_tensor",
@@ -77,19 +75,6 @@ def as_tensor(a) -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD of a matrix: ``sum_r sigmas[r] * u[:, r] @ v[:, r].T``.
-
-    ``u`` is (d, k), ``v`` is (d', k) with orthonormal columns and
-    k = min(d, d'); ``sigmas`` is non-increasing and non-negative.
-    """
-
-    u: np.ndarray
-    sigmas: np.ndarray
-    v: np.ndarray
-
-
 def _lapack_svd(a: np.ndarray, compute_uv: bool):
     try:
         out = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
@@ -100,17 +85,18 @@ def _lapack_svd(a: np.ndarray, compute_uv: bool):
     return out
 
 
-def svd(m) -> SvdResult:
-    """Thin SVD through LAPACK, singular values sorted descending.
-
-    Values at most max(d, d') * eps * sigma_1 are set to exactly 0.0.
-    Each left vector is signed so its largest-magnitude entry is
-    non-negative, its right vector flipped with it.  Raises
-    :class:`KernelError`, carrying the input, if LAPACK fails.
+def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``(u, sigmas, v)`` through LAPACK, m = (u * sigmas) @ v.T:
+    ``u`` (d, k) and ``v`` (d', k) have orthonormal columns, k = min(d, d'),
+    and ``sigmas`` is sorted descending.  Values at most
+    max(d, d') * eps * sigma_1 are set to exactly 0.0.  Each left vector
+    is signed so its largest-magnitude entry is non-negative, its right
+    vector flipped with it.  Raises :class:`KernelError`, carrying the
+    input, if LAPACK fails.
     """
     u, sigmas, vt = _lapack_svd(as_matrix(m), compute_uv=True)
     signs = np.copysign(1.0, u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])])
-    return SvdResult(u=u * signs, sigmas=sigmas, v=vt.T * signs)
+    return u * signs, sigmas, vt.T * signs
 
 
 def singular_values(m) -> np.ndarray:

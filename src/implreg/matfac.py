@@ -666,13 +666,13 @@ def init_balanced(shape: tuple[int, int], depth: int, alpha: float, rng: np.rand
     target = rng.normal(0.0, alpha, size=(d, dp))
     target[dp:, :] = 0.0  # rows past dp exist only when d > dp
     target[:, d:] = 0.0  # columns past d only when dp > d
-    res = svd(target)
-    root = res.sigmas ** (1.0 / depth)
+    u, sigmas, v = svd(target)
+    root = sigmas ** (1.0 / depth)
     if depth == 1:
         return DeepNet((target,))
     # W_1 = diag(root) V^T of shape (h, dp), W_L = U diag(root) of shape (d, h)
     middle = [np.diag(root) for _ in range(depth - 2)]
-    return DeepNet((root[:, None] * res.v.T, *middle, res.u * root[None, :]))
+    return DeepNet((root[:, None] * v.T, *middle, u * root[None, :]))
 
 
 def init_identity(dim: int, depth: int, alpha: float) -> DeepNet:
@@ -696,14 +696,16 @@ def resample_until_det_sign(
     target_sign: int,
     rng: np.random.Generator,
 ) -> tuple[DeepNet, int]:
-    """Redraw ``make_init`` until the product's leading-minor determinant
-    has ``target_sign``; returns the net and the attempt count."""
+    """Redraw ``make_init`` until the product's leading-minor determinant is
+    finite, non-zero and of ``target_sign`` (one that overflowed tells no
+    sign); returns the net and the attempt count."""
     if target_sign not in (-1, 1):
         raise ValueError("target_sign must be +1 or -1")
     for attempt in range(1, RESAMPLE_ATTEMPTS + 1):
         net = make_init(rng)
-        det = leading_minor_det(product_matrix(net))
-        if det != 0.0 and math.copysign(1.0, det) == target_sign:
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = leading_minor_det(product_matrix(net))
+        if math.isfinite(det) and det * target_sign > 0:
             return net, attempt
     raise ResampleError(f"no draw matched determinant sign {target_sign:+d} in {RESAMPLE_ATTEMPTS} attempts")
 
@@ -713,8 +715,7 @@ def resample_until_det_sign(
 
 
 def _fractional_gram_powers(w: np.ndarray, depth: int):
-    res = svd(w)
-    u, sig, v = res.u, res.sigmas, res.v
+    u, sig, v = svd(w)
 
     def left(beta: float) -> np.ndarray:  # (W W^T)^beta on the column space
         return (u * sig ** (2 * beta)) @ u.T
@@ -754,11 +755,11 @@ def singular_value_rates(w, task: CompletionTask, depth: int) -> list[float]:
     """
     m = as_matrix(w)
     g = residual_gradient(task, m)
-    res = svd(m)
+    u, sigmas, v = svd(m)
     rates = []
-    for r in range(res.sigmas.size):
-        s = float(res.sigmas[r])
-        inner = float(res.u[:, r] @ g @ res.v[:, r])
+    for r in range(sigmas.size):
+        s = float(sigmas[r])
+        inner = float(u[:, r] @ g @ v[:, r])
         rates.append(-depth * (s * s) ** (1.0 - 1.0 / depth) * inner)
     return rates
 
@@ -786,16 +787,17 @@ def balance_project(net: DeepNet) -> DeepNet:
             raise ValueError("balance_project expects square factors of equal size")
     if len(fs) == 1:
         return DeepNet((fs[0].copy(),))
-    svds = [svd(f) for f in fs]
-    core = (svds[0].u * svds[0].sigmas) @ svds[0].u.T
+    (u1, s1, _), *rest = [svd(f) for f in fs]
+    core = (u1 * s1) @ u1.T
+    qs = [u @ v.T for u, _, v in rest]  # Q_2 ... Q_L
     out = [fs[0].copy()]
     rot_prev = np.eye(d)  # R_{l-1}
-    rot = svds[1].u @ svds[1].v.T  # R_l, starting at Q_2
+    rot = qs[0]  # R_l, starting at Q_2
     for l in range(1, len(fs)):
         out.append(rot @ core @ rot_prev.T)
         if l + 1 < len(fs):
             rot_prev = rot
-            rot = (svds[l + 1].u @ svds[l + 1].v.T) @ rot
+            rot = qs[l] @ rot
     return DeepNet(tuple(out))
 
 

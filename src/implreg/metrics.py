@@ -17,7 +17,6 @@ reported as computed, never clamped, so evaluator bugs stay visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +27,7 @@ from .linalg import as_matrix, schatten_norm, singular_values
 from .linalg import svd  # noqa: F401
 
 __all__ = [
-    "QuasiNormSpec",
+    "triangle_constant",
     "effective_rank_of_sigmas",
     "dist_from_rank",
     "solution_singular_values",
@@ -38,27 +37,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuasiNormSpec:
-    """A Schatten-family (quasi-)norm with its triangle constant.
-
-    ``c`` is the smallest constant with ||A + B|| <= c (||A|| + ||B||):
-    1 for p >= 1 and 2^(1/p - 1) for p < 1.  Every 2x2 single-entry
-    matrix e_i e_j^T has norm 1 in this family, so the bound evaluators
-    below carry no basis-norm factors.
-    """
-
-    p: float
-    c: float = field(init=False)
-
-    def __post_init__(self):
-        pf = float(self.p)
-        if not pf > 0:
-            raise ValueError("Schatten order must be positive")
-        object.__setattr__(self, "c", 1.0 if pf >= 1.0 else 2.0 ** (1.0 / pf - 1.0))
-
-    def norm(self, m) -> float:
-        return schatten_norm(m, self.p)
+def triangle_constant(p: float) -> float:
+    """The smallest c with ||A + B|| <= c (||A|| + ||B||) in the Schatten
+    (quasi-)norm of positive order ``p``: 1 for p >= 1, 2^(1/p - 1) below.
+    Every 2x2 single-entry matrix e_i e_j^T has norm 1 in this family,
+    so the bound evaluators below carry no basis-norm factors."""
+    pf = float(p)
+    if not pf > 0:
+        raise ValueError(f"Schatten order must be positive, got {p!r}")
+    return 1.0 if pf >= 1.0 else 2.0 ** (1.0 / pf - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +111,12 @@ def _as_given(loss: np.ndarray, *values) -> tuple:
     return tuple(map(float, values)) if loss.ndim == 0 else values
 
 
-def base_task_bounds(ell: float | np.ndarray, spec: QuasiNormSpec) -> tuple:
+def base_task_bounds(ell: float | np.ndarray, p: float) -> tuple:
     """The bounds ``(norm_lb, erank_ub, dist_ub)`` holding along
-    positive-determinant trajectories of the base task at loss ``ell``:
+    positive-determinant trajectories of the base task at loss ``ell``,
+    with c = :func:`triangle_constant` of the Schatten order ``p``:
 
-    - ||W|| >= a / sqrt(ell) - b with a = 1 / (sqrt(2) c) and
+    - ||W||_p >= a / sqrt(ell) - b with a = 1 / (sqrt(2) c) and
       b = max(sqrt(2) a, 8 c^2);
     - erank(W) <= 1 + (2 sqrt(12) / ln 2) sqrt(ell);
     - distance from rank one <= 3 sqrt(2) sqrt(ell).
@@ -137,9 +125,10 @@ def base_task_bounds(ell: float | np.ndarray, spec: QuasiNormSpec) -> tuple:
     bitwise equal to scalar calls (IEEE sqrt and division are correctly
     rounded).
     """
+    c = triangle_constant(p)
     loss = _loss_column(ell)
-    a = 1.0 / (math.sqrt(2.0) * spec.c)
-    b = max(math.sqrt(2.0) * a, 8.0 * spec.c**2)
+    a = 1.0 / (math.sqrt(2.0) * c)
+    b = max(math.sqrt(2.0) * a, 8.0 * c**2)
     root = np.sqrt(loss)
     with np.errstate(divide="ignore"):
         norm_lb = a / root - b
@@ -148,12 +137,12 @@ def base_task_bounds(ell: float | np.ndarray, spec: QuasiNormSpec) -> tuple:
     return _as_given(loss, norm_lb, erank_ub, dist_ub)
 
 
-def perturbed_task_bounds(ell: float | np.ndarray, z: float, z_prime: float, eps: float, spec: QuasiNormSpec) -> tuple:
+def perturbed_task_bounds(ell: float | np.ndarray, z: float, z_prime: float, eps: float, p: float) -> tuple:
     """The bounds ``(norm_lb, erank_ub, dist_ub)`` for the perturbed task
     at loss ``ell``, valid along trajectories whose determinant sign
-    matches the task:
+    matches the task, with c as in :func:`base_task_bounds`:
 
-    - ||W|| >= a |z z'| / (|eps| + sqrt(2 ell)) - b with
+    - ||W||_p >= a |z z'| / (|eps| + sqrt(2 ell)) - b with
       a = 1 / c and
       b = max(a |z z'| / (|eps| + min(|z|, |z'|)),
               8 c^2 max(|z|, |z'|, |eps|));
@@ -167,11 +156,12 @@ def perturbed_task_bounds(ell: float | np.ndarray, z: float, z_prime: float, eps
     """
     if z == 0 or z_prime == 0:
         raise ValueError("z and z_prime must be non-zero")
+    c = triangle_constant(p)
     loss = _loss_column(ell)
     az, azp, ae = abs(z), abs(z_prime), abs(eps)
     zmin = min(az, azp)
-    a = 1.0 / spec.c
-    b = max(a * az * azp / (ae + zmin), 8.0 * spec.c**2 * max(az, azp, ae))
+    a = 1.0 / c
+    b = max(a * az * azp / (ae + zmin), 8.0 * c**2 * max(az, azp, ae))
     root = np.sqrt(2.0 * loss)
     with np.errstate(divide="ignore"):
         norm_lb = a * az * azp / (ae + root) - b
@@ -180,10 +170,10 @@ def perturbed_task_bounds(ell: float | np.ndarray, z: float, z_prime: float, eps
     return _as_given(loss, norm_lb, erank_ub, dist_ub)
 
 
-def solution_norm_argmin(spec: QuasiNormSpec, x_grid: Sequence[float]) -> float:
-    """Grid minimizer of the (quasi-)norm over the base-task solution
-    family, parameterized by the free entry.  The grid must contain 0;
-    for every Schatten order the minimizer is 0."""
+def solution_norm_argmin(p: float, x_grid: Sequence[float]) -> float:
+    """Grid minimizer of the Schatten (quasi-)norm of order ``p`` over
+    the base-task solution family, parameterized by the free entry.  The
+    grid must contain 0; for every Schatten order the minimizer is 0."""
     grid = [float(x) for x in x_grid]
     if not grid:
         raise ValueError("x_grid must be non-empty")
@@ -193,7 +183,7 @@ def solution_norm_argmin(spec: QuasiNormSpec, x_grid: Sequence[float]) -> float:
     best_v = math.inf
     for x in grid:
         w = np.array([[x, 1.0], [1.0, 0.0]])
-        v = spec.norm(w)
+        v = schatten_norm(w, p)
         if v < best_v:
             best_v = v
             best_x = x

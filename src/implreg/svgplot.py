@@ -16,6 +16,7 @@ Output is plain SVG 1.1 with no external assets.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -34,7 +35,7 @@ _RAMP = [(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 3
 
 class SchemaError(ValueError):
     """An input CSV lacks a column the requested style needs, quotes a
-    field, or holds a cell that is not a number where one is needed."""
+    field, or holds a non-number or non-finite cell where one is needed."""
 
 
 def _ramp_color(f: float) -> str:
@@ -62,8 +63,8 @@ def _read_rows(path: str | Path, cols: Sequence[str]) -> tuple[list[str], list[l
 
 
 def _bad_cell(path, header, rows, cols, empty_ok=False) -> SchemaError | None:
-    """The error for the first cell of ``cols`` that is not a number (an
-    empty cell counts as one when ``empty_ok``), or None."""
+    """The error for the first cell of ``cols`` that is not a finite
+    number (an empty cell counts as one when ``empty_ok``), or None."""
     at = [(c, header.index(c)) for c in cols if c in header]
     for k, row in enumerate(rows, start=1):
         for c, i in at:
@@ -72,9 +73,11 @@ def _bad_cell(path, header, rows, cols, empty_ok=False) -> SchemaError | None:
             if row[i] == "" and empty_ok:
                 continue
             try:
-                float(row[i])
+                v = float(row[i])
             except ValueError:
                 return SchemaError(f"non-numeric value {row[i]!r} in column '{c}', row {k} of {path}")
+            if not math.isfinite(v):
+                return SchemaError(f"non-finite value {row[i]!r} in column '{c}', row {k} of {path}")
     return None
 
 
@@ -204,11 +207,15 @@ def _plot_loss_vs_entry(csv_paths, out_path, title):
         entry = next((c for c in header if c.startswith("unobs_")), "w11")
         if rows and entry not in header:
             raise SchemaError(f"missing column '{entry}' in {p}")
-        it, lo, w = (header.index(c) if rows else 0 for c in ("iter", "loss", entry))
+        cols = ("iter", "loss", entry)
+        it, lo, w = (header.index(c) if rows else 0 for c in cols)
         try:
             pts = [(float(r[lo]), abs(float(r[w])), float(r[it])) for r in rows]
         except (ValueError, IndexError):
-            raise _bad_cell(p, header, rows, ("iter", "loss", entry)) from None
+            raise _bad_cell(p, header, rows, cols) from None
+        # a sum is finite when every term is; when it is not, the cell scan tells
+        if not math.isfinite(sum(chain.from_iterable(pts))) and (bad := _bad_cell(p, header, rows, cols)):
+            raise bad
         pts = [pt for pt in pts if pt[0] > 0]
         runs.append((Path(p).stem, pts))
 
@@ -309,8 +316,8 @@ def emit_plot(csv_paths: Sequence[str | Path], style: str, out_path: str | Path,
     """Render the named style from one or more CSVs to ``out_path``.
 
     Raises :class:`SchemaError` if an input lacks a required column,
-    quotes a field, or holds a cell that is not a number where a number
-    is plotted; nothing is written then.  An empty trajectory still
+    quotes a field, or holds a cell that is not a finite number where a
+    number is plotted; nothing is written then.  An empty trajectory still
     yields a valid SVG with axes.
     """
     if style == "loss-vs-entry":

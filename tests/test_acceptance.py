@@ -42,12 +42,13 @@ from implreg.rng import stream
 BASE = make_base_task()
 SLACK = 1e-3
 
-NUCLEAR = metrics.QuasiNormSpec(1.0)
+NUCLEAR = 1.0
+# each logged norm column and its Schatten order
 NORM_SPECS = {
     "nuclear_norm": NUCLEAR,
-    "frob_norm": metrics.QuasiNormSpec(2.0),
-    "spectral_norm": metrics.QuasiNormSpec(SPECTRAL),
-    "schatten_half": metrics.QuasiNormSpec(0.5),
+    "frob_norm": 2.0,
+    "spectral_norm": SPECTRAL,
+    "schatten_half": 0.5,
 }
 
 
@@ -126,8 +127,8 @@ def test_criterion_02_norm_blowup(identity_run):
     for k, loss in enumerate(t["loss"]):
         if loss >= 0.5:
             continue
-        for key, spec in NORM_SPECS.items():
-            bound = metrics.base_task_bounds(loss, spec)[0]
+        for key, p in NORM_SPECS.items():
+            bound = metrics.base_task_bounds(loss, p)[0]
             worst = max(worst, bound - t[key][k])
     bounds_ok = worst <= SLACK
     at_target = [nuclear for loss, nuclear in zip(t["loss"], t["nuclear_norm"]) if loss <= 1e-4]
@@ -243,7 +244,7 @@ def test_criterion_07_analytic_oracles():
     for _ in range(1000):
         m = rng.uniform(-10.0, 10.0, size=(2, 2))
         s_closed = svd2x2_analytic(m)
-        s_lapack = svd(m).sigmas
+        s_lapack = svd(m)[1]
         worst = max(worst, abs(s_closed[0] - s_lapack[0]), abs(s_closed[1] - s_lapack[1]))
     svd_ok = worst <= 1e-10
 
@@ -257,7 +258,7 @@ def test_criterion_07_analytic_oracles():
     )
 
     grid = np.arange(-3.0, 3.0 + 1e-9, 0.1).round(10).tolist()
-    argmins = {key: metrics.solution_norm_argmin(spec, grid) for key, spec in NORM_SPECS.items()}
+    argmins = {key: metrics.solution_norm_argmin(p, grid) for key, p in NORM_SPECS.items()}
     scan_ok = all(v == 0.0 for v in argmins.values())
 
     ok = svd_ok and mono_ok and scan_ok
@@ -298,8 +299,8 @@ def test_criterion_09_perturbation_robustness(perturbed_runs):
     for eps, result in perturbed_runs.items():
         t = result.trajectory
         for k, loss in enumerate(t["loss"]):
-            for key, spec in NORM_SPECS.items():
-                nb, eub, dub = metrics.perturbed_task_bounds(loss, 1.0, 1.0, eps, spec)
+            for key, p in NORM_SPECS.items():
+                nb, eub, dub = metrics.perturbed_task_bounds(loss, 1.0, 1.0, eps, p)
                 worst = max(worst, nb - t[key][k])
             worst = max(worst, t["erank"][k] - eub)
             worst = max(worst, t["sigma2"][k] - dub)

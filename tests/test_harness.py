@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -482,13 +483,12 @@ class TestRunMatfac:
 def old_trajectory_rows(t, task_spec):
     # one row per sample with scalar bound evaluations, as rows were once built
     free = task_spec.build().unobserved_indices()
-    nuclear = metrics.QuasiNormSpec(1.0)
     rows = []
     for k, lo in enumerate(t["loss"]):
         if task_spec.kind == "perturbed":
-            b = metrics.perturbed_task_bounds(lo, task_spec.z, task_spec.z_prime, task_spec.eps, nuclear)
+            b = metrics.perturbed_task_bounds(lo, task_spec.z, task_spec.z_prime, task_spec.eps, 1.0)
         else:
-            b = metrics.base_task_bounds(lo, nuclear)
+            b = metrics.base_task_bounds(lo, 1.0)
         rows.append(
             [t["iter"][k], lo]
             + [t[matfac.entry_column(ij)][k] for ij in free]
@@ -777,6 +777,15 @@ class TestPlots:
         assert "nan" not in text and len(points) > 1
         assert all(math.isfinite(float(v)) for pt in points for v in pt.split(","))
 
+    def test_finite_cells_whose_sum_overflows_still_plot(self, tmp_path):
+        # the non-finite check sums the plotted cells; a sum that overflows
+        # on finite cells falls back to the cell scan, which finds nothing
+        p = tmp_path / "big.csv"
+        p.write_text("iter,loss,w11\n0,1.0,1e308\n1,0.5,1.5e308\n")
+        text = svgplot.emit_plot([p], "loss-vs-entry", tmp_path / "x.svg").read_text()
+        points = text.split('points="', 1)[1].split('"', 1)[0].split()
+        assert len(points) == 2 and all(math.isfinite(float(v)) for pt in points for v in pt.split(","))
+
     def test_unknown_style_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             svgplot.emit_plot([], "mystery", tmp_path / "x.svg")
@@ -861,10 +870,15 @@ _CLI_SWEEP_DOC = {
     "out_dir": "runs",
 }
 
+_SWEEP_HEADER = ",".join(harness.TENFAC_COLUMNS) + "\n"
 _CLI_PLOT_INPUTS = {
     "no-w11.csv": "iter,loss\n0,1.0\n",
     "abc.csv": "iter,loss,w11\n0,abc,0.5\n",
     "quoted.csv": 'iter,loss,w11\n0,"1.0",0.5\n',
+    "loss-inf.csv": "iter,loss,w11\n0,1.0,0.5\n1,inf,0.6\n",
+    "w11-nan.csv": "iter,loss,w11\n0,1.0,0.5\n1,0.5,nan\n",
+    "sweep-inf.csv": _SWEEP_HEADER + "cell,gd,4,0.001,0,inf,1,,,,\nmedian_iqr,gd,4,0.001,,0.5,1,0.5,0.5,1,1\n",
+    "sweep-nan.csv": _SWEEP_HEADER + "cell,gd,4,0.001,0,0.5,1,,,,\nmedian_iqr,gd,4,0.001,,nan,1,0.5,0.5,1,1\n",
 }
 
 
@@ -986,6 +1000,20 @@ class TestCli:
             (["matfac"], {"learning_rate": "0.01"}, None, "'>' not supported between instances of 'str' and 'int'"),
             (["matfac"], {**_CLI_SWEEP_DOC, "depths": ["2"]}, None, "not supported between instances of 'str'"),
             (["tenfac"], {"max_iters": "5"}, None, "not supported between instances of 'str'"),
+            # every draw's determinant overflows, so none has a sign
+            (["matfac"], {"init": {"kind": "balanced", "alpha": 1e160, "det_sign": 1}}, None,
+             "no draw matched determinant sign +1 in 100 attempts"),
+            (["matfac"], {"task": {"kind": "extended", "rows": 3, "cols": 4},
+                          "init": {"kind": "balanced", "alpha": 1e200, "det_sign": None}}, None,
+             "no draw matched determinant sign +1 in 100 attempts"),
+            (["plot", "--input", "../loss-inf.csv", "--style", "loss-vs-entry"], None, None,
+             "non-finite value 'inf' in column 'loss', row 2 of ../loss-inf.csv"),
+            (["plot", "--input", "../w11-nan.csv", "--style", "loss-vs-entry"], None, None,
+             "non-finite value 'nan' in column 'w11', row 2 of ../w11-nan.csv"),
+            (["plot", "--input", "../sweep-inf.csv", "--style", "sweep"], None, None,
+             "non-finite value 'inf' in column 'recon_error', row 1 of ../sweep-inf.csv"),
+            (["plot", "--input", "../sweep-nan.csv", "--style", "sweep"], None, None,
+             "non-finite value 'nan' in column 'recon_error', row 2 of ../sweep-nan.csv"),
         ],
         ids=[
             "detsign-too-few-samples",
@@ -1029,6 +1057,12 @@ class TestCli:
             "matfac-learning-rate-string",
             "matfac-sweep-depths-string",
             "tenfac-max-iters-string",
+            "matfac-signed-init-det-overflows",
+            "matfac-extended-auto-sign-det-overflows",
+            "plot-loss-inf",
+            "plot-w11-nan",
+            "plot-sweep-recon-error-inf",
+            "plot-sweep-recon-error-nan",
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, config, env, message):
@@ -1054,10 +1088,14 @@ class TestCli:
             cfg_path = tmp_path / "cfg.json"
             cfg_path.write_text(json.dumps({**base, **config}))
             argv = [*argv, "--config", str(cfg_path)]
-        with pytest.raises(SystemExit) as exc_info:
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as exc_info:
+            warnings.simplefilter("always")
             main(argv)
         assert exc_info.value.code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "RuntimeWarning" not in err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert list(work.iterdir()) == []  # no output file, no runs/, no CSV
 
     def test_seed_flag_refused_on_multi_seed_config(self, tmp_path, capsys):

@@ -36,13 +36,13 @@ class TestValidation:
 
 class TestSvd:
     def test_identity(self):
-        res = svd(np.eye(2))
-        assert np.allclose(res.sigmas, [1.0, 1.0])
-        assert np.allclose(np.abs(res.u.T @ res.v), np.eye(2), atol=1e-12)
+        u, sigmas, v = svd(np.eye(2))
+        assert np.allclose(sigmas, [1.0, 1.0])
+        assert np.allclose(np.abs(u.T @ v), np.eye(2), atol=1e-12)
 
     def test_permutation(self):
-        res = svd([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(res.sigmas, [1.0, 1.0])
+        u, sigmas, v = svd([[0.0, 1.0], [1.0, 0.0]])
+        assert np.allclose(sigmas, [1.0, 1.0])
 
     def test_solution_matrix_x3(self):
         # expected values from the closed form, cross-checked by a
@@ -50,45 +50,46 @@ class TestSvd:
         w = [[3.0, 1.0], [1.0, 0.0]]
         gram_eigs = sorted(np.linalg.eigvalsh(np.array(w).T @ np.array(w)), reverse=True)
         assert math.sqrt(gram_eigs[0]) == pytest.approx(3.302775637731995, abs=1e-12)
-        res = svd(w)
-        assert res.sigmas[0] == pytest.approx(3.302775637731995, abs=1e-10)
-        assert res.sigmas[1] == pytest.approx(0.30277563773199456, abs=1e-10)
+        u, sigmas, v = svd(w)
+        assert sigmas[0] == pytest.approx(3.302775637731995, abs=1e-10)
+        assert sigmas[1] == pytest.approx(0.30277563773199456, abs=1e-10)
 
     def test_rank_deficient_still_orthonormal(self):
-        res = svd([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-        assert res.sigmas[1] == 0.0
-        assert np.allclose(res.u.T @ res.u, np.eye(2), atol=1e-10)
-        assert np.allclose(res.v.T @ res.v, np.eye(2), atol=1e-10)
-        assert np.allclose((res.u * res.sigmas) @ res.v.T, [[1, 2], [2, 4], [3, 6]], atol=1e-10)
+        u, sigmas, v = svd([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+        assert sigmas[1] == 0.0
+        assert np.allclose(u.T @ u, np.eye(2), atol=1e-10)
+        assert np.allclose(v.T @ v, np.eye(2), atol=1e-10)
+        assert np.allclose((u * sigmas) @ v.T, [[1, 2], [2, 4], [3, 6]], atol=1e-10)
 
     def test_sign_convention(self):
-        res = svd([[-5.0, 0.0], [0.0, 1.0]])
+        u, sigmas, v = svd([[-5.0, 0.0], [0.0, 1.0]])
         for r in range(2):
-            lead = np.argmax(np.abs(res.u[:, r]))
-            assert res.u[lead, r] >= 0
+            lead = np.argmax(np.abs(u[:, r]))
+            assert u[lead, r] >= 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 8))
     def test_reconstruction_and_orthonormality(self, seed, d, dp):
         m = rand_matrix(seed, d, dp, scale=3.0)
-        res = svd(m)
+        u, sigmas, v = svd(m)
         k = min(d, dp)
+        assert (u.shape, sigmas.shape, v.shape) == ((d, k), (k,), (dp, k))
         norm = np.linalg.norm(m)
         tol = 1e-10 * max(norm, 1.0)
-        assert np.abs((res.u * res.sigmas) @ res.v.T - m).max() <= tol
-        assert np.abs(res.u.T @ res.u - np.eye(k)).max() <= 1e-10
-        assert np.abs(res.v.T @ res.v - np.eye(k)).max() <= 1e-10
-        assert all(a >= b for a, b in zip(res.sigmas, res.sigmas[1:]))
-        assert res.sigmas[-1] >= 0
+        assert np.abs((u * sigmas) @ v.T - m).max() <= tol
+        assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-10
+        assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-10
+        assert all(a >= b for a, b in zip(sigmas, sigmas[1:]))
+        assert sigmas[-1] >= 0
 
     def test_matches_analytic_on_random_2x2(self):
         rng = np.random.default_rng(42)
         for _ in range(1000):
             m = rng.uniform(-10, 10, size=(2, 2))
             s1, s2 = svd2x2_analytic(m)
-            res = svd(m)
-            assert abs(res.sigmas[0] - s1) <= 1e-10
-            assert abs(res.sigmas[1] - s2) <= 1e-10
+            u, sigmas, v = svd(m)
+            assert abs(sigmas[0] - s1) <= 1e-10
+            assert abs(sigmas[1] - s2) <= 1e-10
 
     def test_lapack_failure_raises_kernel_error_with_input(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -101,23 +102,23 @@ class TestSvd:
         assert np.array_equal(info.value.matrix, m)
 
     def test_cutoff_is_relative(self):
-        res = svd(np.diag([1.0, 1e-12]))
-        assert res.sigmas[1] == pytest.approx(1e-12, rel=1e-12, abs=0.0)
+        u, sigmas, v = svd(np.diag([1.0, 1e-12]))
+        assert sigmas[1] == pytest.approx(1e-12, rel=1e-12, abs=0.0)
 
     def test_zero_matrix(self):
-        res = svd(np.zeros((3, 2)))
-        assert np.array_equal(res.sigmas, [0.0, 0.0])
-        assert np.allclose(res.u.T @ res.u, np.eye(2), atol=1e-12)
-        assert np.allclose(res.v.T @ res.v, np.eye(2), atol=1e-12)
+        u, sigmas, v = svd(np.zeros((3, 2)))
+        assert np.array_equal(sigmas, [0.0, 0.0])
+        assert np.allclose(u.T @ u, np.eye(2), atol=1e-12)
+        assert np.allclose(v.T @ v, np.eye(2), atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(2, 3), (4, 3)])
     def test_sign_convention_rectangular(self, shape):
         m = rand_matrix(7, *shape)
-        res = svd(m)
+        u, sigmas, v = svd(m)
         for r in range(min(shape)):
-            lead = np.argmax(np.abs(res.u[:, r]))
-            assert res.u[lead, r] >= 0
-        assert np.abs((res.u * res.sigmas) @ res.v.T - m).max() <= 1e-12 * np.abs(m).max()
+            lead = np.argmax(np.abs(u[:, r]))
+            assert u[lead, r] >= 0
+        assert np.abs((u * sigmas) @ v.T - m).max() <= 1e-12 * np.abs(m).max()
 
 
 class TestSingularValues:
@@ -126,7 +127,7 @@ class TestSingularValues:
         for seed in range(20):
             m = rand_matrix(seed, *shape)
             sig = singular_values(m)
-            full = svd(m).sigmas
+            full = svd(m)[1]
             assert sig.shape == full.shape
             assert np.abs(sig - full).max() <= 1e-13 * full[0]
 

@@ -5,6 +5,7 @@ import math
 import operator
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -1222,6 +1223,26 @@ class TestResampleDetSign:
             resample_until_det_sign(make, -1, stream(3, 3))
         assert len(draws) == cap
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4)])
+    def test_draw_whose_det_overflows_is_refused(self, shape):
+        # a det of +inf (first draw) or NaN (an overflowed product, second) tells no sign:
+        # the first finite draw of the sign is taken, and numpy does not warn
+        big = 1e200 * np.ones((shape[1], shape[1]))
+        draws = iter([
+            DeepNet((1e160 * np.eye(*shape),)),
+            DeepNet((big, big, 1e200 * np.ones(shape))),
+            DeepNet((np.eye(*shape),)),
+        ])
+
+        def make(r):
+            return next(draws)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            net, attempts = resample_until_det_sign(make, 1, stream(4, 3))
+        assert attempts == 3
+        assert np.array_equal(net.factors[0], np.eye(*shape))
+
 
 class TestProductOde:
     def test_depth1_is_plain_gradient_step(self):
@@ -1353,9 +1374,9 @@ class TestFlowContinuity:
         bump *= 1e-6 / np.linalg.norm(bump)
 
         def factors_from(t):
-            res = linalg_svd(t)
-            root = res.sigmas ** (1.0 / depth)
-            return [root[:, None] * res.v.T, np.diag(root), res.u * root[None, :]]
+            u, sigmas, v = linalg_svd(t)
+            root = sigmas ** (1.0 / depth)
+            return [root[:, None] * v.T, np.diag(root), u * root[None, :]]
 
         fa = factors_from(target)
         fb = factors_from(target + bump)

@@ -7,16 +7,16 @@ from hypothesis import given, settings, strategies as st
 from implreg import metrics
 from implreg.linalg import SPECTRAL, singular_values
 from implreg.metrics import (
-    QuasiNormSpec,
     base_task_bounds,
     dist_from_rank,
     effective_rank_of_sigmas,
     perturbed_task_bounds,
     solution_norm_argmin,
     solution_singular_values,
+    triangle_constant,
 )
 
-NUCLEAR = QuasiNormSpec(1.0)
+NUCLEAR = 1.0
 
 
 def solution_matrix(x):
@@ -24,22 +24,30 @@ def solution_matrix(x):
 
 
 class TestQuasiNormSpec:
+    """A (quasi-)norm is named by its Schatten order; its triangle
+    constant comes from :func:`triangle_constant`."""
+
     def test_triangle_constants(self):
-        assert QuasiNormSpec(1.0).c == 1.0
-        assert QuasiNormSpec(2.0).c == 1.0
-        assert QuasiNormSpec(SPECTRAL).c == 1.0
-        assert QuasiNormSpec(0.5).c == 2.0
-        assert QuasiNormSpec(0.25).c == pytest.approx(2.0**3)
+        assert triangle_constant(1.0) == 1.0
+        assert triangle_constant(2.0) == 1.0
+        assert triangle_constant(SPECTRAL) == 1.0
+        assert triangle_constant(0.5) == 2.0
+        assert triangle_constant(0.25) == pytest.approx(2.0**3)
 
     def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            QuasiNormSpec(p=-2.0)
+        evaluators = (
+            triangle_constant,
+            lambda p: base_task_bounds(0.1, p),
+            lambda p: perturbed_task_bounds(0.1, 1.0, 1.0, 0.0, p),
+        )
+        for p in (0.0, -2.0, math.nan):
+            for evaluate in evaluators:
+                with pytest.raises(ValueError, match="^Schatten order must be positive"):
+                    evaluate(p)
 
     @pytest.mark.parametrize("p", [SPECTRAL, math.inf, float("inf")])
     def test_infinite_order_is_spectral(self, p):
-        spec = QuasiNormSpec(p=p)
-        assert spec.c == 1.0
-        assert spec == QuasiNormSpec(SPECTRAL)
+        assert triangle_constant(p) == 1.0
 
 
 class TestEffectiveRank:
@@ -173,7 +181,7 @@ class TestBaseTaskBounds:
 
     def test_schatten_half_offset_is_8c2(self):
         # c = 2, a = 1 / (2 sqrt(2)): b = 8 c^2 = 32 dominates sqrt(2) a = 1/2
-        norm_lb, _, _ = base_task_bounds(0.25, QuasiNormSpec(0.5))
+        norm_lb, _, _ = base_task_bounds(0.25, 0.5)
         assert norm_lb == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)) / 0.5 - 32.0, abs=1e-12)
 
 
@@ -221,30 +229,35 @@ def scalar_perturbed_oracle(ell, z, z_prime, eps, c):
     return norm_lb, erank_ub, dist_ub
 
 
+# Schatten orders with their triangle constants, spelled out for the oracles
+ORDERS = [(1.0, 1.0), (0.5, 2.0)]
+
+
 def bits(values):
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
 class TestBoundsOverLossArrays:
-    @pytest.mark.parametrize("spec", [NUCLEAR, QuasiNormSpec(0.5)], ids=["nuclear", "schatten_half"])
-    def test_base_array_equals_scalar_calls(self, spec):
-        column = base_task_bounds(np.array(LOSSES), spec)
+    @pytest.mark.parametrize("p, c", ORDERS, ids=["nuclear", "schatten_half"])
+    def test_base_array_equals_scalar_calls(self, p, c):
+        column = base_task_bounds(np.array(LOSSES), p)
         for k, values in enumerate(column):
             assert isinstance(values, np.ndarray)
-            scalars = [base_task_bounds(ell, spec)[k] for ell in LOSSES]
+            scalars = [base_task_bounds(ell, p)[k] for ell in LOSSES]
             assert all(type(v) is float for v in scalars)
             assert bits(values) == bits(scalars)
-            assert bits(scalars) == bits([scalar_base_oracle(ell, spec.c)[k] for ell in LOSSES])
+            assert bits(scalars) == bits([scalar_base_oracle(ell, c)[k] for ell in LOSSES])
 
     @pytest.mark.parametrize("z, z_prime, eps", [(1.0, 1.0, 0.0), (1.0, 1.0, 0.01), (0.7, -1.3, -0.05)])
     def test_perturbed_array_equals_scalar_calls(self, z, z_prime, eps):
-        column = perturbed_task_bounds(np.array(LOSSES), z, z_prime, eps, NUCLEAR)
-        for k, values in enumerate(column):
-            scalars = [perturbed_task_bounds(ell, z, z_prime, eps, NUCLEAR)[k] for ell in LOSSES]
-            assert all(type(v) is float for v in scalars)
-            assert bits(values) == bits(scalars)
-            assert bits(scalars) == bits([scalar_perturbed_oracle(ell, z, z_prime, eps, 1.0)[k] for ell in LOSSES])
-        assert (column[0][0] == math.inf) == (eps == 0.0)
+        for p, c in ORDERS:
+            column = perturbed_task_bounds(np.array(LOSSES), z, z_prime, eps, p)
+            for k, values in enumerate(column):
+                scalars = [perturbed_task_bounds(ell, z, z_prime, eps, p)[k] for ell in LOSSES]
+                assert all(type(v) is float for v in scalars)
+                assert bits(values) == bits(scalars)
+                assert bits(scalars) == bits([scalar_perturbed_oracle(ell, z, z_prime, eps, c)[k] for ell in LOSSES])
+            assert (column[0][0] == math.inf) == (eps == 0.0)
 
     def test_negative_loss_rejected(self):
         for ell in (-1e-300, np.array([0.1, -0.0, -1e-12])):
@@ -256,13 +269,13 @@ class TestBoundsOverLossArrays:
 
 
 class TestSolutionNormArgmin:
-    @pytest.mark.parametrize("spec", [NUCLEAR, QuasiNormSpec(SPECTRAL)])
-    def test_coarse_grid(self, spec):
-        assert solution_norm_argmin(spec, [-2.0, -1.0, 0.0, 1.0, 2.0]) == 0.0
+    @pytest.mark.parametrize("p", [NUCLEAR, SPECTRAL], ids=["nuclear", "spectral"])
+    def test_coarse_grid(self, p):
+        assert solution_norm_argmin(p, [-2.0, -1.0, 0.0, 1.0, 2.0]) == 0.0
 
     def test_quasi_norm_fine_grid(self):
         grid = np.arange(-3.0, 3.0 + 1e-9, 0.1).round(10).tolist()
-        assert solution_norm_argmin(QuasiNormSpec(0.5), grid) == 0.0
+        assert solution_norm_argmin(0.5, grid) == 0.0
 
     def test_grid_must_contain_zero(self):
         with pytest.raises(ValueError):
