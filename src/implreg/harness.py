@@ -279,26 +279,51 @@ _KINDS = {
 }
 
 
-def _tuples(doc: dict) -> dict:
-    # configs are frozen dataclasses, so JSON lists become tuples
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+def _integer(name: str, v) -> int:
+    # JSON has one number type: a float of integral value, such as 5e6, is
+    # read as that int, so it gets the run_id of the integer spelling
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
+def _fields(cls, doc: dict) -> dict:
+    """``doc`` as keyword arguments of ``cls``: JSON lists become tuples
+    (configs are frozen dataclasses), and every field that ``cls``
+    declares an int, an optional int or a tuple of ints is read by
+    :func:`_integer`."""
+    doc = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+    for f in fields(cls):
+        # annotations are strings here (postponed evaluation)
+        v = doc.get(f.name)
+        if f.name not in doc or (v is None and f.type == "int | None"):
+            continue
+        if f.type in ("int", "int | None"):
+            doc[f.name] = _integer(f.name, v)
+        elif f.type.startswith("tuple[int"):
+            doc[f.name] = tuple(_integer(f"{f.name}[{k}]", x) for k, x in enumerate(v))
+    return doc
 
 
 def parse_config(doc: dict):
-    """Build a typed config from a JSON document (kind-discriminated)."""
+    """Build a typed config from a JSON document (kind-discriminated).
+    A field declared an integer must hold one; a float of integral
+    value, such as 5e6, is read as that integer."""
     if "kind" not in doc:
         raise ValueError("config needs a top-level 'kind'")
     kind = doc["kind"]
     if kind not in _KINDS:
         raise ValueError(f"unknown config kind {kind!r} (expected one of {sorted(_KINDS)})")
-    body = _tuples({k: v for k, v in doc.items() if k != "kind"})
     try:
+        body = _fields(_KINDS[kind], {k: v for k, v in doc.items() if k != "kind"})
         if kind in ("matfac-run", "matfac-sweep"):
             if "task" in body:
-                t = _tuples(dict(body["task"]))
+                t = _fields(TaskSpec, dict(body["task"]))
                 body["task"] = TaskSpec(kind=t.pop("kind", "base"), **t)
             if "init" in body:
-                body["init"] = InitSpec(**body["init"])
+                body["init"] = InitSpec(**_fields(InitSpec, dict(body["init"])))
         return _KINDS[kind](**body)
     except TypeError as exc:
         raise ValueError(f"bad fields for config kind {kind!r}: {exc}") from exc

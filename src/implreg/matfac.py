@@ -71,14 +71,14 @@ class DivergenceError(RuntimeError):
 
     Carries the partial trajectory, which ends at the last finite logged
     sample, so callers can persist what was computed before the
-    blow-up, and the net at the blow-up, or None when a factor entry is
-    not finite.
+    blow-up, and as ``model`` the net at the blow-up, or None when a
+    factor entry is not finite or the run is a CP run.
     """
 
-    def __init__(self, message, trajectory, net):
+    def __init__(self, message, trajectory, model):
         super().__init__(message)
         self.trajectory = trajectory
-        self.net = net
+        self.model = model
 
 
 class ResampleError(RuntimeError):
@@ -166,7 +166,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainResult:
-    net: DeepNet
+    # a CP trainer puts a tenfac.CpModel here and logs the columns
+    # "iter", "loss" and "mse"
+    model: DeepNet
     trajectory: dict[str, tuple]  # see _samples
     iterations: int
     converged: bool
@@ -604,7 +606,7 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
     trajectory = _samples(snapshots, task, layout)
     if diverged:
         raise DivergenceError(f"training diverged at iteration {it}", trajectory, _net(kernel.snapshot(), layout))
-    return TrainResult(net=_net(snapshots[-1][2], layout), trajectory=trajectory, iterations=it, converged=converged)
+    return TrainResult(model=_net(snapshots[-1][2], layout), trajectory=trajectory, iterations=it, converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -701,12 +703,19 @@ def resample_until_det_sign(
     sign); returns the net and the attempt count."""
     if target_sign not in (-1, 1):
         raise ValueError("target_sign must be +1 or -1")
+    overflowed = 0
     for attempt in range(1, RESAMPLE_ATTEMPTS + 1):
         net = make_init(rng)
         with np.errstate(over="ignore", invalid="ignore"):
             det = leading_minor_det(product_matrix(net))
-        if math.isfinite(det) and det * target_sign > 0:
+        if not math.isfinite(det):
+            overflowed += 1
+        elif det * target_sign > 0:
             return net, attempt
+    if overflowed == RESAMPLE_ATTEMPTS:
+        raise ResampleError(
+            f"the determinant of all {RESAMPLE_ATTEMPTS} draws overflowed, so none has a sign; lower the init scale"
+        )
     raise ResampleError(f"no draw matched determinant sign {target_sign:+d} in {RESAMPLE_ATTEMPTS} attempts")
 
 

@@ -11,6 +11,8 @@ children from the same seed tree.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["stream"]
@@ -20,7 +22,8 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     """Return the Philox generator for ``seed`` at stream ``path``.
 
     Identical (seed, path) pairs always produce identical streams;
-    different paths are independent.
+    different paths are independent.  A seed that is not an integer,
+    such as 1.5, raises TypeError rather than being truncated.
     """
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=tuple(path))
+    ss = np.random.SeedSequence(entropy=operator.index(seed) & (2**64 - 1), spawn_key=tuple(path))
     return np.random.Generator(np.random.Philox(ss))

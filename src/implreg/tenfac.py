@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import as_tensor, outer_product, singular_values
-from .matfac import CompletionTask, DivergenceError, ENTRY_BLOWUP_LIMIT
+from .matfac import CompletionTask, DivergenceError, ENTRY_BLOWUP_LIMIT, TrainResult
 from .rng import stream
 
 __all__ = [
@@ -181,14 +181,6 @@ def cp_loss_and_grads(model: CpModel, task: CompletionTask):
     return lo, grads
 
 
-@dataclass(frozen=True)
-class CpTrainResult:
-    model: CpModel
-    trajectory: dict[str, tuple]  # columns "iter", "loss" and "mse" of the logged samples
-    iterations: int
-    converged: bool
-
-
 def _columns(samples: list[tuple]) -> dict[str, tuple]:
     # logged (it, lo, mse) samples as the named columns of a trajectory
     return {name: tuple(s[k] for s in samples) for k, name in enumerate(("iter", "loss", "mse"))}
@@ -201,7 +193,7 @@ def train_cp(
     seed: int,
     mse_threshold: float = 1e-6,
     max_iters: int = 10**6,
-) -> CpTrainResult:
+) -> TrainResult:
     """Train a CP model on the observed entries.
 
     Factors start i.i.d. N(0, init_std^2) from per-mode substreams of
@@ -225,14 +217,14 @@ def train_cp_runs(
     runs: Sequence[tuple[float, int]],
     mse_threshold: float = 1e-6,
     max_iters: int = 10**6,
-) -> list[CpTrainResult | DivergenceError]:
+) -> list[TrainResult | DivergenceError]:
     """Train one CP model per ``(init_std, seed)`` run on the same task,
     the runs stacked into one loop that steps them all at once.
 
     Each run is :func:`train_cp` with its own init, step size and stop,
     and gets exactly the bits it gets alone: iterations, trajectory,
     factors and divergence message.  Returns, in run order, each run's
-    :class:`CpTrainResult`, or the :class:`DivergenceError` that
+    :class:`TrainResult`, or the :class:`DivergenceError` that
     ``train_cp`` raises for it.  A run that stops (converged, capped or
     diverged) leaves the stack and never stops the others.
     """
@@ -301,7 +293,7 @@ def train_cp_runs(
                     if trajectory[-1][0] != it:
                         trajectory.append((it, lo, mse))
                     model = CpModel(tuple(buf[i, a:b].reshape(terms, d).copy() for (a, b), d in zip(spans, task.shape)))
-                    stopped[i] = CpTrainResult(model, _columns(trajectory), it, mse < mse_threshold)
+                    stopped[i] = TrainResult(model, _columns(trajectory), it, mse < mse_threshold)
         if stopped:
             for i, result in stopped.items():
                 results[live[i]] = result

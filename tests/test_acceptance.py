@@ -225,7 +225,7 @@ def test_criterion_06_product_flow_equivalence():
             w = product_ode_step(w, BASE, 2, dt)
         cfg = TrainConfig(learning_rate=dt, max_iters=n_steps, loss_threshold=0.0, log_stride=n_steps)
         result = gd_train(net, BASE, cfg)
-        gaps.append(float(np.linalg.norm(w - product_matrix(result.net))))
+        gaps.append(float(np.linalg.norm(w - product_matrix(result.model))))
     ratio = gaps[0] / gaps[1]
     ok = gaps[0] < 1e-4 and ratio >= 1.8
     report(

@@ -248,6 +248,19 @@ class TestConfigs:
         again = parse_config(doc)
         assert again.run_id == cfg.run_id
 
+    def test_integral_float_reads_as_its_int(self):
+        # JSON has one number type: 5e6 is the int 5000000, with its run_id
+        doc = {"kind": "matfac-run", "max_iters": 5000000}
+        spelled = parse_config({**doc, "max_iters": 5e6})
+        assert spelled == parse_config(doc) and type(spelled.max_iters) is int
+        assert spelled.run_id == parse_config(doc).run_id
+
+    def test_stream_refuses_a_float_seed(self):
+        # not truncated to the stream of its integer part
+        with pytest.raises(TypeError):
+            stream(1.5)
+        assert stream(np.int64(1)).random() == stream(1).random()
+
     def test_run_id_independent_of_out_dir(self, tmp_path):
         a = run_matfac(quick_run_config(tmp_path / "a"))
         b = run_matfac(quick_run_config(tmp_path / "b"))
@@ -998,14 +1011,24 @@ class TestCli:
             (["matfac"], {**_CLI_SWEEP_DOC, "learning_rates": [0.03, 0.03], "seeds": [0, 0]}, None,
              "the sweep grid repeats a cell"),
             (["matfac"], {"learning_rate": "0.01"}, None, "'>' not supported between instances of 'str' and 'int'"),
-            (["matfac"], {**_CLI_SWEEP_DOC, "depths": ["2"]}, None, "not supported between instances of 'str'"),
-            (["tenfac"], {"max_iters": "5"}, None, "not supported between instances of 'str'"),
+            (["matfac"], {**_CLI_SWEEP_DOC, "depths": ["2"]}, None, "depths[0] must be an integer, got '2'"),
+            (["tenfac"], {"max_iters": "5"}, None, "max_iters must be an integer, got '5'"),
             # every draw's determinant overflows, so none has a sign
             (["matfac"], {"init": {"kind": "balanced", "alpha": 1e160, "det_sign": 1}}, None,
-             "no draw matched determinant sign +1 in 100 attempts"),
+             "the determinant of all 100 draws overflowed, so none has a sign; lower the init scale"),
             (["matfac"], {"task": {"kind": "extended", "rows": 3, "cols": 4},
                           "init": {"kind": "balanced", "alpha": 1e200, "det_sign": None}}, None,
-             "no draw matched determinant sign +1 in 100 attempts"),
+             "the determinant of all 100 draws overflowed, so none has a sign; lower the init scale"),
+            # an integer field holding a float of fractional value or a boolean
+            (["matfac"], {"max_iters": 2.5}, None, "max_iters must be an integer, got 2.5"),
+            (["matfac"], {"log_stride": 2.5}, None, "log_stride must be an integer, got 2.5"),
+            (["matfac"], {"seed": 1.5}, None, "seed must be an integer, got 1.5"),
+            (["matfac"], {"depth": True}, None, "depth must be an integer, got True"),
+            (["tenfac"], {"dims": [3, 3, 3], "n_obs": [20], "seeds": [0.5]}, None, "seeds[0] must be an integer, got 0.5"),
+            (["tenfac"], {"dims": [3, 3, 3], "n_obs": [20], "max_iters": 300.5}, None,
+             "max_iters must be an integer, got 300.5"),
+            (["tenfac"], {"dims": [3, 3, 3], "n_obs": [20], "gt_rank": 1.5}, None, "gt_rank must be an integer, got 1.5"),
+            (["tenfac"], {"dims": [3, 3, 3], "n_obs": [20.5]}, None, "n_obs[0] must be an integer, got 20.5"),
             (["plot", "--input", "../loss-inf.csv", "--style", "loss-vs-entry"], None, None,
              "non-finite value 'inf' in column 'loss', row 2 of ../loss-inf.csv"),
             (["plot", "--input", "../w11-nan.csv", "--style", "loss-vs-entry"], None, None,
@@ -1059,6 +1082,14 @@ class TestCli:
             "tenfac-max-iters-string",
             "matfac-signed-init-det-overflows",
             "matfac-extended-auto-sign-det-overflows",
+            "matfac-max-iters-fractional",
+            "matfac-log-stride-fractional",
+            "matfac-seed-fractional",
+            "matfac-depth-bool",
+            "tenfac-seeds-fractional",
+            "tenfac-max-iters-fractional",
+            "tenfac-gt-rank-fractional",
+            "tenfac-n-obs-fractional",
             "plot-loss-inf",
             "plot-w11-nan",
             "plot-sweep-recon-error-inf",

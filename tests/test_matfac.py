@@ -230,7 +230,7 @@ class TestGdTrain:
         assert result.iterations == 0
         assert result.converged
         assert result.trajectory["loss"][-1] == 0.0
-        assert np.array_equal(result.net.factors[0], net.factors[0])
+        assert np.array_equal(result.model.factors[0], net.factors[0])
 
     def test_depth2_identity_converges_and_entry_grows(self):
         # scaled-identity start at the paired grid rate: the loss is
@@ -274,7 +274,7 @@ class TestGdTrain:
         grads = factor_gradients(net, BASE)
         cfg = TrainConfig(learning_rate=eta, max_iters=1, loss_threshold=0.0, log_stride=1)
         result = gd_train(net, BASE, cfg)
-        for f0, g, f1 in zip(net.factors, grads, result.net.factors):
+        for f0, g, f1 in zip(net.factors, grads, result.model.factors):
             assert np.allclose(f1, f0 - eta * g, atol=1e-15)
 
     def test_loss_non_increasing_at_small_rate(self):
@@ -334,7 +334,7 @@ class TestGdTrain:
         with pytest.raises(matfac.DivergenceError) as exc_info:
             gd_train(net, task, TrainConfig(learning_rate=1e308, max_iters=10))
         err = exc_info.value
-        assert err.net is None
+        assert err.model is None
         assert err.trajectory["iter"] == (0,)
 
 
@@ -463,10 +463,10 @@ class TestStepKernels:
                 fs = [f - eta * g for f, g in zip(fs, grads)]
             if width == 3:
                 _assert_bitwise_same_run(result, reference_gd_train(net, BASE, cfg))
-                for got, want in zip(result.net.factors, fs):
+                for got, want in zip(result.model.factors, fs):
                     _assert_close_to_scale(got, want, 1e-13)
             else:
-                assert all(np.array_equal(got, want) for got, want in zip(result.net.factors, fs))
+                assert all(np.array_equal(got, want) for got, want in zip(result.model.factors, fs))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     # at lr 1e100 the first step overflows in a matmul
@@ -497,7 +497,7 @@ class TestStepKernels:
         cfg = TrainConfig(learning_rate=1e-2, max_iters=3_000, loss_threshold=0.0, log_stride=100)
         first, second = gd_train(net, task, cfg), gd_train(net, task, cfg)
         _assert_bitwise_same_trajectory(first.trajectory, second.trajectory)
-        for a, b in zip(first.net.factors, second.net.factors):
+        for a, b in zip(first.model.factors, second.model.factors):
             assert np.array_equal(a, b)
 
 
@@ -618,7 +618,7 @@ def reference_gd_train(net, task, cfg):
     if logged_it != it:
         log_state(lo)
     return matfac.TrainResult(
-        net=net_now(), trajectory=matfac._samples(snapshots, task, layout), iterations=it, converged=converged
+        model=net_now(), trajectory=matfac._samples(snapshots, task, layout), iterations=it, converged=converged
     )
 
 
@@ -643,7 +643,7 @@ def _assert_bitwise_same_trajectory(got, want):
 def _assert_bitwise_same_run(got, want):
     assert (got.iterations, got.converged) == (want.iterations, want.converged)
     _assert_bitwise_same_trajectory(got.trajectory, want.trajectory)
-    assert [f.tobytes() for f in got.net.factors] == [f.tobytes() for f in want.net.factors]
+    assert [f.tobytes() for f in got.model.factors] == [f.tobytes() for f in want.model.factors]
 
 
 class TestEventLoop:
@@ -766,7 +766,7 @@ class TestEventLoop:
             reference_gd_train(net, task, cfg)
         assert str(got.value) == str(want.value)
         _assert_bitwise_same_trajectory(got.value.trajectory, want.value.trajectory)
-        assert [f.tobytes() for f in got.value.net.factors] == [f.tobytes() for f in want.value.net.factors]
+        assert [f.tobytes() for f in got.value.model.factors] == [f.tobytes() for f in want.value.model.factors]
 
     def test_large_observed_value_matches_step_by_step_loop(self):
         # an observed value of 9e11: the first ~50 steps have a loss above
@@ -1267,7 +1267,7 @@ class TestProductOde:
                 w = product_ode_step(w, BASE, 2, dt)
             cfg = TrainConfig(learning_rate=dt, max_iters=n_steps, loss_threshold=0.0, log_stride=n_steps)
             result = gd_train(net, BASE, cfg)
-            gaps.append(float(np.linalg.norm(w - product_matrix(result.net))))
+            gaps.append(float(np.linalg.norm(w - product_matrix(result.model))))
         assert gaps[1] <= gaps[0]
         assert gaps[0] / gaps[1] >= 1.8
 

@@ -535,9 +535,23 @@ class TestStackedRuns:
         assert isinstance(diverged, matfac.DivergenceError)
         assert str(diverged) == str(info.value) == "CP training diverged at iteration 0"
         assert diverged.trajectory == info.value.trajectory == {"iter": (), "loss": (), "mse": ()}
-        assert diverged.net is None
+        assert diverged.model is None
         for i in (0, 2):
             assert_is_oracle_run(results[i], task, 3, *runs[i])
+
+    def test_every_trainer_returns_one_result_type(self):
+        # a matrix run and a CP run read alike: model, trajectory, iterations, converged
+        net = matfac.init_balanced((2, 2), 2, 1e-1, stream(0, 1))
+        results = [matfac.gd_train(net, matfac.make_base_task(), matfac.TrainConfig(learning_rate=1e-2, max_iters=50))]
+        task = sample_observations(gen_ground_truth((3, 3, 3), 1, seed=0), 10, seed=0)
+        results.append(train_cp(task, 3, 1e-2, seed=0, max_iters=50))
+        stacked = train_cp_runs(task, 3, [(1e-2, 0), (1e13, 0), (1e-2, 1)], max_iters=50)
+        assert isinstance(stacked[1], matfac.DivergenceError) and stacked[1].model is None
+        results += [stacked[0], stacked[2]]
+        assert all(type(r) is matfac.TrainResult for r in results)
+        assert isinstance(results[0].model, matfac.DeepNet)
+        assert all(isinstance(r.model, CpModel) for r in results[1:])
+        assert all(tuple(r.trajectory) == ("iter", "loss", "mse") for r in results[1:])
 
     def test_member_diverging_mid_run_keeps_its_logged_samples(self):
         # seed 14's largest factor entry starts 0.2 under the blow-up limit
