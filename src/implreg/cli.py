@@ -84,7 +84,7 @@ def main(argv=None) -> int:
                 if seed != seeds[0]:
                     cfg = _reseed(cfg, seed)
             out = harness.run_config(cfg, jobs=args.jobs)
-        except (ValueError, TypeError, ResampleError) as exc:  # TypeError: a value of the wrong JSON type
+        except (ValueError, ResampleError) as exc:
             parser.error(f"cannot run {args.config}: {exc}")
         if isinstance(out, harness.RunRecord):
             print(f"{out.run_id}: {out.csv_path}")

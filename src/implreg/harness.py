@@ -17,9 +17,9 @@ import hashlib
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -279,54 +279,52 @@ _KINDS = {
 }
 
 
-def _integer(name: str, v) -> int:
-    # JSON has one number type: a float of integral value, such as 5e6, is
-    # read as that int, so it gets the run_id of the integer spelling
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
-    raise ValueError(f"{name} must be an integer, got {v!r}")
+# the JSON values each scalar annotation takes, and its name in a message;
+# only a bool field takes a bool, though Python counts it an int
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+               bool: (bool, "a boolean"), str: (str, "a string")}
+# a config class's annotations, evaluated once (they are strings here)
+_hints = functools.cache(get_type_hints)
 
 
-def _fields(cls, doc: dict) -> dict:
-    """``doc`` as keyword arguments of ``cls``: JSON lists become tuples
-    (configs are frozen dataclasses), and every field that ``cls``
-    declares an int, an optional int or a tuple of ints is read by
-    :func:`_integer`."""
-    doc = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
-    for f in fields(cls):
-        # annotations are strings here (postponed evaluation)
-        v = doc.get(f.name)
-        if f.name not in doc or (v is None and f.type == "int | None"):
-            continue
-        if f.type in ("int", "int | None"):
-            doc[f.name] = _integer(f.name, v)
-        elif f.type.startswith("tuple[int"):
-            doc[f.name] = tuple(_integer(f"{f.name}[{k}]", x) for k, x in enumerate(v))
-    return doc
+def _read(tp, value, path: str):
+    """The JSON ``value`` at ``path`` of a config as the annotated type
+    ``tp``.  An integral float (5e6) in an ``int`` field is read as that
+    int, and a ``float`` field keeps a JSON int as given: no run_id moves."""
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path} must be an object, got {value!r}")
+        hints, prefix = _hints(tp), f"{path}." if path else ""
+        unknown = value.keys() - hints.keys()
+        if unknown:
+            raise ValueError(f"unknown field {prefix}{min(unknown)}")
+        return tp(**{k: _read(hints[k], v, prefix + k) for k, v in value.items()})
+    args = get_args(tp)
+    if type(None) in args:
+        return None if value is None else _read(args[0], value, path)
+    if get_origin(tp) is tuple:
+        fixed = args[-1] is not ...
+        if not isinstance(value, list) or (fixed and len(value) != len(args)):
+            raise ValueError(f"{path} must be a list{f' of {len(args)}' if fixed else ''}, got {value!r}")
+        return tuple(_read(args[k if fixed else 0], x, f"{path}[{k}]") for k, x in enumerate(value))
+    if tp is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    types, name = _JSON_TYPES[tp]
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, types):
+        raise ValueError(f"{path} must be {name}, got {value!r}")
+    return value
 
 
 def parse_config(doc: dict):
-    """Build a typed config from a JSON document (kind-discriminated).
-    A field declared an integer must hold one; a float of integral
-    value, such as 5e6, is read as that integer."""
-    if "kind" not in doc:
+    """Build a typed config from a JSON document (kind-discriminated),
+    each value read by :func:`_read`; an error names the field's path,
+    such as ``init.alpha`` or ``n_obs[0]``."""
+    if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("config needs a top-level 'kind'")
     kind = doc["kind"]
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown config kind {kind!r} (expected one of {sorted(_KINDS)})")
-    try:
-        body = _fields(_KINDS[kind], {k: v for k, v in doc.items() if k != "kind"})
-        if kind in ("matfac-run", "matfac-sweep"):
-            if "task" in body:
-                t = _fields(TaskSpec, dict(body["task"]))
-                body["task"] = TaskSpec(kind=t.pop("kind", "base"), **t)
-            if "init" in body:
-                body["init"] = InitSpec(**_fields(InitSpec, dict(body["init"])))
-        return _KINDS[kind](**body)
-    except TypeError as exc:
-        raise ValueError(f"bad fields for config kind {kind!r}: {exc}") from exc
+    return _read(_KINDS[kind], {k: v for k, v in doc.items() if k != "kind"}, "")
 
 
 def load_config(path):

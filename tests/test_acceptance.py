@@ -120,6 +120,15 @@ def test_criterion_01_endpoint_is_pinned(identity_run):
     assert t["w11"][-1] == pytest.approx(30.91059595102826, rel=1e-12)
 
 
+def test_theorem1_norm_is_tight_at_the_end_of_criterion_01(identity_run):
+    """Theorem 1 bounds the nuclear norm below by a / sqrt(l) - b.  On the
+    growth branch the norm follows the a / sqrt(l) term alone: at the last
+    sample, nuclear * sqrt(2 l) is 1 (0.9999995 at loss 5.222e-4), and
+    criterion 2's bound slack is the additive constant b."""
+    t = identity_run[0].trajectory
+    assert t["nuclear_norm"][-1] * math.sqrt(2.0 * t["loss"][-1]) == pytest.approx(1.0, abs=1e-3)
+
+
 def test_criterion_02_norm_blowup(identity_run):
     result, _ = identity_run
     t = result.trajectory

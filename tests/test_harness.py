@@ -255,6 +255,13 @@ class TestConfigs:
         assert spelled == parse_config(doc) and type(spelled.max_iters) is int
         assert spelled.run_id == parse_config(doc).run_id
 
+    def test_float_field_keeps_a_json_int(self):
+        # a float() conversion would give 1.0 and 2.0, and so a new run_id
+        # and new names for every output file of such a config
+        cfg = parse_config({"kind": "matfac-run", "learning_rate": 1, "task": {"kind": "perturbed", "z": 2}})
+        assert type(cfg.learning_rate) is int and type(cfg.task.z) is int
+        assert cfg.run_id == "6f5a438a7893-s0"
+
     def test_stream_refuses_a_float_seed(self):
         # not truncated to the stream of its integer part
         with pytest.raises(TypeError):
@@ -945,8 +952,9 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"kind": "matfac-run", "depht": 3}', '{"kind": "mystery"}', None, '{"kind": "matfac-run",'],
-        ids=["misspelled-field", "unknown-kind", "missing-file", "not-json"],
+        ['{"kind": "matfac-run", "depht": 3}', '{"kind": "mystery"}', None, '{"kind": "matfac-run",', '"kind"',
+         '{"kind": ["matfac-run"]}'],
+        ids=["misspelled-field", "unknown-kind", "missing-file", "not-json", "not-an-object", "kind-not-a-string"],
     )
     def test_config_that_fails_to_load_exits_2(self, tmp_path, monkeypatch, capsys, text):
         from implreg.cli import main
@@ -1010,7 +1018,7 @@ class TestCli:
             (["tenfac"], {"seeds": [0, 0, 1]}, None, "seeds repeats a value"),
             (["matfac"], {**_CLI_SWEEP_DOC, "learning_rates": [0.03, 0.03], "seeds": [0, 0]}, None,
              "the sweep grid repeats a cell"),
-            (["matfac"], {"learning_rate": "0.01"}, None, "'>' not supported between instances of 'str' and 'int'"),
+            (["matfac"], {"learning_rate": "0.01"}, None, "learning_rate must be a number, got '0.01'"),
             (["matfac"], {**_CLI_SWEEP_DOC, "depths": ["2"]}, None, "depths[0] must be an integer, got '2'"),
             (["tenfac"], {"max_iters": "5"}, None, "max_iters must be an integer, got '5'"),
             # every draw's determinant overflows, so none has a sign
@@ -1029,6 +1037,25 @@ class TestCli:
              "max_iters must be an integer, got 300.5"),
             (["tenfac"], {"dims": [3, 3, 3], "n_obs": [20], "gt_rank": 1.5}, None, "gt_rank must be an integer, got 1.5"),
             (["tenfac"], {"dims": [3, 3, 3], "n_obs": [20.5]}, None, "n_obs[0] must be an integer, got 20.5"),
+            # a value of the wrong JSON type or shape, refused by its field's path
+            (["matfac"], {"learning_rate": True}, None, "learning_rate must be a number, got True"),
+            (["matfac"], {"init": {"kind": "balanced", "alpha": True}}, None, "init.alpha must be a number, got True"),
+            (["matfac"], {"task": {"kind": "perturbed", "z": True}}, None, "task.z must be a number, got True"),
+            (["tenfac"], {"init_stds": [True]}, None, "init_stds[0] must be a number, got True"),
+            (["tenfac"], {"mse_threshold": True}, None, "mse_threshold must be a number, got True"),
+            (["matfac"], {"loss_threshold": "0.1"}, None, "loss_threshold must be a number, got '0.1'"),
+            (["tenfac"], {"baseline": "no"}, None, "baseline must be a boolean, got 'no'"),
+            (["tenfac"], {"baseline_rank": 1}, None, "baseline_rank must be a boolean, got 1"),
+            (["matfac"], {**_CLI_SWEEP_DOC, "pair_lr_alpha": "yes"}, None, "pair_lr_alpha must be a boolean, got 'yes'"),
+            (["matfac"], {"init": "x"}, None, "init must be an object, got 'x'"),
+            (["matfac"], {"task": "x"}, None, "task must be an object, got 'x'"),
+            (["tenfac"], {"n_obs": 20}, None, "n_obs must be a list, got 20"),
+            (["matfac"], {"task": {"kind": "perturbed", "unobserved": [1]}}, None,
+             "task.unobserved must be a list of 2, got [1]"),
+            (["matfac"], {"task": {"kind": "perturbed", "unobserved": [1, 2, 3]}}, None,
+             "task.unobserved must be a list of 2, got [1, 2, 3]"),
+            (["matfac"], {"out_dir": 5}, None, "out_dir must be a string, got 5"),
+            (["matfac"], {"task": {"kind": "base", "foo": 1}}, None, "unknown field task.foo"),
             (["plot", "--input", "../loss-inf.csv", "--style", "loss-vs-entry"], None, None,
              "non-finite value 'inf' in column 'loss', row 2 of ../loss-inf.csv"),
             (["plot", "--input", "../w11-nan.csv", "--style", "loss-vs-entry"], None, None,
@@ -1090,6 +1117,22 @@ class TestCli:
             "tenfac-max-iters-fractional",
             "tenfac-gt-rank-fractional",
             "tenfac-n-obs-fractional",
+            "matfac-learning-rate-bool",
+            "matfac-init-alpha-bool",
+            "matfac-task-z-bool",
+            "tenfac-init-stds-bool",
+            "tenfac-mse-threshold-bool",
+            "matfac-loss-threshold-string",
+            "tenfac-baseline-string",
+            "tenfac-baseline-rank-int",
+            "matfac-sweep-pair-lr-alpha-string",
+            "matfac-init-string",
+            "matfac-task-string",
+            "tenfac-n-obs-scalar",
+            "matfac-task-unobserved-length-1",
+            "matfac-task-unobserved-length-3",
+            "matfac-out-dir-int",
+            "matfac-task-unknown-field",
             "plot-loss-inf",
             "plot-w11-nan",
             "plot-sweep-recon-error-inf",
