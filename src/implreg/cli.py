@@ -20,6 +20,7 @@ import sys
 
 from . import harness, svgplot
 from .matfac import ResampleError
+from .tenfac import GenerationError
 
 
 def _add_seed_jobs(p):
@@ -84,7 +85,7 @@ def main(argv=None) -> int:
                 if seed != seeds[0]:
                     cfg = _reseed(cfg, seed)
             out = harness.run_config(cfg, jobs=args.jobs)
-        except (ValueError, ResampleError) as exc:
+        except (ValueError, ResampleError, GenerationError) as exc:
             parser.error(f"cannot run {args.config}: {exc}")
         if isinstance(out, harness.RunRecord):
             print(f"{out.run_id}: {out.csv_path}")

@@ -16,6 +16,7 @@ import json
 import hashlib
 import math
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -151,6 +152,8 @@ class InitSpec:
                 return matfac.init_identity(shape[0], depth, self.alpha)
             raise ValueError(f"unknown init kind {self.kind!r}")
 
+        if self.det_sign not in (-1, 0, 1, None):
+            raise ValueError(f"det_sign must be -1, 0, 1 or null, got {self.det_sign!r}")
         sign = self.det_sign
         if sign is None:
             sign = matfac.required_det_sign(task)
@@ -312,6 +315,10 @@ def _read(tp, value, path: str):
     types, name = _JSON_TYPES[tp]
     if isinstance(value, bool) != (tp is bool) or not isinstance(value, types):
         raise ValueError(f"{path} must be {name}, got {value!r}")
+    # JSON's NaN and Infinity, 1e400 (read as inf) and an int past the
+    # largest double all fail the comparison
+    if tp is float and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{path} must be a finite number, got {value!r}")
     return value
 
 
@@ -537,6 +544,12 @@ def run_tenfac_sweep(cfg: TenfacSweepConfig, jobs: int = 1) -> Path:
     (:func:`tenfac.train_cp_runs`), bitwise equal to separate runs;
     ``jobs`` worker processes share out the groups.
     """
+    if not cfg.dims or min(cfg.dims) < 1:
+        raise ValueError(f"dims must list one or more positive sizes, got {list(cfg.dims)}")
+    # no tensor of these dims has a larger CP rank
+    max_rank = tenfac.default_terms(cfg.dims)
+    if not 1 <= cfg.gt_rank <= max_rank:
+        raise ValueError(f"gt_rank must lie in [1, {max_rank}] for dims {list(cfg.dims)}")
     for name in ("n_obs", "init_stds", "seeds"):
         values = getattr(cfg, name)
         if not values:

@@ -26,6 +26,7 @@ _WIDTH = 640
 _HEIGHT = 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 20, 34, 48
 _TICKS = 6  # ticks on a linear axis
+_LOG_FLOOR = 1e-8  # a log y axis draws any smaller value here
 
 _SERIES_COLORS = ["#1f6fb2", "#c94f2a", "#3d8c4f", "#7b4fa6", "#b08a1e", "#3a3a3a"]
 
@@ -129,7 +130,9 @@ class _Canvas:
 
 
 class _Axes:
-    """Maps data coordinates onto one plot panel."""
+    """Maps data coordinates onto one plot panel.  A log axis draws a
+    tick per power of ten, and its y maps a value below ``_LOG_FLOOR``
+    to the floor; a linear axis draws ``_TICKS`` evenly spaced ticks."""
 
     def __init__(self, x0, y0, x1, y1, xlim, ylim, xlog=False, ylog=False, xflip=False):
         self.x0, self.y0, self.x1, self.y1 = x0, y0, x1, y1
@@ -146,6 +149,13 @@ class _Axes:
         span = hi - lo
         return lo - 0.04 * span, hi + 0.04 * span
 
+    @staticmethod
+    def _ticks(a, b, log, fmt):
+        """(value, label) of each tick over the padded range [a, b]."""
+        if log:
+            return [(10.0**k, f"1e{k}") for k in range(math.ceil(a), math.floor(b) + 1)]
+        return [(v, fmt(v)) for v in (a + (b - a) * i / (_TICKS - 1) for i in range(_TICKS))]
+
     def x(self, v) -> float:
         t = (math.log10(v) if self.xlog else v)
         f = (t - self.xa) / (self.xb - self.xa)
@@ -153,42 +163,25 @@ class _Axes:
             f = 1.0 - f
         return self.x0 + f * (self.x1 - self.x0)
 
-    def y(self, v) -> float:
-        t = (math.log10(v) if self.ylog else v)
+    def y(self, v, floor=_LOG_FLOOR) -> float:
+        t = (math.log10(max(v, floor)) if self.ylog else v)
         f = (t - self.ya) / (self.yb - self.ya)
         return self.y1 - f * (self.y1 - self.y0)
 
     def frame(self, canvas: _Canvas, xlabel: str, ylabel: str):
+        """The axis lines, their labels, then the x and the y ticks."""
         canvas.line(self.x0, self.y1, self.x1, self.y1)
         canvas.line(self.x0, self.y0, self.x0, self.y1)
         canvas.text((self.x0 + self.x1) / 2, self.y1 + 34, xlabel, anchor="middle")
         canvas.text(self.x0 - 44, (self.y0 + self.y1) / 2, ylabel, anchor="middle", rotate=-90)
-
-    def xticks_log(self, canvas: _Canvas):
-        for k in range(math.ceil(self.xa), math.floor(self.xb) + 1):
-            px = self.x(10.0**k)
-            canvas.line(px, self.y1, px, self.y1 + 4)
-            canvas.text(px, self.y1 + 16, f"1e{k}", anchor="middle", size=10)
-
-    def xticks_linear(self, canvas: _Canvas):
-        for i in range(_TICKS):
-            v = self.xa + (self.xb - self.xa) * i / (_TICKS - 1)
+        for v, label in self._ticks(self.xa, self.xb, self.xlog, lambda v: f"{v:g}" if abs(v) < 1e4 else f"{v:.1e}"):
             px = self.x(v)
             canvas.line(px, self.y1, px, self.y1 + 4)
-            canvas.text(px, self.y1 + 16, f"{v:g}" if abs(v) < 1e4 else f"{v:.1e}", anchor="middle", size=10)
-
-    def yticks(self, canvas: _Canvas):
-        if self.ylog:
-            for k in range(math.ceil(self.ya), math.floor(self.yb) + 1):
-                py = self.y(10.0**k)
-                canvas.line(self.x0 - 4, py, self.x0, py)
-                canvas.text(self.x0 - 7, py + 4, f"1e{k}", anchor="end", size=10)
-        else:
-            for i in range(_TICKS):
-                v = self.ya + (self.yb - self.ya) * i / (_TICKS - 1)
-                py = self.y(v)
-                canvas.line(self.x0 - 4, py, self.x0, py)
-                canvas.text(self.x0 - 7, py + 4, f"{v:.3g}", anchor="end", size=10)
+            canvas.text(px, self.y1 + 16, label, anchor="middle", size=10)
+        for v, label in self._ticks(self.ya, self.yb, self.ylog, lambda v: f"{v:.3g}"):
+            py = self.y(v, floor=0.0)  # a tick below the floor keeps its place
+            canvas.line(self.x0 - 4, py, self.x0, py)
+            canvas.text(self.x0 - 7, py + 4, label, anchor="end", size=10)
 
 
 def _decimate(seq, cap):
@@ -227,8 +220,6 @@ def _plot_loss_vs_entry(csv_paths, out_path, title):
         xlim, ylim = (1e-4, 1.0), (0.0, 1.0)
     ax = _Axes(_MARGIN_L, _MARGIN_T, _WIDTH - _MARGIN_R, _HEIGHT - _MARGIN_B, xlim, ylim, xlog=True, xflip=True)
     ax.frame(canvas, "loss (log, descending)", "|unobserved entry|")
-    ax.xticks_log(canvas)
-    ax.yticks(canvas)
     if title:
         canvas.text(_WIDTH / 2, 20, title, anchor="middle", size=13)
 
@@ -277,34 +268,31 @@ def _plot_sweep(csv_paths, out_path, title):
         ylo = min(los + vals) if vals else 0.1
         yhi = max(his + vals) if vals else 1.0
         if ylog:
-            ylo = max(ylo, 1e-8)
+            ylo = max(ylo, _LOG_FLOOR)
             yhi = max(yhi, ylo * 10)
         ax = _Axes(x0, _MARGIN_T, x1, _HEIGHT - _MARGIN_B, (min(xs), max(xs)), (ylo, yhi), ylog=ylog)
         ax.frame(canvas, "observations", ylabel)
-        ax.xticks_linear(canvas)
-        ax.yticks(canvas)
-        panels.append((ax, field, qlo, qhi, ylog))
+        panels.append((ax, field, qlo, qhi))
 
     series = sorted({_series_key(r) for r in agg})
     for k, key in enumerate(series):
         color = _SERIES_COLORS[k % len(_SERIES_COLORS)]
         srows = sorted((r for r in agg if _series_key(r) == key), key=lambda r: float(r["n_obs"]))
-        for ax, field, qlo, qhi, ylog in panels:
+        for ax, field, qlo, qhi in panels:
             pts = [(float(r["n_obs"]), float(r[field])) for r in srows if r[field] != ""]
             band = [
                 (float(r["n_obs"]), float(r[qlo]), float(r[qhi]))
                 for r in srows
                 if r.get(qlo, "") != "" and r.get(qhi, "") != ""
             ]
-            floor = 1e-8 if ylog else -math.inf
             if band:
-                upper = [(ax.x(x), ax.y(max(hi, floor) if ylog else hi)) for x, _, hi in band]
-                lower = [(ax.x(x), ax.y(max(lo, floor) if ylog else lo)) for x, lo, _ in reversed(band)]
+                upper = [(ax.x(x), ax.y(hi)) for x, _, hi in band]
+                lower = [(ax.x(x), ax.y(lo)) for x, lo, _ in reversed(band)]
                 canvas.polygon(upper + lower, color)
             if pts:
-                canvas.polyline([(ax.x(x), ax.y(max(v, floor) if ylog else v)) for x, v in pts], color, width=1.6)
+                canvas.polyline([(ax.x(x), ax.y(v)) for x, v in pts], color, width=1.6)
                 for x, v in pts:
-                    canvas.circle(ax.x(x), ax.y(max(v, floor) if ylog else v), 2.4, color)
+                    canvas.circle(ax.x(x), ax.y(v), 2.4, color)
         label = " ".join(s for s in key if s)
         canvas.text(mid - 30, _MARGIN_T + 14 + 14 * k, label or "series", anchor="end", color=color, size=10)
     if title:

@@ -734,6 +734,24 @@ class TestTenfacSweep:
         row = [r for r in read_csv(path) if r["method"] == "linear" and r["row"] == "cell"][0]
         assert float(row["recon_error"]) == pytest.approx(expected, abs=1e-12)
 
+    def test_baseline_rank(self, tmp_path):
+        # the linear baseline's rank is the estimated rank of its target,
+        # the observed entries with zeros elsewhere
+        def linear_rows(baseline_rank):
+            cfg = TenfacSweepConfig(dims=(3, 3), n_obs=(4,), seeds=(0,), baseline_rank=baseline_rank,
+                                    out_dir=str(tmp_path / str(baseline_rank)))
+            rows = [r for r in read_csv(run_tenfac_sweep(cfg)) if r["method"] == "linear"]
+            return cfg, {r["row"]: r for r in rows}
+
+        cfg, rows = linear_rows(True)
+        truth = tenfac.gen_ground_truth(cfg.dims, cfg.gt_rank, cfg.gt_seed)
+        rank = tenfac.estimate_rank(tenfac.sample_observations(truth, 4, cfg.obs_seed).target, threshold=cfg.mse_threshold)
+        assert int(rows["cell"]["est_rank"]) == rank
+        agg = rows["median_iqr"]
+        assert [float(agg[c]) for c in ("est_rank", "est_rank_q25", "est_rank_q75")] == [rank] * 3
+        _, rows = linear_rows(False)
+        assert rows["cell"]["est_rank"] == ""
+
 
 class TestPlots:
     def test_missing_column_names_it(self, tmp_path):
@@ -765,6 +783,38 @@ class TestPlots:
         out = svgplot.emit_plot([path], "sweep", tmp_path / "s.svg")
         text = out.read_text()
         assert "<polyline" in text and "<polygon" in text
+
+    def test_sweep_error_below_the_floor_drawn_at_1e_8(self, tmp_path):
+        # a zero error has no logarithm: the error panel draws it, and its
+        # zero lower quartile, at the 1e-8 tick
+        p = tmp_path / "zero.csv"
+        p.write_text(
+            _SWEEP_HEADER
+            + "median_iqr,tf,4,0.001,,0,1,0,0.5,1,1\n"
+            + "median_iqr,tf,8,0.001,,0.25,2,0.1,0.5,1,2\n"
+        )
+        lines = svgplot.emit_plot([p], "sweep", tmp_path / "s.svg").read_text().splitlines()
+        tick = lines[lines.index(next(s for s in lines if s.endswith(">1e-8</text>"))) - 1]
+        floor_y = tick.split('y1="', 1)[1].split('"', 1)[0]
+        circles = [s for s in lines if s.startswith("<circle")]
+        x4 = circles[0].split('cx="', 1)[1].split('"', 1)[0]
+        assert circles[0] == f'<circle cx="{x4}" cy="{floor_y}" r="2.40" fill="#1f6fb2"/>'
+        band = lines[next(k for k, s in enumerate(lines) if s.startswith("<polygon"))]
+        assert band.split('points="', 1)[1].rstrip('"/>').split()[-1] == f"{x4},{floor_y}"
+
+    def test_sweep_tick_below_the_floor_keeps_its_place(self, tmp_path):
+        # an error panel spanning 28 decades pads below 1e-8 far enough
+        # for a 1e-9 tick, which lies a decade below the 1e-8 one
+        p = tmp_path / "wide.csv"
+        p.write_text(_SWEEP_HEADER + "median_iqr,tf,4,0.001,,0,1,0,1e20,1,1\n")
+        lines = svgplot.emit_plot([p], "sweep", tmp_path / "s.svg").read_text().splitlines()
+
+        def tick_y(label):
+            tick = lines[lines.index(next(s for s in lines if s.endswith(f">{label}</text>"))) - 1]
+            return float(tick.split('y1="', 1)[1].split('"', 1)[0])
+
+        decade = tick_y("1e-8") - tick_y("1e-7")
+        assert decade > 0 and tick_y("1e-9") - tick_y("1e-8") == pytest.approx(decade, abs=0.02)
 
     def test_loss_vs_entry_independent_of_column_order(self, tmp_path):
         rec = run_matfac(quick_run_config(tmp_path / "canonical"))
@@ -998,8 +1048,8 @@ class TestCli:
             (["tenfac"], {"n_obs": [0]}, None, "n_obs must lie in [1, 8]"),
             (["tenfac"], {"n_obs": [9]}, None, "n_obs must lie in [1, 8]"),
             (["tenfac"], {"mse_threshold": -1}, None, "mse_threshold must be non-negative"),
-            (["tenfac"], {"mse_threshold": math.nan}, None, "mse_threshold must be non-negative"),
-            (["matfac"], {"loss_threshold": math.nan}, None, "loss_threshold must be non-negative"),
+            (["tenfac"], {"mse_threshold": math.nan}, None, "mse_threshold must be a finite number, got nan"),
+            (["matfac"], {"loss_threshold": math.nan}, None, "loss_threshold must be a finite number, got nan"),
             (["matfac"], {**_CLI_SWEEP_DOC, "depths": []}, None, "the sweep grid is empty"),
             (["tenfac"], {"init_stds": []}, None, "init_stds must not be empty"),
             (["matfac", "--jobs", "0"], {}, None, "--jobs must be >= 1, got 0"),
@@ -1056,6 +1106,22 @@ class TestCli:
              "task.unobserved must be a list of 2, got [1, 2, 3]"),
             (["matfac"], {"out_dir": 5}, None, "out_dir must be a string, got 5"),
             (["matfac"], {"task": {"kind": "base", "foo": 1}}, None, "unknown field task.foo"),
+            # a float field holding JSON's Infinity (or 1e400, read as inf)
+            (["matfac"], {"learning_rate": math.inf}, None, "learning_rate must be a finite number, got inf"),
+            (["matfac"], {"init": {"kind": "balanced", "alpha": -math.inf}}, None,
+             "init.alpha must be a finite number, got -inf"),
+            (["tenfac"], {"mse_threshold": math.inf}, None, "mse_threshold must be a finite number, got inf"),
+            (["tenfac"], {"init_stds": [math.inf]}, None, "init_stds[0] must be a finite number, got inf"),
+            # a value out of its range, named by its field
+            (["matfac"], {"init": {"kind": "balanced", "det_sign": 2}}, None, "det_sign must be -1, 0, 1 or null, got 2"),
+            (["matfac"], {**_CLI_SWEEP_DOC, "det_sign": -2}, None, "det_sign must be -1, 0, 1 or null, got -2"),
+            (["tenfac"], {"dims": []}, None, "dims must list one or more positive sizes, got []"),
+            (["tenfac"], {"dims": [0, 3]}, None, "dims must list one or more positive sizes, got [0, 3]"),
+            (["tenfac"], {"dims": [-1, 3]}, None, "dims must list one or more positive sizes, got [-1, 3]"),
+            (["tenfac"], {"gt_rank": 0}, None, "gt_rank must lie in [1, 3] for dims [3, 3]"),
+            (["tenfac"], {"gt_rank": 4}, None, "gt_rank must lie in [1, 3] for dims [3, 3]"),
+            # within the range, yet no 2x2x2 tensor has rank 4
+            (["tenfac"], {"dims": [2, 2, 2], "gt_rank": 4}, None, "could not generate a rank-4 tensor"),
             (["plot", "--input", "../loss-inf.csv", "--style", "loss-vs-entry"], None, None,
              "non-finite value 'inf' in column 'loss', row 2 of ../loss-inf.csv"),
             (["plot", "--input", "../w11-nan.csv", "--style", "loss-vs-entry"], None, None,
@@ -1133,6 +1199,18 @@ class TestCli:
             "matfac-task-unobserved-length-3",
             "matfac-out-dir-int",
             "matfac-task-unknown-field",
+            "matfac-learning-rate-inf",
+            "matfac-init-alpha-minus-inf",
+            "tenfac-mse-threshold-inf",
+            "tenfac-init-stds-inf",
+            "matfac-init-det-sign-2",
+            "matfac-sweep-det-sign-minus-2",
+            "tenfac-dims-empty",
+            "tenfac-dims-zero",
+            "tenfac-dims-negative",
+            "tenfac-gt-rank-0",
+            "tenfac-gt-rank-above-max",
+            "tenfac-gt-rank-unreachable",
             "plot-loss-inf",
             "plot-w11-nan",
             "plot-sweep-recon-error-inf",
