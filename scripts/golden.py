@@ -16,6 +16,10 @@ Regenerates, in a temporary directory, in a few seconds:
   exit 0;
 - an 8x8x8 rank-2 tensor sweep CSV (400 observations, three seeds) and
   its sweep SVG at seeds 0-2;
+- a 3x3x3 rank-1 tensor sweep CSV (15 observations, two seeds, the
+  linear baseline) at init scales 1e-3 and 1e13, at seeds 0-2: every
+  1e13 run diverges at iteration 0, so its cells are blank and the
+  aggregate rows of that scale are left out;
 - stacked CP runs on unequal dims at seeds 0-2, one JSON per seed: four
   runs of 4 terms on a (3, 4, 5) task and four of 5 terms on a
   (2, 3, 4, 2) task, whose members stop at different iterations, each
@@ -213,6 +217,21 @@ def _tenfac_sweep(seed: int, out_dir: Path, seeds: tuple[int, ...]) -> Path:
     return harness.run_tenfac_sweep(cfg)
 
 
+def _tenfac_diverge(seed: int, out_dir: Path) -> list[Path]:
+    cfg = harness.TenfacSweepConfig(
+        dims=(3, 3, 3),
+        gt_rank=1,
+        gt_seed=0,
+        obs_seed=seed + 1,
+        n_obs=(15,),
+        init_stds=(1e-3, 1e13),
+        seeds=(seed, seed + 1),
+        baseline=True,
+        out_dir=str(out_dir),
+    )
+    return [harness.run_tenfac_sweep(cfg)]
+
+
 def _tenfac(seed: int, out_dir: Path) -> list[Path]:
     csv_path = _tenfac_sweep(seed, out_dir, (seed, seed + 1, seed + 2))
     return [csv_path, svgplot.emit_plot([csv_path], "sweep", out_dir / "sweep.svg", title="tensor sweep")]
@@ -333,6 +352,7 @@ def digests() -> dict[str, str]:
                 ("grid", _grid),
                 ("dense-log", _dense_log),
                 ("tenfac", _tenfac),
+                ("tenfac-diverge", _tenfac_diverge),
                 ("cp-runs", _cp_runs),
                 ("cp-lone", _cp_lone),
                 ("diverge", _diverge),

@@ -389,16 +389,11 @@ def run_matfac(cfg: MatfacRunConfig) -> RunRecord:
 def _run_prepared(cell) -> RunRecord:  # cell: (config, _prepare(config))
     cfg, (task, net, attempts, train_cfg) = cell
     t0 = time.monotonic()
-    diverged = converged = False
-    try:
-        result = matfac.gd_train(net, task, train_cfg)
-        trajectory, converged = result.trajectory, result.converged
-    except matfac.DivergenceError as exc:
-        diverged, trajectory = True, exc.trajectory
+    result = matfac.gd_train(net, task, train_cfg)
     elapsed = time.monotonic() - t0
 
-    header, rows = trajectory_rows(trajectory, cfg.task)
-    last = {name: column[-1] for name, column in trajectory.items() if column}
+    header, rows = trajectory_rows(result.trajectory, cfg.task)
+    last = {name: column[-1] for name, column in result.trajectory.items() if column}
     config = asdict(cfg)
     run_id = _run_id(config, cfg.seed)
     out_dir = Path(cfg.out_dir)
@@ -408,15 +403,15 @@ def _run_prepared(cell) -> RunRecord:  # cell: (config, _prepare(config))
         config=config,
         csv_path=str(csv_path),
         summary={
-            "diverged": diverged,
+            "diverged": result.diverged,
             "init_attempts": attempts,
             "runtime_s": elapsed,
-            # a finished run always logs its final state: its last
-            # sample is at result.iterations
+            # the last logged sample: result.iterations for a run that
+            # did not diverge, since such a run logs its final state
             "iterations": last.get("iter", 0),
             "final_loss": last.get("loss", math.nan),
             **{f"final_{c}": last.get(c, math.nan) for c in map(matfac.entry_column, task.unobserved_indices())},
-            "converged": converged,
+            "converged": result.converged,
         },
     )
     record.write(out_dir / f"{run_id}.json")
@@ -513,7 +508,7 @@ def _run_tenfac_group(cfg: TenfacSweepConfig, truth: np.ndarray, group) -> list[
     runs = [(init_std, seed) for seed in cfg.seeds]
     cells = []
     for result in tenfac.train_cp_runs(task, tenfac.default_terms(cfg.dims), runs, cfg.mse_threshold, cfg.max_iters):
-        if isinstance(result, matfac.DivergenceError):
+        if result.diverged:
             cells.append(("", ""))
             continue
         learned = tenfac.cp_compose(result.model)

@@ -39,7 +39,6 @@ __all__ = [
     "DeepNet",
     "TrainConfig",
     "TrainResult",
-    "DivergenceError",
     "ResampleError",
     "entry_column",
     "loss",
@@ -64,21 +63,6 @@ __all__ = [
 ]
 
 ENTRY_BLOWUP_LIMIT = 1e12
-
-
-class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss or an entry beyond 1e12.
-
-    Carries the partial trajectory, which ends at the last finite logged
-    sample, so callers can persist what was computed before the
-    blow-up, and as ``model`` the net at the blow-up, or None when a
-    factor entry is not finite or the run is a CP run.
-    """
-
-    def __init__(self, message, trajectory, model):
-        super().__init__(message)
-        self.trajectory = trajectory
-        self.model = model
 
 
 class ResampleError(RuntimeError):
@@ -166,12 +150,19 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainResult:
-    # a CP trainer puts a tenfac.CpModel here and logs the columns
-    # "iter", "loss" and "mse"
-    model: DeepNet
+    """How a run ended.  A diverged run (a non-finite loss or an entry
+    beyond ENTRY_BLOWUP_LIMIT) stopped at ``iterations``, the step of the
+    blow-up; its trajectory ends at the last finite logged sample (every
+    column empty when the start already diverges) and its ``model`` is
+    the net at the blow-up, or None when a factor entry is not finite.
+    A CP trainer puts a tenfac.CpModel here, None for a diverged run,
+    and logs the columns "iter", "loss" and "mse"."""
+
+    model: DeepNet | None
     trajectory: dict[str, tuple]  # see _samples
     iterations: int
     converged: bool
+    diverged: bool
 
 
 def loss(task: CompletionTask, w) -> float:
@@ -324,8 +315,18 @@ def _samples(snapshots, task: CompletionTask, layout) -> dict[str, tuple]:
 
     The singular values of all products, and of all Gram differences of
     one layer pair, come from one values-only call each; the metrics are
-    then taken along the stacks.  Each value equals what the public
-    per-matrix functions give for that sample, bit for bit.
+    then taken along the stacks.  Each value equals, bit for bit, what
+    per-matrix calls give for that sample: ``sigma1``, ``sigma2`` and
+    ``spectral_norm`` are entries of :func:`linalg.singular_values` of
+    the product; ``nuclear_norm`` and ``frob_norm`` are the sum of those
+    values and the square root of the sum of their squares;
+    ``schatten_half`` squares the sum of their square roots with
+    Python's ``**``; ``erank`` is
+    :func:`metrics.effective_rank_of_sigmas` of them; ``det`` is
+    :func:`leading_minor_det` and ``unbalancedness`` is
+    :func:`unbalancedness_magnitude`.  ``linalg.schatten_norm(m, 2)``
+    sums the squared entries instead and can differ from ``frob_norm``
+    in the last bit.
     """
     its, losses, packed = tuple(zip(*snapshots)) or ((), (), ())
     ps, *factors = _stacks(packed, layout)
@@ -368,7 +369,7 @@ class _ArrayKernel:
     SCALAR_STEP_MAX_DIM, and the tests check the scalar kernel against
     it.  The masked residual lives in one buffer whose unobserved
     entries stay 0.0.  An overflowing start or step ends the run
-    through gd_train's checks (DivergenceError), and gd_train turns
+    through gd_train's checks (a diverged result), and gd_train turns
     numpy's overflow warnings off around the kernel."""
 
     def __init__(self, factors: Sequence[np.ndarray], task: CompletionTask):
@@ -552,22 +553,21 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
     ``cfg.max_iters`` updates have been applied.  A sample is logged at
     iteration 0, every ``log_stride`` iterations, whenever the loss
     crosses a power-of-ten boundary (so loss-resolved curves stay well
-    sampled without storing every step), and at the final state.
-    Raises :class:`DivergenceError` on non-finite loss or entries
-    beyond 1e12; its ``net`` is None when a step overflowed a factor
-    entry to inf or nan.  Nets with no factor dimension above
-    SCALAR_STEP_MAX_DIM step on Python floats, larger ones on numpy
-    arrays.  The two kernels agree only to rounding, and runs past the
-    edge of stability separate (the 3x4 depth-3 cell at step 0.03, from
-    about step 15,000).  Between checks the kernel runs on alone, keeping the
-    state at each stride multiple itself, until an iteration at which
-    a check could fire (cap, threshold, divergence, ``_decade_band``).
-    Logging keeps the state; the samples are computed from all kept
-    states in one stacked pass (``_samples``) when the run ends or
-    before DivergenceError is raised.  numpy's
-    overflow and invalid-value warnings are off while the kernel steps
-    (the checks above catch what they would report) and back on for
-    the sampling.
+    sampled without storing every step), and at the final state.  A
+    non-finite loss or an entry beyond 1e12 stops the run as diverged
+    (see :class:`TrainResult`); its ``model`` is None when a step
+    overflowed a factor entry to inf or nan.  Nets with no factor
+    dimension above SCALAR_STEP_MAX_DIM step on Python floats, larger
+    ones on numpy arrays.  The two kernels agree only to rounding, and
+    runs past the edge of stability separate (the 3x4 depth-3 cell at
+    step 0.03, from about step 15,000).  Between checks the kernel runs
+    on alone, keeping the state at each stride multiple itself, until
+    an iteration at which a check could fire (cap, threshold,
+    divergence, ``_decade_band``).  Logging keeps the state; the
+    samples are computed from all kept states in one stacked pass
+    (``_samples``) when the run ends.  numpy's overflow and
+    invalid-value warnings are off while the kernel steps (the checks
+    above catch what they would report) and back on for the sampling.
     """
     if net.shape != task.shape:
         raise ValueError(f"net shape {net.shape} does not match task shape {task.shape}")
@@ -601,12 +601,10 @@ def gd_train(net: DeepNet, task: CompletionTask, cfg: TrainConfig) -> TrainResul
             lo_min = max(band_lo, cfg.loss_threshold)
             it, lo, peak = kernel.run_until(eta, it, cfg.max_iters, lo_min, band_hi, stride, snapshots.append)
 
+    # a diverged run's last state is the blow-up, which is not logged
     if not diverged and snapshots[-1][0] != it:
         snapshots.append((it, lo, kernel.snapshot()))
-    trajectory = _samples(snapshots, task, layout)
-    if diverged:
-        raise DivergenceError(f"training diverged at iteration {it}", trajectory, _net(kernel.snapshot(), layout))
-    return TrainResult(model=_net(snapshots[-1][2], layout), trajectory=trajectory, iterations=it, converged=converged)
+    return TrainResult(_net(kernel.snapshot(), layout), _samples(snapshots, task, layout), it, converged, diverged)
 
 
 # ---------------------------------------------------------------------------

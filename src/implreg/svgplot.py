@@ -239,15 +239,17 @@ def _series_key(row):
     return (row.get("method", ""), row.get("init_std", ""))
 
 
-# the sweep CSV columns the plot reads as numbers; empty where not computed
-_SWEEP_NUMBERS = ("n_obs", "recon_error", "est_rank", "recon_error_q25", "recon_error_q75", "est_rank_q25", "est_rank_q75")
+# the sweep CSV columns the plot reads as numbers, empty where not computed
+_SWEEP_NUMBERS = ("recon_error", "est_rank", "recon_error_q25", "recon_error_q75", "est_rank_q25", "est_rank_q75")
 
 
 def _plot_sweep(csv_paths, out_path, title):
     rows = []
     for p in csv_paths:
         header, rs = _read_rows(p, ["row", "method", "n_obs", "init_std", "recon_error", "est_rank"])
-        if bad := _bad_cell(p, header, rs, _SWEEP_NUMBERS, empty_ok=True):
+        # every row has an observation count
+        bad = _bad_cell(p, header, rs, ["n_obs"]) or _bad_cell(p, header, rs, _SWEEP_NUMBERS, empty_ok=True)
+        if bad:
             raise bad
         rows.extend(dict(zip(header, r)) for r in rs)
     agg = [r for r in rows if r["row"] == "median_iqr"]

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import as_tensor, outer_product, singular_values
-from .matfac import CompletionTask, DivergenceError, ENTRY_BLOWUP_LIMIT, TrainResult
+from .matfac import CompletionTask, ENTRY_BLOWUP_LIMIT, TrainResult
 from .rng import stream
 
 __all__ = [
@@ -200,15 +200,11 @@ def train_cp(
     ``seed``; every update moves all factors along their gradients by
     the one adaptive step size of the module docstring.  Stops when the
     mean squared error over observations (2 * loss / n_obs) falls below
-    ``mse_threshold`` or after ``max_iters`` updates.  Divergence
-    (non-finite loss or factor entries beyond 1e12) raises
-    :class:`DivergenceError`.  This is :func:`train_cp_runs` with one
-    run.
+    ``mse_threshold``, after ``max_iters`` updates, or as diverged on a
+    non-finite loss or a factor entry beyond 1e12 (the result's
+    ``model`` then None).  This is :func:`train_cp_runs` with one run.
     """
-    (result,) = train_cp_runs(task, terms, [(init_std, seed)], mse_threshold, max_iters)
-    if isinstance(result, DivergenceError):
-        raise result
-    return result
+    return train_cp_runs(task, terms, [(init_std, seed)], mse_threshold, max_iters)[0]
 
 
 def train_cp_runs(
@@ -217,16 +213,15 @@ def train_cp_runs(
     runs: Sequence[tuple[float, int]],
     mse_threshold: float = 1e-6,
     max_iters: int = 10**6,
-) -> list[TrainResult | DivergenceError]:
+) -> list[TrainResult]:
     """Train one CP model per ``(init_std, seed)`` run on the same task,
     the runs stacked into one loop that steps them all at once.
 
     Each run is :func:`train_cp` with its own init, step size and stop,
-    and gets exactly the bits it gets alone: iterations, trajectory,
-    factors and divergence message.  Returns, in run order, each run's
-    :class:`TrainResult`, or the :class:`DivergenceError` that
-    ``train_cp`` raises for it.  A run that stops (converged, capped or
-    diverged) leaves the stack and never stops the others.
+    and gets exactly the bits it gets alone: iterations, trajectory and
+    factors.  Returns each run's :class:`TrainResult`, in run order.  A
+    run that stops (converged, capped or diverged) leaves the stack and
+    never stops the others.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
@@ -284,7 +279,7 @@ def train_cp_runs(
                 # train_cp's order: divergence, log, then stop
                 trajectory = trajectories[run]
                 if diverging and (not math.isfinite(lo) or peaks[i] > ENTRY_BLOWUP_LIMIT):
-                    stopped[i] = DivergenceError(f"CP training diverged at iteration {it}", _columns(trajectory), None)
+                    stopped[i] = TrainResult(None, _columns(trajectory), it, False, True)
                     continue
                 mse = 2.0 * lo / n_obs
                 if it % CP_LOG_STRIDE == 0:
@@ -293,7 +288,7 @@ def train_cp_runs(
                     if trajectory[-1][0] != it:
                         trajectory.append((it, lo, mse))
                     model = CpModel(tuple(buf[i, a:b].reshape(terms, d).copy() for (a, b), d in zip(spans, task.shape)))
-                    stopped[i] = TrainResult(model, _columns(trajectory), it, mse < mse_threshold)
+                    stopped[i] = TrainResult(model, _columns(trajectory), it, mse < mse_threshold, False)
         if stopped:
             for i, result in stopped.items():
                 results[live[i]] = result

@@ -906,8 +906,11 @@ class TestPlotReadRows:
             ("loss-vs-entry", "iter,loss,w11\n0,1.0,0.5\n1,0.9\n", "row 2 of"),
             ("sweep", f"{','.join(harness.TENFAC_COLUMNS)}\nmedian_iqr,tf,x8,,,1.0,1,,,,\n",
              "non-numeric value 'x8' in column 'n_obs', row 1"),
+            # an aggregate row is plotted at its observation count
+            ("sweep", f"{','.join(harness.TENFAC_COLUMNS)}\nmedian_iqr,tf,,,,1.0,1,,,,\n",
+             "non-numeric value '' in column 'n_obs', row 1"),
         ],
-        ids=["loss-vs-entry-cell", "loss-vs-entry-short-row", "sweep-cell"],
+        ids=["loss-vs-entry-cell", "loss-vs-entry-short-row", "sweep-cell", "sweep-n-obs-empty"],
     )
     def test_bad_cell_named(self, tmp_path, style, text, message):
         path = tmp_path / "bad.csv"
@@ -949,6 +952,7 @@ _CLI_PLOT_INPUTS = {
     "w11-nan.csv": "iter,loss,w11\n0,1.0,0.5\n1,0.5,nan\n",
     "sweep-inf.csv": _SWEEP_HEADER + "cell,gd,4,0.001,0,inf,1,,,,\nmedian_iqr,gd,4,0.001,,0.5,1,0.5,0.5,1,1\n",
     "sweep-nan.csv": _SWEEP_HEADER + "cell,gd,4,0.001,0,0.5,1,,,,\nmedian_iqr,gd,4,0.001,,nan,1,0.5,0.5,1,1\n",
+    "sweep-no-n-obs.csv": _SWEEP_HEADER + "cell,gd,4,0.001,0,0.5,1,,,,\nmedian_iqr,gd,,0.001,,0.5,1,0.5,0.5,1,1\n",
 }
 
 
@@ -1130,6 +1134,8 @@ class TestCli:
              "non-finite value 'inf' in column 'recon_error', row 1 of ../sweep-inf.csv"),
             (["plot", "--input", "../sweep-nan.csv", "--style", "sweep"], None, None,
              "non-finite value 'nan' in column 'recon_error', row 2 of ../sweep-nan.csv"),
+            (["plot", "--input", "../sweep-no-n-obs.csv", "--style", "sweep"], None, None,
+             "non-numeric value '' in column 'n_obs', row 2 of ../sweep-no-n-obs.csv"),
         ],
         ids=[
             "detsign-too-few-samples",
@@ -1215,6 +1221,7 @@ class TestCli:
             "plot-w11-nan",
             "plot-sweep-recon-error-inf",
             "plot-sweep-recon-error-nan",
+            "plot-sweep-n-obs-empty",
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, config, env, message):

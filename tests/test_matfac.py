@@ -307,16 +307,15 @@ class TestGdTrain:
         # logged at every step: the trajectory holds every iteration before
         # the blow-up, bit for bit the run capped at the one before it
         cfg = TrainConfig(learning_rate=lr, max_iters=10_000, loss_threshold=0.0, log_stride=1)
-        with pytest.raises(matfac.DivergenceError) as exc_info:
-            gd_train(net, task, cfg)
-        err = exc_info.value
-        assert str(err) == f"training diverged at iteration {diverged_at}"
-        assert err.trajectory["iter"] == tuple(range(diverged_at))
-        assert all(map(math.isfinite, err.trajectory["loss"]))
+        result = gd_train(net, task, cfg)
+        assert result.diverged and not result.converged
+        assert result.iterations == diverged_at
+        assert result.trajectory["iter"] == tuple(range(diverged_at))
+        assert all(map(math.isfinite, result.trajectory["loss"]))
         capped = gd_train(net, task, dataclasses.replace(cfg, max_iters=diverged_at - 1))
-        _assert_bitwise_same_trajectory(err.trajectory, capped.trajectory)
+        _assert_bitwise_same_trajectory(result.trajectory, capped.trajectory)
 
-    def test_divergence_raises_with_partial_trajectory(self):
+    def test_divergence_returns_partial_trajectory(self):
         net = DeepNet((np.full((2, 2), 5.0), np.full((2, 2), 5.0)))
         self.assert_ends_at_last_finite_sample(net, BASE, 0.9, 2)
 
@@ -337,13 +336,12 @@ class TestGdTrain:
     )
     def test_factor_overflow_raises_divergence_without_net(self, shape, depth, task):
         # the first step overflows a factor entry: there is no finite net to
-        # carry, and the run reaches DivergenceError without a warning
+        # return, and the run ends as diverged without a warning
         net = init_balanced(shape, depth, 10.0, stream(0, 1))
-        with pytest.raises(matfac.DivergenceError) as exc_info:
-            gd_train(net, task, TrainConfig(learning_rate=1e308, max_iters=10))
-        err = exc_info.value
-        assert err.model is None
-        assert err.trajectory["iter"] == (0,)
+        result = gd_train(net, task, TrainConfig(learning_rate=1e308, max_iters=10))
+        assert result.diverged and result.iterations == 1
+        assert result.model is None
+        assert result.trajectory["iter"] == (0,)
 
 
 def _assert_close_to_scale(actual, expected, rtol):
@@ -478,7 +476,7 @@ class TestStepKernels:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     # at lr 1e100 the first step overflows in a matmul
-    @pytest.mark.parametrize("lr, diverges", [(0.03, False), (1e100, True)], ids=["returns", "raises"])
+    @pytest.mark.parametrize("lr, diverges", [(0.03, False), (1e100, True)], ids=["returns", "diverges"])
     def test_array_kernel_run_restores_errstate(self, lr, diverges):
         # gd_train turns numpy's overflow checks off only while the
         # kernel steps: the caller's settings hold again after the run,
@@ -487,12 +485,11 @@ class TestStepKernels:
         cfg = TrainConfig(learning_rate=lr, max_iters=200, loss_threshold=0.0, log_stride=1)
         with np.errstate(over="raise", invalid="raise"):
             before = np.geterr()
+            result = gd_train(net, make_extended_task(5, 6), cfg)
             if diverges:
-                with pytest.raises(matfac.DivergenceError) as err:
-                    gd_train(net, make_extended_task(5, 6), cfg)
-                assert str(err.value) == "training diverged at iteration 1" and len(err.value.trajectory["iter"]) == 1
+                assert result.diverged and result.iterations == 1 and len(result.trajectory["iter"]) == 1
             else:
-                assert len(gd_train(net, make_extended_task(5, 6), cfg).trajectory["iter"]) == 201
+                assert not result.diverged and len(result.trajectory["iter"]) == 201
             assert np.geterr() == before
 
     @pytest.mark.parametrize(
@@ -609,8 +606,7 @@ def reference_gd_train(net, task, cfg):
     while True:
         lo, p, peak, state = forward(ws)
         if not math.isfinite(lo) or peak > matfac.ENTRY_BLOWUP_LIMIT:
-            trajectory = matfac._samples(snapshots, task, layout)
-            raise matfac.DivergenceError(f"training diverged at iteration {it}", trajectory, net_now())
+            return matfac.TrainResult(net_now(), matfac._samples(snapshots, task, layout), it, False, True)
         decade = math.floor(math.log10(lo)) if lo > 0 else None
         crossed = last_decade is not None and decade != last_decade
         last_decade = decade
@@ -625,9 +621,7 @@ def reference_gd_train(net, task, cfg):
         it += 1
     if logged_it != it:
         log_state(lo)
-    return matfac.TrainResult(
-        model=net_now(), trajectory=matfac._samples(snapshots, task, layout), iterations=it, converged=converged
-    )
+    return matfac.TrainResult(net_now(), matfac._samples(snapshots, task, layout), it, converged, False)
 
 
 LARGE_TARGET = make_perturbed_task(9e11, 1.0, 0.0)
@@ -649,7 +643,7 @@ def _assert_bitwise_same_trajectory(got, want):
 
 
 def _assert_bitwise_same_run(got, want):
-    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert (got.iterations, got.converged, got.diverged) == (want.iterations, want.converged, want.diverged)
     _assert_bitwise_same_trajectory(got.trajectory, want.trajectory)
     assert [f.tobytes() for f in got.model.factors] == [f.tobytes() for f in want.model.factors]
 
@@ -750,7 +744,7 @@ class TestEventLoop:
     @pytest.mark.parametrize(
         "factors, task, lr, log_stride",
         [
-            # test_divergence_raises_with_partial_trajectory's run
+            # test_divergence_returns_partial_trajectory's run
             ((np.full((2, 2), 5.0), np.full((2, 2), 5.0)), BASE, 0.9, 1),
             # residuals scale by -2 a step, between log strides
             ((np.eye(2),), BASE, 3.0, 1_000),
@@ -768,13 +762,10 @@ class TestEventLoop:
     def test_divergence_matches_step_by_step_loop(self, factors, task, lr, log_stride):
         net = DeepNet(factors)
         cfg = TrainConfig(learning_rate=lr, max_iters=10_000, loss_threshold=0.0, log_stride=log_stride)
-        with pytest.raises(matfac.DivergenceError) as got:
-            gd_train(net, task, cfg)
-        with pytest.raises(matfac.DivergenceError) as want:
-            reference_gd_train(net, task, cfg)
-        assert str(got.value) == str(want.value)
-        _assert_bitwise_same_trajectory(got.value.trajectory, want.value.trajectory)
-        assert [f.tobytes() for f in got.value.model.factors] == [f.tobytes() for f in want.value.model.factors]
+        got = gd_train(net, task, cfg)
+        assert got.diverged
+        # iterations, trajectory and the net at the blow-up, bit for bit
+        _assert_bitwise_same_run(got, reference_gd_train(net, task, cfg))
 
     def test_large_observed_value_matches_step_by_step_loop(self):
         # an observed value of 9e11: the first ~50 steps have a loss above
@@ -1089,10 +1080,9 @@ class TestSamplerEdgeCases:
         # iteration 0 before anything is logged
         net = DeepNet((np.full(shape, 1e13),))
         cfg = TrainConfig(learning_rate=1e-2, max_iters=100, loss_threshold=0.0, log_stride=1)
-        with pytest.raises(matfac.DivergenceError) as err:
-            gd_train(net, task, cfg)
-        assert err.value.trajectory == dict.fromkeys(COLUMNS, ())
-        assert str(err.value) == "training diverged at iteration 0"
+        result = gd_train(net, task, cfg)
+        assert result.trajectory == dict.fromkeys(COLUMNS, ())
+        assert result.diverged and result.iterations == 0
 
     @pytest.mark.parametrize("dims, task", [([2, 2, 2], BASE), ([4, 3, 3], make_extended_task(3, 4))])
     def test_zero_product_has_no_effective_rank(self, dims, task):
